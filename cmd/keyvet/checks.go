@@ -31,15 +31,17 @@ const (
 	fleetsimPath   = "keysearch/internal/fleetsim"
 	simPath        = "keysearch/internal/sim"
 	shardplanePath = "keysearch/internal/shardplane"
+	framePath      = "keysearch/internal/frame"
 )
 
 // concurrencyScope lists the control-plane packages the interprocedural
 // rules (lockorder, goleak) cover: where PRs 4-7 fixed lifecycle races
-// by hand, the analyzers now stand guard.
+// by hand, the analyzers now stand guard — and internal/frame, whose
+// summaries let lockorder see a mutex held across Log.Append's fsync.
 func concurrencyScope(path string) bool {
 	return inScope(path, jobsPath) || inScope(path, netprotoPath) ||
 		inScope(path, dispatchPath) || inScope(path, fleetsimPath) ||
-		inScope(path, shardplanePath)
+		inScope(path, shardplanePath) || inScope(path, framePath)
 }
 
 // clockSeamScope lists the packages whose time must flow through
@@ -49,9 +51,11 @@ func concurrencyScope(path string) bool {
 // single sanctioned crossing) touches package time. The sharded control
 // plane joins the scope because its failover rehearsal runs in virtual
 // time: a stray wall-clock read there would desynchronize promotions.
+// internal/frame times the WAL fsync on the clock the store hands it.
 func clockSeamScope(path string) bool {
 	return inScope(path, jobsPath) || inScope(path, fleetsimPath) ||
-		inScope(path, simPath) || inScope(path, shardplanePath)
+		inScope(path, simPath) || inScope(path, shardplanePath) ||
+		inScope(path, framePath)
 }
 
 // finding is one reported violation.
@@ -238,7 +242,7 @@ func (c *checker) allowed(position token.Position, rule string) bool {
 
 // scopeAllowsFunc reports whether the given function declaration carries
 // a scope-level allow for rule. The interprocedural layer uses it to
-// clear a vouched-for function's summary: an allow on the WAL append
+// clear a vouched-for function's summary: an allow on the store's append
 // documents the fsync-under-lock ordering for every caller at once.
 func (c *checker) scopeAllowsFunc(fd *ast.FuncDecl, rule string) bool {
 	if fd == nil {

@@ -243,7 +243,9 @@ func blockingCall(p *pkg, call *ast.CallExpr) (string, bool) {
 		if fn.Name() == "Wait" && recvNamed(fn) == "WaitGroup" {
 			return "sync.WaitGroup.Wait", true
 		}
-	case "os":
+	case "os", framePath:
+		// frame.File is the seam frame.Log fsyncs through; *os.File in
+		// production, so the two are one blocking operation.
 		if fn.Name() == "Sync" && recvNamed(fn) == "File" {
 			return "os.File.Sync (fsync)", true
 		}

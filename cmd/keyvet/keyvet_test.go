@@ -263,6 +263,28 @@ func TestShardplaneClockSeamScope(t *testing.T) {
 	}
 }
 
+// TestFrameLogAppendUnderLock pins that moving the WAL fsync into
+// internal/frame, behind the frame.File seam, did not blind lockorder: a
+// mutex held across frame.Log.Append is reported through the interface
+// call, while the store's vouched-for shape stays silent.
+func TestFrameLogAppendUnderLock(t *testing.T) {
+	l, root := sharedLoader(t)
+	seed, err := l.loadDirAs(filepath.Join(root, "cmd", "keyvet", "testdata", "framelock"), "keysearch/internal/jobs/framelockseeds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	real, err := l.load(framePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := runChecks([]*pkg{seed, real})
+	if len(fs) != 1 || countRule(fs, ruleLockOrder) != 1 {
+		t.Errorf("findings = %v, want exactly one lockorder finding", fs)
+	}
+	wantFinding(t, fs, ruleLockOrder, "fsync) via Append")
+	wantFinding(t, fs, ruleLockOrder, "table.mu")
+}
+
 // TestAllowScopeSeeds pins the scope-level //keyvet:allow semantics: a
 // rule list in a doc comment suppresses exactly the listed rules inside
 // exactly that declaration, line-level allows still work inside

@@ -7,6 +7,7 @@ import (
 	"math/big"
 	"os"
 
+	"keysearch/internal/frame"
 	"keysearch/internal/keyspace"
 )
 
@@ -154,42 +155,18 @@ func (cp *Checkpoint) Intervals() ([]keyspace.Interval, error) {
 	return out, nil
 }
 
-// WriteCheckpointFile persists the checkpoint atomically: the encoding is
-// written to path+".tmp", synced, and renamed over path (atomic on
-// POSIX), so a crash mid-write leaves either the old checkpoint or the
-// new one — never a torn file. A torn file would be rejected by
-// LoadCheckpoint's checksum anyway, but rejecting the only copy of the
-// remaining set is still losing it; atomic replacement keeps the previous
-// good snapshot.
+// WriteCheckpointFile persists the checkpoint atomically
+// (frame.WriteFileAtomic), so a crash mid-write leaves either the old
+// checkpoint or the new one — never a torn file. A torn file would be
+// rejected by LoadCheckpoint's checksum anyway, but rejecting the only
+// copy of the remaining set is still losing it; atomic replacement keeps
+// the previous good snapshot.
 func WriteCheckpointFile(path string, cp *Checkpoint) error {
 	data, err := cp.Marshal()
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()      //keyvet:allow swallowederr (cleanup; the write error is reported)
-		os.Remove(tmp) //keyvet:allow swallowederr (cleanup; the write error is reported)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()      //keyvet:allow swallowederr (cleanup; the sync error is reported)
-		os.Remove(tmp) //keyvet:allow swallowederr (cleanup; the sync error is reported)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp) //keyvet:allow swallowederr (cleanup; the close error is reported)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp) //keyvet:allow swallowederr (cleanup; the rename error is reported)
-		return err
-	}
-	return nil
+	return frame.WriteFileAtomic(path, data)
 }
 
 // ReadCheckpointFile loads and verifies a checkpoint written by

@@ -21,8 +21,6 @@ type Options struct {
 	// minimize the overhead caused by the dispatch and merge steps".
 	// 0 means 1.
 	RoundScale float64
-	// TargetEfficiency is passed to the tuning step (0 = 0.9).
-	TargetEfficiency float64
 	// MinChunk floors the per-worker chunk size (0 = 1).
 	MinChunk uint64
 	// MaxChunk caps the per-worker chunk size (0 = no cap). A failed

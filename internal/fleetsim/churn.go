@@ -11,10 +11,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"math/rand"
 	"sort"
+
+	"keysearch/internal/frame"
 )
 
 // ChurnKind classifies one fleet membership/perf event.
@@ -152,7 +153,7 @@ func EncodeChurn(evs []ChurnEvent) []byte {
 		buf = append(buf, byte(ev.Kind))
 		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(ev.Factor))
 	}
-	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	return frame.Seal(buf)
 }
 
 // DecodeChurn parses and validates a schedule blob: magic, length,
@@ -166,9 +167,9 @@ func DecodeChurn(b []byte) ([]ChurnEvent, error) {
 	if string(b[:len(churnMagic)]) != churnMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrChurnCorrupt)
 	}
-	body, trailer := b[:len(b)-4], b[len(b)-4:]
-	if got, want := crc32.ChecksumIEEE(body), binary.BigEndian.Uint32(trailer); got != want {
-		return nil, fmt.Errorf("%w: checksum mismatch (file %08x, content %08x)", ErrChurnCorrupt, want, got)
+	body, err := frame.Open(b)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrChurnCorrupt, err)
 	}
 	n := binary.BigEndian.Uint32(b[len(churnMagic):])
 	payload := body[len(churnMagic)+4:]

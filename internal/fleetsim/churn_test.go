@@ -2,7 +2,9 @@ package fleetsim
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -92,4 +94,22 @@ func FuzzChurnCodec(f *testing.F) {
 			t.Fatalf("accepted blob does not round-trip: %d bytes in, %d out", len(blob), len(again))
 		}
 	})
+}
+
+// TestChurnEncodingGolden pins the schedule wire format against bytes
+// captured before the CRC trailer moved into frame.Seal.
+func TestChurnEncodingGolden(t *testing.T) {
+	const want = "4653434831000000033fe0000000000000000000030300000000000000003ff400000000000000000001043fe00000000000004000000000000000000000030100000000000000004c8574a5"
+	evs := []ChurnEvent{
+		{At: 0.5, Worker: 3, Kind: ChurnCrash},
+		{At: 1.25, Worker: 1, Kind: ChurnSlow, Factor: 0.5},
+		{At: 2, Worker: 3, Kind: ChurnJoin},
+	}
+	if got := hex.EncodeToString(EncodeChurn(evs)); got != want {
+		t.Errorf("schedule encodes to %s, parent wrote %s", got, want)
+	}
+	raw, _ := hex.DecodeString(want)
+	if back, err := DecodeChurn(raw); err != nil || !reflect.DeepEqual(back, evs) {
+		t.Errorf("parent's encoding decodes to %v, %v", back, err)
+	}
 }

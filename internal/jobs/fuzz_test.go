@@ -8,7 +8,13 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"keysearch/internal/frame"
 )
+
+// walHeaderLen is the frame header (length, type, sequence) ahead of a
+// record's payload.
+const walHeaderLen = frame.Overhead - 4
 
 // fuzzSeedWAL builds a small valid log: submit, transition, checkpoint.
 func fuzzSeedWAL(tb testing.TB) []byte {
@@ -23,34 +29,36 @@ func fuzzSeedWAL(tb testing.TB) []byte {
 		tb.Fatal(err)
 	}
 	var buf []byte
-	buf = appendRecord(buf, recSubmit, 1, sub)
-	buf = appendRecord(buf, recState, 2, st)
+	buf = frame.Append(buf, byte(recSubmit), 1, sub)
+	buf = frame.Append(buf, byte(recState), 2, st)
 	return buf
 }
 
-// FuzzWALRecord: arbitrary bytes through the record decoder must never
-// panic or over-allocate; every failure is classified as torn, corrupt
-// or clean EOF; and whatever decodes re-encodes to the bytes consumed.
+// FuzzWALRecord: arbitrary bytes through the frame decoder under the
+// WAL's format (its type space and payload cap) must never panic or
+// over-allocate; every failure is classified as torn, corrupt or clean
+// EOF; and whatever decodes re-encodes to the bytes consumed. The
+// framing itself is fuzzed structure-aware by frame.FuzzFrame.
 func FuzzWALRecord(f *testing.F) {
-	good := appendRecord(nil, recCheckpoint, 42, []byte(`{"id":"j1"}`))
+	good := frame.Append(nil, byte(recCheckpoint), 42, []byte(`{"id":"j1"}`))
 	f.Add(good)
 	f.Add(good[:len(good)-2])                                             // torn trailer
-	f.Add(good[:walHeader-1])                                             // torn header
+	f.Add(good[:walHeaderLen-1])                                          // torn header
 	f.Add([]byte{})                                                       // clean EOF
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, byte(recSubmit), 0, 0, 0, 0, 0}) // oversized length
 	damaged := append([]byte(nil), good...)
-	damaged[walHeader+3] ^= 0x10
+	damaged[walHeaderLen+3] ^= 0x10
 	f.Add(damaged) // checksum mismatch
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rec, err := readRecord(bytes.NewReader(data))
+		rec, err := frame.Read(bytes.NewReader(data), walFormat)
 		if err != nil {
-			if err != io.EOF && !errors.Is(err, ErrTorn) && !errors.Is(err, ErrCorrupt) {
+			if err != io.EOF && !errors.Is(err, frame.ErrTorn) && !errors.Is(err, frame.ErrCorrupt) {
 				t.Fatalf("unclassified decode error: %v", err)
 			}
 			return
 		}
-		frame := appendRecord(nil, rec.typ, rec.seq, rec.payload)
-		if !bytes.Equal(frame, data[:len(frame)]) {
+		enc := frame.Append(nil, rec.Type, rec.Seq, rec.Payload)
+		if !bytes.Equal(enc, data[:len(enc)]) {
 			t.Fatal("decoded record does not re-encode to the consumed bytes")
 		}
 	})
@@ -67,23 +75,23 @@ func FuzzWALRecover(f *testing.F) {
 	f.Add(valid[:len(valid)-3]) // torn tail
 	f.Add([]byte{})
 	corrupt := append([]byte(nil), valid...)
-	corrupt[walHeader+1] ^= 0x08
+	corrupt[walHeaderLen+1] ^= 0x08
 	f.Add(corrupt)
 	// Reordered: the two records swapped.
 	boundary := 0
 	r := bytes.NewReader(valid)
-	rec, err := readRecord(r)
+	rec, err := frame.Read(r, walFormat)
 	if err != nil {
 		f.Fatal(err)
 	}
-	boundary = walHeader + len(rec.payload) + walTrailer
+	boundary = frame.Overhead + len(rec.Payload)
 	f.Add(append(append([]byte(nil), valid[boundary:]...), valid[:boundary]...))
 	// Duplicate submit under fresh sequence numbers: framing is fine,
 	// the table-level invariant must reject it.
 	sub, _ := json.Marshal(submitRecord{ID: "j1", Tenant: "t", Spec: testSpec(), At: 1})
 	var dup []byte
-	dup = appendRecord(dup, recSubmit, 1, sub)
-	dup = appendRecord(dup, recSubmit, 2, sub)
+	dup = frame.Append(dup, byte(recSubmit), 1, sub)
+	dup = frame.Append(dup, byte(recSubmit), 2, sub)
 	f.Add(dup)
 
 	f.Fuzz(func(t *testing.T, data []byte) {

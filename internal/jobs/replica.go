@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"keysearch/internal/frame"
 )
 
 // Replica is a warm standby copy of a Store's directory, fed by a
@@ -20,10 +22,8 @@ import (
 // from a single loop.
 type Replica struct {
 	dir    string
-	noSync bool
-	f      *os.File // open WAL tail, nil until a snapshot lands or after Close
-	seq    uint64   // last applied sequence (snapshot watermark + tail)
-	seeded bool     // snapshot applied; records accepted only after this
+	log    *frame.Log // the WAL tail; its Seq is the replica's watermark
+	seeded bool       // snapshot applied; records accepted only after this
 }
 
 // ReplicaOptions configure OpenReplica.
@@ -41,7 +41,11 @@ func OpenReplica(dir string, opts ReplicaOptions) (*Replica, error) {
 	if err := os.MkdirAll(dir, 0o700); err != nil {
 		return nil, err
 	}
-	return &Replica{dir: dir, noSync: opts.NoSync}, nil
+	log, err := frame.OpenLog(filepath.Join(dir, walFile), frame.LogOptions{Format: walFormat, NoSync: opts.NoSync})
+	if err != nil {
+		return nil, err
+	}
+	return &Replica{dir: dir, log: log}, nil
 }
 
 // Dir returns the replica's directory — the argument to Open at
@@ -50,7 +54,7 @@ func (r *Replica) Dir() string { return r.dir }
 
 // Seq returns the last applied WAL sequence: the replica's watermark,
 // which the follower acks back to the sender.
-func (r *Replica) Seq() uint64 { return r.seq }
+func (r *Replica) Seq() uint64 { return r.log.Seq() }
 
 // Seeded reports whether a snapshot has landed this session.
 func (r *Replica) Seeded() bool { return r.seeded }
@@ -65,81 +69,40 @@ func (r *Replica) ApplySnapshot(data []byte) error {
 	if err != nil {
 		return err
 	}
-	if r.seeded && env.Seq < r.seq {
-		return fmt.Errorf("%w: snapshot watermark %d behind replica %d", ErrCorrupt, env.Seq, r.seq)
+	if r.seeded && env.Seq < r.Seq() {
+		return fmt.Errorf("%w: snapshot watermark %d behind replica %d", frame.ErrCorrupt, env.Seq, r.Seq())
 	}
-	if err := writeSnapshotFile(filepath.Join(r.dir, snapFile), data); err != nil {
+	if err := frame.WriteFileAtomic(filepath.Join(r.dir, snapFile), data); err != nil {
 		return err
 	}
-	if err := r.resetWAL(); err != nil {
+	// The snapshot covers everything the old tail held.
+	if err := r.log.Reset(env.Seq); err != nil {
 		return err
 	}
-	r.seq = env.Seq
 	r.seeded = true
 	return nil
 }
 
-// resetWAL truncates the tail log to empty and leaves it open for
-// appends. Called after each snapshot: the snapshot covers everything
-// the old tail held.
-func (r *Replica) resetWAL() error {
-	if r.f != nil {
-		r.f.Close()
-		r.f = nil
-	}
-	f, err := os.OpenFile(filepath.Join(r.dir, walFile), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o600)
-	if err != nil {
-		return err
-	}
-	r.f = f
-	return nil
-}
-
-// ApplyRecord frames and appends one replicated WAL record. Records
-// are accepted only after a snapshot, in strictly contiguous sequence
-// order — a gap or repeat means the stream reordered or dropped a
-// frame, and the replica refuses rather than archive a log that
-// recovery would reject (or worse, silently accept with a hole).
+// ApplyRecord appends one replicated WAL record. Records are accepted
+// only after a snapshot, in strictly contiguous sequence order — a gap
+// or repeat means the stream reordered or dropped a frame, and the
+// replica refuses rather than archive a log that recovery would reject
+// (or worse, silently accept with a hole).
 func (r *Replica) ApplyRecord(typ byte, seq uint64, payload []byte) error {
 	if !r.seeded {
 		return errors.New("jobs: replica: record before snapshot")
 	}
-	t := recType(typ)
-	if !t.valid() {
-		return fmt.Errorf("%w: replica: record type %d", ErrCorrupt, typ)
+	if seq != r.Seq()+1 {
+		return fmt.Errorf("%w: replica: sequence %d after %d", frame.ErrCorrupt, seq, r.Seq())
 	}
-	if len(payload) > maxRecord {
-		return fmt.Errorf("%w: replica: record of %d bytes", ErrCorrupt, len(payload))
+	if _, err := r.log.Append(typ, payload); err != nil {
+		return fmt.Errorf("jobs: replica: %w", err)
 	}
-	if seq != r.seq+1 {
-		return fmt.Errorf("%w: replica: sequence %d after %d", ErrCorrupt, seq, r.seq)
-	}
-	frame := appendRecord(nil, t, seq, payload)
-	if _, err := r.f.Write(frame); err != nil {
-		return err
-	}
-	if !r.noSync {
-		if err := r.f.Sync(); err != nil {
-			return err
-		}
-	}
-	r.seq = seq
 	return nil
 }
 
-// Close releases the WAL tail. Promotion closes the replica first,
-// then runs Open on its directory.
+// Close flushes and releases the WAL tail. Promotion closes the replica
+// first, then runs Open on its directory.
 func (r *Replica) Close() error {
-	if r.f == nil {
-		return nil
-	}
-	err := r.f.Sync()
-	if r.noSync {
-		err = nil
-	}
-	if cerr := r.f.Close(); err == nil {
-		err = cerr
-	}
-	r.f = nil
-	return err
+	return r.log.Close()
 }

@@ -174,10 +174,6 @@ type Options struct {
 	// to N-1 committed leases are re-run after a crash) for commit
 	// throughput; in-memory accounting stays exact either way.
 	CheckpointEvery int
-	// Now stamps store records (nil = time.Now).
-	// Deprecated: set StoreOptions.Clock (or .Now) on the Store
-	// instead; this field is retained for compatibility and unused.
-	Now func() time.Time
 	// OnCommit, when set, observes every committed lease in commit
 	// order: it runs under the service lock after the commit is
 	// applied (and its checkpoint is durable, unless CheckpointEvery

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"keysearch/internal/dispatch"
+	"keysearch/internal/frame"
 	"keysearch/internal/keyspace"
 	"keysearch/internal/sim"
 	"keysearch/internal/telemetry"
@@ -84,12 +85,12 @@ type jobRec struct {
 // before the table changes, so the table on disk is never behind the
 // one in memory.
 type Store struct {
-	mu    sync.Mutex
-	dir   string
-	opts  StoreOptions
-	now   func() time.Time
-	tel   *storeTelemetry
-	w       *wal
+	mu      sync.Mutex
+	dir     string
+	opts    StoreOptions
+	now     func() time.Time
+	tel     *storeTelemetry
+	log     *frame.Log
 	jobs    map[string]*jobRec
 	order   []string // submission order, for stable listings
 	dirty   int      // records appended since the last snapshot
@@ -122,82 +123,54 @@ func Open(dir string, opts StoreOptions) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	last, err := s.replayWAL(watermark)
-	if err != nil {
-		return nil, err
-	}
-	w, err := openWAL(filepath.Join(dir, walFile), last, !opts.NoSync, s.tel, s.now)
-	if err != nil {
-		return nil, err
-	}
-	s.w = w
-	return s, nil
-}
-
-// replayWAL applies the log suffix past the snapshot watermark, then
-// truncates any torn tail so the next append starts at a clean record
-// boundary. Returns the last sequence in use.
-func (s *Store) replayWAL(after uint64) (uint64, error) {
-	path := filepath.Join(s.dir, walFile)
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return after, nil
-	}
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	replayed := 0
-	last, clean, err := replayLog(f, after, func(rec record) error {
-		replayed++
-		return s.apply(rec)
+	path := filepath.Join(dir, walFile)
+	s.log, err = frame.OpenLog(path, frame.LogOptions{
+		Format: walFormat,
+		NoSync: opts.NoSync,
+		Now:    s.now,
+		OnSync: s.tel.fsync.ObserveDuration,
 	})
 	if err != nil {
-		return 0, fmt.Errorf("jobs: recovering %s: %w", path, err)
+		return nil, err
 	}
-	st, err := f.Stat()
-	if err != nil {
-		return 0, err
+	if err := s.log.Replay(watermark, s.apply); err != nil {
+		s.log.Close() // the recovery error is the one reported
+		return nil, fmt.Errorf("jobs: recovering %s: %w", path, err)
 	}
-	if st.Size() > clean {
-		if err := os.Truncate(path, clean); err != nil {
-			return 0, fmt.Errorf("jobs: repairing torn tail of %s: %w", path, err)
-		}
-	}
-	s.tel.replayed.Add(uint64(replayed))
-	return last, nil
+	s.tel.replayed.Add(s.log.Seq() - watermark) // replay is contiguous from the watermark
+	return s, nil
 }
 
 // apply routes one WAL record into the table, enforcing the package
 // invariants. Both replay and the live mutation path go through it, so
 // the table rebuilt after a crash is the table that crashed.
-func (s *Store) apply(rec record) error {
-	switch rec.typ {
+func (s *Store) apply(rec frame.Frame) error {
+	switch recType(rec.Type) {
 	case recSubmit:
 		var sr submitRecord
-		if err := json.Unmarshal(rec.payload, &sr); err != nil {
-			return fmt.Errorf("%w: submit record: %v", ErrCorrupt, err)
+		if err := json.Unmarshal(rec.Payload, &sr); err != nil {
+			return fmt.Errorf("%w: submit record: %v", frame.ErrCorrupt, err)
 		}
 		return s.applySubmit(sr)
 	case recState:
 		var tr stateRecord
-		if err := json.Unmarshal(rec.payload, &tr); err != nil {
-			return fmt.Errorf("%w: state record: %v", ErrCorrupt, err)
+		if err := json.Unmarshal(rec.Payload, &tr); err != nil {
+			return fmt.Errorf("%w: state record: %v", frame.ErrCorrupt, err)
 		}
 		return s.applyState(tr)
 	case recCheckpoint:
 		var cr checkpointRecord
-		if err := json.Unmarshal(rec.payload, &cr); err != nil {
-			return fmt.Errorf("%w: checkpoint record: %v", ErrCorrupt, err)
+		if err := json.Unmarshal(rec.Payload, &cr); err != nil {
+			return fmt.Errorf("%w: checkpoint record: %v", frame.ErrCorrupt, err)
 		}
 		return s.applyCheckpoint(cr)
 	}
-	return fmt.Errorf("%w: unhandled record type %d", ErrCorrupt, rec.typ)
+	return fmt.Errorf("%w: unhandled record type %d", frame.ErrCorrupt, rec.Type)
 }
 
 func (s *Store) applySubmit(sr submitRecord) error {
 	if _, ok := s.jobs[sr.ID]; ok {
-		return fmt.Errorf("%w: duplicate submit for job %s", ErrCorrupt, sr.ID)
+		return fmt.Errorf("%w: duplicate submit for job %s", frame.ErrCorrupt, sr.ID)
 	}
 	space, err := sr.Spec.Space()
 	if err != nil {
@@ -226,7 +199,7 @@ func (s *Store) applySubmit(sr submitRecord) error {
 func (s *Store) applyState(tr stateRecord) error {
 	r, ok := s.jobs[tr.ID]
 	if !ok {
-		return fmt.Errorf("%w: state record for unknown job %s", ErrCorrupt, tr.ID)
+		return fmt.Errorf("%w: state record for unknown job %s", frame.ErrCorrupt, tr.ID)
 	}
 	if !tr.To.Valid() || !validTransition(r.state, tr.To) {
 		return fmt.Errorf("%w: job %s: %s -> %s", ErrTransition, tr.ID, r.state, tr.To)
@@ -245,19 +218,19 @@ func (s *Store) applyState(tr stateRecord) error {
 func (s *Store) applyCheckpoint(cr checkpointRecord) error {
 	r, ok := s.jobs[cr.ID]
 	if !ok {
-		return fmt.Errorf("%w: checkpoint for unknown job %s", ErrCorrupt, cr.ID)
+		return fmt.Errorf("%w: checkpoint for unknown job %s", frame.ErrCorrupt, cr.ID)
 	}
 	if r.state.Terminal() {
 		return fmt.Errorf("%w: checkpoint for terminal job %s (%s)", ErrTransition, cr.ID, r.state)
 	}
 	if cr.CP.Tested < r.cp.Tested {
-		return fmt.Errorf("%w: job %s: tested went backwards (%d -> %d)", ErrCorrupt, cr.ID, r.cp.Tested, cr.CP.Tested)
+		return fmt.Errorf("%w: job %s: tested went backwards (%d -> %d)", frame.ErrCorrupt, cr.ID, r.cp.Tested, cr.CP.Tested)
 	}
 	remaining := cr.CP.RemainingKeys()
 	covered := new(big.Int).Add(remaining, new(big.Int).SetUint64(cr.CP.Tested))
 	if covered.Cmp(r.space) > 0 {
 		return fmt.Errorf("%w: job %s: tested %d + remaining %s exceeds space %s",
-			ErrCorrupt, cr.ID, cr.CP.Tested, remaining, r.space)
+			frame.ErrCorrupt, cr.ID, cr.CP.Tested, remaining, r.space)
 	}
 	r.cp = cr.CP
 	r.remaining = remaining
@@ -269,16 +242,23 @@ func (s *Store) applyCheckpoint(cr checkpointRecord) error {
 // durable before it is visible. Callers hold s.mu and must have
 // validated the mutation — an apply failure after a successful append
 // means the in-memory table and the log disagree, which is fatal.
+//
+//keyvet:allow lockorder (callers hold Store.mu across the log's fsync
+// by design: append-then-apply is the durability contract — a mutation
+// is on disk before it is visible, so the commit path pays the fsync
+// under the lock rather than expose un-durable state)
 func (s *Store) append(typ recType, payload any) error {
 	body, err := json.Marshal(payload)
 	if err != nil {
 		return err
 	}
-	seq, err := s.w.append(typ, body)
+	seq, err := s.log.Append(byte(typ), body)
 	if err != nil {
 		return err
 	}
-	if err := s.apply(record{typ: typ, seq: seq, payload: body}); err != nil {
+	s.tel.appends.Inc()
+	s.tel.bytes.Add(uint64(frame.Overhead + len(body)))
+	if err := s.apply(frame.Frame{Type: byte(typ), Seq: seq, Payload: body}); err != nil {
 		return fmt.Errorf("jobs: applying own record: %w", err)
 	}
 	if s.opts.OnAppend != nil {
@@ -306,7 +286,7 @@ func (s *Store) Submit(tenant string, priority int, spec Spec) (Job, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	id := fmt.Sprintf("%sj%06d", s.opts.IDPrefix, s.w.seq+1)
+	id := fmt.Sprintf("%sj%06d", s.opts.IDPrefix, s.log.Seq()+1)
 	sr := submitRecord{ID: id, Tenant: tenant, Priority: priority, Spec: spec, At: s.now().UnixNano()}
 	if err := s.append(recSubmit, sr); err != nil {
 		return Job{}, err
@@ -490,24 +470,24 @@ func snapSum(b *snapBody) (string, error) {
 func decodeSnapshot(data []byte) (*snapEnvelope, error) {
 	var env snapEnvelope
 	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, fmt.Errorf("%w: snapshot: %v", ErrCorrupt, err)
+		return nil, fmt.Errorf("%w: snapshot: %v", frame.ErrCorrupt, err)
 	}
 	if env.Sum == "" {
-		return nil, fmt.Errorf("%w: snapshot: missing checksum", ErrCorrupt)
+		return nil, fmt.Errorf("%w: snapshot: missing checksum", frame.ErrCorrupt)
 	}
 	want, err := snapSum(&env.snapBody)
 	if err != nil {
 		return nil, err
 	}
 	if env.Sum != want {
-		return nil, fmt.Errorf("%w: snapshot: checksum mismatch (file %s, content %s)", ErrCorrupt, env.Sum, want)
+		return nil, fmt.Errorf("%w: snapshot: checksum mismatch (file %s, content %s)", frame.ErrCorrupt, env.Sum, want)
 	}
 	for _, sj := range env.Jobs {
 		if _, err := sj.Spec.Space(); err != nil {
-			return nil, fmt.Errorf("%w: snapshot job %s: %v", ErrCorrupt, sj.ID, err)
+			return nil, fmt.Errorf("%w: snapshot job %s: %v", frame.ErrCorrupt, sj.ID, err)
 		}
 		if !sj.State.Valid() {
-			return nil, fmt.Errorf("%w: snapshot job %s: invalid state", ErrCorrupt, sj.ID)
+			return nil, fmt.Errorf("%w: snapshot job %s: invalid state", frame.ErrCorrupt, sj.ID)
 		}
 	}
 	return &env, nil
@@ -530,10 +510,10 @@ func (s *Store) loadSnapshot() (uint64, error) {
 	for _, sj := range env.Jobs {
 		space, err := sj.Spec.Space()
 		if err != nil {
-			return 0, fmt.Errorf("%w: snapshot job %s: %v", ErrCorrupt, sj.ID, err)
+			return 0, fmt.Errorf("%w: snapshot job %s: %v", frame.ErrCorrupt, sj.ID, err)
 		}
 		if !sj.State.Valid() {
-			return 0, fmt.Errorf("%w: snapshot job %s: invalid state", ErrCorrupt, sj.ID)
+			return 0, fmt.Errorf("%w: snapshot job %s: invalid state", frame.ErrCorrupt, sj.ID)
 		}
 		s.jobs[sj.ID] = &jobRec{
 			id:        sj.ID,
@@ -567,7 +547,7 @@ func (s *Store) Compact() error {
 // encodeSnapshotLocked serializes the current table as a checksummed
 // snapshot covering the current WAL watermark. Callers hold s.mu.
 func (s *Store) encodeSnapshotLocked() ([]byte, uint64, error) {
-	body := snapBody{Seq: s.w.seq}
+	body := snapBody{Seq: s.log.Seq()}
 	for _, id := range s.order {
 		r := s.jobs[id]
 		body.Jobs = append(body.Jobs, snapJob{
@@ -602,9 +582,8 @@ func (s *Store) ExportSnapshot() ([]byte, uint64, error) {
 	return s.encodeSnapshotLocked()
 }
 
-// compactLocked writes the snapshot atomically (tmp + fsync + rename),
-// then truncates the log. The order matters: after the rename the
-// snapshot alone reconstructs the table, so losing the log contents is
+// compactLocked writes the snapshot atomically, then resets the log.
+// The order matters: after the rename the snapshot alone reconstructs the table, so losing the log contents is
 // safe; before the rename the old snapshot + full log still does.
 //
 //keyvet:allow lockorder (the snapshot fsyncs under Store.mu on purpose:
@@ -615,44 +594,14 @@ func (s *Store) compactLocked() error {
 	if err != nil {
 		return err
 	}
-	if err := writeSnapshotFile(filepath.Join(s.dir, snapFile), data); err != nil {
+	if err := frame.WriteFileAtomic(filepath.Join(s.dir, snapFile), data); err != nil {
 		return err
 	}
-	if err := os.Truncate(filepath.Join(s.dir, walFile), 0); err != nil {
+	if err := s.log.Reset(s.log.Seq()); err != nil {
 		return err
 	}
 	s.dirty = 0
 	s.tel.snapshots.Inc()
-	return nil
-}
-
-// writeSnapshotFile lands a snapshot atomically: tmp + fsync + rename,
-// so a crash leaves either the old snapshot or the new one, never a
-// partial write. Shared by compaction and the replication follower.
-func writeSnapshotFile(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
 	return nil
 }
 
@@ -664,13 +613,5 @@ func writeSnapshotFile(path string, data []byte) error {
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.w == nil {
-		return nil
-	}
-	err := s.w.f.Sync()
-	if cerr := s.w.close(); err == nil {
-		err = cerr
-	}
-	s.w = nil
-	return err
+	return s.log.Close()
 }

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"crypto/md5"
 	"encoding/hex"
 	"errors"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"keysearch/internal/dispatch"
+	"keysearch/internal/frame"
 	"keysearch/internal/keyspace"
 	"keysearch/internal/telemetry"
 )
@@ -243,7 +245,7 @@ func TestStoreTornTailRepaired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	torn := append(append([]byte(nil), clean...), appendRecord(nil, recState, 99, []byte(`{"id":"x"}`))[:7]...)
+	torn := append(append([]byte(nil), clean...), frame.Append(nil, byte(recState), 99, []byte(`{"id":"x"}`))[:7]...)
 	if err := os.WriteFile(path, torn, 0o600); err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +276,7 @@ func TestStoreCorruptLogRefused(t *testing.T) {
 
 	path := filepath.Join(dir, walFile)
 	data, _ := os.ReadFile(path)
-	data[walHeader+2] ^= 0x20 // damage the first record's payload
+	data[walHeaderLen+2] ^= 0x20 // damage the first record's payload
 	os.WriteFile(path, data, 0o600)
 	if _, err := Open(dir, StoreOptions{NoSync: true}); err == nil {
 		t.Fatal("corrupt log accepted")
@@ -286,10 +288,10 @@ func TestStoreReorderedLogRefused(t *testing.T) {
 	sr1 := mustJSON(t, submitRecord{ID: "j1", Tenant: "t", Spec: testSpec(), At: 1})
 	sr3 := mustJSON(t, submitRecord{ID: "j3", Tenant: "t", Spec: testSpec(), At: 3})
 	var buf []byte
-	buf = appendRecord(buf, recSubmit, 1, sr1)
-	buf = appendRecord(buf, recSubmit, 3, sr3) // gap: seq 2 missing
+	buf = frame.Append(buf, byte(recSubmit), 1, sr1)
+	buf = frame.Append(buf, byte(recSubmit), 3, sr3) // gap: seq 2 missing
 	os.WriteFile(filepath.Join(dir, walFile), buf, 0o600)
-	if _, err := Open(dir, StoreOptions{NoSync: true}); !errors.Is(err, ErrCorrupt) {
+	if _, err := Open(dir, StoreOptions{NoSync: true}); !errors.Is(err, frame.ErrCorrupt) {
 		t.Fatalf("spliced log: %v, want ErrCorrupt", err)
 	}
 }
@@ -363,7 +365,7 @@ func TestStoreCorruptSnapshotRefused(t *testing.T) {
 	data, _ := os.ReadFile(path)
 	data[len(data)/2] ^= 0x01
 	os.WriteFile(path, data, 0o600)
-	if _, err := Open(dir, StoreOptions{NoSync: true}); !errors.Is(err, ErrCorrupt) {
+	if _, err := Open(dir, StoreOptions{NoSync: true}); !errors.Is(err, frame.ErrCorrupt) {
 		t.Fatalf("corrupt snapshot: %v, want ErrCorrupt", err)
 	}
 }
@@ -403,5 +405,47 @@ func TestStoreTelemetry(t *testing.T) {
 	defer s2.Close()
 	if got := reg2.Counter(telemetry.MetricJobsWALReplayed).Value(); got != 0 {
 		t.Errorf("replayed %d records after compaction, want 0", got)
+	}
+}
+
+// TestParentStateDirectoryOpens recovers a state directory captured at
+// the commit before the WAL moved onto frame.Log — a snapshot at
+// watermark 3 (one running job, four keys tested) plus a two-record log
+// past it (a second submit, a checkpoint with a found key) — and appends
+// to it: an existing -jobs directory survives the upgrade byte for byte.
+func TestParentStateDirectoryOpens(t *testing.T) {
+	const (
+		parentWAL  = "000000a90100000000000000047b226964223a226a303030303034222c2274656e616e74223a22626f62222c227072696f72697479223a302c2273706563223a7b22616c676f726974686d223a226d6435222c22746172676574223a223037313539633437656531623139616534666239633430643438303835366334222c2263686172736574223a226162222c226d696e5f6c656e223a312c226d61785f6c656e223a337d2c2261745f756e69785f6e73223a347d0d047f95000000690300000000000000057b226964223a226a303030303031222c226370223a7b2272656d61696e696e67223a5b7b227374617274223a2239222c22656e64223a223134227d5d2c22666f756e64223a5b22596d453d225d2c22746573746564223a397d2c2261745f756e69785f6e73223a357d8ba2aa45"
+		parentSnap = "7b22736571223a332c226a6f6273223a5b7b226964223a226a303030303031222c2274656e616e74223a22616c696365222c227072696f72697479223a312c2273706563223a7b22616c676f726974686d223a226d6435222c22746172676574223a223037313539633437656531623139616534666239633430643438303835366334222c2263686172736574223a226162222c226d696e5f6c656e223a312c226d61785f6c656e223a337d2c227374617465223a2272756e6e696e67222c226370223a7b2272656d61696e696e67223a5b7b227374617274223a2234222c22656e64223a223134227d5d2c22746573746564223a347d2c227375626d69747465645f61745f756e69785f6e73223a312c22757064617465645f61745f756e69785f6e73223a337d5d2c2273756d223a2263726333323a3734313134616162227d"
+	)
+	dir := t.TempDir()
+	for name, enc := range map[string]string{walFile: parentWAL, snapFile: parentSnap} {
+		raw, err := hex.DecodeString(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := testStore(t, dir)
+	j1, err := s.Get("j000001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j1.State != StateRunning || j1.Tested != 9 || j1.Remaining != "5" || len(j1.Found) != 1 || j1.Found[0] != "ba" {
+		t.Errorf("recovered j000001 = %+v", j1)
+	}
+	if j4, err := s.Get("j000004"); err != nil || j4.Tenant != "bob" || j4.State != StatePending {
+		t.Errorf("recovered j000004 = %+v, %v", j4, err)
+	}
+	next, err := s.Submit("carol", 0, testSpec())
+	if err != nil || next.ID != "j000006" {
+		t.Fatalf("submit after recovery: %+v, %v (the log must resume at sequence 6)", next, err)
+	}
+	// The bytes the parent wrote are still the head of the log.
+	raw, _ := hex.DecodeString(parentWAL)
+	if got, err := os.ReadFile(filepath.Join(dir, walFile)); err != nil || !bytes.HasPrefix(got, raw) || len(got) <= len(raw) {
+		t.Errorf("log after recovery and one append: %d bytes (%v), parent's %d are not its prefix", len(got), err, len(raw))
 	}
 }

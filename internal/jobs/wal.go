@@ -1,28 +1,15 @@
 package jobs
 
 import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
-	"time"
-
 	"keysearch/internal/dispatch"
-	"keysearch/internal/sim"
+	"keysearch/internal/frame"
 )
 
-// WAL record framing, CRC-framed like netproto frames:
-//
-//	u32 payload length | u8 record type | u64 sequence | payload | u32 CRC32
-//
-// The CRC covers type+sequence+payload, so any byte damage — a flipped
-// bit, a truncated tail, a spliced record — fails the sum. Sequence
-// numbers are strictly increasing per log; replay rejects reordered or
-// replayed records, and the snapshot records the sequence it covers so a
-// crash between snapshot rename and log truncation replays nothing
-// twice.
+// The WAL is a frame.Log: CRC-framed records with strictly increasing
+// sequence numbers, so any byte damage — a flipped bit, a truncated
+// tail, a spliced record — fails recovery rather than replaying. The
+// snapshot records the sequence it covers, so a crash between snapshot
+// rename and log truncation replays nothing twice.
 
 // recType identifies a WAL record.
 type recType byte
@@ -33,181 +20,9 @@ const (
 	recCheckpoint                    // payload: checkpointRecord JSON
 )
 
-func (t recType) valid() bool { return t >= recSubmit && t <= recCheckpoint }
-
-// maxRecord bounds a record payload; anything larger is treated as
-// corruption rather than allocated.
-const maxRecord = 1 << 24
-
-// walHeader is length+type+seq; walTrailer the CRC.
-const (
-	walHeader  = 4 + 1 + 8
-	walTrailer = 4
-)
-
-// Decode failure modes. A torn tail (ErrTorn) is the expected residue of
-// a crash mid-append and is repaired by truncation; corruption before
-// the tail (ErrCorrupt) means the log cannot be trusted and recovery
-// refuses to proceed.
-var (
-	ErrCorrupt = errors.New("jobs: corrupt WAL record")
-	ErrTorn    = errors.New("jobs: torn WAL record")
-)
-
-// record is one decoded WAL entry.
-type record struct {
-	typ     recType
-	seq     uint64
-	payload []byte
-}
-
-// appendRecord frames one record onto buf.
-func appendRecord(buf []byte, typ recType, seq uint64, payload []byte) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
-	start := len(buf)
-	buf = append(buf, byte(typ))
-	buf = binary.BigEndian.AppendUint64(buf, seq)
-	buf = append(buf, payload...)
-	sum := crc32.ChecksumIEEE(buf[start:])
-	return binary.BigEndian.AppendUint32(buf, sum)
-}
-
-// readRecord decodes one record from r. io.EOF at a record boundary is
-// the clean end of the log; a partial header or body is ErrTorn; a bad
-// length, unknown type or checksum mismatch is ErrCorrupt. The
-// distinction is what lets recovery repair a crash (truncate the torn
-// tail) while refusing to run on a damaged log.
-func readRecord(r io.Reader) (record, error) {
-	var hdr [walHeader]byte
-	n, err := io.ReadFull(r, hdr[:])
-	if err == io.EOF && n == 0 {
-		return record{}, io.EOF
-	}
-	if err != nil {
-		return record{}, fmt.Errorf("%w: partial header (%d bytes)", ErrTorn, n)
-	}
-	plen := binary.BigEndian.Uint32(hdr[:4])
-	if plen > maxRecord {
-		return record{}, fmt.Errorf("%w: oversized payload (%d bytes)", ErrCorrupt, plen)
-	}
-	typ := recType(hdr[4])
-	if !typ.valid() {
-		return record{}, fmt.Errorf("%w: unknown record type %d", ErrCorrupt, hdr[4])
-	}
-	seq := binary.BigEndian.Uint64(hdr[5:])
-	body := make([]byte, int(plen)+walTrailer)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return record{}, fmt.Errorf("%w: partial body: %v", ErrTorn, err)
-	}
-	payload := body[:plen]
-	want := binary.BigEndian.Uint32(body[plen:])
-	got := crc32.ChecksumIEEE(hdr[4:])
-	got = crc32.Update(got, crc32.IEEETable, payload)
-	if got != want {
-		return record{}, fmt.Errorf("%w: checksum mismatch (file %08x, content %08x)", ErrCorrupt, want, got)
-	}
-	return record{typ: typ, seq: seq, payload: payload}, nil
-}
-
-// replayLog reads records from r, skipping sequences at or below after
-// (already covered by the snapshot), enforcing strictly increasing
-// sequences, and applying the rest in order. It returns the last applied
-// sequence and the byte offset of the clean prefix: a torn tail stops
-// the replay without error (the caller truncates to clean); corruption
-// or an apply failure aborts with the error.
-func replayLog(r io.Reader, after uint64, apply func(record) error) (last uint64, clean int64, err error) {
-	last = after
-	for {
-		rec, rerr := readRecord(r)
-		if rerr == io.EOF {
-			return last, clean, nil
-		}
-		if errors.Is(rerr, ErrTorn) {
-			// Crash residue: everything before this point applied cleanly.
-			return last, clean, nil
-		}
-		if rerr != nil {
-			return last, clean, rerr
-		}
-		size := int64(walHeader + len(rec.payload) + walTrailer)
-		if rec.seq <= after {
-			// Covered by the snapshot (crash between snapshot rename and
-			// log truncation); skip but keep the offset moving.
-			clean += size
-			continue
-		}
-		if rec.seq != last+1 {
-			// Every legitimate log is contiguous from the watermark: a
-			// fresh log starts at 1, a compacted log at watermark+1, and
-			// the skip above consumes exactly the records the snapshot
-			// covers. Anything else is a reordered or spliced log.
-			return last, clean, fmt.Errorf("%w: sequence %d after %d (reordered or spliced log)", ErrCorrupt, rec.seq, last)
-		}
-		if aerr := apply(rec); aerr != nil {
-			return last, clean, aerr
-		}
-		last = rec.seq
-		clean += size
-	}
-}
-
-// wal is the append-only log handle.
-type wal struct {
-	f    *os.File
-	path string
-	seq  uint64 // last sequence written
-	sync bool
-	now  func() time.Time // fsync latency clock (injected by the store)
-
-	tel *storeTelemetry
-}
-
-// openWAL opens (creating if needed) the log for appending, with the
-// given last-used sequence. now times the per-append fsync for the
-// latency histogram (nil = time.Now).
-func openWAL(path string, seq uint64, sync bool, tel *storeTelemetry, now func() time.Time) (*wal, error) {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o600)
-	if err != nil {
-		return nil, err
-	}
-	if now == nil {
-		now = sim.Wall{}.Now
-	}
-	return &wal{f: f, path: path, seq: seq, sync: sync, now: now, tel: tel}, nil
-}
-
-// append frames and writes one record, fsyncing when the log is in
-// synchronous mode, and returns its sequence. The record is durable (or
-// at least ordered ahead of any later record) before append returns —
-// the store applies a mutation to its in-memory table only after this
-// succeeds.
-//
-//keyvet:allow lockorder (callers hold Store.mu across this fsync by
-// design: append-then-apply is the durability contract — a mutation is
-// on disk before it is visible, so the commit path pays the fsync under
-// the lock rather than expose un-durable state)
-func (w *wal) append(typ recType, payload []byte) (uint64, error) {
-	seq := w.seq + 1
-	frame := appendRecord(nil, typ, seq, payload)
-	if _, err := w.f.Write(frame); err != nil {
-		return 0, err
-	}
-	if w.sync {
-		start := w.now()
-		if err := w.f.Sync(); err != nil {
-			return 0, err
-		}
-		w.tel.fsync.ObserveDuration(w.now().Sub(start))
-	}
-	w.seq = seq
-	w.tel.appends.Inc()
-	w.tel.bytes.Add(uint64(len(frame)))
-	return seq, nil
-}
-
-// close releases the file handle (no implicit sync: Close on the store
-// flushes first when it wants durability).
-func (w *wal) close() error { return w.f.Close() }
+// walFormat is the WAL's frame format: its three record types, and a
+// payload bound past which a length is corruption, not an allocation.
+var walFormat = frame.Format{Types: byte(recCheckpoint), MaxPayload: 1 << 24}
 
 // Payload shapes. All payloads are JSON inside the CRC frame, matching
 // the checkpoint file format of internal/dispatch.

@@ -10,6 +10,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"keysearch/internal/frame"
 )
 
 // recordedWAL drives a random-but-valid operation sequence against a
@@ -78,14 +80,14 @@ func recordBoundaries(t *testing.T, data []byte) []int {
 	var offs []int
 	off := 0
 	for {
-		rec, err := readRecord(r)
+		rec, err := frame.Read(r, walFormat)
 		if err == io.EOF {
 			return offs
 		}
 		if err != nil {
 			t.Fatalf("recorded WAL unreadable at %d: %v", off, err)
 		}
-		off += walHeader + len(rec.payload) + walTrailer
+		off += frame.Overhead + len(rec.Payload)
 		offs = append(offs, off)
 	}
 }

@@ -5,7 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"keysearch/internal/frame"
 )
 
 func mustJSON(t *testing.T, v any) []byte {
@@ -17,56 +21,78 @@ func mustJSON(t *testing.T, v any) []byte {
 	return b
 }
 
-// TestRecordRoundTrip: frames written by appendRecord decode back
-// unchanged, one after another.
+// replayLog writes buf out as a WAL file and recovers it the way Open
+// does, returning the last sequence, the size the file was repaired to,
+// and the recovery error.
+func replayLog(t *testing.T, buf []byte, after uint64, apply func(frame.Frame) error) (uint64, int64, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), walFile)
+	if err := os.WriteFile(path, buf, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	l, err := frame.OpenLog(path, frame.LogOptions{Format: walFormat, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	rerr := l.Replay(after, apply)
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l.Seq(), st.Size(), rerr
+}
+
+// TestRecordRoundTrip: WAL frames decode back unchanged, one after
+// another.
 func TestRecordRoundTrip(t *testing.T) {
 	var buf []byte
 	payloads := [][]byte{[]byte(`{"a":1}`), {}, bytes.Repeat([]byte{0xab}, 1000)}
 	for i, p := range payloads {
-		buf = appendRecord(buf, recSubmit, uint64(i+1), p)
+		buf = frame.Append(buf, byte(recSubmit), uint64(i+1), p)
 	}
 	r := bytes.NewReader(buf)
 	for i, p := range payloads {
-		rec, err := readRecord(r)
+		rec, err := frame.Read(r, walFormat)
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
-		if rec.typ != recSubmit || rec.seq != uint64(i+1) || !bytes.Equal(rec.payload, p) {
+		if rec.Type != byte(recSubmit) || rec.Seq != uint64(i+1) || !bytes.Equal(rec.Payload, p) {
 			t.Fatalf("record %d mangled: %+v", i, rec)
 		}
 	}
-	if _, err := readRecord(r); err != io.EOF {
+	if _, err := frame.Read(r, walFormat); err != io.EOF {
 		t.Fatalf("end of log: got %v, want io.EOF", err)
 	}
 }
 
 // TestReadRecordTornVsCorrupt: every truncation point inside a record is
-// ErrTorn (repairable crash residue); byte damage is ErrCorrupt.
+// frame.ErrTorn (repairable crash residue); byte damage is frame.ErrCorrupt.
 func TestReadRecordTornVsCorrupt(t *testing.T) {
-	frame := appendRecord(nil, recState, 7, []byte(`{"id":"j1"}`))
-	for cut := 1; cut < len(frame); cut++ {
-		_, err := readRecord(bytes.NewReader(frame[:cut]))
-		if !errors.Is(err, ErrTorn) {
-			t.Fatalf("cut at %d/%d: got %v, want ErrTorn", cut, len(frame), err)
+	enc := frame.Append(nil, byte(recState), 7, []byte(`{"id":"j1"}`))
+	for cut := 1; cut < len(enc); cut++ {
+		_, err := frame.Read(bytes.NewReader(enc[:cut]), walFormat)
+		if !errors.Is(err, frame.ErrTorn) {
+			t.Fatalf("cut at %d/%d: got %v, want frame.ErrTorn", cut, len(enc), err)
 		}
 	}
-	for i := range frame {
-		damaged := append([]byte(nil), frame...)
+	for i := range enc {
+		damaged := append([]byte(nil), enc...)
 		damaged[i] ^= 0x40
-		_, err := readRecord(bytes.NewReader(damaged))
+		_, err := frame.Read(bytes.NewReader(damaged), walFormat)
 		if err == nil {
 			t.Fatalf("flip at byte %d accepted", i)
 		}
 	}
 	// Oversized length prefix must be rejected before allocation.
 	huge := []byte{0xff, 0xff, 0xff, 0xff, byte(recSubmit), 0, 0, 0, 0, 0, 0, 0, 1}
-	if _, err := readRecord(bytes.NewReader(huge)); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("oversized payload: got %v, want ErrCorrupt", err)
+	if _, err := frame.Read(bytes.NewReader(huge), walFormat); !errors.Is(err, frame.ErrCorrupt) {
+		t.Fatalf("oversized payload: got %v, want frame.ErrCorrupt", err)
 	}
 	// Unknown record type.
-	bad := appendRecord(nil, recType(99), 1, nil)
-	if _, err := readRecord(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("unknown type: got %v, want ErrCorrupt", err)
+	bad := frame.Append(nil, 99, 1, nil)
+	if _, err := frame.Read(bytes.NewReader(bad), walFormat); !errors.Is(err, frame.ErrCorrupt) {
+		t.Fatalf("unknown type: got %v, want frame.ErrCorrupt", err)
 	}
 }
 
@@ -74,14 +100,14 @@ func TestReadRecordTornVsCorrupt(t *testing.T) {
 // the clean prefix without error and reports the truncation offset.
 func TestReplayLogTornTail(t *testing.T) {
 	var buf []byte
-	buf = appendRecord(buf, recSubmit, 1, []byte(`1`))
-	buf = appendRecord(buf, recSubmit, 2, []byte(`2`))
+	buf = frame.Append(buf, byte(recSubmit), 1, []byte(`1`))
+	buf = frame.Append(buf, byte(recSubmit), 2, []byte(`2`))
 	clean := int64(len(buf))
-	buf = append(buf, appendRecord(nil, recSubmit, 3, []byte(`3`))[:5]...)
+	buf = append(buf, frame.Append(nil, byte(recSubmit), 3, []byte(`3`))[:5]...)
 
 	var got []uint64
-	last, off, err := replayLog(bytes.NewReader(buf), 0, func(r record) error {
-		got = append(got, r.seq)
+	last, off, err := replayLog(t, buf, 0, func(r frame.Frame) error {
+		got = append(got, r.Seq)
 		return nil
 	})
 	if err != nil {
@@ -106,11 +132,11 @@ func TestReplayLogRejectsReordered(t *testing.T) {
 	for name, seqs := range cases {
 		var buf []byte
 		for _, q := range seqs {
-			buf = appendRecord(buf, recSubmit, q, []byte(`{}`))
+			buf = frame.Append(buf, byte(recSubmit), q, []byte(`{}`))
 		}
-		_, _, err := replayLog(bytes.NewReader(buf), 0, func(record) error { return nil })
-		if !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s (%v): got %v, want ErrCorrupt", name, seqs, err)
+		_, _, err := replayLog(t, buf, 0, func(frame.Frame) error { return nil })
+		if !errors.Is(err, frame.ErrCorrupt) {
+			t.Errorf("%s (%v): got %v, want frame.ErrCorrupt", name, seqs, err)
 		}
 	}
 }
@@ -121,11 +147,11 @@ func TestReplayLogRejectsReordered(t *testing.T) {
 func TestReplayLogSnapshotWatermark(t *testing.T) {
 	var buf []byte
 	for q := uint64(1); q <= 5; q++ {
-		buf = appendRecord(buf, recState, q, []byte(`{}`))
+		buf = frame.Append(buf, byte(recState), q, []byte(`{}`))
 	}
 	var got []uint64
-	last, off, err := replayLog(bytes.NewReader(buf), 3, func(r record) error {
-		got = append(got, r.seq)
+	last, off, err := replayLog(t, buf, 3, func(r frame.Frame) error {
+		got = append(got, r.Seq)
 		return nil
 	})
 	if err != nil {
@@ -143,13 +169,13 @@ func TestReplayLogSnapshotWatermark(t *testing.T) {
 // recovery with that error rather than skipping it.
 func TestReplayLogApplyErrorAborts(t *testing.T) {
 	var buf []byte
-	buf = appendRecord(buf, recSubmit, 1, []byte(`{}`))
-	buf = appendRecord(buf, recSubmit, 2, []byte(`{}`))
+	buf = frame.Append(buf, byte(recSubmit), 1, []byte(`{}`))
+	buf = frame.Append(buf, byte(recSubmit), 2, []byte(`{}`))
 	boom := errors.New("boom")
 	applied := 0
-	_, _, err := replayLog(bytes.NewReader(buf), 0, func(r record) error {
+	_, _, err := replayLog(t, buf, 0, func(r frame.Frame) error {
 		applied++
-		if r.seq == 2 {
+		if r.Seq == 2 {
 			return boom
 		}
 		return nil

@@ -2,16 +2,12 @@ package netproto
 
 import (
 	"fmt"
-	"math"
 	"math/big"
 	"time"
 
 	"keysearch/internal/cracker"
 	"keysearch/internal/keyspace"
 )
-
-func mathFloat64bits(v float64) uint64     { return math.Float64bits(v) }
-func mathFloat64frombits(b uint64) float64 { return math.Float64frombits(b) }
 
 // Hello is the registration handshake, both directions: the worker
 // announces its version and name, the master acks with its own version

@@ -137,6 +137,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/big"
 )
 
@@ -221,7 +222,7 @@ func (e *enc) u32(v uint32) { e.b = binary.BigEndian.AppendUint32(e.b, v) }
 func (e *enc) u64(v uint64) { e.b = binary.BigEndian.AppendUint64(e.b, v) }
 func (e *enc) f64(v float64) {
 	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], mathFloat64bits(v))
+	binary.BigEndian.PutUint64(buf[:], math.Float64bits(v))
 	e.b = append(e.b, buf[:]...)
 }
 func (e *enc) bytes(v []byte) {
@@ -285,7 +286,7 @@ func (d *dec) u64() uint64 {
 }
 
 func (d *dec) f64() float64 {
-	return mathFloat64frombits(d.u64())
+	return math.Float64frombits(d.u64())
 }
 
 func (d *dec) bytes() []byte {

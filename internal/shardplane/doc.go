@@ -13,8 +13,8 @@
 //     content-address ID — agrees on ownership without coordination,
 //     and adding a shard moves only the hash-minimal tenant set.
 //
-//   - Replication (frames.go, feed.go, repl.go, link.go): each shard's
-//     WAL is streamed to a follower over a CRC-framed protocol — one
+//   - Replication (feed.go, repl.go, link.go): each shard's WAL is
+//     streamed to a follower in internal/frame's CRC frames — one
 //     full snapshot to establish the watermark, then live records in
 //     strict sequence order, acked back as a watermark. Torn or
 //     reordered frames are refused. The follower lands bytes in the

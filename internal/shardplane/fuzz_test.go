@@ -4,26 +4,33 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"io"
 	"testing"
+
+	"keysearch/internal/frame"
 )
 
+// frameHeaderLen is the frame header (length, type, sequence) ahead of
+// the payload.
+const frameHeaderLen = frame.Overhead - 4
+
 // FuzzReplicationFrames: arbitrary bytes through the frame decoder
-// must never panic or over-allocate; every failure classifies as
-// clean EOF, torn, or corrupt; and whatever decodes re-encodes to the
-// bytes consumed.
+// under the stream's format (its type space and payload cap) must
+// never panic or over-allocate; every failure classifies as clean EOF,
+// torn, or corrupt; and whatever decodes re-encodes to the bytes
+// consumed. The framing itself is fuzzed structure-aware by
+// frame.FuzzFrame.
 func FuzzReplicationFrames(f *testing.F) {
-	good := AppendFrame(nil, FrameRecord, 42, append([]byte{1}, []byte(`{"id":"s0-j000001"}`)...))
+	good := frame.Append(nil, FrameRecord, 42, append([]byte{1}, []byte(`{"id":"s0-j000001"}`)...))
 	f.Add(good)
-	f.Add(AppendFrame(nil, FrameSnapshot, 7, []byte(`{"seq":7,"jobs":null,"sum":"crc32:00000000"}`)))
-	f.Add(AppendFrame(nil, FrameAck, 9, nil))
+	f.Add(frame.Append(nil, FrameSnapshot, 7, []byte(`{"seq":7,"jobs":null,"sum":"crc32:00000000"}`)))
+	f.Add(frame.Append(nil, FrameAck, 9, nil))
 	f.Add(good[:len(good)-2])                                                  // torn trailer
-	f.Add(good[:frameHeader-1])                                                // torn header
+	f.Add(good[:frameHeaderLen-1])                                             // torn header
 	f.Add([]byte{})                                                            // clean EOF
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, FrameRecord, 0, 0, 0, 0, 0, 0, 0, 0}) // oversized length
 	damaged := append([]byte(nil), good...)
-	damaged[frameHeader+3] ^= 0x10
+	damaged[frameHeaderLen+3] ^= 0x10
 	f.Add(damaged) // checksum mismatch
 	wrongType := append([]byte(nil), good...)
 	wrongType[4] = 0x7f
@@ -31,27 +38,27 @@ func FuzzReplicationFrames(f *testing.F) {
 	// Two frames concatenated, then the pair reordered: each frame is
 	// self-contained, so both must decode individually — sequence
 	// enforcement lives in the replica, not the codec.
-	pair := AppendFrame(AppendFrame(nil, FrameRecord, 1, []byte{1, 'a'}), FrameRecord, 2, []byte{1, 'b'})
+	pair := frame.Append(frame.Append(nil, FrameRecord, 1, []byte{1, 'a'}), FrameRecord, 2, []byte{1, 'b'})
 	f.Add(pair)
-	first := AppendFrame(nil, FrameRecord, 1, []byte{1, 'a'})
+	first := frame.Append(nil, FrameRecord, 1, []byte{1, 'a'})
 	f.Add(append(append([]byte(nil), pair[len(first):]...), pair[:len(first)]...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		consumed := 0
 		for {
-			fr, err := ReadFrame(r)
+			fr, err := frame.Read(r, streamFormat)
 			if err != nil {
-				if err != io.EOF && !errors.Is(err, ErrFrameTorn) && !errors.Is(err, ErrFrameCorrupt) {
+				if err != io.EOF && !errors.Is(err, frame.ErrTorn) && !errors.Is(err, frame.ErrCorrupt) {
 					t.Fatalf("unclassified decode error: %v", err)
 				}
 				return
 			}
-			frame := AppendFrame(nil, fr.Type, fr.Seq, fr.Payload)
-			if !bytes.Equal(frame, data[consumed:consumed+len(frame)]) {
+			enc := frame.Append(nil, fr.Type, fr.Seq, fr.Payload)
+			if !bytes.Equal(enc, data[consumed:consumed+len(enc)]) {
 				t.Fatal("decoded frame does not re-encode to the consumed bytes")
 			}
-			consumed += len(frame)
+			consumed += len(enc)
 		}
 	})
 }
@@ -123,5 +130,5 @@ func buildRawRing(seed uint64, vnodes uint32, shards []string) []byte {
 		buf = binary.BigEndian.AppendUint16(buf, uint16(len(s)))
 		buf = append(buf, s...)
 	}
-	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	return frame.Seal(buf)
 }

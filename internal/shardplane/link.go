@@ -3,6 +3,8 @@ package shardplane
 import (
 	"bytes"
 	"fmt"
+
+	"keysearch/internal/frame"
 )
 
 // Link is a synchronous, in-process replication channel for
@@ -19,7 +21,7 @@ import (
 type Link struct {
 	fol   *Follower
 	lag   int
-	queue []Frame
+	queue []frame.Frame
 	err   error // first failure, sticky: a rehearsal must not mask it
 }
 
@@ -93,17 +95,17 @@ func (l *Link) Err() error { return l.err }
 
 // roundTrip pushes a frame through the real codec so every rehearsed
 // record crosses the same encode/decode path as a wire frame.
-func (l *Link) roundTrip(typ byte, seq uint64, payload []byte) (Frame, error) {
-	fr, err := ReadFrame(bytes.NewReader(AppendFrame(nil, typ, seq, payload)))
+func (l *Link) roundTrip(typ byte, seq uint64, payload []byte) (frame.Frame, error) {
+	fr, err := frame.Read(bytes.NewReader(frame.Append(nil, typ, seq, payload)), streamFormat)
 	if err != nil {
-		return Frame{}, fmt.Errorf("shardplane: link codec round-trip: %w", err)
+		return frame.Frame{}, fmt.Errorf("shardplane: link codec round-trip: %w", err)
 	}
 	return fr, nil
 }
 
 // apply routes one frame into the follower's replica — the shared tail
 // of Follower.Run and Link.
-func (f *Follower) apply(fr Frame) error {
+func (f *Follower) apply(fr frame.Frame) error {
 	switch fr.Type {
 	case FrameSnapshot:
 		if err := f.rep.ApplySnapshot(fr.Payload); err != nil {
@@ -111,13 +113,13 @@ func (f *Follower) apply(fr Frame) error {
 		}
 	case FrameRecord:
 		if len(fr.Payload) < 1 {
-			return fmt.Errorf("%w: empty record frame", ErrFrameCorrupt)
+			return fmt.Errorf("%w: empty record frame", frame.ErrCorrupt)
 		}
 		if err := f.rep.ApplyRecord(fr.Payload[0], fr.Seq, fr.Payload[1:]); err != nil {
 			return err
 		}
 	default:
-		return fmt.Errorf("%w: unexpected %d frame on follower", ErrFrameCorrupt, fr.Type)
+		return fmt.Errorf("%w: unexpected %d frame on follower", frame.ErrCorrupt, fr.Type)
 	}
 	f.seq.Store(f.rep.Seq())
 	return nil

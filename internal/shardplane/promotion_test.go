@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"keysearch/internal/frame"
 	"keysearch/internal/jobs"
 	"keysearch/internal/keyspace"
 )
@@ -163,7 +164,7 @@ func TestShardFailoverPromotion(t *testing.T) {
 	// received record in all three cases. What must NOT happen is a
 	// protocol violation: a corrupt frame or a record the replica
 	// refused.
-	if err := <-folDone; errors.Is(err, ErrFrameCorrupt) || errors.Is(err, jobs.ErrCorrupt) {
+	if err := <-folDone; errors.Is(err, frame.ErrCorrupt) {
 		t.Fatalf("follower stream ended with %v", err)
 	}
 

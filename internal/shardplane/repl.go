@@ -5,9 +5,39 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"keysearch/internal/frame"
 	"keysearch/internal/jobs"
 	"keysearch/internal/telemetry"
 )
+
+// The replication stream carries frame.Frames — the WAL's own layout —
+// with its own type space and a larger payload cap. A torn frame (the
+// link was severed) is told from a corrupt one so the follower can report
+// which invariant broke; either way the stream is refused, never
+// resynchronized by scanning.
+
+// Frame types.
+const (
+	// FrameSnapshot carries a full checksummed store snapshot; Seq is
+	// the WAL watermark it covers. Always the sender's first frame, and
+	// re-sent whenever the follower has fallen behind the live tail.
+	FrameSnapshot byte = 1
+	// FrameRecord carries one WAL record: payload[0] is the record
+	// type, the rest the record payload. Seq is the WAL sequence.
+	FrameRecord byte = 2
+	// FrameAck flows follower→sender: Seq is the follower's durable
+	// watermark. Payload is empty.
+	FrameAck byte = 3
+)
+
+// streamFormat bounds one frame; snapshots dominate, and a control
+// plane snapshot beyond 64 MiB means something upstream went wrong.
+var streamFormat = frame.Format{Types: FrameAck, MaxPayload: 1 << 26}
+
+func writeFrame(w io.Writer, typ byte, seq uint64, payload []byte) error {
+	_, err := w.Write(frame.Append(nil, typ, seq, payload))
+	return err
+}
 
 // replTelemetry caches the replication metric handles; all nil when
 // telemetry is disabled.
@@ -69,7 +99,7 @@ func (s *Sender) Serve(conn io.ReadWriteCloser) error {
 		defer wg.Done()
 		defer s.feed.abort(stop)
 		for {
-			fr, err := ReadFrame(conn)
+			fr, err := frame.Read(conn, streamFormat)
 			if err != nil {
 				return
 			}
@@ -85,7 +115,7 @@ func (s *Sender) Serve(conn io.ReadWriteCloser) error {
 		if err != nil {
 			return err
 		}
-		if err := WriteFrame(conn, FrameSnapshot, seq, data); err != nil {
+		if err := writeFrame(conn, FrameSnapshot, seq, data); err != nil {
 			return err
 		}
 		s.tel.frames.Inc()
@@ -101,7 +131,7 @@ func (s *Sender) Serve(conn io.ReadWriteCloser) error {
 				break // fell off the tail buffer: catch up with a fresh snapshot
 			}
 			payload := append([]byte{rec.typ}, rec.payload...)
-			if err := WriteFrame(conn, FrameRecord, rec.seq, payload); err != nil {
+			if err := writeFrame(conn, FrameRecord, rec.seq, payload); err != nil {
 				return err
 			}
 			s.tel.frames.Inc()
@@ -141,7 +171,7 @@ func (f *Follower) Replica() *jobs.Replica { return f.rep }
 func (f *Follower) Run(conn io.ReadWriteCloser) error {
 	defer conn.Close()
 	for {
-		fr, err := ReadFrame(conn)
+		fr, err := frame.Read(conn, streamFormat)
 		if err == io.EOF {
 			return nil
 		}
@@ -151,7 +181,7 @@ func (f *Follower) Run(conn io.ReadWriteCloser) error {
 		if err := f.apply(fr); err != nil {
 			return err
 		}
-		if err := WriteFrame(conn, FrameAck, f.rep.Seq(), nil); err != nil {
+		if err := writeFrame(conn, FrameAck, f.rep.Seq(), nil); err != nil {
 			return err
 		}
 	}

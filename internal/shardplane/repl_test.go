@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"keysearch/internal/frame"
 	"keysearch/internal/jobs"
 )
 
@@ -171,8 +172,8 @@ func TestFollowerRefusesDamagedStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frames := AppendFrame(nil, FrameSnapshot, seq, snap)
-	frames = AppendFrame(frames, FrameRecord, seq+1, append([]byte{1}, []byte(`{"id":"x"}`)...))
+	frames := frame.Append(nil, FrameSnapshot, seq, snap)
+	frames = frame.Append(frames, FrameRecord, seq+1, append([]byte{1}, []byte(`{"id":"x"}`)...))
 
 	run := func(stream []byte) error {
 		rep, err := jobs.OpenReplica(t.TempDir(), jobs.ReplicaOptions{NoSync: true})
@@ -185,22 +186,22 @@ func TestFollowerRefusesDamagedStream(t *testing.T) {
 
 	t.Run("torn", func(t *testing.T) {
 		err := run(frames[:len(frames)-3])
-		if !errors.Is(err, ErrFrameTorn) {
-			t.Fatalf("torn stream: got %v, want ErrFrameTorn", err)
+		if !errors.Is(err, frame.ErrTorn) {
+			t.Fatalf("torn stream: got %v, want ErrTorn", err)
 		}
 	})
 	t.Run("corrupt", func(t *testing.T) {
 		bad := append([]byte(nil), frames...)
 		bad[len(bad)-6] ^= 0x01 // inside the second frame's payload
 		err := run(bad)
-		if !errors.Is(err, ErrFrameCorrupt) {
-			t.Fatalf("corrupt stream: got %v, want ErrFrameCorrupt", err)
+		if !errors.Is(err, frame.ErrCorrupt) {
+			t.Fatalf("corrupt stream: got %v, want ErrCorrupt", err)
 		}
 	})
 	t.Run("ack frame on follower", func(t *testing.T) {
-		err := run(AppendFrame(nil, FrameAck, 1, nil))
-		if !errors.Is(err, ErrFrameCorrupt) {
-			t.Fatalf("ack frame: got %v, want ErrFrameCorrupt", err)
+		err := run(frame.Append(nil, FrameAck, 1, nil))
+		if !errors.Is(err, frame.ErrCorrupt) {
+			t.Fatalf("ack frame: got %v, want ErrCorrupt", err)
 		}
 	})
 }

@@ -4,8 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"sort"
+
+	"keysearch/internal/frame"
 )
 
 // Consistent-hash ring over shard names. Each shard contributes VNodes
@@ -136,7 +137,7 @@ func (r *Ring) Encode() []byte {
 		buf = binary.BigEndian.AppendUint16(buf, uint16(len(name)))
 		buf = append(buf, name...)
 	}
-	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	return frame.Seal(buf)
 }
 
 // ID returns the ring's content address: an FNV-1a 64 over the
@@ -157,9 +158,9 @@ func DecodeRing(data []byte) (*Ring, error) {
 	if len(data) < len(ringMagic)+1+8+4+4+4 {
 		return nil, fmt.Errorf("%w: truncated (%d bytes)", ErrRingCorrupt, len(data))
 	}
-	body, trailer := data[:len(data)-4], data[len(data)-4:]
-	if got, want := binary.BigEndian.Uint32(trailer), crc32.ChecksumIEEE(body); got != want {
-		return nil, fmt.Errorf("%w: checksum mismatch (frame %08x, content %08x)", ErrRingCorrupt, got, want)
+	body, err := frame.Open(data)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrRingCorrupt, err)
 	}
 	if string(body[:len(ringMagic)]) != ringMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrRingCorrupt)

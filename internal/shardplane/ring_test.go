@@ -1,6 +1,7 @@
 package shardplane
 
 import (
+	"encoding/hex"
 	"fmt"
 	"testing"
 )
@@ -174,5 +175,27 @@ func TestRingRejectsBadShardSets(t *testing.T) {
 	}
 	if _, err := NewRing([]string{"a", "a"}, RingOptions{}); err == nil {
 		t.Fatal("duplicate shard name accepted")
+	}
+}
+
+// TestRingEncodingGolden pins the canonical encoding and the content
+// address against bytes captured before the CRC trailer moved into
+// frame.Seal: routers and shards on either side of that change must
+// keep agreeing on ring IDs.
+func TestRingEncodingGolden(t *testing.T) {
+	const want = "4b5352470100000000000000030000001000000003000273300002733100027332fca157af"
+	r, err := NewRing([]string{"s0", "s1", "s2"}, RingOptions{VNodes: 16, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(r.Encode()); got != want {
+		t.Errorf("ring encodes to %s, parent wrote %s", got, want)
+	}
+	if got := r.ID(); got != "ring:28b066d8d8c01a3e" {
+		t.Errorf("ring ID %s changed", got)
+	}
+	raw, _ := hex.DecodeString(want)
+	if back, err := DecodeRing(raw); err != nil || back.ID() != r.ID() {
+		t.Errorf("parent's encoding decodes to %v, %v", back, err)
 	}
 }

@@ -4,8 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
+
+	"keysearch/internal/frame"
 )
 
 // Serialized form (all integers big-endian, mirroring the netproto wire
@@ -55,7 +56,7 @@ func (s *Set) Encode() []byte {
 	for _, w := range s.bits {
 		b = binary.BigEndian.AppendUint64(b, w)
 	}
-	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+	return frame.Seal(b)
 }
 
 // ID returns the FNV-1a 64-bit hash of an encoded set — the content
@@ -118,9 +119,8 @@ func Decode(b []byte) (*Set, error) {
 	if len(b) != want {
 		return nil, fmt.Errorf("targetset: encoding is %d bytes, header implies %d", len(b), want)
 	}
-	sum := binary.BigEndian.Uint32(b[len(b)-4:])
-	if got := crc32.ChecksumIEEE(b[:len(b)-4]); got != sum {
-		return nil, fmt.Errorf("targetset: CRC mismatch: frame says %08x, content sums to %08x", sum, got)
+	if _, err := frame.Open(b); err != nil {
+		return nil, fmt.Errorf("targetset: %w", err)
 	}
 
 	corpus := make([]byte, n*size)

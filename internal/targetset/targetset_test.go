@@ -2,7 +2,9 @@ package targetset
 
 import (
 	"bytes"
+	"crypto/md5"
 	"encoding/binary"
+	"encoding/hex"
 	"hash/crc32"
 	"math"
 	"testing"
@@ -261,4 +263,32 @@ func TestMillionDigestFPR(t *testing.T) {
 	}
 	t.Logf("10^6 corpus: m=%d bits, k=%d, requested %g, estimated %g, measured %g",
 		s.Bits(), s.Hashes(), req, s.FPEstimate(), got)
+}
+
+// TestEncodingGolden pins the corpus encoding and its content address
+// against bytes captured before the CRC trailer moved into frame.Seal:
+// corpus IDs cross the wire, so masters and workers on either side of
+// that change must derive the same one.
+func TestEncodingGolden(t *testing.T) {
+	const want = "5453455401100f000000000300000000000000073f847ae147ae147b000000010cc175b9c0f1b6a831c399e2697726614a8a08f09d37b73795649038408b5f3392eb5ffee6ae2fec3ad71c777531578f8beb57567aacf57997084054"
+	var ds [][]byte
+	for _, k := range []string{"a", "b", "c"} {
+		sum := md5.Sum([]byte(k))
+		ds = append(ds, sum[:])
+	}
+	set, err := Build(ds, Options{FPRate: 0.01, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := set.Encode()
+	if got := hex.EncodeToString(enc); got != want {
+		t.Errorf("set encodes to %s, parent wrote %s", got, want)
+	}
+	if got := ID(enc); got != 0xad0ccb1b5f25e4ef {
+		t.Errorf("corpus ID %016x changed", got)
+	}
+	raw, _ := hex.DecodeString(want)
+	if back, err := Decode(raw); err != nil || !bytes.Equal(back.Encode(), raw) {
+		t.Errorf("parent's encoding decodes to %v, %v", back, err)
+	}
 }
