@@ -114,7 +114,7 @@ func runJobs(listen, statusAddr string, jf jobsFlags, mopts netproto.MasterOptio
 		// No separate status listener: mount telemetry beside the API.
 		mux.Handle("/status", telemetry.Handler(reg))
 	}
-	srv := &http.Server{Addr: listen, Handler: mux}
+	srv := newHTTPServer(listen, mux)
 	errc := make(chan error, 1)
 	go func() {
 		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {

@@ -49,6 +49,14 @@ import (
 	"keysearch/internal/telemetry"
 )
 
+// newHTTPServer bounds slow clients the same way on every listener: a
+// peer gets 10 s to send its request headers and an idle keep-alive
+// connection is closed after 2 min. No read or write timeout — job
+// submissions can be tens of megabytes and SSE streams are long-lived.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: 10 * time.Second, IdleTimeout: 2 * time.Minute}
+}
+
 func main() {
 	var (
 		listen  = flag.String("listen", "127.0.0.1:9031", "address to listen on")
@@ -96,7 +104,7 @@ func main() {
 		mux := http.NewServeMux()
 		mux.Handle("/status", telemetry.Handler(reg))
 		mux.Handle("/debug/", http.DefaultServeMux) // expvar + pprof
-		srv := &http.Server{Addr: *statusAddr, Handler: mux}
+		srv := newHTTPServer(*statusAddr, mux)
 		go func() {
 			if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				fmt.Fprintln(os.Stderr, "keymaster: status server:", err)

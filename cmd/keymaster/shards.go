@@ -105,7 +105,7 @@ func runShardedJobs(listen, statusAddr string, jf jobsFlags, reg *telemetry.Regi
 	if statusAddr == "" {
 		mux.Handle("/status", telemetry.Handler(reg))
 	}
-	srv := &http.Server{Addr: listen, Handler: mux}
+	srv := newHTTPServer(listen, mux)
 	errc := make(chan error, 1)
 	go func() {
 		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {

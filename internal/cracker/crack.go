@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/hex"
 	"fmt"
+	"math/big"
+	"time"
 
 	"keysearch/internal/core"
 	"keysearch/internal/keyspace"
@@ -97,4 +99,33 @@ func CrackAll(ctx context.Context, job *Job, iv keyspace.Interval, opt core.Opti
 		return nil, err
 	}
 	return core.SearchEach(ctx, core.KeyspaceFactory(job.Space), iv, factory, opt)
+}
+
+// Tune is the paper's tuning step run honestly on the local engine: it
+// searches doubling batches from the start of the job's own space with
+// workers goroutines (0 = NumCPU) and fits the latency/throughput model
+// (core.Tune). opt.MaxBatch is set to the space size.
+func Tune(ctx context.Context, job *Job, workers int, opt core.TuneOptions) (core.Tuning, error) {
+	factory, err := job.TestFactory()
+	if err != nil {
+		return core.Tuning{}, err
+	}
+	size, ok := job.Space.Size64()
+	if !ok {
+		size = 1 << 62
+	}
+	bench := func(n uint64) time.Duration {
+		if n > size {
+			n = size
+		}
+		start := time.Now()
+		iv := keyspace.Interval{Start: new(big.Int), End: new(big.Int).SetUint64(n)}
+		if _, err := core.SearchEach(ctx, core.KeyspaceFactory(job.Space), iv, factory,
+			core.Options{Workers: workers}); err != nil {
+			return time.Hour // poison on error/cancel: tuning stops growing
+		}
+		return time.Since(start)
+	}
+	opt.MaxBatch = size
+	return core.Tune(bench, opt), nil
 }

@@ -116,15 +116,6 @@ func checkpointInterval(iv keyspace.Interval) CheckpointInterval {
 	return CheckpointInterval{Start: iv.Start.String(), End: iv.End.String()}
 }
 
-// snapshot captures the pool plus in-flight chunks.
-func snapshotCheckpoint(work *Pool, inflight map[int]keyspace.Interval, rep *Report) *Checkpoint {
-	cp := NewCheckpoint(work.Intervals(), rep.Tested, rep.Found)
-	for _, iv := range inflight {
-		cp.Remaining = append(cp.Remaining, checkpointInterval(iv))
-	}
-	return cp
-}
-
 // NewCheckpoint builds a checkpoint from explicit remaining intervals and
 // accumulated results — the constructor the job service uses to persist
 // each job's resumable state into its WAL.

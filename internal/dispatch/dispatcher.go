@@ -86,25 +86,7 @@ func (d *Dispatcher) Tune(ctx context.Context) (core.Tuning, error) {
 	}
 	d.mu.Unlock()
 
-	tunings := make([]core.Tuning, len(d.workers))
-	errs := make([]error, len(d.workers))
-	var wg sync.WaitGroup
-	for i, w := range d.workers {
-		wg.Add(1)
-		go func(i int, w Worker) {
-			defer wg.Done()
-			tunings[i], errs[i] = w.Tune(ctx)
-		}(i, w)
-	}
-	wg.Wait()
-	// A worker that cannot be tuned contributes nothing: zero its tuning
-	// so balancing assigns it no work. Dynamic reconfiguration per §III:
-	// call Retune when the node population changes.
-	for i, err := range errs {
-		if err != nil {
-			tunings[i] = core.Tuning{}
-		}
-	}
+	tunings := TuneAll(ctx, d.workers)
 
 	d.mu.Lock()
 	d.tunings = tunings
@@ -128,54 +110,75 @@ func (d *Dispatcher) Retune() {
 // searches it; failed workers are dropped and their unfinished chunks
 // return to the pool. Search satisfies the Worker interface.
 func (d *Dispatcher) Search(ctx context.Context, iv keyspace.Interval) (*Report, error) {
-	return d.searchPool(ctx, newPool(iv), &Report{})
+	return d.searchPool(ctx, NewTable[struct{}](iv), &Report{})
 }
 
 // Resume continues a search from a checkpoint: the remaining intervals
 // become the work pool and the recorded results seed the report.
 func (d *Dispatcher) Resume(ctx context.Context, cp *Checkpoint) (*Report, error) {
-	work := &Pool{}
-	for _, r := range cp.Remaining {
-		iv, err := r.interval()
-		if err != nil {
-			return nil, err
-		}
-		work.PutBack(iv)
+	ivs, err := cp.Intervals()
+	if err != nil {
+		return nil, err
 	}
 	rep := &Report{Tested: cp.Tested}
 	for _, f := range cp.Found {
 		rep.Found = append(rep.Found, append([]byte(nil), f...))
 	}
-	return d.searchPool(ctx, work, rep)
+	return d.searchPool(ctx, NewTable[struct{}](ivs...), rep)
 }
 
-// workerShares applies the paper's balancing rule plus the Options
-// clamps to the tuned throughputs: N_j = N_max · X_j / X_max, scaled by
-// RoundScale and clamped to [MinChunk, MaxChunk]. Extracted so the
-// property tests exercise exactly the arithmetic the dispatcher uses.
-func (d *Dispatcher) workerShares(tunings []core.Tuning) []uint64 {
-	shares := core.Balance(tunings)
-	scale := d.opts.RoundScale
-	if scale == 0 {
+// Tuner is the tuning half of a Worker or a jobs.Executor.
+type Tuner interface {
+	Tune(ctx context.Context) (core.Tuning, error)
+}
+
+// TuneAll runs the tuning step on every node concurrently. A node that
+// cannot be tuned gets the zero tuning, so Shares assigns it no work.
+func TuneAll[T Tuner](ctx context.Context, nodes []T) []core.Tuning {
+	tunings := make([]core.Tuning, len(nodes))
+	var wg sync.WaitGroup
+	for i, n := range nodes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if tn, err := n.Tune(ctx); err == nil {
+				tunings[i] = tn
+			}
+		}()
+	}
+	wg.Wait()
+	return tunings
+}
+
+// Shares applies the paper's balancing rule plus the callers' clamps to
+// the tuned throughputs: N_j = N_max · X_j / X_max, multiplied by scale
+// (<= 0 means 1) and clamped to [lo, hi] (lo 0 means 1, hi 0 means
+// uncapped; hi wins when they conflict — the cap bounds the work lost to
+// one failure). A node with zero throughput gets zero, whatever the
+// floor.
+func Shares(tunings []core.Tuning, scale float64, lo, hi uint64) []uint64 {
+	if scale <= 0 {
 		scale = 1
 	}
-	minChunk := d.opts.MinChunk
-	if minChunk == 0 {
-		minChunk = 1
-	}
-	for i := range shares {
-		shares[i] = uint64(float64(shares[i]) * scale)
-		if shares[i] < minChunk && tunings[i].Throughput > 0 {
-			shares[i] = minChunk
+	shares := core.Balance(tunings)
+	for i, tn := range tunings {
+		if tn.Throughput <= 0 {
+			shares[i] = 0
+			continue
 		}
-		if d.opts.MaxChunk > 0 && shares[i] > d.opts.MaxChunk {
-			shares[i] = d.opts.MaxChunk
+		shares[i] = max(uint64(float64(shares[i])*scale), lo, 1)
+		if hi > 0 {
+			shares[i] = min(shares[i], hi)
 		}
 	}
 	return shares
 }
 
-func (d *Dispatcher) searchPool(ctx context.Context, work *Pool, rep *Report) (*Report, error) {
+func (d *Dispatcher) workerShares(tunings []core.Tuning) []uint64 {
+	return Shares(tunings, d.opts.RoundScale, d.opts.MinChunk, d.opts.MaxChunk)
+}
+
+func (d *Dispatcher) searchPool(ctx context.Context, work *Table[struct{}], rep *Report) (*Report, error) {
 	start := time.Now()
 	if _, err := d.Tune(ctx); err != nil {
 		return nil, err
@@ -195,13 +198,17 @@ func (d *Dispatcher) searchPool(ctx context.Context, work *Pool, rep *Report) (*
 	}
 
 	var (
-		mu       sync.Mutex
-		cond     = sync.NewCond(&mu)
-		errs     []error
-		stopped  bool
-		inflight = make(map[int]keyspace.Interval)
-		tokens   int
+		mu      sync.Mutex // guards work, rep and everything below
+		cond    = sync.NewCond(&mu)
+		errs    []error
+		stopped bool
+		leases  uint64 // last lease ID issued
 	)
+	checkpoint := func() {
+		if d.opts.Checkpoint != nil {
+			d.opts.Checkpoint(NewCheckpoint(work.Remaining(), rep.Tested, rep.Found))
+		}
+	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	go func() { // wake idle waiters when the search is cancelled
@@ -222,22 +229,18 @@ func (d *Dispatcher) searchPool(ctx context.Context, work *Pool, rep *Report) (*
 			wt := newWorkerTelemetry(tel, w.Name())
 			for {
 				mu.Lock()
-				var chunk keyspace.Interval
-				var token int
+				var lease *Entry[struct{}]
 				for {
 					if stopped || ctx.Err() != nil {
 						mu.Unlock()
 						return
 					}
 					var ok bool
-					chunk, ok = work.Claim(shares[i])
-					if ok {
-						tokens++
-						token = tokens
-						inflight[token] = chunk
+					if lease, ok = work.Issue(leases+1, shares[i]); ok {
+						leases++
 						break
 					}
-					if len(inflight) == 0 {
+					if work.Exhausted() {
 						mu.Unlock()
 						return // pool drained and nothing pending anywhere
 					}
@@ -248,8 +251,8 @@ func (d *Dispatcher) searchPool(ctx context.Context, work *Pool, rep *Report) (*
 					// search it.
 					cond.Wait()
 				}
+				chunk, chunkLen := lease.Interval, lease.N
 				mu.Unlock()
-				chunkLen, _ := chunk.Len64()
 				wt.dispatched(chunkLen)
 
 				roundStart := time.Now()
@@ -257,7 +260,14 @@ func (d *Dispatcher) searchPool(ctx context.Context, work *Pool, rep *Report) (*
 				round := time.Since(roundStart)
 
 				mu.Lock()
-				delete(inflight, token)
+				if err != nil {
+					// Nothing of the chunk counts as searched — also when
+					// the error is the search being cancelled, so every
+					// later checkpoint still lists it.
+					work.Requeue(lease.ID)
+				} else {
+					work.Settle(lease.ID)
+				}
 				if err != nil && ctx.Err() == nil {
 					// Worker failed mid-chunk: reclaim the whole chunk so
 					// surviving workers pick it up (§III fault tolerance).
@@ -270,16 +280,13 @@ func (d *Dispatcher) searchPool(ctx context.Context, work *Pool, rep *Report) (*
 					// gathered totals stay exactly equal to the interval
 					// size while the duplicated work stays visible.
 					errs = append(errs, err)
-					work.PutBack(chunk)
 					rep.Requeues++
 					rep.Retested += chunkLen
 					wt.requeued(chunkLen, err)
 					if d.opts.OnRequeue != nil {
 						d.opts.OnRequeue(w.Name(), chunk, err)
 					}
-					if d.opts.Checkpoint != nil {
-						d.opts.Checkpoint(snapshotCheckpoint(work, inflight, rep))
-					}
+					checkpoint()
 					cond.Broadcast()
 					mu.Unlock()
 					return
@@ -291,9 +298,7 @@ func (d *Dispatcher) searchPool(ctx context.Context, work *Pool, rep *Report) (*
 					if d.opts.Progress != nil {
 						d.opts.Progress(rep.Tested, len(rep.Found))
 					}
-					if d.opts.Checkpoint != nil {
-						d.opts.Checkpoint(snapshotCheckpoint(work, inflight, rep))
-					}
+					checkpoint()
 					if d.opts.MaxSolutions > 0 && len(rep.Found) >= d.opts.MaxSolutions {
 						stopped = true
 						cancel()
@@ -310,8 +315,13 @@ func (d *Dispatcher) searchPool(ctx context.Context, work *Pool, rep *Report) (*
 	if ctx.Err() != nil && !stopped {
 		return rep, ctx.Err()
 	}
-	if !work.Empty() && !stopped {
-		return rep, &errNoWorkers{name: d.name, remaining: work.Remaining(), causes: errs}
+	if !work.Exhausted() && !stopped {
+		var left uint64
+		for _, iv := range work.Remaining() {
+			n, _ := iv.Len64()
+			left += n
+		}
+		return rep, &errNoWorkers{name: d.name, remaining: left, causes: errs}
 	}
 	return rep, nil
 }

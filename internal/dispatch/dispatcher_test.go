@@ -278,30 +278,40 @@ func TestDispatcherUntunableWorkerGetsNoWork(t *testing.T) {
 }
 
 func TestPoolClaimPutBack(t *testing.T) {
-	p := newPool(keyspace.NewInterval(0, 100))
-	a, ok := p.Claim(30)
-	if !ok || a.Len().Int64() != 30 {
-		t.Fatalf("claim: %v %v", a, ok)
+	p := NewTable[struct{}](keyspace.NewInterval(0, 100))
+	a, ok := p.Issue(1, 30)
+	if !ok || a.Interval.Len().Int64() != 30 || a.N != 30 {
+		t.Fatalf("issue: %v %v", a, ok)
 	}
-	p.PutBack(a)
+	if _, ok := p.Issue(1, 30); ok {
+		t.Fatal("a live lease ID was issued twice")
+	}
+	if _, ok := p.Requeue(1); !ok {
+		t.Fatal("requeue of a live lease refused")
+	}
+	if _, ok := p.Settle(1); ok {
+		t.Fatal("a requeued lease was disposed of a second time")
+	}
 	total := uint64(0)
-	for {
-		c, ok := p.Claim(7)
+	for id := uint64(2); ; id++ {
+		c, ok := p.Issue(id, 7)
 		if !ok {
 			break
 		}
-		n, _ := c.Len64()
-		total += n
+		total += c.N
+		if _, ok := p.Settle(id); !ok {
+			t.Fatalf("settle of live lease %d refused", id)
+		}
 	}
 	if total != 100 {
 		t.Errorf("reclaimed %d, want 100", total)
 	}
-	if !p.Empty() || p.Remaining() != 0 {
-		t.Error("pool should be empty")
+	if p.Leasable() || !p.Exhausted() || len(p.Remaining()) != 0 {
+		t.Error("table should be exhausted")
 	}
-	p.PutBack(keyspace.Interval{Start: big.NewInt(5), End: big.NewInt(5)})
-	if !p.Empty() {
-		t.Error("empty interval must not refill the pool")
+	p = NewTable[struct{}](keyspace.Interval{Start: big.NewInt(5), End: big.NewInt(5)})
+	if p.Leasable() {
+		t.Error("empty interval must not fill the pool")
 	}
 }
 

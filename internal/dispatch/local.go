@@ -17,18 +17,12 @@ type LocalWorker struct {
 	name    string
 	job     *cracker.Job
 	workers int
-	tuneCfg core.TuneOptions
 }
 
 // NewLocalWorker wraps a cracking job as a dispatch worker. workers is the
 // goroutine count (0 = NumCPU).
 func NewLocalWorker(name string, job *cracker.Job, workers int) *LocalWorker {
-	return &LocalWorker{
-		name:    name,
-		job:     job,
-		workers: workers,
-		tuneCfg: core.TuneOptions{Start: 4096, TargetEfficiency: 0.9},
-	}
+	return &LocalWorker{name: name, job: job, workers: workers}
 }
 
 // Name identifies the worker.
@@ -36,29 +30,7 @@ func (w *LocalWorker) Name() string { return w.name }
 
 // Tune benchmarks the local engine with doubling batches.
 func (w *LocalWorker) Tune(ctx context.Context) (core.Tuning, error) {
-	factory, err := w.job.TestFactory()
-	if err != nil {
-		return core.Tuning{}, err
-	}
-	size, ok := w.job.Space.Size64()
-	if !ok {
-		size = 1 << 62
-	}
-	bench := func(n uint64) time.Duration {
-		if n > size {
-			n = size
-		}
-		start := time.Now()
-		iv := keyspace.Interval{Start: bigZero(), End: bigUint(n)}
-		if _, err := core.SearchEach(ctx, core.KeyspaceFactory(w.job.Space), iv, factory,
-			core.Options{Workers: w.workers}); err != nil {
-			return time.Hour // poison on error/cancel: tuning stops growing
-		}
-		return time.Since(start)
-	}
-	cfg := w.tuneCfg
-	cfg.MaxBatch = size
-	return core.Tune(bench, cfg), nil
+	return cracker.Tune(ctx, w.job, w.workers, core.TuneOptions{Start: 4096, TargetEfficiency: 0.9})
 }
 
 // Search exhausts the interval, returning every match (the dispatcher

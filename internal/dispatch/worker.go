@@ -15,8 +15,6 @@ package dispatch
 import (
 	"context"
 	"fmt"
-	"math/big"
-	"sync"
 	"time"
 
 	"keysearch/internal/core"
@@ -89,87 +87,6 @@ func (w *FuncWorker) Search(ctx context.Context, iv keyspace.Interval) (*Report,
 	return w.SearchFunc(ctx, iv)
 }
 
-// Pool is a shared work queue: a list of disjoint identifier intervals
-// still to be searched. Failed workers' unfinished intervals return here,
-// which is the fault-tolerance story of §III. The type is exported as the
-// lease primitive of the job service (internal/jobs): every lease it
-// issues is a Claim against a per-job Pool, and a lease abandoned by a
-// failed executor is a PutBack — the same machinery whose exactness the
-// dispatcher's partition tests pin down.
-type Pool struct {
-	mu    sync.Mutex
-	ivs   []keyspace.Interval
-	total uint64 // identifiers currently in the pool (diagnostics)
-}
-
-// NewPool builds a pool holding the given intervals. Callers are
-// responsible for the intervals being disjoint; the pool hands out
-// exactly what it was given, once.
-func NewPool(ivs ...keyspace.Interval) *Pool {
-	p := &Pool{}
-	for _, iv := range ivs {
-		p.PutBack(iv)
-	}
-	return p
-}
-
-func newPool(iv keyspace.Interval) *Pool { return NewPool(iv) }
-
-// Claim removes and returns up to n identifiers from the pool.
-func (p *Pool) Claim(n uint64) (keyspace.Interval, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.ivs) == 0 || n == 0 {
-		return keyspace.Interval{}, false
-	}
-	head, tail := p.ivs[0].Take(new(big.Int).SetUint64(n))
-	if tail.Empty() {
-		p.ivs = p.ivs[1:]
-	} else {
-		p.ivs[0] = tail
-	}
-	got, _ := head.Len64()
-	p.total -= got
-	return head, !head.Empty()
-}
-
-// PutBack returns an unfinished interval to the pool.
-func (p *Pool) PutBack(iv keyspace.Interval) {
-	if iv.Empty() {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.ivs = append(p.ivs, iv.Clone())
-	n, _ := iv.Len64()
-	p.total += n
-}
-
-// Empty reports whether no work remains.
-func (p *Pool) Empty() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.ivs) == 0
-}
-
-// Remaining returns the number of unclaimed identifiers.
-func (p *Pool) Remaining() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.total
-}
-
-// Intervals returns a deep copy of the pool's current intervals.
-func (p *Pool) Intervals() []keyspace.Interval {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]keyspace.Interval, len(p.ivs))
-	for i, iv := range p.ivs {
-		out[i] = iv.Clone()
-	}
-	return out
-}
-
 // errNoWorkers reports a search that ran out of live workers.
 type errNoWorkers struct {
 	name      string
@@ -191,7 +108,3 @@ func firstErr(errs []error) error {
 	}
 	return errs[0]
 }
-
-func bigZero() *big.Int { return new(big.Int) }
-
-func bigUint(n uint64) *big.Int { return new(big.Int).SetUint64(n) }

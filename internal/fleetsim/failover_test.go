@@ -1,6 +1,9 @@
 package fleetsim
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"keysearch/internal/jobs"
@@ -126,6 +129,38 @@ func TestFailoverPromotionExactlyOnce(t *testing.T) {
 		if j.Tested != want {
 			t.Fatalf("job %s: tested %d of %d keys — coverage is not exactly-once", j.ID, j.Tested, want)
 		}
+	}
+}
+
+// TestFailoverCrashRehearsalDeterministic pins RehearseFailover's
+// "deterministic for a fixed config" on the crash path: the same seed
+// must give the same trajectory and the same master WAL, byte for byte.
+// Each checkpoint record lists the job's live leases, so this holds only
+// while the lease table lists them in lease-ID order rather than map
+// order — which leases a crash loses depends on it.
+func TestFailoverCrashRehearsalDeterministic(t *testing.T) {
+	run := func() (FailoverResult, []byte) {
+		cfg := failoverConfig(t, 11)
+		cfg.ReplLag = 6
+		cfg.CrashAt = 30
+		cfg.DetectAfter = 10
+		res, err := RehearseFailover(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wal, err := os.ReadFile(filepath.Join(cfg.MasterDir, "jobs.wal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return *res, wal
+	}
+	res, wal := run()
+	again, walAgain := run()
+	if res != again {
+		t.Fatalf("crash rehearsal not deterministic:\n  %+v\n  %+v", res, again)
+	}
+	if !bytes.Equal(wal, walAgain) {
+		t.Fatalf("master jobs.wal differs between identical runs (%d vs %d bytes)", len(wal), len(walAgain))
 	}
 }
 

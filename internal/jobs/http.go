@@ -1,13 +1,26 @@
 package jobs
 
 import (
+	"crypto/sha1"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 )
 
-// API is the HTTP face of the Service:
+// Backend is what the API serves: one Service, or anything that routes
+// the same seven calls to several (shardplane.Router).
+type Backend interface {
+	Submit(tenant string, priority int, spec Spec) (Job, error)
+	Get(id string) (Job, error)
+	List(tenant string) []Job
+	Pause(id string) (Job, error)
+	Resume(id string) (Job, error)
+	Cancel(id, reason string) (Job, error)
+	Watch(jobID string) (<-chan Event, func())
+}
+
+// API is the HTTP face of a Backend:
 //
 //	POST /jobs                {tenant, priority, spec}  -> 201 + Job
 //	GET  /jobs[?tenant=t]                               -> [Job]
@@ -18,23 +31,33 @@ import (
 //	GET  /jobs/{id}/events                              -> SSE Event stream
 //	GET  /events                                        -> SSE, all jobs
 //
-// Mount with http.Handler() wherever the process serves HTTP (keymaster
-// mounts it beside -status).
+// Request bodies are bounded (maxSubmitBody, maxCancelBody); a larger
+// one is answered 413. Mount with http.Handler() wherever the process
+// serves HTTP (keymaster mounts it beside -status).
 type API struct {
-	svc *Service
+	svc Backend
 }
 
-// NewAPI wraps a service.
-func NewAPI(svc *Service) *API { return &API{svc: svc} }
+// NewAPI wraps a backend; a *Service is one.
+func NewAPI(svc Backend) *API { return &API{svc: svc} }
+
+// Request-body bounds. The largest legal submission is a spec carrying
+// MaxTargets hex digests of the widest supported algorithm, each a
+// quoted, comma-separated JSON string; the slack covers every other
+// field. A cancel body holds one reason string.
+const (
+	maxSubmitBody = MaxTargets*(2*sha1.Size+3) + 64<<10
+	maxCancelBody = 4 << 10
+)
 
 // Handler builds the routing table.
 func (a *API) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", a.submit)
 	mux.HandleFunc("GET /jobs", a.list)
-	mux.HandleFunc("GET /jobs/{id}", a.get)
-	mux.HandleFunc("POST /jobs/{id}/pause", a.lifecycle((*Service).Pause))
-	mux.HandleFunc("POST /jobs/{id}/resume", a.lifecycle((*Service).Resume))
+	mux.HandleFunc("GET /jobs/{id}", a.byID(a.svc.Get))
+	mux.HandleFunc("POST /jobs/{id}/pause", a.byID(a.svc.Pause))
+	mux.HandleFunc("POST /jobs/{id}/resume", a.byID(a.svc.Resume))
 	mux.HandleFunc("POST /jobs/{id}/cancel", a.cancel)
 	mux.HandleFunc("GET /jobs/{id}/events", a.events)
 	mux.HandleFunc("GET /events", a.events)
@@ -59,10 +82,13 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 // writeErr maps service errors onto status codes: unknown job 404,
-// forbidden transition 409, everything else (validation) 400.
+// forbidden transition 409, oversized body 413, everything else
+// (validation) 400.
 func writeErr(w http.ResponseWriter, err error) {
 	code := http.StatusBadRequest
 	switch {
+	case tooLarge(err):
+		code = http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrNotFound):
 		code = http.StatusNotFound
 	case errors.Is(err, ErrTransition):
@@ -71,9 +97,17 @@ func writeErr(w http.ResponseWriter, err error) {
 	writeJSON(w, code, apiError{Error: err.Error()})
 }
 
+// tooLarge reports whether err is a body read past its MaxBytesReader
+// bound.
+func tooLarge(err error) bool {
+	var e *http.MaxBytesError
+	return errors.As(err, &e)
+}
+
 func (a *API) submit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	body := http.MaxBytesReader(w, r.Body, maxSubmitBody)
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		writeErr(w, fmt.Errorf("jobs: bad request body: %w", err))
 		return
 	}
@@ -89,19 +123,11 @@ func (a *API) list(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, a.svc.List(r.URL.Query().Get("tenant")))
 }
 
-func (a *API) get(w http.ResponseWriter, r *http.Request) {
-	j, err := a.svc.Get(r.PathValue("id"))
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, j)
-}
-
-// lifecycle adapts the one-argument transitions (pause, resume).
-func (a *API) lifecycle(op func(*Service, string) (Job, error)) http.HandlerFunc {
+// byID adapts the calls that take a job ID and answer with the job
+// (get, pause, resume).
+func (a *API) byID(op func(id string) (Job, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		j, err := op(a.svc, r.PathValue("id"))
+		j, err := op(r.PathValue("id"))
 		if err != nil {
 			writeErr(w, err)
 			return
@@ -114,7 +140,12 @@ func (a *API) cancel(w http.ResponseWriter, r *http.Request) {
 	var body struct {
 		Reason string `json:"reason"`
 	}
-	_ = json.NewDecoder(r.Body).Decode(&body) // empty body = no reason
+	// An empty or malformed body means no reason; only an oversized one
+	// is refused.
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxCancelBody)).Decode(&body); tooLarge(err) {
+		writeErr(w, fmt.Errorf("jobs: bad request body: %w", err))
+		return
+	}
 	j, err := a.svc.Cancel(r.PathValue("id"), body.Reason)
 	if err != nil {
 		writeErr(w, err)

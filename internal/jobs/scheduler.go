@@ -132,9 +132,9 @@ func (sc *scheduler) pick(runnable []*activeJob) *activeJob {
 }
 
 // activeJob is the Service's runtime state for one schedulable job:
-// the lease pool carved from its last checkpoint, the leases in
-// flight, and the progress accumulated since recovery. Guarded by the
-// Service mutex.
+// the lease table built from its last checkpoint (unissued pool plus
+// live leases) and the progress accumulated since recovery. Guarded by
+// the Service mutex.
 type activeJob struct {
 	id       string
 	tenant   string
@@ -142,12 +142,10 @@ type activeJob struct {
 	spec     Spec
 	subAt    time.Time
 
-	pool     *dispatch.Pool
-	inflight map[uint64]*inflightLease // lease id -> live lease record
-	tested   uint64
-	found    [][]byte
-	maxSol   int
-	sinceCP  int // commits applied since the last durable checkpoint
+	leases  *dispatch.Table[leaseState]
+	tested  uint64
+	found   [][]byte
+	sinceCP int // commits applied since the last durable checkpoint
 
 	// stopLeasing marks a job that must issue no further leases
 	// (paused, cancelled, done, or solution quota met); the entry is
@@ -157,5 +155,10 @@ type activeJob struct {
 
 // runnable reports whether the job can receive a lease now.
 func (a *activeJob) runnable() bool {
-	return !a.stopLeasing && !a.pool.Empty()
+	return !a.stopLeasing && a.leases.Leasable()
+}
+
+// lease is the executor-facing view of a live table entry.
+func (a *activeJob) lease(le *liveLease) Lease {
+	return Lease{ID: le.ID, JobID: a.id, Tenant: a.tenant, Spec: a.spec, Interval: le.Interval, N: le.N}
 }

@@ -6,7 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"math/big"
+	"slices"
 	"sync"
 	"time"
 
@@ -87,23 +87,28 @@ func NewLocalExecutor(name string, workers int) *LocalExecutor {
 // Name identifies the executor.
 func (e *LocalExecutor) Name() string { return e.name }
 
-// Tune benchmarks the local engine over a synthetic MD5 space, the
-// same doubling-batch fit dispatch.LocalWorker runs.
+// Tune benchmarks the local engine over TuneSpec with the doubling-batch
+// fit dispatch.LocalWorker runs.
 func (e *LocalExecutor) Tune(ctx context.Context) (core.Tuning, error) {
+	job, err := TuneSpec().CrackerJob()
+	if err != nil {
+		return core.Tuning{}, err
+	}
+	return dispatch.NewLocalWorker(e.name, job, e.workers).Tune(ctx)
+}
+
+// TuneSpec is the synthetic job every executor's Tune benchmarks — local
+// engine or remote worker alike — so the balance-rule shares of a mixed
+// fleet are measured over one space and stay comparable.
+func TuneSpec() Spec {
 	sum := md5.Sum([]byte("keysearch-tune"))
-	spec := Spec{
+	return Spec{
 		Algorithm: "md5",
 		Target:    hex.EncodeToString(sum[:]),
 		Charset:   "abcdefghijklmnopqrstuvwxyz0123456789",
 		MinLen:    1,
 		MaxLen:    8,
 	}
-	job, err := spec.CrackerJob()
-	if err != nil {
-		return core.Tuning{}, err
-	}
-	w := dispatch.NewLocalWorker(e.name, job, e.workers)
-	return w.Tune(ctx)
 }
 
 // Search exhausts the lease with the cached cracker job for the spec.
@@ -225,13 +230,6 @@ func (o StealOptions) progressEvery() time.Duration {
 	return o.ProgressEvery
 }
 
-func (o Options) leaseScale() float64 {
-	if o.LeaseScale <= 0 {
-		return 1
-	}
-	return o.LeaseScale
-}
-
 func (o Options) maxFailures() int {
 	if o.MaxSearchFailures <= 0 {
 		return 3
@@ -259,21 +257,20 @@ type Lease struct {
 	N        uint64
 }
 
-// inflightLease is the service-side record of an issued lease. Its
-// interval is the live truth — a Steal shrinks it — and the timer, when
-// lease timeouts are enabled, requeues it on expiry. Guarded by the
-// Service mutex.
-type inflightLease struct {
-	iv    keyspace.Interval
-	n     uint64
+// leaseState is what the service keeps per live lease beside the
+// interval, which the job's lease table owns (a Steal shrinks it there).
+// The timer, when lease timeouts are enabled, requeues the lease on
+// expiry. Guarded by the Service mutex.
+type leaseState struct {
 	timer sim.Timer
 
 	// exec is the executor index the lease was issued to (victim
 	// selection never steals an executor's own lease).
 	exec int
-	// progress is the latest live tested-up-to mark, keys from iv.Start
-	// (monotonic, clamped to n). Zero until the first mark arrives, so a
-	// lease whose search has not demonstrably started is never a victim.
+	// progress is the latest live tested-up-to mark, keys from the
+	// interval start (monotonic, clamped to the lease size). Zero until
+	// the first mark arrives, so a lease whose search has not
+	// demonstrably started is never a victim.
 	progress uint64
 	// stealing pins the lease while a shrink handshake is in flight: it
 	// cannot be picked as a victim again and the expiry path defers to
@@ -284,6 +281,16 @@ type inflightLease struct {
 	// retrying would fail the same way (the search finished or the
 	// worker predates the protocol).
 	noSteal bool
+}
+
+// liveLease is one entry of a job's lease table.
+type liveLease = dispatch.Entry[leaseState]
+
+// stopTimer cancels a lease's expiry timer, if it has one.
+func stopTimer(le *liveLease) {
+	if le.State.timer != nil {
+		le.State.timer.Stop()
+	}
 }
 
 // Service multiplexes jobs over a fleet of executors: admission
@@ -346,9 +353,6 @@ func (s *Service) Start(ctx context.Context) error { return s.start(ctx, false) 
 // Commit/Fail/Steal by an external driver. This is the virtual-time
 // seam: internal/fleetsim drives the real service — scheduler, store,
 // WAL, admission — from a discrete-event engine, one event at a time.
-// Tuning runs sequentially (fleet-scale drivers pass cheap synthetic
-// tunings, and a goroutine per simulated worker would defeat the
-// point).
 func (s *Service) StartManual(ctx context.Context) error { return s.start(ctx, true) }
 
 func (s *Service) start(ctx context.Context, manual bool) error {
@@ -368,53 +372,13 @@ func (s *Service) start(ctx context.Context, manual bool) error {
 	// freeze Submit, List, and the event hub for the duration. The
 	// starting flag keeps a second Start out; s.execs is immutable
 	// after NewService, so reading it here is safe.
-	tunings := make([]core.Tuning, len(s.execs))
-	if manual {
-		for i, ex := range s.execs {
-			tn, err := ex.Tune(tctx)
-			if err != nil {
-				continue // zero tuning: the executor gets no leases
-			}
-			tunings[i] = tn
-		}
-	} else {
-		var tuneWG sync.WaitGroup
-		for i, ex := range s.execs {
-			tuneWG.Add(1)
-			go func(i int, ex Executor) {
-				defer tuneWG.Done()
-				tn, err := ex.Tune(tctx)
-				if err != nil {
-					return // zero tuning: the executor gets no leases
-				}
-				tunings[i] = tn
-			}(i, ex)
-		}
-		tuneWG.Wait()
-	}
+	tunings := dispatch.TuneAll(tctx, s.execs)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.starting = false
-	s.shares = make([]uint64, len(s.execs))
-	usable := 0
-	for i, n := range core.Balance(tunings) {
-		n = uint64(float64(n) * s.opts.leaseScale())
-		if min := s.opts.MinLease; n < min {
-			n = min
-		}
-		if n == 0 && tunings[i].Throughput > 0 {
-			n = 1
-		}
-		if max := s.opts.MaxLease; max > 0 && n > max {
-			n = max
-		}
-		s.shares[i] = n
-		if n > 0 {
-			usable++
-		}
-	}
-	if usable == 0 {
+	s.shares = dispatch.Shares(tunings, s.opts.LeaseScale, s.opts.MinLease, s.opts.MaxLease)
+	if !slices.ContainsFunc(s.shares, func(n uint64) bool { return n > 0 }) {
 		s.cancel()
 		return errors.New("jobs: no usable executors (all tunings failed or zero)")
 	}
@@ -465,7 +429,7 @@ func (s *Service) Shares() []uint64 {
 func (s *Service) activateLocked(j Job) error {
 	if a, ok := s.active[j.ID]; ok {
 		// A pause left leases in flight and the job never drained from
-		// the active set. The in-memory pool — not the stored
+		// the active set. The in-memory lease table — not the stored
 		// checkpoint, which still counts those leases as remaining — is
 		// the live truth; rebuilding from the checkpoint would issue the
 		// in-flight intervals a second time.
@@ -488,11 +452,9 @@ func (s *Service) activateLocked(j Job) error {
 		priority: j.Priority,
 		spec:     j.Spec,
 		subAt:    j.SubmittedAt,
-		pool:     dispatch.NewPool(ivs...),
-		inflight: make(map[uint64]*inflightLease),
+		leases:   dispatch.NewTable[leaseState](ivs...),
 		tested:   cp.Tested,
 		found:    cp.Found,
-		maxSol:   j.Spec.MaxSolutions,
 	}
 	s.active[j.ID] = a
 	s.sched.admit(j.Tenant, s.runnableTenantsLocked())
@@ -628,19 +590,17 @@ func (s *Service) tryLeaseLocked(i int, waitStart time.Time) (Lease, bool) {
 		if a == nil {
 			return Lease{}, false
 		}
-		iv, ok := a.pool.Claim(s.shares[i])
+		le, ok := a.leases.Issue(s.leaseSeq+1, s.shares[i])
 		if !ok {
 			continue
 		}
-		n, _ := iv.Len64()
 		s.leaseSeq++
-		l := Lease{ID: s.leaseSeq, JobID: a.id, Tenant: a.tenant, Spec: a.spec, Interval: iv, N: n}
-		fl := &inflightLease{iv: iv, n: n, exec: i}
-		s.rearmLeaseLocked(a.id, l.ID, fl)
-		a.inflight[l.ID] = fl
-		s.sched.charge(a.tenant, n)
+		le.State.exec = i
+		s.rearmLeaseLocked(a.id, le)
+		l := a.lease(le)
+		s.sched.charge(a.tenant, le.N)
 		s.tel.leases.Inc()
-		s.tel.leaseLen.Observe(float64(n))
+		s.tel.leaseLen.Observe(float64(le.N))
 		s.tel.schedWait.ObserveDuration(s.clock.Since(waitStart))
 		if prev := s.lastJob[i]; prev != "" && prev != a.id {
 			if pa, ok := s.active[prev]; ok && pa.runnable() {
@@ -654,11 +614,12 @@ func (s *Service) tryLeaseLocked(i int, waitStart time.Time) (Lease, bool) {
 	}
 }
 
-// rearmLeaseLocked (re)starts the expiry timer for an in-flight lease
-// when lease timeouts are enabled. Callers hold s.mu.
-func (s *Service) rearmLeaseLocked(jobID string, leaseID uint64, fl *inflightLease) {
+// rearmLeaseLocked (re)starts the expiry timer for a live lease when
+// lease timeouts are enabled. Callers hold s.mu.
+func (s *Service) rearmLeaseLocked(jobID string, le *liveLease) {
 	if d := s.opts.LeaseTimeout; d > 0 {
-		fl.timer = s.clock.AfterFunc(d, func() { s.expireLease(jobID, leaseID) })
+		leaseID := le.ID
+		le.State.timer = s.clock.AfterFunc(d, func() { s.expireLease(jobID, leaseID) })
 	}
 }
 
@@ -671,16 +632,16 @@ func (s *Service) noteProgress(jobID string, leaseID, done uint64) {
 	wake := false
 	s.mu.Lock()
 	if a := s.active[jobID]; a != nil {
-		if fl, ok := a.inflight[leaseID]; ok {
-			if done > fl.n {
-				done = fl.n
+		if le, ok := a.leases.Get(leaseID); ok {
+			if done > le.N {
+				done = le.N
 			}
-			if done > fl.progress {
+			if done > le.State.progress {
 				// The first mark makes the lease a steal candidate
 				// (pickVictimLocked skips progress-less leases); wake any
 				// executor that went idle before the search warmed up.
-				wake = fl.progress == 0 && a.spec.Steal && s.opts.Steal.Enabled
-				fl.progress = done
+				wake = le.State.progress == 0 && a.spec.Steal && s.opts.Steal.Enabled
+				le.State.progress = done
 			}
 		}
 	}
@@ -690,99 +651,78 @@ func (s *Service) noteProgress(jobID string, leaseID, done uint64) {
 	}
 }
 
-// expireLease requeues a lease that outlived Options.LeaseTimeout: the
-// interval returns to the pool, the tenant's deficit is refunded, and
-// any later Commit/Fail for the lease is rejected. Runs on the service
-// clock (a goroutine under the wall clock, an engine event under a
-// virtual one).
+// requeueLocked returns live lease id of job a to the pool untested: the
+// tenant's deficit is refunded, counter counts it and lease waiters are
+// woken. It reports false — and does nothing — when the lease has already
+// left the table, which is how a late Fail or expiry stays harmless.
+// Callers hold s.mu and run Options.OnRequeue once they have released it.
+func (s *Service) requeueLocked(a *activeJob, id uint64, counter *telemetry.Counter) bool {
+	le, ok := a.leases.Requeue(id)
+	if !ok {
+		return false
+	}
+	stopTimer(le)
+	s.sched.credit(a.tenant, le.N)
+	counter.Inc()
+	s.dropIfDrainedLocked(a)
+	s.cond.Broadcast()
+	return true
+}
+
+// expireLease requeues a lease that outlived Options.LeaseTimeout; any
+// later Commit/Fail for it is rejected. Runs on the service clock (a
+// goroutine under the wall clock, an engine event under a virtual one).
 func (s *Service) expireLease(jobID string, leaseID uint64) {
 	s.mu.Lock()
-	a := s.active[jobID]
-	if a == nil {
-		s.mu.Unlock()
-		return
-	}
-	fl, ok := a.inflight[leaseID]
-	if !ok {
-		s.mu.Unlock()
-		return
-	}
-	if fl.stealing {
-		// A steal handshake pinned this lease between split and settle;
-		// settle re-arms the timer, so deferring here costs at most one
-		// extra timeout and can never dispose of keys the handshake is
+	requeued := false
+	if a := s.active[jobID]; a != nil {
+		// A lease pinned by a steal handshake between split and settle is
+		// left alone: settle re-arms the timer, so deferring costs at most
+		// one extra timeout and can never dispose of keys the handshake is
 		// about to move.
-		s.mu.Unlock()
-		return
+		if le, ok := a.leases.Get(leaseID); ok && !le.State.stealing {
+			requeued = s.requeueLocked(a, leaseID, s.tel.expired)
+		}
 	}
-	delete(a.inflight, leaseID)
-	a.pool.PutBack(fl.iv)
-	s.sched.credit(a.tenant, fl.n)
-	s.tel.expired.Inc()
-	s.dropIfDrainedLocked(a)
-	hook := s.opts.OnRequeue
 	s.mu.Unlock()
-	if hook != nil {
-		hook(jobID)
+	if requeued && s.opts.OnRequeue != nil {
+		s.opts.OnRequeue(jobID)
 	}
-	s.cond.Broadcast()
 }
 
 // Fail returns a lease whose executor errored: the interval goes back
 // to the pool untested and the tenant's deficit is refunded. A lease
 // the timeout already requeued is ignored.
-func (s *Service) Fail(l Lease) { s.fail(l) }
-
-func (s *Service) fail(l Lease) {
+func (s *Service) Fail(l Lease) {
 	s.mu.Lock()
 	a := s.active[l.JobID]
-	if a == nil {
-		s.mu.Unlock()
-		return
-	}
-	fl, ok := a.inflight[l.ID]
-	if !ok {
+	requeued := a != nil && s.requeueLocked(a, l.ID, s.tel.requeues)
+	if a != nil && !requeued {
 		s.tel.lateCommits.Inc()
-		s.mu.Unlock()
-		return
 	}
-	if fl.timer != nil {
-		fl.timer.Stop()
-	}
-	delete(a.inflight, l.ID)
-	a.pool.PutBack(fl.iv)
-	s.sched.credit(l.Tenant, fl.n)
-	s.tel.requeues.Inc()
-	s.dropIfDrainedLocked(a)
-	hook := s.opts.OnRequeue
 	s.mu.Unlock()
-	if hook != nil {
-		hook(l.JobID)
+	if requeued && s.opts.OnRequeue != nil {
+		s.opts.OnRequeue(l.JobID)
 	}
-	s.cond.Broadcast()
 }
 
-// Commit lands a completed lease from a manual driver: progress
-// accumulates, the job's checkpoint is appended to the WAL (subject to
-// CheckpointEvery), and completion is detected. It reports whether the
-// commit was accepted — false means the lease was already requeued by
-// the timeout (or the job is gone) and the work must be discarded,
-// which is how exactly-once coverage survives late arrivals.
-func (s *Service) Commit(l Lease, rep *dispatch.Report) bool { return s.commit(l, rep) }
-
-// commit lands a completed lease: progress accumulates, the job's
-// checkpoint (remaining = pool ∪ in-flight, tested = committed keys)
-// is appended to the WAL before anything acknowledges the work, and
-// completion is detected. A crash at ANY point re-searches only leases
-// whose checkpoint never landed — committed spans are never re-issued.
-func (s *Service) commit(l Lease, rep *dispatch.Report) bool {
+// Commit lands a completed lease: progress accumulates, the job's
+// checkpoint (the lease table's Remaining, tested = committed keys) is
+// appended to the WAL before anything acknowledges the work (subject to
+// CheckpointEvery), and completion is detected. A crash at ANY point
+// re-searches only leases whose checkpoint never landed — committed
+// spans are never re-issued. It reports whether the commit was accepted
+// — false means the lease was already requeued by the timeout (or the
+// job is gone) and the work must be discarded, which is how exactly-once
+// coverage survives late arrivals.
+func (s *Service) Commit(l Lease, rep *dispatch.Report) bool {
 	s.mu.Lock()
 	a := s.active[l.JobID]
 	if a == nil {
 		s.mu.Unlock()
 		return false
 	}
-	fl, live := a.inflight[l.ID]
+	le, live := a.leases.Settle(l.ID)
 	if !live {
 		// The lease timed out and its interval was requeued; accepting
 		// this commit would double-count the span when the re-issued
@@ -791,19 +731,16 @@ func (s *Service) commit(l Lease, rep *dispatch.Report) bool {
 		s.mu.Unlock()
 		return false
 	}
-	if fl.timer != nil {
-		fl.timer.Stop()
-	}
-	delete(a.inflight, l.ID)
+	stopTimer(le)
 	tested := rep.Tested
-	if tested > fl.n {
+	if tested > le.N {
 		// The lease was shrunk by a steal after its worker had already
 		// passed the split point: the report covers more keys than the
 		// lease now holds. Only the lease's own span counts — the surplus
 		// sits inside the stolen tail's lease and is re-searched there,
 		// so coverage stays exact (duplicated work, never double-counted
 		// keys).
-		tested = fl.n
+		tested = le.N
 	}
 	a.tested += tested
 	a.found = append(a.found, rep.Found...)
@@ -817,50 +754,43 @@ func (s *Service) commit(l Lease, rep *dispatch.Report) bool {
 	}
 	var events []Event
 	if !j.State.Terminal() {
-		exhausted := a.pool.Empty() && len(a.inflight) == 0
-		quota := a.maxSol > 0 && len(a.found) >= a.maxSol
-		if exhausted || quota || len(rep.Found) > 0 || a.sinceCP >= s.opts.checkpointEvery() {
-			remaining := a.pool.Intervals()
-			for _, ifl := range a.inflight {
-				remaining = append(remaining, ifl.iv)
+		quota := a.spec.MaxSolutions > 0 && len(a.found) >= a.spec.MaxSolutions
+		// A throttled commit is applied in memory and audited; the durable
+		// checkpoint waits for a later commit. A crash before that
+		// checkpoint re-searches this span — duplicated work, not
+		// duplicated coverage.
+		durable := a.leases.Exhausted() || quota || len(rep.Found) > 0 || a.sinceCP >= s.opts.checkpointEvery()
+		var cerr error
+		if durable {
+			cerr = s.store.RecordCheckpoint(l.JobID, dispatch.NewCheckpoint(a.leases.Remaining(), a.tested, a.found))
+		}
+		if cerr != nil {
+			// The WAL refused or failed: the job's durable state can no
+			// longer be trusted to advance. Fail the job loudly rather
+			// than keep burning keys whose coverage would be lost.
+			if fj, ferr := s.store.SetState(l.JobID, StateFailed, cerr.Error()); ferr == nil {
+				a.stopLeasing = true
+				s.tel.failed.Inc()
+				events = append(events, Event{Type: EventState, Job: fj})
 			}
-			cp := dispatch.NewCheckpoint(remaining, a.tested, a.found)
-			if cerr := s.store.RecordCheckpoint(l.JobID, cp); cerr != nil {
-				// The WAL refused or failed: the job's durable state can no
-				// longer be trusted to advance. Fail the job loudly rather
-				// than keep burning keys whose coverage would be lost.
-				if fj, ferr := s.store.SetState(l.JobID, StateFailed, cerr.Error()); ferr == nil {
-					a.stopLeasing = true
-					s.tel.failed.Inc()
-					events = append(events, Event{Type: EventState, Job: fj})
-				}
-				accepted = false
-			} else {
+			accepted = false
+		} else {
+			s.tel.committed(l.Tenant, tested)
+			if s.opts.OnCommit != nil {
+				s.opts.OnCommit(l.JobID, l.Tenant, le.Interval, tested)
+			}
+			typ := EventProgress
+			if durable {
 				a.sinceCP = 0
-				s.tel.committed(l.Tenant, tested)
-				if s.opts.OnCommit != nil {
-					s.opts.OnCommit(l.JobID, l.Tenant, fl.iv, tested)
-				}
 				j, _ = s.store.Get(l.JobID)
-				typ := EventProgress
 				if len(rep.Found) > 0 {
 					typ = EventFound
 				}
-				events = append(events, Event{Type: typ, Job: j})
-				if de := s.finishIfDoneLocked(a); de != nil {
-					events = append(events, *de)
-				}
 			}
-		} else {
-			// Throttled: the commit is applied in memory and audited, the
-			// durable checkpoint waits for a later commit. A crash before
-			// that checkpoint re-searches this span — duplicated work, not
-			// duplicated coverage.
-			s.tel.committed(l.Tenant, tested)
-			if s.opts.OnCommit != nil {
-				s.opts.OnCommit(l.JobID, l.Tenant, fl.iv, tested)
+			events = append(events, Event{Type: typ, Job: j})
+			if de := s.finishIfDoneLocked(a); de != nil {
+				events = append(events, *de)
 			}
-			events = append(events, Event{Type: EventProgress, Job: j})
 		}
 	}
 	s.dropIfDrainedLocked(a)
@@ -897,43 +827,44 @@ func (s *Service) Steal(victim Lease, keep uint64, thief int) (Lease, bool) {
 	if a == nil || !a.spec.Steal || a.stopLeasing {
 		return Lease{}, false
 	}
-	fl, ok := a.inflight[victim.ID]
-	if !ok || fl.stealing || keep == 0 || keep >= fl.n {
+	if le, ok := a.leases.Get(victim.ID); !ok || le.State.stealing {
 		return Lease{}, false
 	}
-	nl, nfl := s.splitLeaseLocked(a, fl, keep, thief)
-	s.rearmLeaseLocked(a.id, nl.ID, nfl)
-	s.tel.steals.Inc()
-	s.tel.stolenKeys.Add(nfl.n)
-	s.tel.leases.Inc()
-	s.tel.leaseLen.Observe(float64(nfl.n))
-	return nl, true
+	tail, ok := s.splitLeaseLocked(a, victim.ID, keep, thief)
+	if !ok {
+		return Lease{}, false
+	}
+	s.rearmLeaseLocked(a.id, tail)
+	s.stolenLocked(tail)
+	return a.lease(tail), true
 }
 
-// splitLeaseLocked carves the tail beyond keep off the in-flight lease
-// fl (0 < keep < fl.n) into a fresh lease for executor thief. The two
-// halves tile the original interval exactly, each with its own lease
-// accounting, so exactly-once coverage is preserved by construction —
-// split-lease accounting, not coverage bookkeeping after the fact. The
-// tenant was charged for the full original lease at issue time; the
-// split moves keys between leases of the same tenant, so the deficit
-// stands. Timer management is the caller's: the manual Steal arms the
-// tail immediately, the handshake path only once the boundary settles.
-func (s *Service) splitLeaseLocked(a *activeJob, fl *inflightLease, keep uint64, thief int) (Lease, *inflightLease) {
-	stolenN := fl.n - keep
-	split := new(big.Int).Add(fl.iv.Start, new(big.Int).SetUint64(keep))
-	stolen := keyspace.Interval{Start: split, End: fl.iv.End}
-	fl.iv = keyspace.Interval{Start: fl.iv.Start, End: new(big.Int).Set(split)}
-	fl.n = keep
+// stolenLocked counts a settled steal: tail is the thief's new lease.
+func (s *Service) stolenLocked(tail *liveLease) {
+	s.tel.steals.Inc()
+	s.tel.stolenKeys.Add(tail.N)
+	s.tel.leases.Inc()
+	s.tel.leaseLen.Observe(float64(tail.N))
+}
 
+// splitLeaseLocked carves the tail beyond keep off live lease victimID
+// (0 < keep < its size, or the table refuses) into a fresh lease for
+// executor thief. The tenant was charged for the full original lease at
+// issue time; the split moves keys between leases of the same tenant, so
+// the deficit stands. Timer management is the caller's: the manual Steal
+// arms the tail immediately, the handshake path only once the boundary
+// settles.
+func (s *Service) splitLeaseLocked(a *activeJob, victimID, keep uint64, thief int) (*liveLease, bool) {
+	tail, ok := a.leases.Split(victimID, keep, s.leaseSeq+1)
+	if !ok {
+		return nil, false
+	}
 	s.leaseSeq++
-	nl := Lease{ID: s.leaseSeq, JobID: a.id, Tenant: a.tenant, Spec: a.spec, Interval: stolen, N: stolenN}
-	nfl := &inflightLease{iv: stolen, n: stolenN, exec: thief}
-	a.inflight[nl.ID] = nfl
+	tail.State.exec = thief
 	if thief >= 0 && thief < len(s.lastJob) {
 		s.lastJob[thief] = a.id
 	}
-	return nl, nfl
+	return tail, true
 }
 
 // pickVictimLocked chooses the straggler an idle executor should steal
@@ -945,21 +876,22 @@ func (s *Service) splitLeaseLocked(a *activeJob, fl *inflightLease, keep uint64,
 // in a handshake (or have refused one), and its untested remainder must
 // be worth splitting (≥ 2×MinSteal). The returned keep splits that
 // remainder in half, measured from the victim's last progress mark.
-func (s *Service) pickVictimLocked(thief int) (a *activeJob, leaseID uint64, fl *inflightLease, keep uint64, se StealExecutor) {
+func (s *Service) pickVictimLocked(thief int) (a *activeJob, victim *liveLease, keep uint64, se StealExecutor) {
 	minSteal := s.opts.Steal.minSteal()
 	var best float64
 	for _, cand := range s.active {
 		if !cand.spec.Steal || cand.stopLeasing {
 			continue
 		}
-		for id, c := range cand.inflight {
+		for _, le := range cand.leases.Live() {
+			c := le.State
 			if c.stealing || c.noSteal || c.exec == thief || c.exec < 0 || c.exec >= len(s.execs) {
 				continue
 			}
 			if c.progress == 0 {
 				continue
 			}
-			rem := c.n - c.progress
+			rem := le.N - c.progress
 			if rem < 2*minSteal {
 				continue
 			}
@@ -971,20 +903,16 @@ func (s *Service) pickVictimLocked(thief int) (a *activeJob, leaseID uint64, fl 
 			if share <= 0 {
 				continue
 			}
-			if score := float64(rem) / share; fl == nil || score > best {
-				a, leaseID, fl, se, best = cand, id, c, ex, score
+			if score := float64(rem) / share; victim == nil || score > best {
+				a, victim, se, best = cand, le, ex, score
 			}
 		}
 	}
-	if fl == nil {
-		return nil, 0, nil, 0, nil
+	if victim == nil {
+		return nil, nil, 0, nil
 	}
-	rem := fl.n - fl.progress
-	keep = fl.progress + (rem+1)/2
-	if keep == 0 || keep >= fl.n {
-		return nil, 0, nil, 0, nil
-	}
-	return a, leaseID, fl, keep, se
+	rem := victim.N - victim.State.progress
+	return a, victim, victim.State.progress + (rem+1)/2, se
 }
 
 // stealLocked attempts one steal for idle executor thief. Called with
@@ -1009,23 +937,24 @@ func (s *Service) stealLocked(thief int) (Lease, bool) {
 	if thief < 0 || thief >= len(s.shares) || s.shares[thief] == 0 {
 		return Lease{}, false
 	}
-	a, victimID, fl, keep, se := s.pickVictimLocked(thief)
-	if fl == nil {
+	a, victim, keep, se := s.pickVictimLocked(thief)
+	if victim == nil {
 		return Lease{}, false
 	}
-	fl.stealing = true
-	if fl.timer != nil {
-		fl.timer.Stop()
+	tail, ok := s.splitLeaseLocked(a, victim.ID, keep, thief)
+	if !ok {
+		return Lease{}, false
 	}
-	nl, nfl := s.splitLeaseLocked(a, fl, keep, thief)
-	nfl.stealing = true // pin the tail: no timer, no re-steal, until settled
-	jobID, svcCtx := a.id, s.ctx
+	victim.State.stealing = true
+	stopTimer(victim)
+	tail.State.stealing = true // pin the tail: no timer, no re-steal, until settled
+	jobID, victimID, tailID, svcCtx := a.id, victim.ID, tail.ID, s.ctx
 
 	s.mu.Unlock()
 	cut, ok := se.ShrinkLease(svcCtx, victimID, keep)
 	s.mu.Lock()
 
-	return s.settleStealLocked(jobID, victimID, nl, keep, cut, ok)
+	return s.settleStealLocked(jobID, victimID, tailID, keep, cut, ok)
 }
 
 // settleStealLocked finishes a shrink handshake under s.mu. The thief's
@@ -1034,22 +963,22 @@ func (s *Service) stealLocked(thief int) (Lease, bool) {
 // released — committed exactly at its shrunken size (commit clamps
 // Tested to the lease), failed, or expired — and each combination
 // settles to exact tiling.
-func (s *Service) settleStealLocked(jobID string, victimID uint64, nl Lease, keep, cut uint64, ok bool) (Lease, bool) {
+func (s *Service) settleStealLocked(jobID string, victimID, tailID, keep, cut uint64, ok bool) (Lease, bool) {
 	a := s.active[jobID]
 	if a == nil {
 		return Lease{}, false
 	}
-	nfl := a.inflight[nl.ID]
-	if nfl == nil {
+	tail, live := a.leases.Get(tailID)
+	if !live {
 		return Lease{}, false
 	}
-	nfl.stealing = false
-	fl, victimLive := a.inflight[victimID]
+	tail.State.stealing = false
+	victim, victimLive := a.leases.Get(victimID)
 	if victimLive {
-		fl.stealing = false
+		victim.State.stealing = false
 	}
 
-	if ok && cut > keep && cut-keep >= nfl.n {
+	if ok && cut > keep && cut-keep >= tail.N {
 		// The acked boundary swallows the whole tail; nothing to steal.
 		// (The worker only acks cut < its full interval, so this is a
 		// defensive guard, not an expected path.)
@@ -1062,18 +991,11 @@ func (s *Service) settleStealLocked(jobID string, victimID uint64, nl Lease, kee
 		// merge the halves back in place and don't pick it again; if it
 		// was disposed of meanwhile, its disposition covered only the
 		// shrunken head, so the tail returns to the pool for re-lease.
-		delete(a.inflight, nl.ID)
-		if victimLive {
-			fl.noSteal = true
-			fl.iv = keyspace.Interval{Start: fl.iv.Start, End: nfl.iv.End}
-			fl.n += nfl.n
-			s.rearmLeaseLocked(jobID, victimID, fl)
+		if a.leases.Merge(victimID, tailID) {
+			victim.State.noSteal = true
+			s.rearmLeaseLocked(jobID, victim)
 		} else {
-			a.pool.PutBack(nfl.iv)
-			s.sched.credit(nl.Tenant, nfl.n)
-			s.tel.requeues.Inc()
-			s.dropIfDrainedLocked(a)
-			s.cond.Broadcast()
+			s.requeueLocked(a, tailID, s.tel.requeues)
 		}
 		return Lease{}, false
 	}
@@ -1082,36 +1004,25 @@ func (s *Service) settleStealLocked(jobID string, victimID uint64, nl Lease, kee
 		// The victim had already tested past the requested split point;
 		// the effective boundary moves [keep, cut) out of the tail. If
 		// the victim's lease is still live it grows to match, so its
-		// commit stays exact; if not, its disposition already settled the
-		// head and the thief re-searches [keep, cut) — duplicated work,
-		// never a gap.
-		extra := cut - keep
-		if victimLive {
-			fl.iv = keyspace.Interval{Start: fl.iv.Start, End: new(big.Int).Add(fl.iv.Start, new(big.Int).SetUint64(cut))}
-			fl.n = cut
-			nfl.iv = keyspace.Interval{Start: new(big.Int).Set(fl.iv.End), End: nfl.iv.End}
-			nfl.n -= extra
-		}
+		// commit stays exact; if not (the move is refused), its
+		// disposition already settled the head and the thief re-searches
+		// [keep, cut) — duplicated work, never a gap.
+		a.leases.MoveBoundary(victimID, tailID, cut)
 	}
 	if victimLive {
-		s.rearmLeaseLocked(jobID, victimID, fl)
+		s.rearmLeaseLocked(jobID, victim)
 	}
-	s.rearmLeaseLocked(jobID, nl.ID, nfl)
-	nl.Interval = nfl.iv
-	nl.N = nfl.n
-	s.tel.steals.Inc()
-	s.tel.stolenKeys.Add(nfl.n)
-	s.tel.leases.Inc()
-	s.tel.leaseLen.Observe(float64(nfl.n))
-	return nl, true
+	s.rearmLeaseLocked(jobID, tail)
+	s.stolenLocked(tail)
+	return a.lease(tail), true
 }
 
 // finishIfDoneLocked transitions a job to DONE when its keyspace is
 // exhausted or its solution quota is met, returning the event to
 // publish.
 func (s *Service) finishIfDoneLocked(a *activeJob) *Event {
-	exhausted := a.pool.Empty() && len(a.inflight) == 0
-	quota := a.maxSol > 0 && len(a.found) >= a.maxSol
+	exhausted := a.leases.Exhausted()
+	quota := a.spec.MaxSolutions > 0 && len(a.found) >= a.spec.MaxSolutions
 	if !exhausted && !quota {
 		return nil
 	}
@@ -1132,7 +1043,7 @@ func (s *Service) finishIfDoneLocked(a *activeJob) *Event {
 // dropIfDrainedLocked removes a no-longer-leasing job from the active
 // set once its in-flight leases are gone, freeing its admission slot.
 func (s *Service) dropIfDrainedLocked(a *activeJob) {
-	if a.stopLeasing && len(a.inflight) == 0 {
+	if a.stopLeasing && a.leases.Len() == 0 {
 		delete(s.active, a.id)
 	}
 }
@@ -1158,7 +1069,7 @@ func (s *Service) runExecutor(i int, ex Executor) {
 			rep, err = ex.Search(s.ctx, l.Spec, l.Interval)
 		}
 		if err != nil || rep == nil {
-			s.fail(l)
+			s.Fail(l)
 			failures++
 			if s.ctx.Err() != nil || failures >= s.opts.maxFailures() {
 				return
@@ -1166,7 +1077,7 @@ func (s *Service) runExecutor(i int, ex Executor) {
 			continue
 		}
 		failures = 0
-		s.commit(l, rep)
+		s.Commit(l, rep)
 	}
 }
 

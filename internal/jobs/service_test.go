@@ -4,10 +4,13 @@ import (
 	"context"
 	"crypto/md5"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"math/big"
 	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -494,7 +497,7 @@ func TestServiceResumeWithInflightLeases(t *testing.T) {
 		svc.mu.Lock()
 		defer svc.mu.Unlock()
 		a := svc.active[j.ID]
-		return a != nil && len(a.inflight) > 0
+		return a != nil && a.leases.Len() > 0
 	})
 	if _, err := svc.Pause(j.ID); err != nil {
 		t.Fatal(err)
@@ -555,7 +558,10 @@ func TestServiceRequeueOnExecutorFailure(t *testing.T) {
 			return nil
 		},
 	}
-	steady := &fakeExec{name: "steady", tn: core.Tuning{MinBatch: 1024, Throughput: 1e6}}
+	// steady is paced so it cannot drain all 29 leases before flaky's
+	// goroutine is first scheduled (which left the counter at 0 in ~3% of
+	// runs).
+	steady := &fakeExec{name: "steady", tn: core.Tuning{MinBatch: 1024, Throughput: 1e6}, delay: time.Millisecond}
 	opts := Options{
 		Telemetry:         reg,
 		OnCommit:          audit.hook,
@@ -601,5 +607,58 @@ func TestServiceSharesFollowBalanceRule(t *testing.T) {
 	}
 	if !(shares[0] > shares[1] && shares[1] > shares[2]) {
 		t.Fatalf("shares not throughput-ordered: %v", shares)
+	}
+}
+
+// deadExec is an executor whose tuning step fails and whose Search must
+// therefore never run.
+type deadExec struct {
+	fakeExec
+	searched atomic.Int64
+}
+
+func (e *deadExec) Tune(context.Context) (core.Tuning, error) {
+	return core.Tuning{}, errors.New("tune: node unreachable")
+}
+
+func (e *deadExec) Search(ctx context.Context, spec Spec, iv keyspace.Interval) (*dispatch.Report, error) {
+	e.searched.Add(1)
+	return e.fakeExec.Search(ctx, spec, iv)
+}
+
+// TestZeroTuningExecutorGetsNoLease: an executor whose Tune failed has
+// share 0 — whatever MinLease says — and is never leased to, and a
+// fleet with no tunable executor is refused at Start. (The floor used to
+// be applied before the throughput check, so MinLease handed a dead
+// executor a full share.)
+func TestZeroTuningExecutorGetsNoLease(t *testing.T) {
+	opts := Options{MinLease: 1024, MaxLease: 1024}
+	dead := &deadExec{fakeExec: fakeExec{name: "dead"}}
+	live := &fakeExec{name: "live", tn: core.Tuning{MinBatch: 64, Throughput: 1e6}}
+	svc := startService(t, t.TempDir(), []Executor{dead, live}, opts)
+	defer svc.Shutdown(context.Background())
+	if got := svc.Shares(); got[0] != 0 || got[1] != 1024 {
+		t.Fatalf("Shares() = %v, want [0 1024]", got)
+	}
+	j, err := svc.Submit("t", 0, specFor(t, "ba", "ab", 1, 12)) // 8190 keys, 8 leases
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, svc, 10*time.Second, "job completion", func() bool {
+		got, err := svc.Get(j.ID)
+		return err == nil && got.Done()
+	})
+	if n := dead.searched.Load(); n != 0 {
+		t.Fatalf("the untunable executor ran %d searches", n)
+	}
+
+	store, err := Open(t.TempDir(), StoreOptions{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	allDead := NewService(store, []Executor{dead, &deadExec{fakeExec: fakeExec{name: "dead2"}}}, opts)
+	if err := allDead.Start(context.Background()); err == nil || !strings.Contains(err.Error(), "no usable executors") {
+		t.Fatalf("Start over an all-dead fleet = %v, want the no-usable-executors error", err)
 	}
 }

@@ -88,7 +88,7 @@ func TestServiceShutdownDeadline(t *testing.T) {
 		svc.mu.Lock()
 		defer svc.mu.Unlock()
 		a := svc.active[j.ID]
-		return a != nil && len(a.inflight) > 0
+		return a != nil && a.leases.Len() > 0
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()

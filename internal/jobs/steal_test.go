@@ -173,8 +173,8 @@ func runStealScenario(t *testing.T, svc *Service, sc *liveScript, midHandshake f
 		if a == nil {
 			return true
 		}
-		for _, fl := range a.inflight {
-			if fl.stealing {
+		for _, le := range a.leases.Live() {
+			if le.State.stealing {
 				return false
 			}
 		}
@@ -423,8 +423,8 @@ func TestExpireDuringStealHandshakeNoDoubleDisposition(t *testing.T) {
 		if a == nil {
 			return true
 		}
-		for _, fl := range a.inflight {
-			if fl.stealing {
+		for _, le := range a.leases.Live() {
+			if le.State.stealing {
 				return false
 			}
 		}

@@ -2,7 +2,6 @@ package netproto
 
 import (
 	"context"
-	"crypto/md5"
 	"encoding/hex"
 	"fmt"
 	"sync"
@@ -55,18 +54,11 @@ func NewExecutor(w *RemoteWorker) *Executor {
 // Name identifies the underlying worker.
 func (e *Executor) Name() string { return e.w.Name() }
 
-// Tune benchmarks the remote worker over the same synthetic MD5 space
-// jobs.LocalExecutor uses, so a mixed local/remote fleet's balance-rule
-// shares are comparable.
+// Tune benchmarks the remote worker over jobs.TuneSpec, the space every
+// executor tunes on, so a mixed local/remote fleet's balance-rule shares
+// are comparable.
 func (e *Executor) Tune(ctx context.Context) (core.Tuning, error) {
-	sum := md5.Sum([]byte("keysearch-tune"))
-	spec, err := e.wireSpec(jobs.Spec{
-		Algorithm: "md5",
-		Target:    hex.EncodeToString(sum[:]),
-		Charset:   "abcdefghijklmnopqrstuvwxyz0123456789",
-		MinLen:    1,
-		MaxLen:    8,
-	})
+	spec, err := e.wireSpec(jobs.TuneSpec())
 	if err != nil {
 		return core.Tuning{}, err
 	}

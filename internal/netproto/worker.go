@@ -466,37 +466,12 @@ func unknownSpec(id uint64) error {
 }
 
 func tuneLocal(ctx context.Context, job *cracker.Job, cfg WorkerConfig) (TuneResult, error) {
-	factory, err := job.TestFactory()
-	if err != nil {
-		return TuneResult{}, err
-	}
-	size, ok := job.Space.Size64()
-	if !ok {
-		size = 1 << 62
-	}
-	bench := func(n uint64) time.Duration {
-		if n > size {
-			n = size
-		}
-		start := time.Now()
-		iv := keyspace.NewInterval(0, int64(n))
-		_, err := core.SearchEach(ctx, core.KeyspaceFactory(job.Space), iv, factory,
-			core.Options{Workers: cfg.Workers})
-		if err != nil {
-			return time.Hour // poison: tuning converges immediately
-		}
-		return time.Since(start)
-	}
 	tuneStart := cfg.TuneStart
 	if tuneStart == 0 {
 		tuneStart = 4096
 	}
-	tn := core.Tune(bench, core.TuneOptions{
-		Start:            tuneStart,
-		TargetEfficiency: cfg.TuneTarget,
-		MaxBatch:         size,
-	})
-	return TuneResult{MinBatch: tn.MinBatch, Throughput: tn.Throughput}, nil
+	tn, err := cracker.Tune(ctx, job, cfg.Workers, core.TuneOptions{Start: tuneStart, TargetEfficiency: cfg.TuneTarget})
+	return TuneResult{MinBatch: tn.MinBatch, Throughput: tn.Throughput}, err
 }
 
 // searchLocal exhausts the requested interval in ProgressBatch-sized

@@ -11,133 +11,62 @@ import (
 	"keysearch/internal/telemetry"
 )
 
-// Router is the plane's HTTP face: the job API, unchanged —
-//
-//	POST /jobs                {tenant, priority, spec}  -> 201 + Job
-//	GET  /jobs[?tenant=t]                               -> [Job]
-//	GET  /jobs/{id}                                     -> Job
-//	POST /jobs/{id}/pause                               -> Job
-//	POST /jobs/{id}/resume                              -> Job
-//	POST /jobs/{id}/cancel    {reason?}                 -> Job
-//	GET  /jobs/{id}/events                              -> SSE Event stream
-//	GET  /events                                        -> SSE, all jobs
-//
-// plus one plane-only endpoint:
+// Router is the plane's HTTP face: the routes of jobs.API, served by
+// jobs.API itself with the router as its jobs.Backend, plus one
+// plane-only endpoint:
 //
 //	GET  /shards                                        -> topology
 //
-// A keyjob client cannot tell the router from a single service:
-// request and response shapes, status codes, and SSE framing are the
-// jobs API's own. Submissions route to the tenant's owning shard;
-// reads fan out and merge.
+// A keyjob client cannot tell the router from a single service —
+// requests are decoded, bounded, answered and streamed by the same
+// handler. Submissions route to the tenant's owning shard; reads fan
+// out and merge.
 type Router struct {
-	plane *Plane
-	tel   *routerTelemetry
-}
-
-type routerTelemetry struct {
-	reg     *telemetry.Registry
+	plane   *Plane
+	reg     *telemetry.Registry // nil = uncounted (nil counters are no-ops)
 	fanouts *telemetry.Counter
 	events  *telemetry.Counter
 }
 
-func newRouterTelemetry(reg *telemetry.Registry) *routerTelemetry {
-	rt := &routerTelemetry{reg: reg}
-	if reg == nil {
-		return rt
-	}
-	rt.fanouts = reg.Counter(telemetry.MetricShardFanouts)
-	rt.events = reg.Counter(telemetry.MetricShardEvents)
-	return rt
-}
-
-// submitsTo counts a routed submission on the owning shard's counter.
-func (rt *routerTelemetry) submitsTo(shard string) {
-	if rt.reg == nil {
-		return
-	}
-	rt.reg.Counter(telemetry.PerNode(telemetry.MetricShardSubmits, shard)).Inc()
-}
-
 // NewRouter builds the HTTP front end over a plane.
 func NewRouter(plane *Plane, reg *telemetry.Registry) *Router {
-	return &Router{plane: plane, tel: newRouterTelemetry(reg)}
+	return &Router{
+		plane:   plane,
+		reg:     reg,
+		fanouts: reg.Counter(telemetry.MetricShardFanouts),
+		events:  reg.Counter(telemetry.MetricShardEvents),
+	}
 }
 
-// Handler builds the routing table — the jobs API's, plus /shards.
+// Handler builds the routing table: the jobs API served over the router
+// (one handler, so status codes, body limits and SSE framing cannot
+// drift apart), plus /shards.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /jobs", rt.submit)
-	mux.HandleFunc("GET /jobs", rt.list)
-	mux.HandleFunc("GET /jobs/{id}", rt.get)
-	mux.HandleFunc("POST /jobs/{id}/pause", rt.lifecycle((*jobs.Service).Pause))
-	mux.HandleFunc("POST /jobs/{id}/resume", rt.lifecycle((*jobs.Service).Resume))
-	mux.HandleFunc("POST /jobs/{id}/cancel", rt.cancel)
-	mux.HandleFunc("GET /jobs/{id}/events", rt.events)
-	mux.HandleFunc("GET /events", rt.events)
+	mux.Handle("/", jobs.NewAPI(rt).Handler())
 	mux.HandleFunc("GET /shards", rt.shards)
 	return mux
 }
 
-// Wire shapes, duplicated from the jobs API on purpose: the router
-// must keep serving these exact encodings even if it one day fronts a
-// different backend.
-type submitRequest struct {
-	Tenant   string    `json:"tenant"`
-	Priority int       `json:"priority"`
-	Spec     jobs.Spec `json:"spec"`
-}
-
-type apiError struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
-}
-
-// writeErr maps service errors onto status codes exactly like the
-// single-service API: unknown job 404, forbidden transition 409,
-// everything else 400.
-func writeErr(w http.ResponseWriter, err error) {
-	code := http.StatusBadRequest
-	switch {
-	case errors.Is(err, jobs.ErrNotFound):
-		code = http.StatusNotFound
-	case errors.Is(err, jobs.ErrTransition):
-		code = http.StatusConflict
+// Submit routes a submission to the tenant's owning shard.
+func (rt *Router) Submit(tenant string, priority int, spec jobs.Spec) (jobs.Job, error) {
+	if tenant == "" {
+		return jobs.Job{}, errors.New("jobs: empty tenant")
 	}
-	writeJSON(w, code, apiError{Error: err.Error()})
+	sh := rt.plane.Owner(tenant)
+	j, err := sh.Service().Submit(tenant, priority, spec)
+	if err == nil && rt.reg != nil {
+		rt.reg.Counter(telemetry.PerNode(telemetry.MetricShardSubmits, sh.Name())).Inc()
+	}
+	return j, err
 }
 
-func (rt *Router) submit(w http.ResponseWriter, r *http.Request) {
-	var req submitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, fmt.Errorf("jobs: bad request body: %w", err))
-		return
-	}
-	if req.Tenant == "" {
-		writeErr(w, errors.New("jobs: empty tenant"))
-		return
-	}
-	sh := rt.plane.Owner(req.Tenant)
-	j, err := sh.Service().Submit(req.Tenant, req.Priority, req.Spec)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	rt.tel.submitsTo(sh.Name())
-	writeJSON(w, http.StatusCreated, j)
-}
-
-// mergedList fans a listing out across every shard and merges in
-// submission order (SubmittedAt, then ID for same-instant ties), which
-// is the order a single service would have returned.
-func (rt *Router) mergedList(tenant string) []jobs.Job {
-	rt.tel.fanouts.Inc()
-	var out []jobs.Job
+// List fans a listing out across every shard and merges in submission
+// order (SubmittedAt, then ID for same-instant ties), which is the
+// order a single service would have returned.
+func (rt *Router) List(tenant string) []jobs.Job {
+	rt.fanouts.Inc()
+	out := []jobs.Job{} // an empty listing encodes as [], like a single service's
 	for _, sh := range rt.plane.Shards() {
 		out = append(out, sh.Service().List(tenant)...)
 	}
@@ -150,24 +79,16 @@ func (rt *Router) mergedList(tenant string) []jobs.Job {
 	return out
 }
 
-func (rt *Router) list(w http.ResponseWriter, r *http.Request) {
-	out := rt.mergedList(r.URL.Query().Get("tenant"))
-	if out == nil {
-		out = []jobs.Job{}
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
 // resolve runs an operation against the job's shard: the ID prefix
 // names the owner directly; IDs minted outside this plane (an old
 // unprefixed store, say) fall back to asking every shard.
-func (rt *Router) resolve(id string, op func(*jobs.Service) (jobs.Job, error)) (jobs.Job, error) {
+func (rt *Router) resolve(id string, op func(*jobs.Service, string) (jobs.Job, error)) (jobs.Job, error) {
 	if sh := rt.plane.ByJobID(id); sh != nil {
-		return op(sh.Service())
+		return op(sh.Service(), id)
 	}
-	rt.tel.fanouts.Inc()
+	rt.fanouts.Inc()
 	for _, sh := range rt.plane.Shards() {
-		j, err := op(sh.Service())
+		j, err := op(sh.Service(), id)
 		if err == nil || !errors.Is(err, jobs.ErrNotFound) {
 			return j, err
 		}
@@ -175,123 +96,20 @@ func (rt *Router) resolve(id string, op func(*jobs.Service) (jobs.Job, error)) (
 	return jobs.Job{}, fmt.Errorf("%w: %s", jobs.ErrNotFound, id)
 }
 
-func (rt *Router) get(w http.ResponseWriter, r *http.Request) {
-	j, err := rt.resolve(r.PathValue("id"), func(svc *jobs.Service) (jobs.Job, error) {
-		return svc.Get(r.PathValue("id"))
-	})
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, j)
+// Get, Pause, Resume and Cancel run on the job's own shard.
+func (rt *Router) Get(id string) (jobs.Job, error)    { return rt.resolve(id, (*jobs.Service).Get) }
+func (rt *Router) Pause(id string) (jobs.Job, error)  { return rt.resolve(id, (*jobs.Service).Pause) }
+func (rt *Router) Resume(id string) (jobs.Job, error) { return rt.resolve(id, (*jobs.Service).Resume) }
+func (rt *Router) Cancel(id, reason string) (jobs.Job, error) {
+	return rt.resolve(id, func(svc *jobs.Service, id string) (jobs.Job, error) { return svc.Cancel(id, reason) })
 }
 
-func (rt *Router) lifecycle(op func(*jobs.Service, string) (jobs.Job, error)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		id := r.PathValue("id")
-		j, err := rt.resolve(id, func(svc *jobs.Service) (jobs.Job, error) {
-			return op(svc, id)
-		})
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, j)
-	}
-}
-
-func (rt *Router) cancel(w http.ResponseWriter, r *http.Request) {
-	var body struct {
-		Reason string `json:"reason"`
-	}
-	_ = json.NewDecoder(r.Body).Decode(&body) // empty body = no reason
-	id := r.PathValue("id")
-	j, err := rt.resolve(id, func(svc *jobs.Service) (jobs.Job, error) {
-		return svc.Cancel(id, body.Reason)
-	})
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, j)
-}
-
-// events streams merged SSE across every shard, same framing and
-// semantics as the single-service handler: snapshot prologue, then
-// live events; single-job streams end at a terminal state. The
-// subscription is taken before the snapshot, so an event raced with
-// the prologue is duplicated (a snapshot re-send), never lost — the
-// jobs API's own guarantee.
-func (rt *Router) events(w http.ResponseWriter, r *http.Request) {
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeJSON(w, http.StatusNotImplemented, apiError{Error: "jobs: streaming unsupported"})
-		return
-	}
-	jobID := r.PathValue("id")
-	if jobID != "" {
-		if _, err := rt.resolve(jobID, func(svc *jobs.Service) (jobs.Job, error) {
-			return svc.Get(jobID)
-		}); err != nil {
-			writeErr(w, err)
-			return
-		}
-	}
-	ch, cancel := rt.plane.Watch(jobID)
-	defer cancel()
-
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
-
-	send := func(ev jobs.Event) bool {
-		data, err := json.Marshal(ev)
-		if err != nil {
-			return false
-		}
-		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, data); err != nil {
-			return false
-		}
-		flusher.Flush()
-		rt.tel.events.Inc()
-		return true
-	}
-
-	if jobID != "" {
-		j, err := rt.resolve(jobID, func(svc *jobs.Service) (jobs.Job, error) {
-			return svc.Get(jobID)
-		})
-		if err != nil || !send(jobs.Event{Type: jobs.EventState, Job: j}) {
-			return
-		}
-		if j.State.Terminal() {
-			return
-		}
-	} else {
-		for _, j := range rt.mergedList("") {
-			if !send(jobs.Event{Type: jobs.EventState, Job: j}) {
-				return
-			}
-		}
-	}
-
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case ev, ok := <-ch:
-			if !ok {
-				return
-			}
-			if !send(ev) {
-				return
-			}
-			if jobID != "" && ev.Job.State.Terminal() {
-				return
-			}
-		}
-	}
+// Watch merges the event streams of every shard (Plane.Watch), counting
+// each merged event. The subscription is taken before the API's
+// snapshot prologue, so an event raced with the prologue is duplicated
+// (a snapshot re-send), never lost — the jobs API's own guarantee.
+func (rt *Router) Watch(jobID string) (<-chan jobs.Event, func()) {
+	return rt.plane.Watch(jobID, rt.events)
 }
 
 // shardInfo is one /shards entry.
@@ -320,5 +138,6 @@ func (rt *Router) shards(w http.ResponseWriter, r *http.Request) {
 			Acked: sh.Acked(),
 		})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(resp)
 }

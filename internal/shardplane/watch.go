@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"keysearch/internal/jobs"
+	"keysearch/internal/telemetry"
 )
 
 // planeWatch merges the event streams of every shard into one channel.
@@ -14,11 +15,12 @@ import (
 // replaced after promotion, its pump is re-attached to the new service
 // so the subscription rides across the failover.
 type planeWatch struct {
-	plane *Plane
-	jobID string // "" = all jobs
-	out   chan jobs.Event
-	done  chan struct{}
-	stop  sync.Once
+	plane  *Plane
+	jobID  string // "" = all jobs
+	out    chan jobs.Event
+	done   chan struct{}
+	stop   sync.Once
+	merged *telemetry.Counter // events forwarded into out (nil = uncounted)
 
 	mu    sync.Mutex
 	pumps map[string]*pump // by shard name
@@ -34,14 +36,16 @@ type pump struct {
 // shard. The returned channel is never closed — like the hub, the
 // plane drops events for a subscriber that stops draining; callers end
 // the watch with the cancel function (SSE handlers tie it to the
-// request context). The buffer absorbs cross-shard bursts.
-func (p *Plane) Watch(jobID string) (<-chan jobs.Event, func()) {
+// request context). The buffer absorbs cross-shard bursts. merged, when
+// non-nil, counts every event forwarded into the merged channel.
+func (p *Plane) Watch(jobID string, merged *telemetry.Counter) (<-chan jobs.Event, func()) {
 	w := &planeWatch{
-		plane: p,
-		jobID: jobID,
-		out:   make(chan jobs.Event, 256),
-		done:  make(chan struct{}),
-		pumps: make(map[string]*pump),
+		plane:  p,
+		jobID:  jobID,
+		out:    make(chan jobs.Event, 256),
+		done:   make(chan struct{}),
+		merged: merged,
+		pumps:  make(map[string]*pump),
 	}
 	p.mu.Lock()
 	p.watchers[w] = true
@@ -78,6 +82,7 @@ func (w *planeWatch) attach(sh *Shard) {
 				}
 				select {
 				case w.out <- ev:
+					w.merged.Inc()
 				case <-w.done:
 					cancel()
 					return
