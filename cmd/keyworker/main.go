@@ -31,8 +31,8 @@ func main() {
 		reconnect   = flag.Bool("reconnect", false, "re-dial the master after transient failures")
 		attempts    = flag.Int("reconnect-attempts", 8, "consecutive failed dials before giving up")
 		statusEvery = flag.Duration("status-every", 0, "log a one-line telemetry status at this interval (0 disables)")
-		pbatch      = flag.Uint64("progress-batch", 0, "search granularity in keys: progress marks, steal boundaries and cancellation land on multiples of it (0 = 65536)")
-		throttle    = flag.Duration("throttle", 0, "sleep after every completed search batch — fakes a straggler for steal rehearsals (0 disables)")
+		pbatch      = flag.Uint64("progress-batch", 0, "keys a search thread claims at a time: progress marks, steal boundaries and cancellation land on multiples of it (0 = at most 16384, less when a lease is short enough that every thread should still get a share)")
+		throttle    = flag.Duration("throttle", 0, "park each search thread this long after every batch it completes — fakes a straggler for steal rehearsals (0 disables)")
 	)
 	flag.Parse()
 

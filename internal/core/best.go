@@ -3,16 +3,10 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
-	"math/big"
-	"runtime"
-	"sync"
 
 	"keysearch/internal/keyspace"
 )
-
-func defaultWorkers() int { return runtime.NumCPU() }
 
 // ScoreFunc evaluates a candidate; lower is better. It is the §III.A
 // variant where "the test function C returns 0 when it can confidently
@@ -41,99 +35,46 @@ func (b *Best) merge(other Best) {
 }
 
 // SearchBest exhaustively minimizes score over the interval: every worker
-// walks its chunks with the next operator keeping a private minimum, and
-// the minima are merged when the interval is exhausted. Unlike Search
-// there is no early exit — the minimum is only known once everything has
-// been evaluated, which is exactly why the dispatch cost model gains the
-// K_CM term.
+// walks its chunks with the next operator keeping a private minimum, merged
+// into the shared one after each chunk. Unlike Search there is no early
+// exit — the minimum is only known once everything has been evaluated,
+// which is exactly why the dispatch cost model gains the K_CM term.
 func SearchBest(ctx context.Context, factory Factory, iv keyspace.Interval, newScore ScoreFactory, opt Options) (*Best, uint64, error) {
 	if factory == nil || newScore == nil {
 		return nil, 0, errors.New("core: nil factory or score factory")
 	}
-	size := factory.Size()
-	if iv.Start.Sign() < 0 || iv.End.Cmp(size) > 0 {
-		return nil, 0, fmt.Errorf("core: interval %v outside space [0, %v)", iv, size)
+	p, err := newPool(factory, iv, opt)
+	if err != nil {
+		return nil, 0, err
 	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = defaultWorkers()
-	}
-	chunk := opt.ChunkSize
-	if chunk == 0 {
-		chunk = defaultChunkSize
-	}
-
-	var (
-		mu     sync.Mutex
-		cursor = new(big.Int).Set(iv.Start)
-		best   = &Best{Score: math.Inf(1)}
-		tested uint64
-	)
-	claim := func() (*big.Int, uint64) {
-		mu.Lock()
-		defer mu.Unlock()
-		if cursor.Cmp(iv.End) >= 0 {
-			return nil, 0
-		}
-		remaining := new(big.Int).Sub(iv.End, cursor)
-		n := chunk
-		if remaining.IsUint64() && remaining.Uint64() < n {
-			n = remaining.Uint64()
-		}
-		start := new(big.Int).Set(cursor)
-		cursor.Add(cursor, new(big.Int).SetUint64(n))
-		return start, n
-	}
-
-	var wg sync.WaitGroup
-	errCh := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			enum := factory.NewEnumerator()
-			score := newScore()
-			local := Best{Score: math.Inf(1)}
-			localTested := uint64(0)
-			defer func() {
-				mu.Lock()
-				best.merge(local)
-				tested += localTested
-				mu.Unlock()
-			}()
-			for {
-				if ctx.Err() != nil {
-					return
+	best := &Best{Score: math.Inf(1)}
+	tested := uint64(0)
+	err = p.run(ctx, func() walkFunc {
+		score := newScore()
+		local := Best{Score: math.Inf(1)}
+		return func(enum Enumerator, n uint64) bool {
+			for i := uint64(0); i < n; i++ {
+				cand := enum.Candidate()
+				if s := score(cand); s < local.Score {
+					local.Score = s
+					local.Candidate = append(local.Candidate[:0], cand...)
 				}
-				start, n := claim()
-				if n == 0 {
-					return
-				}
-				if err := enum.Seek(start); err != nil {
-					errCh <- err
-					return
-				}
-				for i := uint64(0); i < n; i++ {
-					cand := enum.Candidate()
-					localTested++
-					if s := score(cand); s < local.Score {
-						local.Score = s
-						local.Candidate = append(local.Candidate[:0], cand...)
-					}
-					if i+1 < n && !enum.Next() {
-						errCh <- fmt.Errorf("core: enumerator exhausted early")
-						return
-					}
+				if i+1 < n && !enum.Next() {
+					p.errCh <- errors.New("core: enumerator exhausted early")
+					return false
 				}
 			}
-		}()
+			p.mu.Lock()
+			best.merge(local)
+			tested += n
+			p.mu.Unlock()
+			return true
+		}
+	})
+	if err == nil {
+		err = ctx.Err()
 	}
-	wg.Wait()
-	close(errCh)
-	if err := <-errCh; err != nil {
-		return nil, tested, err
-	}
-	if err := ctx.Err(); err != nil {
+	if err != nil {
 		return nil, tested, err
 	}
 	if best.Candidate == nil {

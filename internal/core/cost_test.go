@@ -135,10 +135,13 @@ func TestTune(t *testing.T) {
 		xPeak = 1e6  // keys/s
 		t0    = 5e-3 // 5ms fixed overhead per batch
 	)
-	bench := func(n uint64) time.Duration {
-		return time.Duration((t0 + float64(n)/xPeak) * float64(time.Second))
+	bench := func(n uint64) (time.Duration, error) {
+		return time.Duration((t0 + float64(n)/xPeak) * float64(time.Second)), nil
 	}
-	tn := Tune(bench, TuneOptions{Start: 1024, TargetEfficiency: 0.9})
+	tn, err := Tune(bench, TuneOptions{Start: 1024, TargetEfficiency: 0.9})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if tn.Throughput < 0.9*xPeak || tn.Throughput > 1.1*xPeak {
 		t.Errorf("estimated X = %v, want ≈ %v", tn.Throughput, xPeak)
 	}
@@ -151,8 +154,11 @@ func TestTune(t *testing.T) {
 }
 
 func TestTuneMaxBatchCap(t *testing.T) {
-	bench := func(n uint64) time.Duration { return time.Second } // flat: never efficient
-	tn := Tune(bench, TuneOptions{Start: 16, TargetEfficiency: 0.99, MaxBatch: 1 << 12})
+	bench := func(n uint64) (time.Duration, error) { return time.Second, nil } // flat: never efficient
+	tn, err := Tune(bench, TuneOptions{Start: 16, TargetEfficiency: 0.99, MaxBatch: 1 << 12})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if tn.MinBatch > 1<<12 {
 		t.Errorf("batch %d exceeded cap", tn.MinBatch)
 	}

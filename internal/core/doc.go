@@ -13,8 +13,9 @@
 //
 //   - Search, a multi-worker engine that partitions an identifier interval
 //     into chunks, walks each chunk with the next operator, and supports
-//     early termination, progress reporting and exact accounting of the
-//     number of candidates tested;
+//     early termination, exact accounting of the number of candidates
+//     tested, and a Live handle through which a caller follows the
+//     tested prefix and shrinks the interval while the search runs;
 //   - the cost model of §III.A (CostModel, DispatchCost) with the
 //     K_f / K_next / K_C decomposition and the dispatch bounds on K_D;
 //   - the load-balancing rule of the paper (Balance): given per-node tuning

@@ -4,9 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/big"
-	"runtime"
-	"sync"
 	"time"
 
 	"keysearch/internal/keyspace"
@@ -20,19 +17,24 @@ type Options struct {
 	// pattern (the GPU-thread analogue on a CPU).
 	Workers int
 	// ChunkSize is the number of candidate identifiers a worker claims at a
-	// time; 0 means a heuristic default. Chunks are the intra-node
-	// granularity knob: large enough to amortize claiming overhead (the
-	// paper's n_j tuning at thread scale), small enough to balance load.
+	// time; 0 derives it from the inputs: defaultChunkSize, or an even
+	// share of the interval per goroutine when that is smaller, so a short
+	// interval is never handed whole to one goroutine. Chunks are the
+	// intra-node granularity knob: large enough to amortize claiming
+	// overhead (the paper's n_j tuning at thread scale), small enough to
+	// balance load. Live marks and shrink boundaries land on multiples of
+	// it.
 	ChunkSize uint64
 	// MaxSolutions stops the search once that many solutions are found;
 	// 0 means exhaust the interval.
 	MaxSolutions int
-	// Progress, when non-nil, is called roughly every ProgressEvery tested
-	// candidates with the cumulative count. Used by dispatchers to gather
-	// periodic status (§III: "collect periodically a fairly small amount
-	// of data from each device").
-	Progress      func(tested uint64)
-	ProgressEvery uint64
+	// Live, when non-nil, is a fresh NewLive handle for the searched
+	// interval: it receives the tested-prefix mark after every chunk and
+	// lets the caller shrink the search while it runs. Used by dispatchers
+	// to gather periodic status (§III: "collect periodically a fairly
+	// small amount of data from each device") and to steal a straggler's
+	// tail.
+	Live *Live
 	// Telemetry, when non-nil, receives the core.tested counter and
 	// core.rate meter. Updates are batched per claimed chunk, so the
 	// per-candidate hot loop is untouched and the overhead is one atomic
@@ -40,7 +42,12 @@ type Options struct {
 	Telemetry *telemetry.Registry
 }
 
-const defaultChunkSize = 1 << 14
+const (
+	defaultChunkSize = 1 << 14
+	// minChunkSize floors the derived claim size: below it a claim's lock
+	// and Seek are no longer amortized over the candidates it hands out.
+	minChunkSize = 1 << 8
+)
 
 // Result reports the outcome of a Search run.
 type Result struct {
@@ -85,137 +92,63 @@ func SearchEach(ctx context.Context, factory Factory, iv keyspace.Interval, newT
 	if factory == nil || newTest == nil {
 		return nil, errors.New("core: nil factory or test factory")
 	}
-	size := factory.Size()
-	if iv.Start.Sign() < 0 || iv.End.Cmp(size) > 0 {
-		return nil, fmt.Errorf("core: interval %v outside space [0, %v)", iv, size)
+	p, err := newPool(factory, iv, opt)
+	if err != nil {
+		return nil, err
 	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	chunk := opt.ChunkSize
-	if chunk == 0 {
-		chunk = defaultChunkSize
-	}
-
 	start := time.Now()
 	res := &Result{}
-	total := iv.Len()
-	if total.Sign() == 0 {
-		res.Exhausted = true
-		return res, ctx.Err()
-	}
-
-	var (
-		mu        sync.Mutex // guards cursor, res.Solutions, stop bookkeeping
-		cursor    = new(big.Int).Set(iv.Start)
-		stopped   bool
-		testedAll uint64
-		progAccum uint64
-	)
-	progEvery := opt.ProgressEvery
-	if progEvery == 0 {
-		progEvery = chunk
-	}
-
-	claim := func() (startID *big.Int, n uint64) {
-		mu.Lock()
-		defer mu.Unlock()
-		if stopped || cursor.Cmp(iv.End) >= 0 {
-			return nil, 0
-		}
-		remaining := new(big.Int).Sub(iv.End, cursor)
-		n = chunk
-		if remaining.IsUint64() && remaining.Uint64() < n {
-			n = remaining.Uint64()
-		}
-		startID = new(big.Int).Set(cursor)
-		cursor.Add(cursor, new(big.Int).SetUint64(n))
-		return startID, n
-	}
-
+	errCh := p.errCh
 	testedCtr := opt.Telemetry.Counter(telemetry.MetricCoreTested)
 	rateMeter := opt.Telemetry.Meter(telemetry.MetricCoreRate)
 
 	report := func(found [][]byte, tested uint64) {
 		testedCtr.Add(tested)
 		rateMeter.Mark(tested)
-		mu.Lock()
-		defer mu.Unlock()
-		testedAll += tested
-		progAccum += tested
-		if opt.Progress != nil && progAccum >= progEvery {
-			opt.Progress(testedAll)
-			progAccum = 0
-		}
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		res.Tested += tested
 		if len(found) > 0 {
 			res.Solutions = append(res.Solutions, found...)
 			if opt.MaxSolutions > 0 && len(res.Solutions) >= opt.MaxSolutions {
-				stopped = true
+				p.stopped = true
 			}
 		}
 	}
 
-	var wg sync.WaitGroup
-	errCh := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			enum := factory.NewEnumerator()
-			test := newTest()
-			for {
-				if ctx.Err() != nil {
-					return
+	err = p.run(ctx, func() walkFunc {
+		test := newTest()
+		// The bare return inside the loop reports ok = false: the chunk
+		// was cut short and its error is on errCh.
+		return func(enum Enumerator, n uint64) (ok bool) {
+			var found [][]byte
+			tested := uint64(0)
+			//keyvet:hotloop
+			for i := uint64(0); i < n; i++ {
+				cand := enum.Candidate()
+				tested++
+				if test(cand) {
+					// Solutions are vanishingly rare; copying out of
+					// the enumerator's reused buffer on a match is the
+					// one allocation this loop may make.
+					cp := make([]byte, len(cand)) //keyvet:allow hotloop
+					copy(cp, cand)
+					found = append(found, cp) //keyvet:allow hotloop
 				}
-				startID, n := claim()
-				if n == 0 {
-					return
-				}
-				if err := enum.Seek(startID); err != nil {
-					errCh <- err
-					return
-				}
-				var found [][]byte
-				tested := uint64(0)
-				//keyvet:hotloop
-				for i := uint64(0); i < n; i++ {
-					cand := enum.Candidate()
-					tested++
-					if test(cand) {
-						// Solutions are vanishingly rare; copying out of
-						// the enumerator's reused buffer on a match is the
-						// one allocation this loop may make.
-						cp := make([]byte, len(cand)) //keyvet:allow hotloop
-						copy(cp, cand)
-						found = append(found, cp) //keyvet:allow hotloop
-					}
-					if i+1 < n && !enum.Next() {
-						errCh <- fmt.Errorf("core: enumerator exhausted %d candidates early", n-i-1) //keyvet:allow hotloop (fatal exit path)
-						report(found, tested)
-						return
-					}
-				}
-				report(found, tested)
-				mu.Lock()
-				done := stopped
-				mu.Unlock()
-				if done {
+				if i+1 < n && !enum.Next() {
+					errCh <- fmt.Errorf("core: enumerator exhausted %d candidates early", n-i-1) //keyvet:allow hotloop (fatal exit path)
+					report(found, tested)
 					return
 				}
 			}
-		}()
-	}
-	wg.Wait()
-	close(errCh)
-	if err := <-errCh; err != nil {
+			report(found, tested)
+			return true
+		}
+	})
+	if err != nil {
 		return nil, err
 	}
-
-	res.Tested = testedAll
 	res.Elapsed = time.Since(start)
-	mu.Lock()
-	res.Exhausted = !stopped && cursor.Cmp(iv.End) >= 0 && ctx.Err() == nil
-	mu.Unlock()
+	res.Exhausted = p.exhausted() && ctx.Err() == nil
 	return res, ctx.Err()
 }

@@ -167,8 +167,8 @@ func TestSearchProgress(t *testing.T) {
 	var last uint64
 	_, err := Search(context.Background(), KeyspaceFactory(space), space.Whole(),
 		func(c []byte) bool { return false },
-		Options{Workers: 1, ChunkSize: 100, ProgressEvery: 100,
-			Progress: func(tested uint64) { atomic.AddInt32(&calls, 1); last = tested }})
+		Options{Workers: 1, ChunkSize: 100,
+			Live: NewLive(space.Whole(), func(tested uint64) { atomic.AddInt32(&calls, 1); last = tested })})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@ import "time"
 // took. Implementations may actually search (real nodes) or consult a
 // performance model (simulated nodes); the paper allows both ("the tuning
 // step could be skipped when a performance model ... is available").
-type BenchFunc func(n uint64) time.Duration
+type BenchFunc func(n uint64) (time.Duration, error)
 
 // TuneOptions configures the tuning step.
 type TuneOptions struct {
@@ -24,8 +24,10 @@ type TuneOptions struct {
 // with doubling batch sizes, fits the latency-throughput model
 // t(n) = t0 + n/X_peak to successive measurements, and stops when the
 // measured efficiency n/(t(n)·X_peak) reaches the target. It returns the
-// minimum efficient batch n_j and the peak throughput estimate X_j.
-func Tune(bench BenchFunc, opt TuneOptions) Tuning {
+// minimum efficient batch n_j and the peak throughput estimate X_j, or the
+// first error bench reports: a probe that did not run measures nothing, and
+// a made-up sample would reach the balance rule as a real share.
+func Tune(bench BenchFunc, opt TuneOptions) (Tuning, error) {
 	n := opt.Start
 	if n == 0 {
 		n = 1024
@@ -43,7 +45,11 @@ func Tune(bench BenchFunc, opt TuneOptions) Tuning {
 	prevT := 0.0
 	best := Tuning{MinBatch: n}
 	for {
-		t := bench(n).Seconds()
+		d, err := bench(n)
+		if err != nil {
+			return Tuning{}, err
+		}
+		t := d.Seconds()
 		if t <= 0 {
 			t = 1e-12
 		}
@@ -62,7 +68,7 @@ func Tune(bench BenchFunc, opt TuneOptions) Tuning {
 		// (xPeak == xObs trivially), so convergence is only tested from the
 		// second measurement on.
 		if (prevN > 0 && xObs >= target*xPeak) || n >= maxBatch {
-			return best
+			return best, nil
 		}
 		prevN, prevT = n, t
 		if n > maxBatch/2 {

@@ -94,18 +94,16 @@ func CrackInterval(ctx context.Context, job *Job, iv keyspace.Interval, opt core
 // and returns every preimage (hash collisions within the space included).
 func CrackAll(ctx context.Context, job *Job, iv keyspace.Interval, opt core.Options) (*core.Result, error) {
 	opt.MaxSolutions = -1 // negative disables the early stop
-	factory, err := job.TestFactory()
-	if err != nil {
-		return nil, err
-	}
-	return core.SearchEach(ctx, core.KeyspaceFactory(job.Space), iv, factory, opt)
+	return CrackInterval(ctx, job, iv, opt)
 }
 
 // Tune is the paper's tuning step run honestly on the local engine: it
 // searches doubling batches from the start of the job's own space with
-// workers goroutines (0 = NumCPU) and fits the latency/throughput model
-// (core.Tune). opt.MaxBatch is set to the space size.
-func Tune(ctx context.Context, job *Job, workers int, opt core.TuneOptions) (core.Tuning, error) {
+// workers goroutines (0 = NumCPU), starting at start candidates (0 = 4096)
+// and capped at the space size, and fits the latency/throughput model
+// (core.Tune) to its 0.9 efficiency target. A probe that fails or is
+// cancelled fails the tuning step.
+func Tune(ctx context.Context, job *Job, workers int, start uint64) (core.Tuning, error) {
 	factory, err := job.TestFactory()
 	if err != nil {
 		return core.Tuning{}, err
@@ -114,18 +112,14 @@ func Tune(ctx context.Context, job *Job, workers int, opt core.TuneOptions) (cor
 	if !ok {
 		size = 1 << 62
 	}
-	bench := func(n uint64) time.Duration {
-		if n > size {
-			n = size
-		}
-		start := time.Now()
-		iv := keyspace.Interval{Start: new(big.Int), End: new(big.Int).SetUint64(n)}
-		if _, err := core.SearchEach(ctx, core.KeyspaceFactory(job.Space), iv, factory,
-			core.Options{Workers: workers}); err != nil {
-			return time.Hour // poison on error/cancel: tuning stops growing
-		}
-		return time.Since(start)
+	if start == 0 {
+		start = 4096
 	}
-	opt.MaxBatch = size
-	return core.Tune(bench, opt), nil
+	bench := func(n uint64) (time.Duration, error) {
+		t0 := time.Now()
+		iv := keyspace.Interval{Start: new(big.Int), End: new(big.Int).SetUint64(min(n, size))}
+		_, err := core.SearchEach(ctx, core.KeyspaceFactory(job.Space), iv, factory, core.Options{Workers: workers})
+		return time.Since(t0), err
+	}
+	return core.Tune(bench, core.TuneOptions{Start: start, TargetEfficiency: 0.9, MaxBatch: size})
 }

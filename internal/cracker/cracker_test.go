@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/md5"
 	"crypto/sha1"
+	"errors"
 	"testing"
 
 	"keysearch/internal/core"
@@ -346,5 +347,21 @@ func BenchmarkLongPrefixNaiveRehash(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k.Test(key)
+	}
+}
+
+// TestTuneFailsClosed: a probe that did not run is not a sample. Tune used
+// to turn a failed or cancelled search into a fake one-hour measurement and
+// return {MinBatch: 8192, Throughput: 2.28} as a success — a non-zero share
+// once it reaches the balance rule.
+func TestTuneFailsClosed(t *testing.T) {
+	job := &Job{Algorithm: MD5, Target: MD5.HashKey([]byte("zzzz")), Space: space(t, keyspace.Lower, 1, 4)}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if tn, err := Tune(ctx, job, 1, 0); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled Tune = %+v, %v; want context.Canceled", tn, err)
+	}
+	if tn, err := Tune(context.Background(), job, 1, 0); err != nil || tn.MinBatch == 0 || tn.Throughput <= 0 {
+		t.Errorf("live Tune = %+v, %v", tn, err)
 	}
 }

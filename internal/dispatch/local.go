@@ -2,11 +2,11 @@ package dispatch
 
 import (
 	"context"
-	"time"
 
 	"keysearch/internal/core"
 	"keysearch/internal/cracker"
 	"keysearch/internal/keyspace"
+	"keysearch/internal/sim"
 )
 
 // LocalWorker runs a cracking job on local goroutines — the in-process
@@ -30,18 +30,25 @@ func (w *LocalWorker) Name() string { return w.name }
 
 // Tune benchmarks the local engine with doubling batches.
 func (w *LocalWorker) Tune(ctx context.Context) (core.Tuning, error) {
-	return cracker.Tune(ctx, w.job, w.workers, core.TuneOptions{Start: 4096, TargetEfficiency: 0.9})
+	return cracker.Tune(ctx, w.job, w.workers, 0)
 }
 
 // Search exhausts the interval, returning every match (the dispatcher
-// layer owns early stopping). On error — including cancellation — no
-// Report is returned: per the Worker contract the dispatcher treats the
-// whole interval as unsearched and requeues it.
+// layer owns early stopping).
 func (w *LocalWorker) Search(ctx context.Context, iv keyspace.Interval) (*Report, error) {
-	start := time.Now()
-	res, err := cracker.CrackAll(ctx, w.job, iv, core.Options{Workers: w.workers})
+	return SearchLocal(ctx, sim.Wall{}, w.job, iv, core.Options{Workers: w.workers})
+}
+
+// SearchLocal exhausts iv on the local engine and wraps the outcome as a
+// Report timed on clk — the one leaf search under LocalWorker, the job
+// service's local executor and the TCP worker. On error — including
+// cancellation — no Report is returned: per the Worker contract the caller
+// treats the whole interval as unsearched and requeues it.
+func SearchLocal(ctx context.Context, clk sim.Clock, job *cracker.Job, iv keyspace.Interval, opt core.Options) (*Report, error) {
+	start := clk.Now()
+	res, err := cracker.CrackAll(ctx, job, iv, opt)
 	if err != nil {
 		return nil, err
 	}
-	return &Report{Found: res.Solutions, Tested: res.Tested, Elapsed: time.Since(start)}, nil
+	return &Report{Found: res.Solutions, Tested: res.Tested, Elapsed: clk.Since(start)}, nil
 }

@@ -117,13 +117,7 @@ func (e *LocalExecutor) Search(ctx context.Context, spec Spec, iv keyspace.Inter
 	if err != nil {
 		return nil, err
 	}
-	clk := e.clock()
-	start := clk.Now()
-	res, err := cracker.CrackAll(ctx, job, iv, core.Options{Workers: e.workers})
-	if err != nil {
-		return nil, err
-	}
-	return &dispatch.Report{Found: res.Solutions, Tested: res.Tested, Elapsed: clk.Since(start)}, nil
+	return dispatch.SearchLocal(ctx, e.clock(), job, iv, core.Options{Workers: e.workers})
 }
 
 func (e *LocalExecutor) job(spec Spec) (*cracker.Job, error) {

@@ -2,9 +2,13 @@ package netproto
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"math/big"
 	"testing"
+
+	"keysearch/internal/core"
+	"keysearch/internal/keyspace"
 )
 
 // FuzzReadFrame: arbitrary bytes must never panic or over-allocate.
@@ -178,13 +182,17 @@ func FuzzJobRoundTrip(f *testing.F) {
 // worker-side shrink state they drive. The codec half: torn, reordered
 // or otherwise corrupted Progress/Shrink/ShrinkAck payloads must never
 // panic, and whatever decodes must survive a semantic round trip. The
-// state half: the same bytes, read as a script of batch advances and
-// shrink requests (including stale-seq ones, which must be inert),
-// drive a shrinkState through its batch loop — the invariant
-// limit >= busyTo >= done must hold after every step, an honored shrink
-// must land at a boundary >= both the request and the batch in flight,
-// and the search must end having tested exactly its final limit.
+// state half: the same bytes, read as a script of shrink requests
+// (including stale-seq ones, which must be inert), land one per batch on
+// the core.Live of a real search while that batch is in flight — an
+// honored shrink must land at a boundary >= both the request and the
+// batch in flight and below the previous limit, a refused one must move
+// nothing, and the search must end having tested exactly its final limit.
 func FuzzProgressFrames(f *testing.F) {
+	space, err := keyspace.New(keyspace.Lower, 1, 3, keyspace.PrefixMajor)
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(EncodeProgress(Progress{Seq: 1, Done: 64}))
 	f.Add(EncodeShrink(Shrink{Seq: 1, Keep: 4096}))
 	f.Add(EncodeShrink(Shrink{Seq: 99, Keep: 0})) // stale seq, then cancel form
@@ -213,64 +221,39 @@ func FuzzProgressFrames(f *testing.F) {
 			}
 		}
 
-		// Script half: alternate batch advances with shrink attempts drawn
-		// from the fuzz bytes, mirroring searchLocal's loop shape.
+		// Script half: a one-goroutine search in 64-key batches; the
+		// first candidate of batch i applies data[i] the way the worker's
+		// read loop would interleave a MsgShrink.
 		const batch, searchSeq = 64, uint64(7)
-		ss := &shrinkState{seq: searchSeq, limit: 1 << 12}
-		check := func(where string) {
-			if ss.limit < ss.busyTo || ss.busyTo < ss.done {
-				t.Fatalf("%s: invariant broken: limit %d busyTo %d done %d", where, ss.limit, ss.busyTo, ss.done)
-			}
-		}
-		var done uint64
-		for i := 0; done < ss.limit; i++ {
-			// The search goroutine claims the next batch...
-			ss.mu.Lock()
-			next := done + batch
-			if next > ss.limit {
-				next = ss.limit
-			}
-			ss.busyTo = next
-			ss.mu.Unlock()
-			check("claim")
-
-			// ...and the read loop may interleave a shrink request.
-			if i < len(data) {
+		iv := keyspace.NewInterval(0, 1<<12)
+		live := core.NewLive(iv, nil)
+		limit, n := uint64(1<<12), uint64(0)
+		test := func([]byte) bool {
+			if i := n / batch; n%batch == 0 && i < uint64(len(data)) {
 				b := data[i]
 				keep := uint64(b>>2) * batch / 2 // deliberately off-boundary half the time
+				// Other seqs never reach the handle (inert by the seq
+				// guard in the worker's MsgShrink case).
 				if seq := searchSeq + uint64(b&3)/2; seq == searchSeq {
-					before := ss.limit
-					cut, ok := ss.shrink(keep)
-					check("shrink")
-					if ok {
-						if cut < keep || cut < ss.busyTo || cut > before {
-							t.Fatalf("shrink(%d) acked %d with busyTo %d limit %d", keep, cut, ss.busyTo, before)
+					busyTo := min(n+batch, limit)
+					if cut, ok := live.Shrink(keep); ok {
+						if cut < keep || cut < busyTo || cut >= limit {
+							t.Fatalf("shrink(%d) acked %d with busyTo %d limit %d", keep, cut, busyTo, limit)
 						}
-					} else if ss.limit != before {
-						t.Fatalf("refused shrink moved the limit %d -> %d", before, ss.limit)
+						limit = cut
 					}
 				}
-				// Other seqs: the read loop never touches ss (inert by the
-				// seq guard in the worker's MsgShrink case).
 			}
-
-			// The batch completes up to the (possibly lowered) limit.
-			ss.mu.Lock()
-			if next > ss.limit {
-				next = ss.limit
-			}
-			if next > done {
-				done = next
-			}
-			ss.done = done
-			if ss.busyTo < ss.done {
-				ss.busyTo = ss.done
-			}
-			ss.mu.Unlock()
-			check("complete")
+			n++
+			return false
 		}
-		if done != ss.limit {
-			t.Fatalf("search ended at %d, final limit %d", done, ss.limit)
+		res, err := core.Search(context.Background(), core.KeyspaceFactory(space), iv, test,
+			core.Options{Workers: 1, ChunkSize: batch, Live: live})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Tested != limit || n != limit {
+			t.Fatalf("search tested %d keys (%d calls), final limit %d", res.Tested, n, limit)
 		}
 	})
 }

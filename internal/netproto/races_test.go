@@ -398,3 +398,65 @@ func TestCancelAtSearchCompletionKeepsCoverageExact(t *testing.T) {
 		t.Fatalf("only %d search completions; the cancel-at-completion schedule never fired", completions.Load())
 	}
 }
+
+// TestCancelledTuneAnswersError: a tuning step cut short by a local
+// shutdown must answer MsgError, never a MsgTuneResult — the master would
+// feed the invented throughput to the balance rule as a real share. The
+// shutdown goroutine is parked before it hangs up, so whatever the tune
+// goroutine answers reaches the wire.
+func TestCancelledTuneAnswersError(t *testing.T) {
+	claimed := make(chan struct{})
+	releaseShutdown := make(chan struct{})
+	var once sync.Once
+	onClaimed := func(worker string) {
+		if worker != "cancelled-tune-w" {
+			return
+		}
+		once.Do(func() {
+			close(claimed)
+			<-releaseShutdown
+		})
+	}
+	testHookRequeueClaimed.Store(&onClaimed)
+	defer testHookRequeueClaimed.Store(nil)
+
+	mconn, wconn := net.Pipe()
+	defer mconn.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	served := make(chan struct{})
+	cfg := WorkerConfig{Name: "cancelled-tune-w", Workers: 1}
+	go func() {
+		defer close(served)
+		_ = ServeConn(ctx, wconn, cfg)
+	}()
+
+	spec := testJob(t, "zz")
+	id := pipeHandshake(t, mconn, spec)
+	cancel()
+	<-claimed
+	defer func() {
+		close(releaseShutdown)
+		<-served
+	}()
+
+	_ = mconn.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := WriteFrame(mconn, MsgTune, EncodeTuneRequest(TuneRequest{SpecID: id})); err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, err := ReadFrame(mconn)
+	if err != nil {
+		t.Fatalf("no answer to the cancelled tune: %v", err)
+	}
+	if typ != MsgError {
+		t.Fatalf("cancelled tune answered frame type %d (%x), want MsgError", typ, payload)
+	}
+
+	job, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := tuneLocal(ctx, job, cfg); !errors.Is(err, context.Canceled) {
+		t.Errorf("tuneLocal on a cancelled context = %+v, %v; want context.Canceled", res, err)
+	}
+}

@@ -164,6 +164,57 @@ func TestLiveSearchShrinkHandshake(t *testing.T) {
 	}
 }
 
+// TestLiveSearchKeepsEveryGoroutineBusy: one 2²⁰-key search on an
+// 8-goroutine worker hands a batch to all eight. The worker used to cut
+// the interval into 65536-key batches of four 16384-key claims each, with
+// a barrier between batches, so at most four goroutines ever had work.
+// The hour-long throttle parks every goroutine after its first batch, so
+// core.tested stops at exactly one batch per goroutine that got one —
+// whatever the host's CPU count.
+func TestLiveSearchKeepsEveryGoroutineBusy(t *testing.T) {
+	const workers, batch = 8, 1 << 14
+	reg := telemetry.NewRegistry()
+	m, err := NewMaster("127.0.0.1:0", MasterOptions{Heartbeat: 50 * time.Millisecond, HeartbeatTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	wctx, stopWorker := context.WithCancel(context.Background())
+	defer stopWorker()
+	go func() {
+		_ = Dial(wctx, m.Addr(), WorkerConfig{Name: "eight-wide", Workers: workers, Throttle: time.Hour, Telemetry: reg})
+	}()
+	actx, acancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer acancel()
+	ws, err := m.AcceptWorkers(actx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	spec := testJob(t, "zzzzz")
+	spec.MaxLen = 5
+	sctx, cancelSearch := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_, _ = ws[0].SearchSpec(sctx, spec, keyspace.NewInterval(0, 1<<20))
+	}()
+	defer func() {
+		cancelSearch()
+		stopWorker() // the parked goroutines wake on the worker's context, not the call's
+		<-done
+	}()
+
+	tested := func() uint64 { return reg.Snapshot().Counters[telemetry.MetricCoreTested] }
+	for deadline := time.Now().Add(10 * time.Second); tested() < workers*batch && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := tested(); got != workers*batch {
+		t.Fatalf("%d keys tested with every goroutine parked after one batch: %d goroutines had work, want %d",
+			got, got/batch, workers)
+	}
+}
+
 // TestShrinkAfterSearchEndsRefused: once the search result is back, the
 // worker has nothing to shrink and the master has no active search — the
 // handshake must refuse cleanly rather than hang or invent a boundary.

@@ -71,25 +71,31 @@
 //
 //   - every MsgSearch carries a master-chosen sequence number (Seq) and
 //     a progress cadence (ProgressEvery). While the search runs, the
-//     worker sends MsgProgress{Seq, Done} from the search goroutine
-//     roughly every cadence interval — Done is the count of keys fully
-//     tested from the interval's start, always a batch boundary, so the
-//     mark is a safe split point by construction;
+//     worker sends MsgProgress{Seq, Done} from its search goroutines
+//     roughly every cadence interval. A batch is the chunk one goroutine
+//     claims from internal/core's claim loop (WorkerConfig.ProgressBatch
+//     feeds core.Options.ChunkSize; there is no second loop above it),
+//     and Done is core.Live's tested-prefix mark: every key below it,
+//     counted from the interval's start, has been tested, whatever later
+//     batches are still in flight — always a batch boundary or the
+//     search's end, so the mark is a safe split point by construction,
+//     and marks on one connection only ever rise;
 //   - MsgShrink{Seq, Keep} asks the worker to truncate the running
 //     search to its first Keep keys. The worker answers
-//     MsgShrinkAck{Seq, Keep, OK} from its read loop: on OK the ack's
-//     Keep is the EFFECTIVE boundary — never less than the batch the
-//     worker is already inside, so a shrink can never land behind work
-//     already done — and the worker guarantees it will test exactly
+//     MsgShrinkAck{Seq, Keep, OK} from its read loop with what
+//     core.Live.Shrink decided: on OK the ack's Keep is the EFFECTIVE
+//     boundary — never less than the end of the last batch any goroutine
+//     has claimed, so a shrink can never land behind work already begun
+//     — and the worker guarantees it will test exactly
 //     [start, start+Keep) and report Tested = Keep. A refused shrink
-//     (the search already reached or passed the requested boundary, or
-//     no matching search is running) answers OK = false and the search
-//     is unaffected;
-//   - Keep = 0 is the cancellation limit of the same mechanism: stop at
-//     the next batch boundary. The master sends it when a search's
-//     context is cancelled, then drains the (truncated) result frame so
-//     the connection stays clean for the next call instead of being
-//     torn down;
+//     (every key at or past the requested boundary is already claimed,
+//     no matching search is running, or the interval is wider than
+//     uint64) answers OK = false and the search is unaffected;
+//   - Keep = 0 is the cancellation limit of the same mechanism: every
+//     goroutine finishes the batch it holds and claims no other. The
+//     master sends it when a search's context is cancelled, then drains
+//     the (truncated) result frame so the connection stays clean for
+//     the next call instead of being torn down;
 //   - Seq makes stale frames inert: a MsgProgress or MsgShrinkAck whose
 //     Seq does not match the connection's current search is dropped,
 //     and a MsgShrink for a finished search is refused. Frames from a

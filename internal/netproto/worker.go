@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/big"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -12,7 +11,9 @@ import (
 
 	"keysearch/internal/core"
 	"keysearch/internal/cracker"
+	"keysearch/internal/dispatch"
 	"keysearch/internal/keyspace"
+	"keysearch/internal/sim"
 	"keysearch/internal/targetset"
 	"keysearch/internal/telemetry"
 )
@@ -25,22 +26,25 @@ type WorkerConfig struct {
 	Name string
 	// Workers is the local goroutine count (0 = NumCPU).
 	Workers int
-	// TuneStart and TuneTarget parameterize the local tuning step.
-	TuneStart  uint64
-	TuneTarget float64
+	// TuneStart is the first batch size the local tuning step tries
+	// (0 = cracker.Tune's default).
+	TuneStart uint64
 	// WriteTimeout bounds every frame write (0 = 10s).
 	WriteTimeout time.Duration
 	// JoinTimeout bounds the registration handshake (0 = 30s).
 	JoinTimeout time.Duration
-	// ProgressBatch is the worker's internal search granularity in keys
-	// (0 = 65536): progress marks, shrink boundaries and cancellation
-	// all land on multiples of it. Smaller batches mean finer steal
-	// splits at the cost of more per-batch overhead.
+	// ProgressBatch is the search granularity in keys — core's ChunkSize,
+	// the one unit a search goroutine claims at a time (0 = core's
+	// default: at most 16384, less when the interval is short enough
+	// that every goroutine should still get a share). Progress marks,
+	// shrink boundaries and cancellation all land on multiples of it.
+	// Smaller batches mean finer steal splits at the cost of more
+	// per-batch overhead.
 	ProgressBatch uint64
-	// Throttle sleeps this long after every completed batch of a search
-	// (never during tuning, so the balance rule still sees the true
-	// speed). A deliberately slowed worker is how the steal tests — and
-	// operators rehearsing straggler policy — fake a failing node.
+	// Throttle parks a search goroutine this long after every batch it
+	// completes (never during tuning, so the balance rule still sees the
+	// true speed). A deliberately slowed worker is how the steal tests —
+	// and operators rehearsing straggler policy — fake a failing node.
 	Throttle time.Duration
 	// Dialer, when non-nil, replaces the default TCP dialer in Dial and
 	// DialRetry — the splice point for the chaos harness and for future
@@ -73,45 +77,6 @@ func (cfg WorkerConfig) joinTimeout() time.Duration {
 		return 30 * time.Second
 	}
 	return cfg.JoinTimeout
-}
-
-func (cfg WorkerConfig) progressBatch() uint64 {
-	if cfg.ProgressBatch == 0 {
-		return 1 << 16
-	}
-	return cfg.ProgressBatch
-}
-
-// shrinkState is the shared view of one in-flight search: the search
-// goroutine advances done/busyTo batch by batch, the read loop lowers
-// limit on MsgShrink. The invariant limit >= busyTo >= done holds at
-// all times — a shrink can only land on work not yet begun, which is
-// what makes the acked boundary exact.
-type shrinkState struct {
-	seq uint64
-
-	mu     sync.Mutex
-	limit  uint64 // search ends at this key offset (from interval start)
-	busyTo uint64 // end of the batch currently being tested
-	done   uint64 // keys fully tested
-}
-
-// shrink lowers the search limit to keep (rounded up past the batch in
-// flight) and reports the effective boundary. ok is false when the
-// search has already reached or passed every reachable boundary at or
-// after keep — the caller's split would gain nothing.
-func (ss *shrinkState) shrink(keep uint64) (uint64, bool) {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	cut := keep
-	if cut < ss.busyTo {
-		cut = ss.busyTo
-	}
-	if cut >= ss.limit {
-		return ss.limit, false
-	}
-	ss.limit = cut
-	return cut, true
 }
 
 // Test hooks, nil outside tests. They let the race tests park a
@@ -225,8 +190,9 @@ func serveConn(ctx context.Context, conn net.Conn, cfg WorkerConfig, onReady fun
 		sync.Mutex
 		busy     bool
 		inflight *keyspace.Interval
-		requeued bool // shutdown claimed the interval; drop the result
-		search   *shrinkState // live search's shrink state, nil otherwise
+		requeued bool       // shutdown claimed the interval; drop the result
+		search   *core.Live // live search's handle, nil otherwise
+		seq      uint64     // its MsgSearch sequence number
 	}
 	serveCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -390,29 +356,23 @@ func serveConn(ctx context.Context, conn net.Conn, cfg WorkerConfig, onReady fun
 			// busy and inflight are set together: from this instant a
 			// cancellation finds the interval and requeues it — there is no
 			// window where the worker is busy with nothing to hand back.
-			// The shrink state is installed in the same critical section,
+			// The live handle is installed in the same critical section,
 			// so a MsgShrink can never race a window where the search is
 			// accepted but untargetable.
+			live := core.NewLive(iv, cfg.afterBatch(serveCtx, req.ProgressEvery, func(done uint64) {
+				if write(MsgProgress, EncodeProgress(Progress{Seq: req.Seq, Done: done})) == nil {
+					nt.progress.Inc()
+				}
+			}))
 			st.busy = true
 			st.inflight = &iv
-			ss := &shrinkState{seq: req.Seq}
-			if n, ok := iv.Len64(); ok {
-				ss.limit = n
-			} else {
-				ss = nil // interval beyond uint64: no shrink support
-			}
-			st.search = ss
+			st.search, st.seq = live, req.Seq
 			st.Unlock()
 			if hook := testHookSearchBegin.Load(); hook != nil {
 				(*hook)(cfg.Name)
 			}
-			progress := func(done uint64) {
-				if write(MsgProgress, EncodeProgress(Progress{Seq: req.Seq, Done: done})) == nil {
-					nt.progress.Inc()
-				}
-			}
 			go func() {
-				res, err := searchLocal(serveCtx, job, req, cfg, ss, progress)
+				res, err := searchLocal(serveCtx, job, iv, cfg, live)
 				if hook := testHookSearchDone.Load(); hook != nil {
 					(*hook)(cfg.Name)
 				}
@@ -443,11 +403,11 @@ func serveConn(ctx context.Context, conn net.Conn, cfg WorkerConfig, onReady fun
 				continue
 			}
 			st.Lock()
-			ss := st.search
+			live, seq := st.search, st.seq
 			st.Unlock()
 			ack := ShrinkAck{Seq: sk.Seq}
-			if ss != nil && ss.seq == sk.Seq {
-				ack.Keep, ack.OK = ss.shrink(sk.Keep)
+			if live != nil && seq == sk.Seq {
+				ack.Keep, ack.OK = live.Shrink(sk.Keep)
 			}
 			if err := write(MsgShrinkAck, EncodeShrinkAck(ack)); err != nil {
 				return err
@@ -466,81 +426,46 @@ func unknownSpec(id uint64) error {
 }
 
 func tuneLocal(ctx context.Context, job *cracker.Job, cfg WorkerConfig) (TuneResult, error) {
-	tuneStart := cfg.TuneStart
-	if tuneStart == 0 {
-		tuneStart = 4096
-	}
-	tn, err := cracker.Tune(ctx, job, cfg.Workers, core.TuneOptions{Start: tuneStart, TargetEfficiency: cfg.TuneTarget})
+	tn, err := cracker.Tune(ctx, job, cfg.Workers, cfg.TuneStart)
 	return TuneResult{MinBatch: tn.MinBatch, Throughput: tn.Throughput}, err
 }
 
-// searchLocal exhausts the requested interval in ProgressBatch-sized
-// sub-searches. Between batches it honors the shrink state's limit —
-// lowered by the read loop on MsgShrink — sends MsgProgress marks at
-// the request's cadence, and applies the throttle. Tested is therefore
-// exactly the (possibly shrunk) limit, and every reported progress mark
-// names fully-tested keys only.
-func searchLocal(ctx context.Context, job *cracker.Job, req SearchRequest, cfg WorkerConfig, ss *shrinkState, progress func(done uint64)) (SearchResult, error) {
-	opts := core.Options{Workers: cfg.Workers, Telemetry: cfg.Telemetry}
-	start := time.Now()
-	if ss == nil {
-		// Interval wider than uint64: no batch accounting (and no shrink
-		// support — the read loop refuses MsgShrink while this runs).
-		iv := keyspace.Interval{Start: req.Start, End: req.End}
-		res, err := cracker.CrackAll(ctx, job, iv, opts)
-		if err != nil {
-			return SearchResult{}, err
-		}
-		return SearchResult{Found: res.Solutions, Tested: res.Tested, Elapsed: time.Since(start)}, nil
+// searchLocal exhausts the interval up to live's (possibly shrunk) end:
+// Tested is exactly that end, on a batch boundary or at the acked cut.
+func searchLocal(ctx context.Context, job *cracker.Job, iv keyspace.Interval, cfg WorkerConfig, live *core.Live) (SearchResult, error) {
+	rep, err := dispatch.SearchLocal(ctx, sim.Wall{}, job, iv,
+		core.Options{Workers: cfg.Workers, ChunkSize: cfg.ProgressBatch, Live: live, Telemetry: cfg.Telemetry})
+	if err != nil {
+		return SearchResult{}, err
 	}
+	return SearchResult{Found: rep.Found, Tested: rep.Tested, Elapsed: rep.Elapsed}, nil
+}
 
-	batch := cfg.progressBatch()
-	lastMark := start
-	var found [][]byte
-	var done uint64
-	for {
-		ss.mu.Lock()
-		if done >= ss.limit {
-			ss.mu.Unlock()
-			break
-		}
-		next := done + batch
-		if next > ss.limit {
-			next = ss.limit
-		}
-		ss.busyTo = next
-		ss.mu.Unlock()
-
-		sub := keyspace.Interval{
-			Start: new(big.Int).Add(req.Start, new(big.Int).SetUint64(done)),
-			End:   new(big.Int).Add(req.Start, new(big.Int).SetUint64(next)),
-		}
-		res, err := cracker.CrackAll(ctx, job, sub, opts)
-		if err != nil {
-			return SearchResult{}, err
-		}
-		found = append(found, res.Solutions...)
-		done = next
-		ss.mu.Lock()
-		ss.done = done
-		last := done >= ss.limit
-		ss.mu.Unlock()
-
-		if d := cfg.Throttle; d > 0 && !last {
+// afterBatch is what a search goroutine does between two batches: park for
+// the throttle, then send the tested-prefix mark if the request's cadence
+// has come round. Batches finish on several goroutines at once, so marks
+// are sent under one lock and only ever upward — on the wire they stay
+// monotonic and name fully-tested keys only.
+func (cfg WorkerConfig) afterBatch(ctx context.Context, every time.Duration, send func(done uint64)) func(mark uint64) {
+	var mu sync.Mutex
+	sent, at := uint64(0), time.Now()
+	return func(mark uint64) {
+		if d := cfg.Throttle; d > 0 {
 			t := time.NewTimer(d)
 			select {
 			case <-ctx.Done():
 				t.Stop()
-				return SearchResult{}, ctx.Err()
+				return
 			case <-t.C:
 			}
 		}
-		if p := req.ProgressEvery; p > 0 && !last && time.Since(lastMark) >= p {
-			progress(done)
-			lastMark = time.Now()
+		mu.Lock()
+		defer mu.Unlock()
+		if every > 0 && mark > sent && time.Since(at) >= every {
+			send(mark)
+			sent, at = mark, time.Now()
 		}
 	}
-	return SearchResult{Found: found, Tested: done, Elapsed: time.Since(start)}, nil
 }
 
 // Dial connects to a master and serves until done.
