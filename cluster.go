@@ -31,17 +31,7 @@ type (
 	ClusterOptions = dispatch.ClusterOptions
 	// SimTree is a virtual-time dispatch tree.
 	SimTree = dispatch.SimTree
-	// Checkpoint is a resumable snapshot of a partially searched space.
-	Checkpoint = dispatch.Checkpoint
-	// CheckpointInterval is one unsearched [Start, End) range in a Checkpoint.
-	CheckpointInterval = dispatch.CheckpointInterval
 )
-
-// LoadCheckpoint parses and integrity-checks a marshaled Checkpoint; a
-// missing or mismatched checksum, or any damaged byte, is an error.
-func LoadCheckpoint(data []byte) (*Checkpoint, error) {
-	return dispatch.LoadCheckpoint(data)
-}
 
 // NewDispatcher builds a dispatcher over workers; dispatchers are
 // themselves Workers, so trees of any shape compose.

@@ -3,12 +3,11 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"keysearch/internal/jobs"
@@ -16,7 +15,10 @@ import (
 	"keysearch/internal/telemetry"
 )
 
-// jobsFlags hold the -jobs mode configuration (see runJobs).
+// jobsFlags hold the service configuration every mode shares: the store
+// directory, the fleet (see buildFleet) and what becomes jobs.Options
+// (see options). The single-search mode fills the first two from its own
+// flags.
 type jobsFlags struct {
 	dir        string
 	execs      int
@@ -38,54 +40,15 @@ type jobsFlags struct {
 	progressEvery time.Duration
 }
 
-// runJobs is keymaster's multi-tenant service mode: instead of driving
-// one search to completion, it opens the WAL-backed job store, builds an
-// executor fleet — local executors plus, with -jobs-fleet, keyworker TCP
-// processes wrapped in netproto.Executor — and serves the job API on the
-// listen address until SIGTERM/SIGINT. Shutdown is graceful: admission
-// stops, in-flight leases drain to their chunk boundary and checkpoint,
-// the WAL flushes — bounded by -jobs-drain, after which leases are cut
-// loose (their intervals stay in the durable remaining set).
-func runJobs(listen, statusAddr string, jf jobsFlags, mopts netproto.MasterOptions, reg *telemetry.Registry) error {
+// options is the one place keymaster's flags become jobs.Options: every
+// mode runs the same service, so a flag either reaches it here or is
+// refused by the mode that cannot honour it.
+func (jf jobsFlags) options(reg *telemetry.Registry) (jobs.Options, error) {
 	weights, err := parseWeights(jf.weights)
 	if err != nil {
-		return err
+		return jobs.Options{}, err
 	}
-
-	store, err := jobs.Open(jf.dir, jobs.StoreOptions{
-		NoSync:    jf.noSync,
-		Telemetry: reg,
-	})
-	if err != nil {
-		return err
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	execs := make([]jobs.Executor, 0, jf.execs+jf.fleet)
-	for i := 0; i < jf.execs; i++ {
-		execs = append(execs, jobs.NewLocalExecutor(fmt.Sprintf("local-%d", i), jf.threads))
-	}
-	if jf.fleet > 0 {
-		master, err := netproto.NewMaster(jf.fleetAddr, mopts)
-		if err != nil {
-			store.Close()
-			return err
-		}
-		defer master.Close()
-		fmt.Printf("fleet: listening on %s, waiting for %d keyworker(s)\n", master.Addr(), jf.fleet)
-		remote, err := master.AcceptWorkers(ctx, jf.fleet)
-		if err != nil {
-			store.Close()
-			return err
-		}
-		for _, w := range remote {
-			fmt.Printf("fleet: worker connected: %s\n", w.Name())
-			execs = append(execs, netproto.NewExecutor(w))
-		}
-	}
-	svc := jobs.NewService(store, execs, jobs.Options{
+	return jobs.Options{
 		Sched: jobs.SchedOptions{
 			MaxRunning:  jf.maxRunning,
 			TenantQuota: jf.quota,
@@ -99,13 +62,77 @@ func runJobs(listen, statusAddr string, jf jobsFlags, mopts netproto.MasterOptio
 			MinSteal:      jf.minSteal,
 			ProgressEvery: jf.progressEvery,
 		},
-	})
+	}, nil
+}
 
+// localExecutors are one service's -jobs-execs CPU executors, named
+// <prefix>local-N.
+func (jf jobsFlags) localExecutors(prefix string) []jobs.Executor {
+	execs := make([]jobs.Executor, jf.execs)
+	for i := range execs {
+		execs[i] = jobs.NewLocalExecutor(fmt.Sprintf("%slocal-%d", prefix, i), jf.threads)
+	}
+	return execs
+}
+
+// buildFleet assembles the executors a service leases to: the local ones
+// and, with -jobs-fleet, that many keyworker TCP processes accepted on
+// -jobs-fleet-listen and wrapped as netproto.Executors. The caller runs
+// closeFleet when the service is down; it hangs up on the keyworkers.
+func (jf jobsFlags) buildFleet(ctx context.Context, out io.Writer, mopts netproto.MasterOptions) (execs []jobs.Executor, closeFleet func(), err error) {
+	execs = jf.localExecutors("")
+	if jf.fleet <= 0 {
+		return execs, func() {}, nil
+	}
+	master, err := netproto.NewMaster(jf.fleetAddr, mopts)
+	if err != nil {
+		return nil, nil, err
+	}
+	fmt.Fprintf(out, "listening on %s, waiting for %d keyworker(s)\n", master.Addr(), jf.fleet)
+	workers, err := master.AcceptWorkers(ctx, jf.fleet)
+	if err != nil {
+		master.Close()
+		return nil, nil, err
+	}
+	for _, w := range workers {
+		fmt.Fprintf(out, "worker connected: %s\n", w.Name())
+		execs = append(execs, netproto.NewExecutor(w))
+	}
+	return execs, func() { master.Close() }, nil
+}
+
+// runJobs is keymaster's multi-tenant service mode: instead of driving
+// one search to completion, it opens the WAL-backed job store, builds an
+// executor fleet — local executors plus, with -jobs-fleet, keyworker TCP
+// processes wrapped in netproto.Executor — and serves the job API on the
+// listen address until SIGTERM/SIGINT. Shutdown is graceful: admission
+// stops, in-flight leases drain to their chunk boundary and checkpoint,
+// the WAL flushes — bounded by -jobs-drain, after which leases are cut
+// loose (their intervals stay in the durable remaining set).
+func runJobs(ctx context.Context, out io.Writer, listen, statusAddr string, jf jobsFlags, mopts netproto.MasterOptions, reg *telemetry.Registry) error {
+	opts, err := jf.options(reg)
+	if err != nil {
+		return err
+	}
+	store, err := jobs.Open(jf.dir, jobs.StoreOptions{
+		NoSync:    jf.noSync,
+		Telemetry: reg,
+	})
+	if err != nil {
+		return err
+	}
+	execs, closeFleet, err := jf.buildFleet(ctx, out, mopts)
+	if err != nil {
+		store.Close()
+		return err
+	}
+	defer closeFleet()
+	svc := jobs.NewService(store, execs, opts)
 	if err := svc.Start(ctx); err != nil {
 		store.Close()
 		return err
 	}
-	fmt.Printf("job service: %d job(s) recovered, executor shares %v\n",
+	fmt.Fprintf(out, "job service: %d job(s) recovered, executor shares %v\n",
 		len(svc.List("")), svc.Shares())
 
 	mux := http.NewServeMux()
@@ -121,7 +148,7 @@ func runJobs(listen, statusAddr string, jf jobsFlags, mopts netproto.MasterOptio
 			errc <- err
 		}
 	}()
-	fmt.Printf("job API on http://%s/jobs\n", listen)
+	fmt.Fprintf(out, "job API on http://%s/jobs\n", listen)
 
 	select {
 	case err := <-errc:
@@ -137,8 +164,8 @@ func runJobs(listen, statusAddr string, jf jobsFlags, mopts netproto.MasterOptio
 	if err := svc.Shutdown(dctx); err != nil {
 		return fmt.Errorf("drain: %w", err)
 	}
-	fmt.Println("keymaster: job service drained cleanly")
-	fmt.Println("final:", telemetry.StatusLine(reg.Snapshot()))
+	fmt.Fprintln(out, "keymaster: job service drained cleanly")
+	fmt.Fprintln(out, "final:", telemetry.StatusLine(reg.Snapshot()))
 	return nil
 }
 

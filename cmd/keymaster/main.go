@@ -1,19 +1,22 @@
-// Command keymaster is the cluster master: it listens for keyworker
-// processes, registers the cracking job's spec on each connection, runs
-// the tuning step, balances interval sizes to measured throughputs and
-// dispatches until the digest is cracked — the coarse-grain half of the
-// paper's pattern over real TCP.
+// Command keymaster is the cluster master. Every mode runs the same job
+// service (internal/jobs): a WAL-backed job store, a scheduler that tunes
+// the executor fleet, balances lease sizes to measured throughputs and
+// requeues a dead node's interval — the coarse-grain half of the paper's
+// pattern, over real TCP when the executors are keyworker processes.
 //
-// Usage:
+// Without -jobs it cracks one digest: it waits for -workers keyworkers,
+// runs the search as the single job of a private service, prints the
+// result and exits. With -checkpoint DIR the job's store lives in DIR, so
+// a master restarted with the same flags resumes the search where the
+// log left it (and refuses a directory that holds a different search):
 //
 //	keymaster -listen :9031 -workers 2 \
 //	    -alg md5 -hash 900150983cd24fb0d6963f7d28e17f72 \
 //	    -charset abcdefghijklmnopqrstuvwxyz -min 1 -max 4
 //
-// With -jobs it instead runs the multi-tenant job service: a WAL-backed
-// job store, a fair-share scheduler over an executor fleet, and the
-// HTTP job API on -listen (see cmd/keyjob for the client). The fleet is
-// local executors (-jobs-execs), keyworker TCP processes (-jobs-fleet /
+// With -jobs it keeps the service up for many tenants' jobs and serves
+// the HTTP job API on -listen (see cmd/keyjob for the client). The fleet
+// is local executors (-jobs-execs), keyworker TCP processes (-jobs-fleet /
 // -jobs-fleet-listen; protocol v2 lets one worker serve every tenant's
 // jobs), or a mix:
 //
@@ -32,18 +35,18 @@ package main
 
 import (
 	"context"
-	"encoding/hex"
+	"errors"
 	"flag"
 	"fmt"
-	"math/big"
+	"io"
 	"net/http"
 	_ "net/http/pprof" // registered on the -status mux for live profiling
 	"os"
 	"os/signal"
+	"syscall"
 	"time"
 
-	"keysearch/internal/cracker"
-	"keysearch/internal/dispatch"
+	"keysearch/internal/jobs"
 	"keysearch/internal/keyspace"
 	"keysearch/internal/netproto"
 	"keysearch/internal/telemetry"
@@ -58,45 +61,59 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 }
 
 func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "keymaster:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command: it parses args, picks the mode and returns
+// when the search is over or, in the service modes, when ctx is cancelled
+// and the service has drained.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("keymaster", flag.ExitOnError)
 	var (
-		listen  = flag.String("listen", "127.0.0.1:9031", "address to listen on")
-		nworker = flag.Int("workers", 1, "number of workers to wait for")
-		algName = flag.String("alg", "md5", "hash algorithm: md5 or sha1")
-		hashHex = flag.String("hash", "", "hex digest to invert (required)")
-		charset = flag.String("charset", keyspace.Lower.String(), "candidate charset")
-		minLen  = flag.Int("min", 1, "minimum key length")
-		maxLen  = flag.Int("max", 5, "maximum key length")
-		all     = flag.Bool("all", false, "exhaust the space instead of stopping at the first hit")
-		cpPath  = flag.String("checkpoint", "", "checkpoint file: saved after every chunk, resumed from if present")
+		listen  = fs.String("listen", "127.0.0.1:9031", "address to listen on")
+		nworker = fs.Int("workers", 1, "number of workers to wait for")
+		all     = fs.Bool("all", false, "exhaust the space instead of stopping at the first hit")
+		cpDir   = fs.String("checkpoint", "", "state directory for the search (fsynced WAL): progress is logged after every chunk and a restart with the same flags resumes from it")
 
-		heartbeat = flag.Duration("heartbeat", 2*time.Second, "ping interval while a call is in flight (0 disables; the library sentinel is exactly -1, other negatives are rejected)")
-		detect    = flag.Duration("failure-detect", 0, "silence after which a worker is declared dead (0 = 4x heartbeat)")
-		retries   = flag.Int("retries", 3, "attempts per worker call before requeuing its interval")
-		maxChunk  = flag.Uint64("max-chunk", 0, "cap per-worker chunk size; bounds work lost to one failure (0 = no cap)")
+		heartbeat = fs.Duration("heartbeat", 2*time.Second, "ping interval while a call is in flight (0 disables; the library sentinel is exactly -1, other negatives are rejected)")
+		detect    = fs.Duration("failure-detect", 0, "silence after which a worker is declared dead (0 = 4x heartbeat)")
+		retries   = fs.Int("retries", 3, "attempts per worker call before requeuing its interval")
+		maxChunk  = fs.Uint64("max-chunk", 0, "cap per-worker chunk size; bounds work lost to one failure (0 = no cap)")
 
-		statusAddr  = flag.String("status", "", "serve /status (telemetry JSON), /debug/vars and /debug/pprof on this address (e.g. 127.0.0.1:9032)")
-		statusEvery = flag.Duration("status-every", 0, "log a one-line telemetry status at this interval (0 disables)")
+		statusAddr  = fs.String("status", "", "serve /status (telemetry JSON), /debug/vars and /debug/pprof on this address (e.g. 127.0.0.1:9032)")
+		statusEvery = fs.Duration("status-every", 0, "log a one-line telemetry status at this interval (0 disables)")
 
-		jf jobsFlags
+		spec jobs.Spec // the single search, straight from its flags
+		jf   jobsFlags
 	)
-	flag.StringVar(&jf.dir, "jobs", "", "run the multi-tenant job service backed by this state directory (WAL + snapshots); serves the job API on -listen instead of dispatching one search")
-	flag.IntVar(&jf.execs, "jobs-execs", 2, "local executors in the fleet (jobs mode)")
-	flag.IntVar(&jf.threads, "jobs-threads", 0, "goroutines per executor, 0 = NumCPU (jobs mode)")
-	flag.IntVar(&jf.maxRunning, "jobs-max-running", 0, "admission cap on concurrently running jobs, 0 = default (jobs mode)")
-	flag.IntVar(&jf.quota, "jobs-quota", 0, "per-tenant cap on concurrently running jobs, 0 = default (jobs mode)")
-	flag.StringVar(&jf.weights, "jobs-weights", "", "fair-share weights, e.g. alice=3,bob=1 (jobs mode)")
-	flag.Float64Var(&jf.leaseScale, "jobs-lease-scale", 0, "multiplier on the balance-rule lease size (jobs mode)")
-	flag.Uint64Var(&jf.maxLease, "jobs-max-lease", 0, "cap on lease size in keys, 0 = uncapped (jobs mode)")
-	flag.DurationVar(&jf.drain, "jobs-drain", 30*time.Second, "graceful-shutdown drain deadline (jobs mode)")
-	flag.BoolVar(&jf.noSync, "jobs-no-sync", false, "skip fsync on WAL appends; faster, loses the last commits on power loss (jobs mode)")
-	flag.IntVar(&jf.fleet, "jobs-fleet", 0, "accept this many keyworker TCP processes into the executor fleet (jobs mode)")
-	flag.StringVar(&jf.fleetAddr, "jobs-fleet-listen", "127.0.0.1:9031", "address the fleet master listens on for keyworkers (jobs mode)")
-	flag.IntVar(&jf.shards, "jobs-shards", 0, "run the job service as this many consistent-hash shards behind a router (jobs mode; 0 = unsharded)")
-	flag.BoolVar(&jf.replicate, "jobs-replicate", false, "stream each shard's WAL to a warm in-process follower, promotion-ready (requires -jobs-shards)")
-	flag.BoolVar(&jf.steal, "steal", false, "let idle executors steal the tail of a straggler's in-flight lease over the live shrink handshake (jobs mode; jobs opt in per spec)")
-	flag.Uint64Var(&jf.minSteal, "min-steal", 0, "smallest tail worth stealing in keys; a victim must have at least twice this remaining (jobs mode; 0 = 4096)")
-	flag.DurationVar(&jf.progressEvery, "progress-every", 0, "progress-mark cadence requested from live searches, feeds straggler detection (jobs mode; 0 = 500ms)")
-	flag.Parse()
+	fs.StringVar(&spec.Algorithm, "alg", "md5", "hash algorithm: md5 or sha1")
+	fs.StringVar(&spec.Target, "hash", "", "hex digest to invert (required)")
+	fs.StringVar(&spec.Charset, "charset", keyspace.Lower.String(), "candidate charset")
+	fs.IntVar(&spec.MinLen, "min", 1, "minimum key length")
+	fs.IntVar(&spec.MaxLen, "max", 5, "maximum key length")
+	fs.StringVar(&jf.dir, "jobs", "", "run the multi-tenant job service backed by this state directory (WAL + snapshots); serves the job API on -listen instead of dispatching one search")
+	fs.IntVar(&jf.execs, "jobs-execs", 2, "local executors in the fleet (jobs mode)")
+	fs.IntVar(&jf.threads, "jobs-threads", 0, "goroutines per executor, 0 = NumCPU (jobs mode)")
+	fs.IntVar(&jf.maxRunning, "jobs-max-running", 0, "admission cap on concurrently running jobs, 0 = default (jobs mode)")
+	fs.IntVar(&jf.quota, "jobs-quota", 0, "per-tenant cap on concurrently running jobs, 0 = default (jobs mode)")
+	fs.StringVar(&jf.weights, "jobs-weights", "", "fair-share weights, e.g. alice=3,bob=1 (jobs mode)")
+	fs.Float64Var(&jf.leaseScale, "jobs-lease-scale", 0, "multiplier on the balance-rule lease size (jobs mode)")
+	fs.Uint64Var(&jf.maxLease, "jobs-max-lease", 0, "cap on lease size in keys, 0 = uncapped (jobs mode)")
+	fs.DurationVar(&jf.drain, "jobs-drain", 30*time.Second, "graceful-shutdown drain deadline (jobs mode)")
+	fs.BoolVar(&jf.noSync, "jobs-no-sync", false, "skip fsync on WAL appends; faster, loses the last commits on power loss (jobs mode)")
+	fs.IntVar(&jf.fleet, "jobs-fleet", 0, "accept this many keyworker TCP processes into the executor fleet (jobs mode)")
+	fs.StringVar(&jf.fleetAddr, "jobs-fleet-listen", "127.0.0.1:9031", "address the fleet master listens on for keyworkers (jobs mode)")
+	fs.IntVar(&jf.shards, "jobs-shards", 0, "run the job service as this many consistent-hash shards behind a router (jobs mode; 0 = unsharded)")
+	fs.BoolVar(&jf.replicate, "jobs-replicate", false, "stream each shard's WAL to a warm in-process follower, promotion-ready (requires -jobs-shards)")
+	fs.BoolVar(&jf.steal, "steal", false, "let idle keyworkers steal the tail of a straggler's in-flight lease over the live shrink handshake (the single search opts in; -jobs jobs opt in per spec; not with -jobs-shards)")
+	fs.Uint64Var(&jf.minSteal, "min-steal", 0, "smallest tail worth stealing in keys; a victim must have at least twice this remaining (0 = 4096)")
+	fs.DurationVar(&jf.progressEvery, "progress-every", 0, "progress-mark cadence requested from live searches, feeds straggler detection (0 = 500ms)")
+	fs.Parse(args) // ExitOnError
 
 	reg := telemetry.NewRegistry()
 	if *statusAddr != "" {
@@ -110,7 +127,7 @@ func main() {
 				fmt.Fprintln(os.Stderr, "keymaster: status server:", err)
 			}
 		}()
-		fmt.Printf("status endpoint on http://%s/status\n", *statusAddr)
+		fmt.Fprintf(stdout, "status endpoint on http://%s/status\n", *statusAddr)
 	}
 
 	mopts := netproto.MasterOptions{
@@ -123,129 +140,26 @@ func main() {
 		mopts.Heartbeat = -1
 	}
 
-	if jf.dir != "" {
-		if jf.replicate && jf.shards <= 0 {
-			fatal(fmt.Errorf("-jobs-replicate requires -jobs-shards"))
+	switch {
+	case jf.dir == "":
+		if *statusEvery > 0 {
+			defer telemetry.StartLogger(ctx, reg, *statusEvery, func(line string) {
+				fmt.Fprintln(stdout, "status:", line)
+			})()
 		}
-		if jf.shards > 0 {
-			if err := runShardedJobs(*listen, *statusAddr, jf, reg); err != nil {
-				fatal(err)
-			}
-			return
+		// One search is one job of the same service: -checkpoint is its
+		// store, the -workers keyworkers on -listen its whole fleet.
+		jf.dir, jf.execs, jf.fleet, jf.fleetAddr, jf.maxLease = *cpDir, 0, *nworker, *listen, *maxChunk
+		spec.Steal = jf.steal
+		if !*all {
+			spec.MaxSolutions = 1
 		}
-		if err := runJobs(*listen, *statusAddr, jf, mopts, reg); err != nil {
-			fatal(err)
-		}
-		return
+		return runSearch(ctx, stdout, spec, jf, mopts, reg)
+	case jf.shards > 0:
+		return runShardedJobs(ctx, stdout, *listen, *statusAddr, jf, reg)
+	case jf.replicate:
+		return errors.New("-jobs-replicate requires -jobs-shards")
+	default:
+		return runJobs(ctx, stdout, *listen, *statusAddr, jf, mopts, reg)
 	}
-
-	alg, err := cracker.ParseAlgorithm(*algName)
-	if err != nil {
-		fatal(err)
-	}
-	target, err := hex.DecodeString(*hashHex)
-	if err != nil || len(target) != alg.DigestSize() {
-		fatal(fmt.Errorf("bad %s digest %q", alg, *hashHex))
-	}
-
-	spec := netproto.JobSpec{
-		Algorithm: alg,
-		Kind:      cracker.KernelOptimized,
-		Target:    target,
-		Charset:   *charset,
-		MinLen:    *minLen,
-		MaxLen:    *maxLen,
-		Order:     keyspace.PrefixMajor,
-	}
-	job, err := spec.Build()
-	if err != nil {
-		fatal(err)
-	}
-
-	master, err := netproto.NewMaster(*listen, mopts)
-	if err != nil {
-		fatal(err)
-	}
-	defer master.Close()
-	fmt.Printf("listening on %s, waiting for %d worker(s)\n", master.Addr(), *nworker)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	if *statusEvery > 0 {
-		stopLog := telemetry.StartLogger(ctx, reg, *statusEvery, func(line string) {
-			fmt.Println("status:", line)
-		})
-		defer stopLog()
-	}
-
-	workers, err := master.AcceptWorkers(ctx, *nworker)
-	if err != nil {
-		fatal(err)
-	}
-	for _, w := range workers {
-		fmt.Printf("worker connected: %s\n", w.Name())
-	}
-
-	opts := dispatch.Options{
-		MaxSolutions: 1,
-		MaxChunk:     *maxChunk,
-		Telemetry:    reg,
-		OnRequeue: func(worker string, iv keyspace.Interval, cause error) {
-			fmt.Printf("worker %s failed (%v); requeued %v keys\n",
-				worker, cause, iv.Len())
-		},
-	}
-	if *all {
-		opts.MaxSolutions = 0
-	}
-	if *cpPath != "" {
-		opts.Checkpoint = func(cp *dispatch.Checkpoint) {
-			// Atomic write-temp+rename: a crash mid-save leaves the previous
-			// good checkpoint, never a torn file.
-			if err := dispatch.WriteCheckpointFile(*cpPath, cp); err != nil {
-				fmt.Fprintln(os.Stderr, "keymaster: checkpoint save:", err)
-			}
-		}
-	}
-	d := dispatch.NewDispatcher("keymaster", opts, netproto.BindWorkers(spec, workers)...)
-
-	start := time.Now()
-	var rep *dispatch.Report
-	if *cpPath != "" {
-		if data, rerr := os.ReadFile(*cpPath); rerr == nil {
-			cp, lerr := dispatch.LoadCheckpoint(data)
-			if lerr != nil {
-				fatal(lerr)
-			}
-			fmt.Printf("resuming from checkpoint: %v keys remaining\n", cp.RemainingKeys())
-			rep, err = d.Resume(ctx, cp)
-		}
-	}
-	if rep == nil && err == nil {
-		fmt.Printf("tuning and dispatching over %v keys...\n", job.Space.Size())
-		rep, err = d.Search(ctx, keyspace.Interval{Start: big.NewInt(0), End: job.Space.Size()})
-	}
-	if err != nil {
-		fatal(err)
-	}
-	for _, f := range rep.Found {
-		fmt.Printf("FOUND: %q\n", f)
-	}
-	if len(rep.Found) == 0 {
-		fmt.Println("not found in the search space")
-	}
-	elapsed := time.Since(start)
-	fmt.Printf("tested %d keys in %v (%.2f MKey/s aggregate)\n",
-		rep.Tested, elapsed.Round(time.Millisecond),
-		float64(rep.Tested)/elapsed.Seconds()/1e6)
-	if rep.Requeues > 0 {
-		fmt.Printf("requeues: %d incident(s), %d keys re-dispatched\n", rep.Requeues, rep.Retested)
-	}
-	fmt.Println("final:", telemetry.StatusLine(reg.Snapshot()))
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "keymaster:", err)
-	os.Exit(1)
 }

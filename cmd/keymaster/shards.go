@@ -4,12 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"path/filepath"
-	"syscall"
 
 	"keysearch/internal/jobs"
 	"keysearch/internal/shardplane"
@@ -24,17 +23,17 @@ import (
 // shard also streams its WAL to a warm in-process follower under
 // <dir>/shard-NN-follower, kept promotion-ready (see GET /shards for
 // the acked watermarks).
-func runShardedJobs(listen, statusAddr string, jf jobsFlags, reg *telemetry.Registry) error {
-	if jf.fleet > 0 {
-		return errors.New("keymaster: -jobs-fleet is not supported with -jobs-shards; sharded mode runs local executors only")
+func runShardedJobs(ctx context.Context, out io.Writer, listen, statusAddr string, jf jobsFlags, reg *telemetry.Registry) error {
+	// A shard's executors are local, and a local executor is neither a TCP
+	// worker nor a steal victim: refuse the flags that only mean something
+	// for those rather than drop them.
+	if jf.fleet > 0 || jf.steal || jf.minSteal != 0 || jf.progressEvery != 0 {
+		return errors.New("-jobs-fleet, -steal, -min-steal and -progress-every are not supported with -jobs-shards; sharded mode runs local executors only")
 	}
-	weights, err := parseWeights(jf.weights)
+	opts, err := jf.options(reg)
 	if err != nil {
 		return err
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 
 	type follower struct {
 		rep  *jobs.Replica
@@ -53,22 +52,10 @@ func runShardedJobs(listen, statusAddr string, jf jobsFlags, reg *telemetry.Regi
 	}
 	for i := 0; i < jf.shards; i++ {
 		name := fmt.Sprintf("s%d", i)
-		execs := make([]jobs.Executor, jf.execs)
-		for e := range execs {
-			execs[e] = jobs.NewLocalExecutor(fmt.Sprintf("%s-local-%d", name, e), jf.threads)
-		}
-		sh, err := shardplane.OpenShard(name, filepath.Join(jf.dir, fmt.Sprintf("shard-%02d", i)), execs, shardplane.ShardOptions{
+		sh, err := shardplane.OpenShard(name, filepath.Join(jf.dir, fmt.Sprintf("shard-%02d", i)), jf.localExecutors(name+"-"), shardplane.ShardOptions{
 			Telemetry: reg,
 			Store:     jobs.StoreOptions{NoSync: jf.noSync},
-			Jobs: jobs.Options{
-				Sched: jobs.SchedOptions{
-					MaxRunning:  jf.maxRunning,
-					TenantQuota: jf.quota,
-					Weights:     weights,
-				},
-				LeaseScale: jf.leaseScale,
-				MaxLease:   jf.maxLease,
-			},
+			Jobs:      opts,
 			Replicate: jf.replicate,
 		})
 		if err != nil {
@@ -92,7 +79,7 @@ func runShardedJobs(listen, statusAddr string, jf jobsFlags, reg *telemetry.Regi
 			closeAll()
 			return fmt.Errorf("shard %s: %w", name, err)
 		}
-		fmt.Printf("shard %s: %d job(s) recovered\n", name, len(sh.Service().List("")))
+		fmt.Fprintf(out, "shard %s: %d job(s) recovered\n", name, len(sh.Service().List("")))
 	}
 
 	plane, err := shardplane.NewPlane(shards, shardplane.RingOptions{})
@@ -112,7 +99,7 @@ func runShardedJobs(listen, statusAddr string, jf jobsFlags, reg *telemetry.Regi
 			errc <- err
 		}
 	}()
-	fmt.Printf("sharded job API on http://%s/jobs (%d shards, ring %s, replicate=%v)\n",
+	fmt.Fprintf(out, "sharded job API on http://%s/jobs (%d shards, ring %s, replicate=%v)\n",
 		listen, jf.shards, plane.Ring().ID(), jf.replicate)
 
 	select {
@@ -139,7 +126,7 @@ func runShardedJobs(listen, statusAddr string, jf jobsFlags, reg *telemetry.Regi
 	if firstErr != nil {
 		return firstErr
 	}
-	fmt.Println("keymaster: sharded job service drained cleanly")
-	fmt.Println("final:", telemetry.StatusLine(reg.Snapshot()))
+	fmt.Fprintln(out, "keymaster: sharded job service drained cleanly")
+	fmt.Fprintln(out, "final:", telemetry.StatusLine(reg.Snapshot()))
 	return nil
 }

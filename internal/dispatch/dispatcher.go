@@ -33,10 +33,6 @@ type Options struct {
 	// far — §III's periodic collection of "a fairly small amount of data
 	// from each device".
 	Progress func(tested uint64, found int)
-	// Checkpoint, when non-nil, receives (serialized) a resumable snapshot
-	// after every gathered chunk and after every requeue; persist the
-	// latest one to survive a master crash and continue with Resume.
-	Checkpoint func(*Checkpoint)
 	// OnRequeue, when non-nil, is called (serialized) each time a worker
 	// is declared dead and its in-flight interval returns to the pool —
 	// the real-time counterpart of the simulator's FailureDetect event.
@@ -105,28 +101,6 @@ func (d *Dispatcher) Retune() {
 	d.mu.Unlock()
 }
 
-// Search dispatches the interval across the workers: each worker
-// repeatedly claims a chunk proportional to its tuned throughput and
-// searches it; failed workers are dropped and their unfinished chunks
-// return to the pool. Search satisfies the Worker interface.
-func (d *Dispatcher) Search(ctx context.Context, iv keyspace.Interval) (*Report, error) {
-	return d.searchPool(ctx, NewTable[struct{}](iv), &Report{})
-}
-
-// Resume continues a search from a checkpoint: the remaining intervals
-// become the work pool and the recorded results seed the report.
-func (d *Dispatcher) Resume(ctx context.Context, cp *Checkpoint) (*Report, error) {
-	ivs, err := cp.Intervals()
-	if err != nil {
-		return nil, err
-	}
-	rep := &Report{Tested: cp.Tested}
-	for _, f := range cp.Found {
-		rep.Found = append(rep.Found, append([]byte(nil), f...))
-	}
-	return d.searchPool(ctx, NewTable[struct{}](ivs...), rep)
-}
-
 // Tuner is the tuning half of a Worker or a jobs.Executor.
 type Tuner interface {
 	Tune(ctx context.Context) (core.Tuning, error)
@@ -178,7 +152,11 @@ func (d *Dispatcher) workerShares(tunings []core.Tuning) []uint64 {
 	return Shares(tunings, d.opts.RoundScale, d.opts.MinChunk, d.opts.MaxChunk)
 }
 
-func (d *Dispatcher) searchPool(ctx context.Context, work *Table[struct{}], rep *Report) (*Report, error) {
+// Search dispatches the interval across the workers: each worker
+// repeatedly claims a chunk proportional to its tuned throughput and
+// searches it; failed workers are dropped and their unfinished chunks
+// return to the pool. Search satisfies the Worker interface.
+func (d *Dispatcher) Search(ctx context.Context, iv keyspace.Interval) (*Report, error) {
 	start := time.Now()
 	if _, err := d.Tune(ctx); err != nil {
 		return nil, err
@@ -200,15 +178,12 @@ func (d *Dispatcher) searchPool(ctx context.Context, work *Table[struct{}], rep 
 	var (
 		mu      sync.Mutex // guards work, rep and everything below
 		cond    = sync.NewCond(&mu)
+		work    = NewTable[struct{}](iv)
+		rep     = &Report{}
 		errs    []error
 		stopped bool
 		leases  uint64 // last lease ID issued
 	)
-	checkpoint := func() {
-		if d.opts.Checkpoint != nil {
-			d.opts.Checkpoint(NewCheckpoint(work.Remaining(), rep.Tested, rep.Found))
-		}
-	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	go func() { // wake idle waiters when the search is cancelled
@@ -262,8 +237,7 @@ func (d *Dispatcher) searchPool(ctx context.Context, work *Table[struct{}], rep 
 				mu.Lock()
 				if err != nil {
 					// Nothing of the chunk counts as searched — also when
-					// the error is the search being cancelled, so every
-					// later checkpoint still lists it.
+					// the error is the search being cancelled.
 					work.Requeue(lease.ID)
 				} else {
 					work.Settle(lease.ID)
@@ -272,9 +246,7 @@ func (d *Dispatcher) searchPool(ctx context.Context, work *Table[struct{}], rep 
 					// Worker failed mid-chunk: reclaim the whole chunk so
 					// surviving workers pick it up (§III fault tolerance).
 					// Re-testing a prefix the worker may have covered is
-					// the price of never missing an identifier. The
-					// checkpoint written here is what lets a restarted
-					// master resume without losing the requeued interval.
+					// the price of never missing an identifier.
 					// The chunk's identifiers count toward Retested, NOT
 					// Tested: the failed pass was never gathered, so the
 					// gathered totals stay exactly equal to the interval
@@ -286,7 +258,6 @@ func (d *Dispatcher) searchPool(ctx context.Context, work *Table[struct{}], rep 
 					if d.opts.OnRequeue != nil {
 						d.opts.OnRequeue(w.Name(), chunk, err)
 					}
-					checkpoint()
 					cond.Broadcast()
 					mu.Unlock()
 					return
@@ -298,7 +269,6 @@ func (d *Dispatcher) searchPool(ctx context.Context, work *Table[struct{}], rep 
 					if d.opts.Progress != nil {
 						d.opts.Progress(rep.Tested, len(rep.Found))
 					}
-					checkpoint()
 					if d.opts.MaxSolutions > 0 && len(rep.Found) >= d.opts.MaxSolutions {
 						stopped = true
 						cancel()

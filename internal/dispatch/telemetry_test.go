@@ -154,39 +154,6 @@ func TestTelemetryExactUnderChaos(t *testing.T) {
 	}
 }
 
-// TestTelemetryResumeExactness: a crashed run's checkpoint plus a resumed
-// run cover the interval exactly once; the resumed registry counts only
-// the remainder.
-func TestTelemetryResumeExactness(t *testing.T) {
-	const interval = 50_000
-	var last *Checkpoint
-	d1 := NewDispatcher("crash", Options{
-		MaxChunk:   1_000,
-		Checkpoint: func(cp *Checkpoint) { last = cp },
-	}, telWorker("m1", 1e5, 3), telWorker("m2", 1e5, 3))
-	if _, err := d1.Search(context.Background(), keyspace.NewInterval(0, interval)); err == nil {
-		t.Fatal("expected first run to fail with all workers dead")
-	}
-	if last == nil {
-		t.Fatal("no checkpoint captured")
-	}
-
-	reg := telemetry.NewRegistry()
-	d2 := NewDispatcher("resume", Options{Telemetry: reg},
-		telWorker("r1", 1e5, 0), telWorker("r2", 2e5, 0))
-	rep, err := d2.Resume(context.Background(), last)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Tested != interval {
-		t.Fatalf("resumed report tested = %d, want %d", rep.Tested, interval)
-	}
-	want := interval - last.Tested
-	if got := reg.Snapshot().SumPrefix(telemetry.MetricDispatchTested + "."); got != want {
-		t.Fatalf("resumed registry counted %d, want remainder %d", got, want)
-	}
-}
-
 // TestClusterTelemetryAndLevels: the virtual-time simulator publishes
 // per-level frontier stats that each partition the keyspace, per-node
 // measured-vs-model gauges, and a virtual-time event trace.

@@ -393,12 +393,7 @@ func (f *failover) promote() {
 			f.err = err
 			return
 		}
-		ivs, err := cp.Intervals()
-		if err != nil {
-			f.err = err
-			return
-		}
-		f.remaining[j.ID] = ivs
+		f.remaining[j.ID] = cp.Remaining
 	}
 	f.svc = jobs.NewService(store, f.execs, f.serviceOptions(true))
 	if err := f.svc.StartManual(context.Background()); err != nil {

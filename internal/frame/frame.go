@@ -12,9 +12,8 @@
 //
 // Deliberately not here: netproto's len|type|payload wire has no seq and
 // no CRC — folding it in would bump the protocol version and add bytes to
-// the per-lease RPC — and the JSON "sum":"crc32:…" envelopes of the
-// checkpoint file and store snapshot keep their format; they share only
-// WriteFileAtomic.
+// the per-lease RPC — and the JSON "sum":"crc32:…" envelope of the
+// store snapshot keeps its format; it shares only WriteFileAtomic.
 package frame
 
 import (

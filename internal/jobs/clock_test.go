@@ -22,6 +22,17 @@ func (f frozenClock) AfterFunc(d time.Duration, fn func()) sim.Timer {
 	return sim.Wall{}.AfterFunc(d, fn)
 }
 
+// tickClock is a sim.Clock whose Now advances one nanosecond per call,
+// so every record a test store writes carries a distinct, reproducible
+// stamp.
+type tickClock struct{ tick int64 }
+
+func (c *tickClock) Now() time.Time                  { c.tick++; return time.Unix(0, c.tick) }
+func (c *tickClock) Since(t time.Time) time.Duration { return time.Unix(0, c.tick).Sub(t) }
+func (c *tickClock) AfterFunc(d time.Duration, fn func()) sim.Timer {
+	return sim.Wall{}.AfterFunc(d, fn)
+}
+
 // TestLocalExecutorUsesInjectedClock pins the clockseam fix: with a
 // frozen clock injected, Search must report Elapsed == 0. Before the
 // fix, LocalExecutor stamped reports with time.Now/time.Since directly

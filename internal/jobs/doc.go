@@ -1,7 +1,10 @@
 // Package jobs is the multi-tenant job service: it multiplexes many
 // concurrent exhaustive-search jobs over a single dispatch fleet, where
 // the paper's system (Section IV) runs exactly one search per master
-// process.
+// process — which is the service with one job, and how cmd/keymaster
+// runs it. It is the one scheduler that owns a TCP worker
+// (netproto.Executor) and the one place a search's remaining set is made
+// durable.
 //
 // Three layers:
 //

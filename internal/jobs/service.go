@@ -312,6 +312,7 @@ type Service struct {
 	ctx       context.Context
 	cancel    context.CancelFunc
 	wg        sync.WaitGroup
+	loopsDone chan struct{} // closed when every executor loop has returned
 	closeOnce sync.Once
 }
 
@@ -331,6 +332,8 @@ func NewService(store *Store, execs []Executor, opts Options) *Service {
 		hub:    newHub(),
 		sched:  newScheduler(opts.Sched),
 		active: make(map[string]*activeJob),
+
+		loopsDone: make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s
@@ -401,14 +404,22 @@ func (s *Service) start(ctx context.Context, manual bool) error {
 			go s.runExecutor(i, ex)
 		}
 		// Wake lease waiters when the context dies.
-		go func() {
-			<-s.ctx.Done()
-			s.cond.Broadcast()
-		}()
+		context.AfterFunc(s.ctx, s.cond.Broadcast)
 	}
+	go func() {
+		s.wg.Wait()
+		close(s.loopsDone)
+	}()
 	s.started = true
 	return nil
 }
+
+// ExecutorsDone is closed once every executor loop has returned: at
+// shutdown, or because each executor was retired after MaxSearchFailures
+// consecutive failures — RUNNING jobs then keep their remaining sets with
+// nobody left to lease them to, so a caller waiting on one should stop.
+// Under StartManual there are no loops and it is closed from the start.
+func (s *Service) ExecutorsDone() <-chan struct{} { return s.loopsDone }
 
 // Shares exposes the per-executor lease sizes chosen at Start
 // (diagnostics and tests).
@@ -436,17 +447,13 @@ func (s *Service) activateLocked(j Job) error {
 	if err != nil {
 		return err
 	}
-	ivs, err := cp.Intervals()
-	if err != nil {
-		return err
-	}
 	a := &activeJob{
 		id:       j.ID,
 		tenant:   j.Tenant,
 		priority: j.Priority,
 		spec:     j.Spec,
 		subAt:    j.SubmittedAt,
-		leases:   dispatch.NewTable[leaseState](ivs...),
+		leases:   dispatch.NewTable[leaseState](cp.Remaining...),
 		tested:   cp.Tested,
 		found:    cp.Found,
 	}
@@ -658,6 +665,7 @@ func (s *Service) requeueLocked(a *activeJob, id uint64, counter *telemetry.Coun
 	stopTimer(le)
 	s.sched.credit(a.tenant, le.N)
 	counter.Inc()
+	s.tel.requeued.Add(le.N)
 	s.dropIfDrainedLocked(a)
 	s.cond.Broadcast()
 	return true
@@ -1166,16 +1174,11 @@ func (s *Service) Shutdown(ctx context.Context) error {
 	s.mu.Unlock()
 	s.cond.Broadcast()
 
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
 	select {
-	case <-done:
+	case <-s.loopsDone:
 	case <-ctx.Done():
 		s.cancel()
-		<-done
+		<-s.loopsDone
 	}
 	s.cancel()
 	s.hub.close()

@@ -8,6 +8,7 @@ import (
 	"math/big"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -39,13 +40,11 @@ type StoreOptions struct {
 	NoSync bool
 	// Telemetry receives the WAL/store metrics (nil = no-op).
 	Telemetry *telemetry.Registry
-	// Now stamps records (nil = the Clock, or time.Now). Replay ignores
-	// it: recovered timestamps come from the records themselves, so a
-	// rebuilt table matches the one that crashed.
-	Now func() time.Time
-	// Clock is the store's time source when Now is nil. A sim.Virtual
-	// clock makes WAL record stamps advance in virtual time, so
-	// simulated runs produce deterministic logs.
+	// Clock stamps records (nil = the wall clock). A sim.Virtual clock
+	// makes WAL record stamps advance in virtual time, so simulated runs
+	// produce deterministic logs. Replay ignores it: recovered timestamps
+	// come from the records themselves, so a rebuilt table matches the
+	// one that crashed.
 	Clock sim.Clock
 	// CompactEvery triggers snapshot compaction after this many WAL
 	// records (0 = compact only when Compact is called).
@@ -108,16 +107,12 @@ func Open(dir string, opts StoreOptions) (*Store, error) {
 	s := &Store{
 		dir:  dir,
 		opts: opts,
-		now:  opts.Now,
+		now:  sim.Wall{}.Now,
 		tel:  newStoreTelemetry(opts.Telemetry),
 		jobs: make(map[string]*jobRec),
 	}
-	if s.now == nil {
-		if opts.Clock != nil {
-			s.now = opts.Clock.Now
-		} else {
-			s.now = sim.Wall{}.Now
-		}
+	if opts.Clock != nil {
+		s.now = opts.Clock.Now
 	}
 	watermark, err := s.loadSnapshot()
 	if err != nil {
@@ -220,22 +215,61 @@ func (s *Store) applyCheckpoint(cr checkpointRecord) error {
 	if !ok {
 		return fmt.Errorf("%w: checkpoint for unknown job %s", frame.ErrCorrupt, cr.ID)
 	}
-	if r.state.Terminal() {
-		return fmt.Errorf("%w: checkpoint for terminal job %s (%s)", ErrTransition, cr.ID, r.state)
-	}
-	if cr.CP.Tested < r.cp.Tested {
-		return fmt.Errorf("%w: job %s: tested went backwards (%d -> %d)", frame.ErrCorrupt, cr.ID, r.cp.Tested, cr.CP.Tested)
-	}
-	remaining := cr.CP.RemainingKeys()
-	covered := new(big.Int).Add(remaining, new(big.Int).SetUint64(cr.CP.Tested))
-	if covered.Cmp(r.space) > 0 {
-		return fmt.Errorf("%w: job %s: tested %d + remaining %s exceeds space %s",
-			frame.ErrCorrupt, cr.ID, cr.CP.Tested, remaining, r.space)
+	remaining, err := r.checkCheckpoint(&cr.CP)
+	if err != nil {
+		return fmt.Errorf("%w: %w", frame.ErrCorrupt, err)
 	}
 	r.cp = cr.CP
 	r.remaining = remaining
 	r.updAt = time.Unix(0, cr.At)
 	return nil
+}
+
+// checkCheckpoint is the one gate a job's next checkpoint passes, on the
+// live path before it is logged and on replay before it is applied: the
+// job is not terminal, tested does not go backwards, and the remaining
+// set is sound for the job's space (checkRemaining). It returns the
+// remaining identifier count.
+func (r *jobRec) checkCheckpoint(cp *dispatch.Checkpoint) (*big.Int, error) {
+	if r.state.Terminal() {
+		return nil, fmt.Errorf("%w: job %s: checkpoint in terminal state %s", ErrTransition, r.id, r.state)
+	}
+	if cp.Tested < r.cp.Tested {
+		return nil, fmt.Errorf("jobs: job %s: tested went backwards (%d -> %d)", r.id, r.cp.Tested, cp.Tested)
+	}
+	remaining, err := checkRemaining(cp, r.space)
+	if err != nil {
+		return nil, fmt.Errorf("jobs: job %s: %w", r.id, err)
+	}
+	return remaining, nil
+}
+
+// checkRemaining refuses a checkpoint whose remaining set could make a
+// search skip or double identifiers: an interval that is empty or
+// inverted, reaches outside [0, space] or overlaps another, or a set that
+// with the tested count covers more than the space. The remaining set is
+// the sole record of what is left to search, so a bad one fails closed —
+// here, not when a lease over it is issued. It returns the remaining
+// identifier count.
+func checkRemaining(cp *dispatch.Checkpoint, space *big.Int) (*big.Int, error) {
+	for _, iv := range cp.Remaining {
+		if iv.Empty() || iv.Start.Sign() < 0 || iv.End.Cmp(space) > 0 {
+			return nil, fmt.Errorf("remaining interval %v is empty or outside the space [0, %s)", iv, space)
+		}
+	}
+	sorted := slices.Clone(cp.Remaining)
+	slices.SortFunc(sorted, func(a, b keyspace.Interval) int { return a.Start.Cmp(b.Start) })
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i].Start.Cmp(sorted[i-1].End) < 0 {
+			return nil, fmt.Errorf("remaining intervals %v and %v overlap", sorted[i-1], sorted[i])
+		}
+	}
+	remaining := cp.RemainingKeys()
+	covered := new(big.Int).Add(remaining, new(big.Int).SetUint64(cp.Tested))
+	if covered.Cmp(space) > 0 {
+		return nil, fmt.Errorf("tested %d + remaining %s exceeds space %s", cp.Tested, remaining, space)
+	}
+	return remaining, nil
 }
 
 // append frames and logs one record, then applies it. The mutation is
@@ -375,15 +409,8 @@ func (s *Store) RecordCheckpoint(id string, cp *dispatch.Checkpoint) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	if r.state.Terminal() {
-		return fmt.Errorf("%w: job %s: checkpoint in terminal state %s", ErrTransition, id, r.state)
-	}
-	if cp.Tested < r.cp.Tested {
-		return fmt.Errorf("jobs: job %s: tested went backwards (%d -> %d)", id, r.cp.Tested, cp.Tested)
-	}
-	covered := new(big.Int).Add(cp.RemainingKeys(), new(big.Int).SetUint64(cp.Tested))
-	if covered.Cmp(r.space) > 0 {
-		return fmt.Errorf("jobs: job %s: checkpoint covers more than the space", id)
+	if _, err := r.checkCheckpoint(cp); err != nil {
+		return err
 	}
 	cr := checkpointRecord{ID: id, CP: *cp, At: s.now().UnixNano()}
 	return s.append(recCheckpoint, cr)
@@ -398,13 +425,7 @@ func (s *Store) Progress(id string) (*dispatch.Checkpoint, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	cp := r.cp
-	cp.Remaining = append([]dispatch.CheckpointInterval(nil), r.cp.Remaining...)
-	cp.Found = nil
-	for _, f := range r.cp.Found {
-		cp.Found = append(cp.Found, append([]byte(nil), f...))
-	}
-	return &cp, nil
+	return dispatch.NewCheckpoint(r.cp.Remaining, r.cp.Tested, r.cp.Found), nil
 }
 
 // snapshotJob builds the public view. Callers hold s.mu.
@@ -429,10 +450,9 @@ func (s *Store) snapshotJob(r *jobRec) Job {
 }
 
 // Snapshot file format: the job table plus the WAL sequence watermark
-// it covers, with a CRC over the canonical encoding (same integrity
-// scheme as dispatch checkpoints). Replay skips records at or below
-// Seq, so a crash between snapshot rename and WAL truncation applies
-// nothing twice.
+// it covers, with a CRC over the canonical encoding. Replay skips
+// records at or below Seq, so a crash between snapshot rename and WAL
+// truncation applies nothing twice.
 
 type snapJob struct {
 	ID          string              `json:"id"`
@@ -483,11 +503,15 @@ func decodeSnapshot(data []byte) (*snapEnvelope, error) {
 		return nil, fmt.Errorf("%w: snapshot: checksum mismatch (file %s, content %s)", frame.ErrCorrupt, env.Sum, want)
 	}
 	for _, sj := range env.Jobs {
-		if _, err := sj.Spec.Space(); err != nil {
+		space, err := sj.Spec.Space()
+		if err != nil {
 			return nil, fmt.Errorf("%w: snapshot job %s: %v", frame.ErrCorrupt, sj.ID, err)
 		}
 		if !sj.State.Valid() {
 			return nil, fmt.Errorf("%w: snapshot job %s: invalid state", frame.ErrCorrupt, sj.ID)
+		}
+		if _, err := checkRemaining(&sj.CP, space.Size()); err != nil {
+			return nil, fmt.Errorf("%w: snapshot job %s: %v", frame.ErrCorrupt, sj.ID, err)
 		}
 	}
 	return &env, nil
@@ -508,12 +532,9 @@ func (s *Store) loadSnapshot() (uint64, error) {
 		return 0, err
 	}
 	for _, sj := range env.Jobs {
-		space, err := sj.Spec.Space()
+		space, err := sj.Spec.Space() // decodeSnapshot has checked each job
 		if err != nil {
 			return 0, fmt.Errorf("%w: snapshot job %s: %v", frame.ErrCorrupt, sj.ID, err)
-		}
-		if !sj.State.Valid() {
-			return 0, fmt.Errorf("%w: snapshot job %s: invalid state", frame.ErrCorrupt, sj.ID)
 		}
 		s.jobs[sj.ID] = &jobRec{
 			id:        sj.ID,

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"crypto/md5"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"math/big"
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"keysearch/internal/dispatch"
 	"keysearch/internal/frame"
@@ -26,11 +28,7 @@ func testSpec() Spec {
 
 func testStore(t *testing.T, dir string) *Store {
 	t.Helper()
-	var tick int64
-	s, err := Open(dir, StoreOptions{
-		NoSync: true,
-		Now:    func() time.Time { tick++; return time.Unix(0, tick) },
-	})
+	s, err := Open(dir, StoreOptions{NoSync: true, Clock: &tickClock{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,10 +44,7 @@ func cut(t *testing.T, s *Store, id string, n int64) *dispatch.Checkpoint {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ivs, err := cp.Intervals()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ivs := cp.Remaining
 	if len(ivs) == 0 {
 		t.Fatalf("job %s has nothing remaining", id)
 	}
@@ -447,5 +442,92 @@ func TestParentStateDirectoryOpens(t *testing.T) {
 	raw, _ := hex.DecodeString(parentWAL)
 	if got, err := os.ReadFile(filepath.Join(dir, walFile)); err != nil || !bytes.HasPrefix(got, raw) || len(got) <= len(raw) {
 		t.Errorf("log after recovery and one append: %d bytes (%v), parent's %d are not its prefix", len(got), err, len(raw))
+	}
+}
+
+// TestBadRemainingSetRefused: the remaining set is the sole record of what
+// a job still has to search, so one that could skip or double identifiers
+// must be refused at every door it can come through — RecordCheckpoint
+// (the live commit path), WAL replay (crash recovery and follower
+// promotion) and decodeSnapshot (store recovery and Replica.ApplySnapshot)
+// — never resumed from.
+func TestBadRemainingSetRefused(t *testing.T) {
+	spec := testSpec()
+	spec.Charset, spec.MaxLen = "abcdefghijklmnopqrstuvwxyz0123456789", 2 // 36 + 1296 = 1332 keys
+	const whole = `[{"start":"0","end":"1332"}]`
+	cases := []struct{ name, remaining string }{
+		{"unparsable", `[{"start":"x","end":"y"}]`},
+		{"negative", `[{"start":"-20","end":"-10"}]`},
+		{"outside-space", `[{"start":"999999990","end":"999999999"}]`},
+		{"overlapping", `[{"start":"0","end":"10"},{"start":"0","end":"10"}]`},
+		{"inverted", `[{"start":"10","end":"5"}]`},
+		{"partial-overlap", `[{"start":"100","end":"200"},{"start":"0","end":"101"}]`},
+	}
+	for _, tc := range cases {
+		cpJSON := `{"remaining":` + tc.remaining + `,"tested":0}`
+
+		t.Run(tc.name+"/RecordCheckpoint", func(t *testing.T) {
+			s := testStore(t, t.TempDir())
+			j, err := s.Submit("t", 0, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.SetState(j.ID, StateRunning, "")
+			var cp dispatch.Checkpoint
+			if err := json.Unmarshal([]byte(cpJSON), &cp); err != nil {
+				return // refused at the JSON boundary: no such Checkpoint value exists
+			}
+			if err := s.RecordCheckpoint(j.ID, &cp); err == nil {
+				t.Fatal("accepted")
+			}
+			if got, _ := s.Get(j.ID); got.Remaining != "1332" {
+				t.Fatalf("refused checkpoint changed the table: remaining %s", got.Remaining)
+			}
+		})
+
+		t.Run(tc.name+"/replay", func(t *testing.T) {
+			var wal []byte
+			wal = frame.Append(wal, byte(recSubmit), 1, mustJSON(t, submitRecord{ID: "j1", Tenant: "t", Spec: spec, At: 1}))
+			wal = frame.Append(wal, byte(recState), 2, mustJSON(t, stateRecord{ID: "j1", To: StateRunning, At: 2}))
+			wal = frame.Append(wal, byte(recCheckpoint), 3, []byte(`{"id":"j1","cp":`+cpJSON+`,"at_unix_ns":3}`))
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, walFile), wal, 0o600); err != nil {
+				t.Fatal(err)
+			}
+			if s, err := Open(dir, StoreOptions{NoSync: true}); !errors.Is(err, frame.ErrCorrupt) {
+				if err == nil {
+					s.Close()
+				}
+				t.Fatalf("Open = %v, want ErrCorrupt", err)
+			}
+		})
+
+		t.Run(tc.name+"/snapshot", func(t *testing.T) {
+			// A snapshot whose checksum is right for its (bad) content: the
+			// canonical encoding of a sound table with the remaining set
+			// swapped in, summed afterwards.
+			body := mustJSON(t, snapBody{Seq: 3, Jobs: []snapJob{{
+				ID: "j1", Tenant: "t", Spec: spec, State: StateRunning,
+				CP:          *dispatch.NewCheckpoint([]keyspace.Interval{keyspace.NewInterval(0, 1332)}, 0, nil),
+				SubmittedAt: 1, UpdatedAt: 2,
+			}}})
+			if !bytes.Contains(body, []byte(whole)) {
+				t.Fatalf("snapshot encoding changed: %s", body)
+			}
+			body = bytes.Replace(body, []byte(whole), []byte(tc.remaining), 1)
+			snap := fmt.Sprintf(`%s,"sum":"crc32:%08x"}`, body[:len(body)-1], crc32.ChecksumIEEE(body))
+
+			rep, err := OpenReplica(t.TempDir(), ReplicaOptions{NoSync: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rep.Close()
+			if err := rep.ApplySnapshot([]byte(snap)); !errors.Is(err, frame.ErrCorrupt) {
+				t.Fatalf("ApplySnapshot = %v, want ErrCorrupt", err)
+			}
+			if rep.Seeded() {
+				t.Fatal("replica seeded from a refused snapshot")
+			}
+		})
 	}
 }

@@ -46,6 +46,7 @@ type serviceTelemetry struct {
 	leaseLen    *telemetry.Histogram
 	preempted   *telemetry.Counter
 	requeues    *telemetry.Counter
+	requeued    *telemetry.Counter // keys, where requeues and expired count leases
 	expired     *telemetry.Counter
 	steals      *telemetry.Counter
 	stolenKeys  *telemetry.Counter
@@ -78,6 +79,7 @@ func newServiceTelemetry(reg *telemetry.Registry) *serviceTelemetry {
 	st.leaseLen = reg.Histogram(telemetry.MetricJobsLeaseLen)
 	st.preempted = reg.Counter(telemetry.MetricJobsPreempted)
 	st.requeues = reg.Counter(telemetry.MetricJobsRequeues)
+	st.requeued = reg.Counter(telemetry.MetricJobsRequeuedKeys)
 	st.expired = reg.Counter(telemetry.MetricJobsExpired)
 	st.steals = reg.Counter(telemetry.MetricJobsSteals)
 	st.stolenKeys = reg.Counter(telemetry.MetricJobsStolenKeys)

@@ -24,8 +24,7 @@ const (
 // payload bound past which a length is corruption, not an allocation.
 var walFormat = frame.Format{Types: byte(recCheckpoint), MaxPayload: 1 << 24}
 
-// Payload shapes. All payloads are JSON inside the CRC frame, matching
-// the checkpoint file format of internal/dispatch.
+// Payload shapes. All payloads are JSON inside the CRC frame.
 
 // submitRecord logs a job's admission into the table.
 type submitRecord struct {

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"keysearch/internal/frame"
 )
@@ -20,11 +19,7 @@ func recordedWAL(t *testing.T, seed int64) []byte {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	dir := t.TempDir()
-	var tick int64
-	s, err := Open(dir, StoreOptions{
-		NoSync: true,
-		Now:    func() time.Time { tick++; return time.Unix(0, tick) },
-	})
+	s, err := Open(dir, StoreOptions{NoSync: true, Clock: &tickClock{}})
 	if err != nil {
 		t.Fatal(err)
 	}

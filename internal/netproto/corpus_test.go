@@ -169,7 +169,7 @@ func TestCorpusEndToEnd(t *testing.T) {
 		}
 	}
 
-	d := dispatch.NewDispatcher("corpus-root", dispatch.Options{}, BindWorkers(ws, workers)...)
+	d := dispatch.NewDispatcher("corpus-root", dispatch.Options{}, bindWorkers(ws, workers)...)
 	space, _ := keyspace.New(keyspace.Lower, 1, 3, keyspace.PrefixMajor)
 	rep, err := d.Search(ctx, keyspace.Interval{Start: big.NewInt(0), End: space.Size()})
 	if err != nil {

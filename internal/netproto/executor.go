@@ -21,9 +21,9 @@ import (
 // number of tenants' jobs concurrently. The spec rides to the worker at
 // most once per connection (see RemoteWorker) — and for a multi-target
 // spec the corpus blob is built and registered once here, then streamed
-// to the worker ahead of the spec — while rejoin, heartbeat and requeue
-// semantics are exactly those of the dispatch path: the service sees a
-// failed lease and requeues it, never a torn one.
+// to the worker ahead of the spec. Retry, rejoin and heartbeats happen
+// below it, inside RemoteWorker: the service sees a failed lease and
+// requeues it, never a torn one.
 type Executor struct {
 	w *RemoteWorker
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"keysearch/internal/core"
 	"keysearch/internal/dispatch"
 	"keysearch/internal/keyspace"
 	"keysearch/internal/netproto/chaos"
@@ -32,6 +33,24 @@ func chaosDialer(plan chaos.Plan) func(ctx context.Context, network, addr string
 		mu.Unlock()
 		return chaos.Dial(ctx, network, addr, p)
 	}
+}
+
+// bindWorkers fixes one spec on each remote worker so a
+// dispatch.Dispatcher can drive them — a scheduler small enough that a
+// test asserting on retry, rejoin and requeue sees only the transport's
+// behaviour, not the job service's.
+func bindWorkers(spec JobSpec, workers []*RemoteWorker) []dispatch.Worker {
+	out := make([]dispatch.Worker, len(workers))
+	for i, w := range workers {
+		out[i] = &dispatch.FuncWorker{
+			WorkerName: w.Name(),
+			TuneFunc:   func(ctx context.Context) (core.Tuning, error) { return w.TuneSpec(ctx, spec) },
+			SearchFunc: func(ctx context.Context, iv keyspace.Interval) (*dispatch.Report, error) {
+				return w.SearchSpec(ctx, spec, iv)
+			},
+		}
+	}
+	return out
 }
 
 // searchSpace runs an exhaustive dispatch over the whole test space.
@@ -98,7 +117,7 @@ func TestClusterSurvivesWorkerDeath(t *testing.T) {
 				requeued = append(requeued, worker)
 				mu.Unlock()
 			},
-		}, BindWorkers(spec, workers)...)
+		}, bindWorkers(spec, workers)...)
 		rep := searchSpace(ctx, t, d)
 		mu.Lock()
 		defer mu.Unlock()
@@ -167,7 +186,7 @@ func TestWorkerReconnectsAndRejoins(t *testing.T) {
 		MaxSolutions: 1,
 		MaxChunk:     4096,
 		OnRequeue:    func(string, keyspace.Interval, error) { requeues++ },
-	}, BindWorkers(spec, workers)...)
+	}, bindWorkers(spec, workers)...)
 	space, _ := keyspace.New(keyspace.Lower, 1, 3, keyspace.PrefixMajor)
 	rep, err := d.Search(ctx, keyspace.Interval{Start: big.NewInt(0), End: space.Size()})
 	if err != nil {
@@ -223,7 +242,7 @@ func TestHeartbeatDetectsBlackhole(t *testing.T) {
 			requeued = append(requeued, worker)
 			mu.Unlock()
 		},
-	}, BindWorkers(spec, workers)...)
+	}, bindWorkers(spec, workers)...)
 	rep := searchSpace(ctx, t, d)
 
 	if len(rep.Found) != 1 || string(rep.Found[0]) != "zzz" {
@@ -241,90 +260,6 @@ func TestHeartbeatDetectsBlackhole(t *testing.T) {
 		if w != "victim" {
 			t.Errorf("requeue charged to %s, want victim", w)
 		}
-	}
-}
-
-// TestMasterRestartResumesFromCheckpoint: a master that dies mid-search
-// must resume from its persisted checkpoint on a fresh process — skipping
-// completed intervals — instead of restarting from zero.
-func TestMasterRestartResumesFromCheckpoint(t *testing.T) {
-	spec := testJob(t, "zzz")
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	// --- first master: search until a few checkpoints land, then "crash".
-	m1, err := NewMaster("127.0.0.1:0", MasterOptions{Heartbeat: -1, Retry: fastRetry})
-	if err != nil {
-		t.Fatal(err)
-	}
-	run1Ctx, run1Cancel := context.WithCancel(ctx)
-	go func() { _ = Dial(run1Ctx, m1.Addr(), WorkerConfig{Name: "w1", Workers: 1, TuneStart: 512}) }()
-	workers, err := m1.AcceptWorkers(ctx, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var mu sync.Mutex
-	var latest []byte // what a real master persists to disk
-	var snaps int
-	d1 := dispatch.NewDispatcher("restart-1", dispatch.Options{
-		MaxChunk: 1024,
-		Checkpoint: func(cp *dispatch.Checkpoint) {
-			data, err := cp.Marshal()
-			if err != nil {
-				return
-			}
-			mu.Lock()
-			latest = data
-			snaps++
-			if snaps == 3 {
-				run1Cancel() // crash the master mid-search
-			}
-			mu.Unlock()
-		},
-	}, BindWorkers(spec, workers)...)
-	space, _ := keyspace.New(keyspace.Lower, 1, 3, keyspace.PrefixMajor)
-	_, err = d1.Search(run1Ctx, keyspace.Interval{Start: big.NewInt(0), End: space.Size()})
-	if err == nil {
-		t.Fatal("crashed search reported success")
-	}
-	m1.Close()
-
-	mu.Lock()
-	data := append([]byte(nil), latest...)
-	mu.Unlock()
-	cp, err := dispatch.LoadCheckpoint(data)
-	if err != nil {
-		t.Fatalf("load checkpoint: %v", err)
-	}
-	remaining := cp.RemainingKeys()
-	if remaining.Sign() == 0 || remaining.Cmp(space.Size()) >= 0 {
-		t.Fatalf("checkpoint remaining %v of %v: no mid-search progress", remaining, space.Size())
-	}
-
-	// --- second master: fresh process, fresh worker, resume.
-	m2, err := NewMaster("127.0.0.1:0", MasterOptions{Heartbeat: -1, Retry: fastRetry})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m2.Close()
-	go func() { _ = Dial(ctx, m2.Addr(), WorkerConfig{Name: "w2", Workers: 1, TuneStart: 512}) }()
-	workers2, err := m2.AcceptWorkers(ctx, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2 := dispatch.NewDispatcher("restart-2", dispatch.Options{MaxChunk: 4096}, BindWorkers(spec, workers2)...)
-	rep, err := d2.Resume(ctx, cp)
-	if err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	if len(rep.Found) != 1 || string(rep.Found[0]) != "zzz" {
-		t.Errorf("resumed run found %q", rep.Found)
-	}
-	// The resumed report is seeded with the checkpoint's Tested count, so
-	// an exact total proves the completed prefix was skipped, not redone.
-	if want := spaceSize(t); rep.Tested != want {
-		t.Errorf("resumed tested %d, want %d (completed intervals must be skipped)", rep.Tested, want)
 	}
 }
 

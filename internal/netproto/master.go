@@ -34,7 +34,7 @@ func (e *RemoteError) Error() string {
 // RequeueError reports that a worker handed its interval back with
 // MsgRequeue instead of finishing it. The master treats it like a
 // transport failure (the retry/backoff window gives the worker a chance
-// to rejoin), so the dispatcher requeues the interval either way.
+// to rejoin), so the job service requeues the lease either way.
 type RequeueError struct {
 	Worker string
 	Reason string
@@ -98,10 +98,10 @@ func (o MasterOptions) withDefaults() MasterOptions {
 var testHookPendingFull atomic.Pointer[func(worker string)]
 
 // Master accepts worker connections and exposes each as a RemoteWorker:
-// a spec-carrying proxy that any number of jobs can call into, or — via
-// Bind — a plain dispatch.Worker for a fixed spec, so the regular
-// Dispatcher drives the network exactly like local workers (the paper's
-// hierarchy-agnostic pattern).
+// a spec-carrying proxy that any number of jobs can call into. Executor
+// wraps one as a jobs.Executor, which is how the job service — the one
+// scheduler that owns TCP workers — drives the network exactly like
+// local executors (the paper's hierarchy-agnostic pattern).
 //
 // The accept loop runs for the master's whole life: a worker that
 // re-registers under a name seen before is a REJOIN, and its fresh
@@ -687,37 +687,6 @@ func (w *RemoteWorker) SearchSpecLive(ctx context.Context, spec JobSpec, iv keys
 		return nil, err
 	}
 	return &dispatch.Report{Found: res.Found, Tested: res.Tested, Elapsed: res.Elapsed}, nil
-}
-
-// Bind fixes a spec, adapting the worker to the spec-less
-// dispatch.Worker interface so a Dispatcher can drive it for one job.
-// Any number of Bind adapters can share one RemoteWorker; the underlying
-// calls are serialized either way.
-func (w *RemoteWorker) Bind(spec JobSpec) dispatch.Worker {
-	return &boundWorker{w: w, spec: spec}
-}
-
-// BindWorkers binds every worker to the same spec — the common
-// one-job-per-fleet case (keymaster's classic mode and most tests).
-func BindWorkers(spec JobSpec, workers []*RemoteWorker) []dispatch.Worker {
-	out := make([]dispatch.Worker, len(workers))
-	for i, w := range workers {
-		out[i] = w.Bind(spec)
-	}
-	return out
-}
-
-type boundWorker struct {
-	w    *RemoteWorker
-	spec JobSpec
-}
-
-func (b *boundWorker) Name() string { return b.w.Name() }
-func (b *boundWorker) Tune(ctx context.Context) (core.Tuning, error) {
-	return b.w.TuneSpec(ctx, b.spec)
-}
-func (b *boundWorker) Search(ctx context.Context, iv keyspace.Interval) (*dispatch.Report, error) {
-	return b.w.SearchSpec(ctx, b.spec, iv)
 }
 
 // call sends a request and awaits the matching response, retrying per the

@@ -429,7 +429,7 @@ func DecodeHeartbeat(b []byte) (Heartbeat, error) {
 
 // Requeue is a worker's graceful hand-back of an interval it will not
 // finish (local shutdown, resource loss). The master returns the interval
-// to the dispatch pool exactly as if the worker had failed, but without
+// to the job's pool exactly as if the worker had failed, but without
 // waiting for a heartbeat timeout.
 type Requeue struct {
 	Start, End *big.Int

@@ -174,7 +174,7 @@ func TestEndToEndCrack(t *testing.T) {
 		t.Fatalf("workers = %d", len(workers))
 	}
 
-	d := dispatch.NewDispatcher("tcp-root", dispatch.Options{MaxSolutions: 1}, BindWorkers(spec, workers)...)
+	d := dispatch.NewDispatcher("tcp-root", dispatch.Options{MaxSolutions: 1}, bindWorkers(spec, workers)...)
 	space, _ := keyspace.New(keyspace.Lower, 1, 3, keyspace.PrefixMajor)
 	rep, err := d.Search(ctx, keyspace.Interval{Start: big.NewInt(0), End: space.Size()})
 	if err != nil {
@@ -223,7 +223,7 @@ func TestWorkerDeathMidSearch(t *testing.T) {
 		victimConn.Close()
 	}()
 
-	d := dispatch.NewDispatcher("tcp-root", dispatch.Options{}, BindWorkers(spec, workers)...)
+	d := dispatch.NewDispatcher("tcp-root", dispatch.Options{}, bindWorkers(spec, workers)...)
 	space, _ := keyspace.New(keyspace.Lower, 1, 3, keyspace.PrefixMajor)
 	rep, err := d.Search(ctx, keyspace.Interval{Start: big.NewInt(0), End: space.Size()})
 	if err != nil {
@@ -427,7 +427,7 @@ func TestMultiSpecFleet(t *testing.T) {
 	for _, password := range []string{"cat", "dog"} {
 		spec := testJob(t, password)
 		go func() {
-			d := dispatch.NewDispatcher("fleet-"+password, dispatch.Options{MaxSolutions: 1}, BindWorkers(spec, workers)...)
+			d := dispatch.NewDispatcher("fleet-"+password, dispatch.Options{MaxSolutions: 1}, bindWorkers(spec, workers)...)
 			rep, err := d.Search(ctx, keyspace.Interval{Start: big.NewInt(0), End: space.Size()})
 			if err != nil {
 				results <- err

@@ -385,7 +385,7 @@ func TestCancelAtSearchCompletionKeepsCoverageExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := dispatch.NewDispatcher("exact", dispatch.Options{MaxSolutions: 0, MaxChunk: 1500},
-		BindWorkers(spec, workers)...)
+		bindWorkers(spec, workers)...)
 	rep := searchSpace(ctx, t, d)
 
 	if want := spaceSize(t); rep.Tested != want {

@@ -46,7 +46,7 @@ func TestTelemetryCleanRun(t *testing.T) {
 	d := dispatch.NewDispatcher("tel-root", dispatch.Options{
 		MaxChunk:  2048,
 		Telemetry: mreg,
-	}, BindWorkers(spec, workers)...)
+	}, bindWorkers(spec, workers)...)
 	rep := searchSpace(ctx, t, d)
 	if want := spaceSize(t); rep.Tested != want {
 		t.Fatalf("tested %d, want %d", rep.Tested, want)
@@ -119,7 +119,7 @@ func TestTelemetryChaosExactness(t *testing.T) {
 	d := dispatch.NewDispatcher("chaos-tel", dispatch.Options{
 		MaxChunk:  1024,
 		Telemetry: reg,
-	}, BindWorkers(spec, workers)...)
+	}, bindWorkers(spec, workers)...)
 	rep := searchSpace(ctx, t, d)
 	want := spaceSize(t)
 	if rep.Tested != want {
@@ -191,7 +191,7 @@ func TestTelemetryReconnectCounters(t *testing.T) {
 			requeues++
 			mu.Unlock()
 		},
-	}, BindWorkers(spec, workers)...)
+	}, bindWorkers(spec, workers)...)
 	space, _ := keyspace.New(keyspace.Lower, 1, 3, keyspace.PrefixMajor)
 	rep, err := d.Search(ctx, keyspace.Interval{Start: big.NewInt(0), End: space.Size()})
 	if err != nil {

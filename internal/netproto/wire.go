@@ -1,11 +1,13 @@
 // Package netproto implements the cluster wire protocol: a master process
-// drives remote worker processes over TCP, each worker exposing the
-// dispatch.Worker operations (tune, search) on its local CPU cracker.
+// drives remote worker processes over TCP, each worker exposing the two
+// coarse-grain operations (tune, search) on its local CPU cracker.
 //
-// This is the real-network counterpart of the virtual-time cluster of
-// internal/dispatch: the same dispatcher tree drives both, which is the
-// point of the paper's pattern — the coarse grain does not care whether a
-// node is a goroutine, a GPU model, or a machine across a LAN.
+// One scheduler owns a TCP worker: the job service (internal/jobs), which
+// sees each accepted worker as a jobs.Executor (Executor in this package)
+// beside its local ones — the point of the paper's pattern is that the
+// coarse grain does not care whether a node is a goroutine or a machine
+// across a LAN. keymaster's single-search mode is one job of that
+// service.
 //
 // Framing: every message is a 4-byte big-endian payload length, a 1-byte
 // message type, then the payload. Payloads are hand-encoded with
@@ -119,9 +121,10 @@
 // window, because the accept loop runs for the master's lifetime and a
 // worker re-registering under a known name has its fresh connection
 // handed to the existing remote worker. Only when every attempt is
-// exhausted does the call error back to the dispatcher, which requeues
-// the worker's in-flight interval for the survivors and snapshots a
-// checkpoint (see internal/dispatch). Application-level failures
+// exhausted does the call error back to the job service, which requeues
+// the worker's in-flight lease for the survivors; the lease was never
+// removed from the job's durable remaining set, so a master restart
+// cannot lose it either (see internal/jobs). Application-level failures
 // (MsgError) are never retried: the worker is alive and has answered.
 // A worker shutting down cleanly sends MsgRequeue so the master can
 // return its interval to the pool without waiting out a timeout.

@@ -192,11 +192,7 @@ func TestShardFailoverPromotion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ivs, err := cp.Intervals()
-		if err != nil {
-			t.Fatal(err)
-		}
-		remaining[j.ID] = ivs
+		remaining[j.ID] = cp.Remaining
 		tested0[j.ID] = cp.Tested
 		remainingTotal.Add(&remainingTotal, cp.RemainingKeys())
 		done0.Add(&done0, new(big.Int).SetUint64(cp.Tested))

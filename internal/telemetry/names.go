@@ -50,6 +50,7 @@ const (
 	MetricJobsLeaseLen     = "jobs.lease_len"        // histogram: issued lease size, keys
 	MetricJobsPreempted    = "jobs.preempted"        // counter: chunk-boundary hand-offs to another job
 	MetricJobsRequeues     = "jobs.requeues"         // counter: leases returned by failed executors
+	MetricJobsRequeuedKeys = "jobs.requeued_keys"    // counter: keys in leases returned untested (failure, expiry, refused steal)
 	MetricJobsExpired      = "jobs.lease_expired"    // counter: leases requeued by the lease timeout
 	MetricJobsSteals       = "jobs.steals"           // counter: split-lease steals at chunk boundaries
 	MetricJobsStolenKeys   = "jobs.stolen_keys"      // counter: keys moved from stragglers to thieves

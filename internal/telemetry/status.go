@@ -8,8 +8,9 @@ import (
 
 // StatusLine renders the pipeline's conventional metrics as one compact
 // line — what the CLIs log periodically. Only sections with data are
-// printed, so a worker process (core.* and net.* only) and a master
-// process (dispatch.* and net.*) both produce sensible lines.
+// printed, so a worker process (core.* and net.* only), a master process
+// (jobs.* and net.*) and an in-process dispatcher (dispatch.*) all
+// produce sensible lines.
 func StatusLine(s *Snapshot) string {
 	line := ""
 	if tested, ok := s.Counters[MetricDispatchTested]; ok {
@@ -19,6 +20,11 @@ func StatusLine(s *Snapshot) string {
 		}
 		if rq := s.Counters[MetricDispatchRequeues]; rq > 0 {
 			line += fmt.Sprintf(" requeues=%d retested=%d", rq, s.Counters[MetricDispatchRetested])
+		}
+	} else if leases, ok := s.Counters[MetricJobsLeases]; ok {
+		line += fmt.Sprintf("tested=%d leases=%d", s.SumPrefix(MetricJobsTenantServed+"."), leases)
+		if rq := s.Counters[MetricJobsRequeues] + s.Counters[MetricJobsExpired]; rq > 0 {
+			line += fmt.Sprintf(" requeues=%d retested=%d", rq, s.Counters[MetricJobsRequeuedKeys])
 		}
 	} else if tested, ok := s.Counters[MetricCoreTested]; ok {
 		line += fmt.Sprintf("tested=%d", tested)

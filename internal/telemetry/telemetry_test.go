@@ -233,6 +233,20 @@ func TestStatusLine(t *testing.T) {
 			t.Fatalf("status %q missing %q", line, want)
 		}
 	}
+
+	// A job-service master: tested is the keys committed across tenants.
+	r = NewRegistry()
+	r.Counter(MetricJobsLeases).Add(7)
+	r.Counter(PerTenant(MetricJobsTenantServed, "alice")).Add(300)
+	r.Counter(PerTenant(MetricJobsTenantServed, "bob")).Add(200)
+	r.Counter(MetricJobsRequeues).Add(1)
+	r.Counter(MetricJobsRequeuedKeys).Add(128)
+	line = StatusLine(r.Snapshot())
+	for _, want := range []string{"tested=500", "leases=7", "requeues=1", "retested=128"} {
+		if !contains(line, want) {
+			t.Fatalf("status %q missing %q", line, want)
+		}
+	}
 }
 
 func TestStartLoggerEmitsAndStops(t *testing.T) {
