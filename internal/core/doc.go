@@ -15,7 +15,10 @@
 //     into chunks, walks each chunk with the next operator, and supports
 //     early termination, exact accounting of the number of candidates
 //     tested, and a Live handle through which a caller follows the
-//     tested prefix and shrinks the interval while the search runs;
+//     tested prefix and shrinks the interval while the search runs —
+//     candidate by candidate (SearchEach), or a prefix-major run at a
+//     time for kernels that enumerate a run's varying bytes themselves
+//     (SearchRuns);
 //   - the cost model of §III.A (CostModel, DispatchCost) with the
 //     K_f / K_next / K_C decomposition and the dispatch bounds on K_D;
 //   - the load-balancing rule of the paper (Balance): given per-node tuning

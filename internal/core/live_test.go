@@ -97,8 +97,20 @@ func TestLiveHandleEdges(t *testing.T) {
 //     refused shrink changes nothing;
 //   - every mark names tested identifiers only and never exceeds the
 //     final limit.
+//
+// It runs over both walks: SearchEach's per-candidate loop, and SearchRuns'
+// run pieces — each piece counted as the consecutive identifiers it covers,
+// and checked to stay inside one prefix-major run. The run walk's space has
+// three symbols and lengths 0–8, so chunks cross run and length boundaries
+// all the time.
 func TestQuickShrinkRacesSearch(t *testing.T) {
-	space := lowerSpace(t, 1, 3)
+	t.Run("each", func(t *testing.T) { quickShrinkRacesSearch(t, lowerSpace(t, 1, 3), false) })
+	t.Run("runs", func(t *testing.T) {
+		quickShrinkRacesSearch(t, keyspace.MustNew(keyspace.MustCharset("abc"), 0, 8, keyspace.PrefixMajor), true)
+	})
+}
+
+func quickShrinkRacesSearch(t *testing.T, space *keyspace.Space, runs bool) {
 	size, _ := space.Size64()
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -138,11 +150,10 @@ func TestQuickShrinkRacesSearch(t *testing.T) {
 			maxMark = max(maxMark, mark)
 			smu.Unlock()
 		})
-		test := func(c []byte) bool {
-			id, err := space.ID64(c)
-			if err != nil || id < start || id >= start+n {
-				fail("foreign candidate %q", c)
-				return false
+		visit := func(id uint64) {
+			if id < start || id >= start+n {
+				fail("foreign candidate %d", id)
+				return
 			}
 			off := id - start
 			counts[off].Add(1)
@@ -165,9 +176,38 @@ func TestQuickShrinkRacesSearch(t *testing.T) {
 			if k%61 == 0 {
 				runtime.Gosched() // interleave even on one CPU
 			}
-			return false
 		}
-		res, err := Search(context.Background(), KeyspaceFactory(space), iv, test, opt)
+		var (
+			res *Result
+			err error
+		)
+		if runs {
+			res, err = SearchRuns(context.Background(), space, iv, func() RunTestFunc {
+				return func(key []byte, k int, m uint64, found [][]byte) [][]byte {
+					id, err := space.ID64(key)
+					if err != nil {
+						fail("foreign run key %q", key)
+						return found
+					}
+					if last := space.Key64(id + m - 1); len(last) != len(key) || string(last[k:]) != string(key[k:]) {
+						fail("run piece of %d from %q (k=%d) ends on %q, outside its run", m, key, k, last)
+					}
+					for j := uint64(0); j < m; j++ {
+						visit(id + j)
+					}
+					return found
+				}
+			}, opt)
+		} else {
+			res, err = Search(context.Background(), KeyspaceFactory(space), iv, func(c []byte) bool {
+				if id, err := space.ID64(c); err != nil {
+					fail("foreign candidate %q", c)
+				} else {
+					visit(id)
+				}
+				return false
+			}, opt)
+		}
 		if err != nil {
 			fail("search: %v", err)
 			return false

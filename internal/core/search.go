@@ -92,31 +92,7 @@ func SearchEach(ctx context.Context, factory Factory, iv keyspace.Interval, newT
 	if factory == nil || newTest == nil {
 		return nil, errors.New("core: nil factory or test factory")
 	}
-	p, err := newPool(factory, iv, opt)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	res := &Result{}
-	errCh := p.errCh
-	testedCtr := opt.Telemetry.Counter(telemetry.MetricCoreTested)
-	rateMeter := opt.Telemetry.Meter(telemetry.MetricCoreRate)
-
-	report := func(found [][]byte, tested uint64) {
-		testedCtr.Add(tested)
-		rateMeter.Mark(tested)
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		res.Tested += tested
-		if len(found) > 0 {
-			res.Solutions = append(res.Solutions, found...)
-			if opt.MaxSolutions > 0 && len(res.Solutions) >= opt.MaxSolutions {
-				p.stopped = true
-			}
-		}
-	}
-
-	err = p.run(ctx, func() walkFunc {
+	return search(ctx, factory, iv, opt, func(errCh chan<- error, report reportFunc) walkFunc {
 		test := newTest()
 		// The bare return inside the loop reports ok = false: the chunk
 		// was cut short and its error is on errCh.
@@ -145,6 +121,87 @@ func SearchEach(ctx context.Context, factory Factory, iv keyspace.Interval, newT
 			return true
 		}
 	})
+}
+
+// RunTestFunc tests one run piece: the n keys that follow key in
+// prefix-major order, key included, which differ from it only in their
+// first k bytes (keyspace.Cursor.Run). It appends a copy of every solution
+// to found and returns it, and must not retain key.
+type RunTestFunc func(key []byte, k int, n uint64, found [][]byte) [][]byte
+
+// RunTestFactory returns an independent RunTestFunc for one worker, as
+// TestFactory does for SearchEach.
+type RunTestFactory func() RunTestFunc
+
+// SearchRuns is SearchEach for a kernel that tests a run at a time: each
+// claimed chunk is handed to the test as the pieces of the prefix-major
+// runs it covers — one call per run, plus a partial run at either end —
+// so the kernel keeps its per-run state (packed suffix, reversal) and
+// enumerates the varying bytes itself. Chunks, Live marks, shrinks,
+// telemetry and the Result are exactly SearchEach's; under SuffixMajor
+// every run is one key.
+func SearchRuns(ctx context.Context, space *keyspace.Space, iv keyspace.Interval, newTest RunTestFactory, opt Options) (*Result, error) {
+	if space == nil || newTest == nil {
+		return nil, errors.New("core: nil space or run test factory")
+	}
+	return search(ctx, KeyspaceFactory(space), iv, opt, func(errCh chan<- error, report reportFunc) walkFunc {
+		test := newTest()
+		return func(enum Enumerator, n uint64) bool {
+			cur := enum.(*KeyEnumerator).cursor
+			var found [][]byte
+			left := n
+			//keyvet:hotloop
+			for {
+				k, run := cur.Run()
+				run = min(run, left)
+				found = test(cur.Key(), k, run, found)
+				if left -= run; left == 0 || !cur.NextRun() {
+					break
+				}
+			}
+			report(found, n-left)
+			if left > 0 {
+				errCh <- fmt.Errorf("core: enumerator exhausted %d candidates early", left)
+				return false
+			}
+			return true
+		}
+	})
+}
+
+// reportFunc folds one chunk's solutions and tested count into the
+// search's Result.
+type reportFunc func(found [][]byte, tested uint64)
+
+// search runs a walk over the pool's chunks and gathers the Result: the
+// part SearchEach and SearchRuns share. newWalk is called once per
+// goroutine with the pool's error channel and the per-chunk report.
+func search(ctx context.Context, factory Factory, iv keyspace.Interval, opt Options,
+	newWalk func(errCh chan<- error, report reportFunc) walkFunc) (*Result, error) {
+	p, err := newPool(factory, iv, opt)
+	if err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	res := &Result{}
+	testedCtr := opt.Telemetry.Counter(telemetry.MetricCoreTested)
+	rateMeter := opt.Telemetry.Meter(telemetry.MetricCoreRate)
+
+	report := func(found [][]byte, tested uint64) {
+		testedCtr.Add(tested)
+		rateMeter.Mark(tested)
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		res.Tested += tested
+		if len(found) > 0 {
+			res.Solutions = append(res.Solutions, found...)
+			if opt.MaxSolutions > 0 && len(res.Solutions) >= opt.MaxSolutions {
+				p.stopped = true
+			}
+		}
+	}
+
+	err = p.run(ctx, func() walkFunc { return newWalk(p.errCh, report) })
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"keysearch/internal/core"
+	"keysearch/internal/hash/md5x"
 	"keysearch/internal/keyspace"
 	"keysearch/internal/targetset"
 )
@@ -75,19 +76,65 @@ func Crack(ctx context.Context, job *Job, opt core.Options) (*core.Result, error
 }
 
 // CrackInterval searches only the given identifier interval, the entry
-// point dispatch workers use on their assigned sub-spaces.
+// point dispatch workers use on their assigned sub-spaces. It is the one
+// place a walk is picked: a single-target MD5 job on the optimized kernel,
+// unsalted or suffix-salted, over a prefix-major space is searched a run
+// at a time (core.SearchRuns over md5x.RunSearcher); every other job one
+// candidate at a time through its TestFactory.
 func CrackInterval(ctx context.Context, job *Job, iv keyspace.Interval, opt core.Options) (*core.Result, error) {
 	if job.Space == nil {
 		return nil, fmt.Errorf("cracker: job has no key space")
+	}
+	if opt.MaxSolutions == 0 {
+		opt.MaxSolutions = 1
+	}
+	if job.searchesRuns() {
+		newTest, err := job.runTestFactory()
+		if err != nil {
+			return nil, err
+		}
+		return core.SearchRuns(ctx, job.Space, iv, newTest, opt)
 	}
 	factory, err := job.TestFactory()
 	if err != nil {
 		return nil, err
 	}
-	if opt.MaxSolutions == 0 {
-		opt.MaxSolutions = 1
-	}
 	return core.SearchEach(ctx, core.KeyspaceFactory(job.Space), iv, factory, opt)
+}
+
+// searchesRuns reports whether CrackInterval walks the job's space a run
+// at a time. A suffix salt keeps a run's varying bytes at the front of the
+// hashed message; a prefix salt moves them out of word 0.
+func (j *Job) searchesRuns() bool {
+	return j.Algorithm == MD5 && j.Corpus == nil && j.Kind == KernelOptimized &&
+		len(j.Salt.Prefix) == 0 && j.Space.Order() == keyspace.PrefixMajor
+}
+
+// runTestFactory returns one md5x.RunSearcher per worker, testing each
+// run's keys with the salt suffix appended and reporting the keys alone.
+func (j *Job) runTestFactory() (core.RunTestFactory, error) {
+	if len(j.Target) != md5x.Size {
+		return nil, fmt.Errorf("cracker: target length %d, want %d for %s", len(j.Target), md5x.Size, j.Algorithm)
+	}
+	digest := [md5x.Size]byte(j.Target)
+	symbols := []byte(j.Space.Charset().String())
+	suffix := j.Salt.Suffix
+	return func() core.RunTestFunc {
+		s := md5x.NewRunSearcher(digest, symbols)
+		if len(suffix) == 0 {
+			return s.SearchRun
+		}
+		var msg []byte
+		return func(key []byte, k int, n uint64, found [][]byte) [][]byte {
+			msg = append(append(msg[:0], key...), suffix...)
+			from := len(found)
+			found = s.SearchRun(msg, k, n, found)
+			for i := from; i < len(found); i++ {
+				found[i] = found[i][:len(key)]
+			}
+			return found
+		}
+	}, nil
 }
 
 // CrackAll is CrackInterval with no early stop: it exhausts the interval
@@ -102,12 +149,9 @@ func CrackAll(ctx context.Context, job *Job, iv keyspace.Interval, opt core.Opti
 // workers goroutines (0 = NumCPU), starting at start candidates (0 = 4096)
 // and capped at the space size, and fits the latency/throughput model
 // (core.Tune) to its 0.9 efficiency target. A probe that fails or is
-// cancelled fails the tuning step.
+// cancelled fails the tuning step. The probes go through CrackAll, so they
+// time the walk a lease of the job will run.
 func Tune(ctx context.Context, job *Job, workers int, start uint64) (core.Tuning, error) {
-	factory, err := job.TestFactory()
-	if err != nil {
-		return core.Tuning{}, err
-	}
 	size, ok := job.Space.Size64()
 	if !ok {
 		size = 1 << 62
@@ -118,7 +162,7 @@ func Tune(ctx context.Context, job *Job, workers int, start uint64) (core.Tuning
 	bench := func(n uint64) (time.Duration, error) {
 		t0 := time.Now()
 		iv := keyspace.Interval{Start: new(big.Int), End: new(big.Int).SetUint64(min(n, size))}
-		_, err := core.SearchEach(ctx, core.KeyspaceFactory(job.Space), iv, factory, core.Options{Workers: workers})
+		_, err := CrackAll(ctx, job, iv, core.Options{Workers: workers})
 		return time.Since(t0), err
 	}
 	return core.Tune(bench, core.TuneOptions{Start: start, TargetEfficiency: 0.9, MaxBatch: size})

@@ -1,0 +1,135 @@
+package cracker
+
+import (
+	"bytes"
+	"context"
+	"crypto/md5"
+	"slices"
+	"testing"
+
+	"keysearch/internal/core"
+	"keysearch/internal/keyspace"
+	"keysearch/internal/targetset"
+)
+
+// TestRunWalkMatchesPerCandidate: CrackInterval's run walk and the
+// per-candidate walk (core.SearchEach over the job's TestFactory) return
+// the same sorted solutions and the same tested count — over intervals
+// that straddle lengths 3→4 and 4→5, chunk ends in the middle of runs,
+// suffix salts short and past one block, a prefix salt (which must fall
+// back to the per-candidate walk), the empty key, a one-symbol charset and
+// MaxSolutions 1.
+func TestRunWalkMatchesPerCandidate(t *testing.T) {
+	lower := space(t, keyspace.Lower, 1, 5)
+	// Lowercase ids: length 3 starts at 702, length 4 at 18278, length 5
+	// at 475254.
+	cases := []struct {
+		name    string
+		space   *keyspace.Space
+		lo, hi  int64
+		plant   int64 // id of the key the target is the digest of
+		salt    Salt
+		opt     core.Options
+		all     bool // CrackAll (MaxSolutions -1) rather than the default 1
+		noRuns  bool // the job must fall back to the per-candidate walk
+		planted bool // the planted key lies in [lo, hi)
+	}{
+		{name: "3→4", space: lower, lo: 17000, hi: 22000, plant: 18278 + 4*26 + 3,
+			opt: core.Options{Workers: 3, ChunkSize: 997}, all: true, planted: true},
+		{name: "3→4 tail of length 3", space: lower, lo: 18000, hi: 18300, plant: 18277,
+			opt: core.Options{Workers: 2, ChunkSize: 61}, all: true, planted: true},
+		{name: "4→5 tail of length 4", space: lower, lo: 475254 - 9000, hi: 475254 + 30000, plant: 475254 - 2,
+			opt: core.Options{Workers: 2, ChunkSize: 4099}, all: true, planted: true},
+		{name: "4→5", space: lower, lo: 475254 - 9000, hi: 475254 + 30000, plant: 475254 + 26*26 + 5,
+			opt: core.Options{Workers: 2, ChunkSize: 4099}, all: true, planted: true},
+		{name: "4→5 miss", space: lower, lo: 470000, hi: 480001, plant: 12000000,
+			opt: core.Options{Workers: 2}, all: true},
+		{name: "suffix salt", space: lower, lo: 18278, hi: 60000, plant: 40001,
+			salt: Salt{Suffix: []byte("$pepper")}, opt: core.Options{Workers: 2, ChunkSize: 1000}, all: true, planted: true},
+		{name: "suffix salt past one block", space: lower, lo: 18200, hi: 19000, plant: 18278 + 26*26 + 1,
+			salt: Salt{Suffix: bytes.Repeat([]byte("s"), 60)}, opt: core.Options{Workers: 2, ChunkSize: 100}, all: true, planted: true},
+		{name: "prefix salt", space: lower, lo: 18000, hi: 22000, plant: 19999,
+			salt: Salt{Prefix: []byte("pre$")}, opt: core.Options{Workers: 2, ChunkSize: 333}, all: true, noRuns: true, planted: true},
+		{name: "MaxSolutions 1", space: lower, lo: 17000, hi: 40000, plant: 20000,
+			opt: core.Options{Workers: 1, ChunkSize: 1500}, planted: true},
+		{name: "empty key", space: space(t, keyspace.MustCharset("xy"), 0, 6), lo: 0, hi: 127, plant: 0,
+			opt: core.Options{Workers: 2, ChunkSize: 10}, all: true, planted: true},
+		{name: "one symbol", space: space(t, keyspace.MustCharset("q"), 1, 20), lo: 0, hi: 20, plant: 7,
+			opt: core.Options{Workers: 2, ChunkSize: 3}, all: true, planted: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			key := tc.space.Key64(uint64(tc.plant))
+			target := md5.Sum(tc.salt.Apply(nil, key))
+			job := &Job{Algorithm: MD5, Target: target[:], Space: tc.space, Salt: tc.salt}
+			if job.searchesRuns() == tc.noRuns {
+				t.Fatalf("searchesRuns() = %v", !tc.noRuns)
+			}
+			iv := keyspace.NewInterval(tc.lo, tc.hi)
+			ctx := context.Background()
+			opt := tc.opt
+			opt.MaxSolutions = 1
+			if tc.all {
+				opt.MaxSolutions = -1
+			}
+			runs, err := CrackInterval(ctx, job, iv, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			newTest, err := job.TestFactory()
+			if err != nil {
+				t.Fatal(err)
+			}
+			each, err := core.SearchEach(ctx, core.KeyspaceFactory(tc.space), iv, newTest, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sortKeys(runs.Solutions)
+			sortKeys(each.Solutions)
+			if runs.Tested != each.Tested || !slices.EqualFunc(runs.Solutions, each.Solutions, bytes.Equal) {
+				t.Fatalf("run walk: tested %d, found %q; per-candidate walk: tested %d, found %q",
+					runs.Tested, runs.Solutions, each.Tested, each.Solutions)
+			}
+			if tc.all && runs.Tested != uint64(tc.hi-tc.lo) {
+				t.Errorf("tested %d of %d", runs.Tested, tc.hi-tc.lo)
+			}
+			if got := len(runs.Solutions) == 1 && bytes.Equal(runs.Solutions[0], key); got != tc.planted || len(runs.Solutions) > 1 {
+				t.Errorf("found %q, planted %q in the interval: %v", runs.Solutions, key, tc.planted)
+			}
+		})
+	}
+}
+
+func sortKeys(keys [][]byte) { slices.SortFunc(keys, bytes.Compare) }
+
+// TestOnlyEligibleJobsSearchRuns pins the four conditions of the run walk.
+func TestOnlyEligibleJobsSearchRuns(t *testing.T) {
+	pm := space(t, keyspace.Lower, 1, 4)
+	sm := keyspace.MustNew(keyspace.Lower, 1, 4, keyspace.SuffixMajor)
+	d := md5.Sum([]byte("x"))
+	base := Job{Algorithm: MD5, Target: d[:], Space: pm}
+	corpus, err := targetset.Build([][]byte{d[:]}, targetset.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		edit func(j *Job)
+		want bool
+	}{
+		{"md5 optimized prefix-major", func(*Job) {}, true},
+		{"suffix salt", func(j *Job) { j.Salt.Suffix = []byte("s") }, true},
+		{"sha1", func(j *Job) { j.Algorithm = SHA1 }, false},
+		{"plain kernel", func(j *Job) { j.Kind = KernelPlain }, false},
+		{"naive kernel", func(j *Job) { j.Kind = KernelNaive }, false},
+		{"prefix salt", func(j *Job) { j.Salt.Prefix = []byte("p") }, false},
+		{"suffix-major", func(j *Job) { j.Space = sm }, false},
+		{"corpus", func(j *Job) { j.Corpus = corpus }, false},
+	} {
+		j := base
+		c.edit(&j)
+		if got := j.searchesRuns(); got != c.want {
+			t.Errorf("%s: searchesRuns() = %v, want %v", c.name, got, c.want)
+		}
+	}
+}

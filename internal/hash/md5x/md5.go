@@ -11,7 +11,12 @@
 //     of MD5 do not read message word m[0], so for candidate runs in which
 //     only m[0] varies they are inverted once starting from the target
 //     digest, and every candidate runs only the first 49 steps forward —
-//     with early-exit comparisons after steps 45, 46, 47 and 48.
+//     with early-exit comparisons after steps 45, 46, 47 and 48;
+//   - RunSearcher, which searches a whole prefix-major run at once: word 0
+//     is counted up over per-position symbol tables and screened four
+//     candidates at a time by an interleaved straight-line kernel. The
+//     forward kernels are generated into kernels_gen.go by ./gen from T,
+//     Shift and MsgIndex.
 //
 // The implementation is pure Go and depends only on the standard library;
 // crypto/md5 is used exclusively in tests, as a differential oracle.

@@ -1,6 +1,6 @@
 package md5x
 
-import "math/bits"
+//go:generate go run ./gen
 
 // ReverseSteps is the number of trailing MD5 steps that never read message
 // word m[0] and can therefore be inverted once per candidate run instead of
@@ -17,16 +17,31 @@ const ForwardSteps = 64 - ReverseSteps
 // candidates; words 1..15 (key suffix, padding, length) are baked in.
 //
 // A ReverseContext is not safe for concurrent use; each worker owns one.
+// Its two forward kernels, Test and the 2-lane screen2, are straight-line
+// code generated into kernels_gen.go.
 type ReverseContext struct {
-	block [16]uint32 // message template; word 0 is overwritten per test
-	rev   [4]uint32  // register file after step 48, derived from the target
+	block [16]uint32           // message template; word 0 is ignored
+	add   [ForwardSteps]uint32 // per forward step: T[i] + the template word it reads (word 0 counts as 0)
+	rev   [4]uint32            // register file after step 48, derived from the target
 }
 
 // NewReverseContext builds a reversal context for the given target state
 // words (little-endian decoding of the digest) and message template.
 // Word 0 of the template is ignored.
 func NewReverseContext(target [4]uint32, template *[16]uint32) *ReverseContext {
-	r := &ReverseContext{block: *template}
+	r := new(ReverseContext)
+	r.reset(target, template)
+	return r
+}
+
+// reset rebuilds r in place for a new target and template, so a run
+// searcher derives one context per run without allocating.
+func (r *ReverseContext) reset(target [4]uint32, template *[16]uint32) {
+	r.block = *template
+	r.block[0] = 0
+	for i := range r.add {
+		r.add[i] = T[i] + r.block[MsgIndex(i)]
+	}
 	// Undo the final feed-forward addition of the IV...
 	a := target[0] - iv[0]
 	b := target[1] - iv[1]
@@ -38,56 +53,10 @@ func NewReverseContext(target [4]uint32, template *[16]uint32) *ReverseContext {
 		a, b, c, d = InvStep(i, a, b, c, d, r.block[MsgIndex(i)])
 	}
 	r.rev = [4]uint32{a, b, c, d}
-	return r
 }
 
 // Reversed returns the register file after step 48 implied by the target.
 func (r *ReverseContext) Reversed() [4]uint32 { return r.rev }
-
-// Test reports whether the key whose packed word 0 is m0 (and whose words
-// 1..15 match the template) hashes to the target. It executes at most 49
-// forward steps, with early-exit comparisons after steps 45, 46, 47 and 48:
-// each of those steps produces one register of the meet-in-the-middle state,
-// so a mismatching candidate usually dies after 46 steps.
-func (r *ReverseContext) Test(m0 uint32) bool {
-	m := &r.block
-	m[0] = m0
-	a, b, c, d := iv[0], iv[1], iv[2], iv[3]
-
-	//keyvet:hotloop
-	for i := 0; i < 16; i++ {
-		t := a + fF(b, c, d) + m[i] + T[i]
-		a, b, c, d = d, b+bits.RotateLeft32(t, int(shifts[i])), b, c
-	}
-	//keyvet:hotloop
-	for i := 16; i < 32; i++ {
-		t := a + fG(b, c, d) + m[(5*i+1)%16] + T[i]
-		a, b, c, d = d, b+bits.RotateLeft32(t, int(shifts[i])), b, c
-	}
-	//keyvet:hotloop
-	for i := 32; i < 46; i++ {
-		t := a + fH(b, c, d) + m[(3*i+5)%16] + T[i]
-		a, b, c, d = d, b+bits.RotateLeft32(t, int(shifts[i])), b, c
-	}
-	// After step 45 the b register equals the A component of the state
-	// after step 48 (it is shifted B->C->D->A by the next three steps).
-	if b != r.rev[0] {
-		return false
-	}
-	//keyvet:hotloop
-	for i := 46; i < 48; i++ {
-		t := a + fH(b, c, d) + m[(3*i+5)%16] + T[i]
-		a, b, c, d = d, b+bits.RotateLeft32(t, int(shifts[i])), b, c
-		// Step 46 produces the D component, step 47 the C component.
-		if b != r.rev[49-i] {
-			return false
-		}
-	}
-	// Step 48 (the only late step reading m[0]) produces the B component.
-	t := a + fI(b, c, d) + m[0] + T[48]
-	b = b + bits.RotateLeft32(t, int(shifts[48]))
-	return b == r.rev[1]
-}
 
 // Searcher tests candidate keys against a fixed MD5 target, transparently
 // maintaining a ReverseContext across candidates that share the same packed

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"keysearch/internal/core"
@@ -554,9 +555,17 @@ func (s *Service) next(i int) (Lease, bool) {
 				return l, true
 			}
 		}
+		if hook := testHookIdle.Load(); hook != nil {
+			(*hook)()
+		}
 		s.cond.Wait()
 	}
 }
+
+// testHookIdle, when set, runs in next with s.mu held, after an executor
+// found nothing to lease and before it waits: the window in which a
+// wakeup that does not take s.mu is lost.
+var testHookIdle atomic.Pointer[func()]
 
 // TryLease issues the next lease for executor exec without blocking:
 // the manual-drive (virtual-time) counterpart of the executor loops.
@@ -1091,7 +1100,12 @@ func (s *Service) Submit(tenant string, priority int, spec Spec) (Job, error) {
 	}
 	s.tel.submitted.Inc()
 	s.hub.publish(Event{Type: EventSubmitted, Job: j})
+	// The store write above is not under s.mu, so an executor in next may
+	// have read "nothing pending" and not be waiting yet. Broadcasting
+	// under s.mu orders the wakeup after its Wait (or before its read).
+	s.mu.Lock()
 	s.cond.Broadcast()
+	s.mu.Unlock()
 	return j, nil
 }
 

@@ -662,3 +662,51 @@ func TestZeroTuningExecutorGetsNoLease(t *testing.T) {
 		t.Fatalf("Start over an all-dead fleet = %v, want the no-usable-executors error", err)
 	}
 }
+
+// TestSubmitWakesParkedExecutor pins the lost wakeup of ROADMAP 0(a): the
+// one executor is parked in next between reading "nothing to lease" and
+// its cond.Wait, holding s.mu, while a job is submitted. Submit's store
+// write does not take s.mu, so the broadcast must: a broadcast that
+// lands while the executor is parked wakes nobody and the job never runs.
+// The executor is released once Submit has returned — which a Submit that
+// broadcasts under s.mu cannot do before the release, hence the bound.
+func TestSubmitWakesParkedExecutor(t *testing.T) {
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	hook := func() {
+		once.Do(func() {
+			close(parked)
+			<-release
+		})
+	}
+	testHookIdle.Store(&hook)
+	defer testHookIdle.Store(nil)
+	svc := startService(t, t.TempDir(), fleet(1, 0), Options{})
+	defer svc.Shutdown(context.Background())
+	select {
+	case <-parked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the idle executor never reached its wait")
+	}
+
+	submitted := make(chan error, 1)
+	var j Job
+	go func() {
+		var err error
+		j, err = svc.Submit("t", 0, specFor(t, "ab", "abc", 1, 3))
+		submitted <- err
+	}()
+	select {
+	case err := <-submitted: // a broadcast outside s.mu has already fired
+		submitted <- err
+	case <-time.After(200 * time.Millisecond): // Submit waits on s.mu
+	}
+	close(release)
+	if err := <-submitted; err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, svc, 5*time.Second, "the submitted job to finish", func() bool {
+		g, err := svc.Get(j.ID)
+		return err == nil && g.State == StateDone
+	})
+}

@@ -74,6 +74,47 @@ func (c *Cursor) Next() bool {
 	return true
 }
 
+// runBytes is how many leading bytes a prefix-major run varies: one packed
+// uint32 word, the word the reversal kernels of Section V iterate.
+const runBytes = 4
+
+// Run reports the run the cursor sits in: the n keys from the current one
+// on, it included, differ from it only in their first k bytes. Under
+// PrefixMajor, k = min(runBytes, len(key)) and n counts what is left of the
+// N^k values of those k digits — runs never cross a length, so all n keys
+// are in the space. Under SuffixMajor every run is the one key (k = 0,
+// n = 1).
+func (c *Cursor) Run() (k int, n uint64) {
+	if c.space.order != PrefixMajor {
+		return 0, 1
+	}
+	k = min(runBytes, len(c.key))
+	span, pos := uint64(1), uint64(0)
+	for i := 0; i < k; i++ {
+		pos += uint64(c.space.cs.Index(c.key[i])) * span
+		span *= uint64(c.space.cs.Len())
+	}
+	return k, span - pos
+}
+
+// NextRun advances the cursor past the run Run reports, to the first key
+// after it, with one carry out of the run's k digits; it is n calls to
+// Next. It returns false, and marks the cursor exhausted on the last key,
+// when that run was the last of the space.
+func (c *Cursor) NextRun() bool {
+	if c.done {
+		return false
+	}
+	// Putting the run's digits on their top value makes Next's carry
+	// ripple through them into position k.
+	k, _ := c.Run()
+	top := c.space.cs.Symbol(c.space.cs.Len() - 1)
+	for i := 0; i < k; i++ {
+		c.key[i] = top
+	}
+	return c.Next()
+}
+
 // Skip advances the cursor by n keys (equivalent to n calls to Next).
 // It returns the number of keys actually skipped, which is smaller than n
 // only when the space is exhausted first. Skip re-derives the key from the
