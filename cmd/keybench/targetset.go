@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -32,21 +33,42 @@ type TargetRow struct {
 	// single-target cost of the same two-stage kernel (the corpus-of-one
 	// row) — the flatness-in-corpus-size ratio the subsystem promises.
 	OverSingleTarget float64 `json:"over_single_target"`
+	// Word4Bits and Word4Pass (SHA1 rows only) are the word-4 filter's
+	// bitmap size and the fraction of random words it lets through: the share of
+	// wrong keys the run walk hashes in full.
+	Word4Bits uint64  `json:"word4_bits,omitempty"`
+	Word4Pass float64 `json:"word4_pass,omitempty"`
+}
+
+// word4Pass probes the set's word-4 filter with n pseudo-random words (a
+// splitmix64 stream) and returns the fraction that pass; 0 for digests
+// without one.
+func word4Pass(set *targetset.Set, n int) float64 {
+	f, ok := set.Word4()
+	if !ok {
+		return 0
+	}
+	pass := 0
+	for _, d := range corpusDigests(n, 4, 0x30d4) {
+		if f.MayContain(binary.BigEndian.Uint32(d)) {
+			pass++
+		}
+	}
+	return float64(pass) / float64(n)
 }
 
 // TargetReport is the whole BENCH_targetset.json document.
 type TargetReport struct {
 	Quick bool `json:"quick"`
 	// ClassicOptimizedNsPerKey and ClassicPlainNsPerKey are the classic
-	// single-target kernels over the same interval, for context. The
-	// optimized tier's reversal/early-exit tricks are unavailable in
-	// corpus mode by construction (the Bloom probe consumes the complete
-	// digest), so the corpus rows are expected to sit near the plain
+	// single-target MD5 kernels over the same interval, for context. The
+	// MD5 corpus kernel hashes every candidate in full (its reversal needs
+	// the one target), so the MD5 rows are expected to sit near the plain
 	// (full-hash) cost, not the optimized one.
 	ClassicOptimizedNsPerKey float64 `json:"classic_optimized_ns_per_key"`
 	ClassicPlainNsPerKey     float64 `json:"classic_plain_ns_per_key"`
-	// SingleTargetNsPerKey is the two-stage kernel's cost at corpus size
-	// one — the "single-target cost" the flatness bound is measured
+	// SingleTargetNsPerKey is the MD5 two-stage kernel's cost at corpus
+	// size one — the "single-target cost" the flatness bound is measured
 	// against.
 	SingleTargetNsPerKey float64     `json:"single_target_ns_per_key"`
 	Rows                 []TargetRow `json:"rows"`
@@ -58,11 +80,21 @@ type TargetReport struct {
 	CostFlat bool `json:"cost_flat"`
 	// FPRBounded: measured FPR at 10^6 targets within 2x requested.
 	FPRBounded bool `json:"fpr_bounded"`
+	// SHA1Rows are the same corpus sizes over SHA1 digests, searched the
+	// way the service searches them: the run walk with the word-4 filter
+	// probed after step 75, survivors hashed in full and confirmed. The
+	// word probe's pass rate grows with the corpus, so these rows carry the
+	// flatness claim for the served kernel, under the same 1.5x bound.
+	SHA1Rows                     []TargetRow `json:"sha1_rows"`
+	SHA1SingleTargetNsPerKey     float64     `json:"sha1_single_target_ns_per_key"`
+	SHA1Ratio1e6OverSingleTarget float64     `json:"sha1_ratio_1e6_over_single_target"`
+	SHA1CostFlat                 bool        `json:"sha1_cost_flat"`
 }
 
-// corpusDigests generates n deterministic pseudo-random 16-byte digests
-// (a splitmix64 stream), none of which any searched key hashes to.
-func corpusDigests(n int, seed uint64) [][]byte {
+// corpusDigests generates n deterministic pseudo-random digests of size
+// bytes (a splitmix64 stream, eight bytes per draw), none of which any
+// searched key hashes to.
+func corpusDigests(n, size int, seed uint64) [][]byte {
 	out := make([][]byte, n)
 	state := seed
 	next := func() uint64 {
@@ -73,10 +105,10 @@ func corpusDigests(n int, seed uint64) [][]byte {
 		return z ^ (z >> 31)
 	}
 	for i := range out {
-		d := make([]byte, 16)
-		for j := 0; j < 16; j += 8 {
+		d := make([]byte, size)
+		for j := 0; j < size; j += 8 {
 			v := next()
-			for k := 0; k < 8; k++ {
+			for k := 0; k < 8 && j+k < size; k++ {
 				d[j+k] = byte(v >> (8 * k))
 			}
 		}
@@ -117,9 +149,9 @@ func targetsetMain(quick bool, out string) error {
 	}
 
 	// Classic single-target kernels, for context: the optimized tier's
-	// reversal/early-exit shortcut skips part of every hash, which corpus
-	// mode cannot do (the Bloom probe needs the complete digest), so the
-	// plain full-hash tier is the honest floor for the two-stage kernel.
+	// reversal/early-exit shortcut skips part of every hash, which the MD5
+	// corpus kernel cannot do (its reversal needs the one target), so the
+	// plain full-hash tier is the honest floor for its two-stage kernel.
 	fmt.Printf("== Multi-target search: per-candidate cost vs corpus size ==\n")
 	for _, tier := range []struct {
 		kind cracker.KernelKind
@@ -142,43 +174,64 @@ func targetsetMain(quick bool, out string) error {
 			tier.kind, tested, sec, *tier.dst, float64(tested)/sec/1e6)
 	}
 
-	for _, size := range []int{1, 1_000, 1_000_000} {
-		set, err := targetset.Build(corpusDigests(size, 0xbe9c), targetset.Options{})
-		if err != nil {
-			return err
+	// rows measures one algorithm's corpus sizes; the first row is the
+	// single-target cost the others are relative to.
+	rows := func(alg cracker.Algorithm) ([]TargetRow, error) {
+		var out []TargetRow
+		for _, size := range []int{1, 1_000, 1_000_000} {
+			set, err := targetset.Build(corpusDigests(size, alg.DigestSize(), 0xbe9c), targetset.Options{})
+			if err != nil {
+				return nil, err
+			}
+			job := &cracker.Job{Algorithm: alg, Corpus: set, Space: space}
+			tested, sec, err := run(job)
+			if err != nil {
+				return nil, err
+			}
+			row := TargetRow{
+				CorpusSize:   size,
+				BloomBits:    set.Bits(),
+				BloomHashes:  set.Hashes(),
+				RequestedFPR: set.FPRequested(),
+				EstimatedFPR: set.FPEstimate(),
+				MeasuredFPR:  set.MeasuredFPR(200_000, 0x5eed),
+				Tested:       tested,
+				Seconds:      sec,
+				NsPerKey:     sec / float64(tested) * 1e9,
+				MKeys:        float64(tested) / sec / 1e6,
+			}
+			if f, ok := set.Word4(); ok {
+				row.Word4Bits, row.Word4Pass = f.Bits(), word4Pass(set, 1<<20)
+			}
+			if len(out) > 0 {
+				row.OverSingleTarget = row.NsPerKey / out[0].NsPerKey
+			} else {
+				row.OverSingleTarget = 1
+			}
+			out = append(out, row)
+			fmt.Printf("%-4s corpus %8d: %9d keys in %6.3fs  %7.2f ns/key  %8.2f MKey/s  (%.3fx single-target)  fpr req %.1e meas %.1e  word4 pass %.1e\n",
+				alg, size, tested, sec, row.NsPerKey, row.MKeys, row.OverSingleTarget, row.RequestedFPR, row.MeasuredFPR, row.Word4Pass)
 		}
-		job := &cracker.Job{Algorithm: cracker.MD5, Corpus: set, Space: space}
-		tested, sec, err := run(job)
-		if err != nil {
-			return err
-		}
-		row := TargetRow{
-			CorpusSize:   size,
-			BloomBits:    set.Bits(),
-			BloomHashes:  set.Hashes(),
-			RequestedFPR: set.FPRequested(),
-			EstimatedFPR: set.FPEstimate(),
-			MeasuredFPR:  set.MeasuredFPR(200_000, 0x5eed),
-			Tested:       tested,
-			Seconds:      sec,
-			NsPerKey:     sec / float64(tested) * 1e9,
-			MKeys:        float64(tested) / sec / 1e6,
-		}
-		if len(rep.Rows) == 0 {
-			rep.SingleTargetNsPerKey = row.NsPerKey
-		}
-		row.OverSingleTarget = row.NsPerKey / rep.SingleTargetNsPerKey
-		rep.Rows = append(rep.Rows, row)
-		fmt.Printf("corpus %8d: %9d keys in %6.3fs  %7.2f ns/key  %8.2f MKey/s  (%.3fx single-target)  fpr req %.1e meas %.1e\n",
-			size, tested, sec, row.NsPerKey, row.MKeys, row.OverSingleTarget, row.RequestedFPR, row.MeasuredFPR)
+		return out, nil
+	}
+	if rep.Rows, err = rows(cracker.MD5); err != nil {
+		return err
+	}
+	if rep.SHA1Rows, err = rows(cracker.SHA1); err != nil {
+		return err
 	}
 
+	rep.SingleTargetNsPerKey = rep.Rows[0].NsPerKey
 	last := rep.Rows[len(rep.Rows)-1]
 	rep.Ratio1e6OverSingleTarget = last.OverSingleTarget
 	rep.CostFlat = last.OverSingleTarget <= 1.5
 	rep.FPRBounded = last.MeasuredFPR <= 2*last.RequestedFPR
-	fmt.Printf("== cost_flat=%v (1e6 corpus %.3fx single-target, bound 1.5x)  fpr_bounded=%v (measured %.2e, bound %.2e) ==\n",
-		rep.CostFlat, last.OverSingleTarget, rep.FPRBounded, last.MeasuredFPR, 2*last.RequestedFPR)
+	rep.SHA1SingleTargetNsPerKey = rep.SHA1Rows[0].NsPerKey
+	sha1Last := rep.SHA1Rows[len(rep.SHA1Rows)-1]
+	rep.SHA1Ratio1e6OverSingleTarget = sha1Last.OverSingleTarget
+	rep.SHA1CostFlat = sha1Last.OverSingleTarget <= 1.5
+	fmt.Printf("== cost_flat=%v (md5 1e6 corpus %.3fx single-target, bound 1.5x)  sha1_cost_flat=%v (%.3fx)  fpr_bounded=%v (measured %.2e, bound %.2e) ==\n",
+		rep.CostFlat, last.OverSingleTarget, rep.SHA1CostFlat, sha1Last.OverSingleTarget, rep.FPRBounded, last.MeasuredFPR, 2*last.RequestedFPR)
 
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -190,7 +243,10 @@ func targetsetMain(quick bool, out string) error {
 	}
 	fmt.Printf("report written to %s\n", out)
 	if !rep.CostFlat {
-		return fmt.Errorf("keybench: million-target per-candidate cost is %.3fx single-target (bound 1.5x)", last.OverSingleTarget)
+		return fmt.Errorf("keybench: million-target MD5 per-candidate cost is %.3fx single-target (bound 1.5x)", last.OverSingleTarget)
+	}
+	if !rep.SHA1CostFlat {
+		return fmt.Errorf("keybench: million-target SHA1 per-candidate cost is %.3fx single-target (bound 1.5x)", sha1Last.OverSingleTarget)
 	}
 	if !rep.FPRBounded {
 		return fmt.Errorf("keybench: measured FPR %.3e exceeds 2x requested %.3e", last.MeasuredFPR, last.RequestedFPR)

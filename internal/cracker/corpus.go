@@ -16,11 +16,16 @@ import (
 // cost must stay flat in the corpus size, unlike the per-target searcher
 // loop of NewMultiKernel's small-set path.
 //
-// Corpus mode cannot use the single-target kernels' reversal or early-exit
-// tricks (the Bloom probe needs the complete digest), but it keeps their
-// packed single-block compression: the returned kernel is stateful (one
-// reused block per worker) and falls back to the streaming hash only for
-// keys past the single-block limit.
+// These per-candidate kernels hash every key in full: the Bloom probe
+// needs the complete digest. They serve the MD5 corpus, whose reversal
+// needs the one target, and SHA1 corpus jobs the run walk cannot take
+// (prefix salts, suffix-major spaces, KernelPlain/KernelNaive); every
+// other SHA1 corpus job is searched by CrackInterval's run walk, which
+// probes one digest word after step 75 and hashes in full only the keys
+// that pass (sha1x.RunSearcher). The returned kernel keeps the packed
+// single-block compression — stateful, one reused block per worker — and
+// falls back to the streaming hash only for keys past the single-block
+// limit.
 func NewCorpusKernel(alg Algorithm, set *targetset.Set) (Kernel, error) {
 	if set == nil {
 		return nil, fmt.Errorf("cracker: nil target set")

@@ -9,6 +9,7 @@ import (
 
 	"keysearch/internal/core"
 	"keysearch/internal/hash/md5x"
+	"keysearch/internal/hash/sha1x"
 	"keysearch/internal/keyspace"
 	"keysearch/internal/targetset"
 )
@@ -27,8 +28,9 @@ type Job struct {
 	// Space is the candidate key space.
 	Space *keyspace.Space
 	// Kind selects the kernel optimization tier (default KernelOptimized).
-	// Corpus mode always hashes the full candidate, so Kind only applies
-	// to single-target jobs.
+	// An SHA1 corpus on KernelOptimized gets the run walk's word-probe
+	// exit (see CrackInterval); every other corpus job hashes each
+	// candidate in full, whatever the Kind.
 	Kind KernelKind
 	// Salt, when non-empty, is combined with each candidate before
 	// hashing.
@@ -77,10 +79,11 @@ func Crack(ctx context.Context, job *Job, opt core.Options) (*core.Result, error
 
 // CrackInterval searches only the given identifier interval, the entry
 // point dispatch workers use on their assigned sub-spaces. It is the one
-// place a walk is picked: a single-target MD5 job on the optimized kernel,
-// unsalted or suffix-salted, over a prefix-major space is searched a run
-// at a time (core.SearchRuns over md5x.RunSearcher); every other job one
-// candidate at a time through its TestFactory.
+// place a walk is picked: a job on the optimized kernel, unsalted or
+// suffix-salted, over a prefix-major space is searched a run at a time
+// (core.SearchRuns) when it is MD5 with a single target (md5x.RunSearcher)
+// or SHA1 with a single target or a corpus (sha1x.RunSearcher); every
+// other job one candidate at a time through its TestFactory.
 func CrackInterval(ctx context.Context, job *Job, iv keyspace.Interval, opt core.Options) (*core.Result, error) {
 	if job.Space == nil {
 		return nil, fmt.Errorf("cracker: job has no key space")
@@ -104,31 +107,56 @@ func CrackInterval(ctx context.Context, job *Job, iv keyspace.Interval, opt core
 
 // searchesRuns reports whether CrackInterval walks the job's space a run
 // at a time. A suffix salt keeps a run's varying bytes at the front of the
-// hashed message; a prefix salt moves them out of word 0.
+// hashed message; a prefix salt moves them out of word 0. An MD5 corpus
+// has no run searcher: its kernel's reversal needs the one target.
 func (j *Job) searchesRuns() bool {
-	return j.Algorithm == MD5 && j.Corpus == nil && j.Kind == KernelOptimized &&
-		len(j.Salt.Prefix) == 0 && j.Space.Order() == keyspace.PrefixMajor
+	return (j.Algorithm == MD5 && j.Corpus == nil || j.Algorithm == SHA1) &&
+		j.Kind == KernelOptimized && len(j.Salt.Prefix) == 0 && j.Space.Order() == keyspace.PrefixMajor
 }
 
-// runTestFactory returns one md5x.RunSearcher per worker, testing each
-// run's keys with the salt suffix appended and reporting the keys alone.
+// runTestFactory returns one run searcher per worker, testing each run's
+// keys with the salt suffix appended and reporting the keys alone. A
+// single SHA1 target is searched as a corpus of one.
 func (j *Job) runTestFactory() (core.RunTestFactory, error) {
-	if len(j.Target) != md5x.Size {
-		return nil, fmt.Errorf("cracker: target length %d, want %d for %s", len(j.Target), md5x.Size, j.Algorithm)
-	}
-	digest := [md5x.Size]byte(j.Target)
 	symbols := []byte(j.Space.Charset().String())
-	suffix := j.Salt.Suffix
-	return func() core.RunTestFunc {
-		s := md5x.NewRunSearcher(digest, symbols)
-		if len(suffix) == 0 {
+	var newSearch func() core.RunTestFunc
+	switch {
+	case j.Algorithm == SHA1:
+		set := j.Corpus
+		if set == nil {
+			if len(j.Target) != sha1x.Size {
+				return nil, fmt.Errorf("cracker: target length %d, want %d for %s", len(j.Target), sha1x.Size, j.Algorithm)
+			}
+			var err error
+			if set, err = targetset.Build([][]byte{j.Target}, targetset.Options{}); err != nil {
+				return nil, err
+			}
+		}
+		if _, err := sha1x.NewRunSearcher(set, symbols); err != nil {
+			return nil, err
+		}
+		newSearch = func() core.RunTestFunc {
+			s, _ := sha1x.NewRunSearcher(set, symbols)
 			return s.SearchRun
 		}
+	default:
+		if len(j.Target) != md5x.Size {
+			return nil, fmt.Errorf("cracker: target length %d, want %d for %s", len(j.Target), md5x.Size, j.Algorithm)
+		}
+		digest := [md5x.Size]byte(j.Target)
+		newSearch = func() core.RunTestFunc { return md5x.NewRunSearcher(digest, symbols).SearchRun }
+	}
+	suffix := j.Salt.Suffix
+	if len(suffix) == 0 {
+		return newSearch, nil
+	}
+	return func() core.RunTestFunc {
+		search := newSearch()
 		var msg []byte
 		return func(key []byte, k int, n uint64, found [][]byte) [][]byte {
 			msg = append(append(msg[:0], key...), suffix...)
 			from := len(found)
-			found = s.SearchRun(msg, k, n, found)
+			found = search(msg, k, n, found)
 			for i := from; i < len(found); i++ {
 				found[i] = found[i][:len(key)]
 			}

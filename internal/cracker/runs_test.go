@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"crypto/md5"
+	"crypto/sha1"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -17,8 +19,13 @@ import (
 // the same sorted solutions and the same tested count — over intervals
 // that straddle lengths 3→4 and 4→5, chunk ends in the middle of runs,
 // suffix salts short and past one block, a prefix salt (which must fall
-// back to the per-candidate walk), the empty key, a one-symbol charset and
-// MaxSolutions 1.
+// back to the per-candidate walk), the empty key (MinLen 0), a one-symbol
+// charset and MaxSolutions 1. Every case runs three times: MD5 against
+// one target (unprefixed names), SHA1 against one target ("sha1/") and
+// SHA1 against a corpus ("sha1_corpus/") that holds the planted digest,
+// noise, and a decoy sharing digest bytes [16:20] with another key of the
+// interval, so that key passes the word-4 filter and must be refused by
+// the confirm.
 func TestRunWalkMatchesPerCandidate(t *testing.T) {
 	lower := space(t, keyspace.Lower, 1, 5)
 	// Lowercase ids: length 3 starts at 702, length 4 at 18278, length 5
@@ -57,52 +64,84 @@ func TestRunWalkMatchesPerCandidate(t *testing.T) {
 		{name: "one symbol", space: space(t, keyspace.MustCharset("q"), 1, 20), lo: 0, hi: 20, plant: 7,
 			opt: core.Options{Workers: 2, ChunkSize: 3}, all: true, planted: true},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			key := tc.space.Key64(uint64(tc.plant))
-			target := md5.Sum(tc.salt.Apply(nil, key))
-			job := &Job{Algorithm: MD5, Target: target[:], Space: tc.space, Salt: tc.salt}
-			if job.searchesRuns() == tc.noRuns {
-				t.Fatalf("searchesRuns() = %v", !tc.noRuns)
+	for _, variant := range []struct {
+		prefix string
+		job    func(t *testing.T, salted func(id int64) []byte, plant, decoy int64) *Job
+	}{
+		{"", func(t *testing.T, salted func(int64) []byte, plant, _ int64) *Job {
+			d := md5.Sum(salted(plant))
+			return &Job{Algorithm: MD5, Target: d[:]}
+		}},
+		{"sha1/", func(t *testing.T, salted func(int64) []byte, plant, _ int64) *Job {
+			d := sha1.Sum(salted(plant))
+			return &Job{Algorithm: SHA1, Target: d[:]}
+		}},
+		{"sha1 corpus/", func(t *testing.T, salted func(int64) []byte, plant, decoy int64) *Job {
+			planted := sha1.Sum(salted(plant))
+			corpus := [][]byte{planted[:]}
+			for i := 0; i < 300; i++ {
+				d := sha1.Sum([]byte(fmt.Sprintf("noise-%d", i)))
+				corpus = append(corpus, d[:])
 			}
-			iv := keyspace.NewInterval(tc.lo, tc.hi)
-			ctx := context.Background()
-			opt := tc.opt
-			opt.MaxSolutions = 1
-			if tc.all {
-				opt.MaxSolutions = -1
-			}
-			runs, err := CrackInterval(ctx, job, iv, opt)
+			word := sha1.Sum(salted(decoy))
+			fake := sha1.Sum([]byte("decoy"))
+			copy(fake[16:], word[16:])
+			corpus = append(corpus, fake[:])
+			set, err := targetset.Build(corpus, targetset.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			newTest, err := job.TestFactory()
-			if err != nil {
-				t.Fatal(err)
-			}
-			each, err := core.SearchEach(ctx, core.KeyspaceFactory(tc.space), iv, newTest, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sortKeys(runs.Solutions)
-			sortKeys(each.Solutions)
-			if runs.Tested != each.Tested || !slices.EqualFunc(runs.Solutions, each.Solutions, bytes.Equal) {
-				t.Fatalf("run walk: tested %d, found %q; per-candidate walk: tested %d, found %q",
-					runs.Tested, runs.Solutions, each.Tested, each.Solutions)
-			}
-			if tc.all && runs.Tested != uint64(tc.hi-tc.lo) {
-				t.Errorf("tested %d of %d", runs.Tested, tc.hi-tc.lo)
-			}
-			if got := len(runs.Solutions) == 1 && bytes.Equal(runs.Solutions[0], key); got != tc.planted || len(runs.Solutions) > 1 {
-				t.Errorf("found %q, planted %q in the interval: %v", runs.Solutions, key, tc.planted)
-			}
-		})
+			return &Job{Algorithm: SHA1, Corpus: set}
+		}},
+	} {
+		for _, tc := range cases {
+			t.Run(variant.prefix+tc.name, func(t *testing.T) {
+				salted := func(id int64) []byte { return tc.salt.Apply(nil, tc.space.Key64(uint64(id))) }
+				key := tc.space.Key64(uint64(tc.plant))
+				job := variant.job(t, salted, tc.plant, tc.lo+(tc.hi-tc.lo)/2+1)
+				job.Space, job.Salt = tc.space, tc.salt
+				if job.searchesRuns() == tc.noRuns {
+					t.Fatalf("searchesRuns() = %v", !tc.noRuns)
+				}
+				iv := keyspace.NewInterval(tc.lo, tc.hi)
+				ctx := context.Background()
+				opt := tc.opt
+				opt.MaxSolutions = 1
+				if tc.all {
+					opt.MaxSolutions = -1
+				}
+				runs, err := CrackInterval(ctx, job, iv, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				newTest, err := job.TestFactory()
+				if err != nil {
+					t.Fatal(err)
+				}
+				each, err := core.SearchEach(ctx, core.KeyspaceFactory(tc.space), iv, newTest, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sortKeys(runs.Solutions)
+				sortKeys(each.Solutions)
+				if runs.Tested != each.Tested || !slices.EqualFunc(runs.Solutions, each.Solutions, bytes.Equal) {
+					t.Fatalf("run walk: tested %d, found %q; per-candidate walk: tested %d, found %q",
+						runs.Tested, runs.Solutions, each.Tested, each.Solutions)
+				}
+				if tc.all && runs.Tested != uint64(tc.hi-tc.lo) {
+					t.Errorf("tested %d of %d", runs.Tested, tc.hi-tc.lo)
+				}
+				if got := len(runs.Solutions) == 1 && bytes.Equal(runs.Solutions[0], key); got != tc.planted || len(runs.Solutions) > 1 {
+					t.Errorf("found %q, planted %q in the interval: %v", runs.Solutions, key, tc.planted)
+				}
+			})
+		}
 	}
 }
 
 func sortKeys(keys [][]byte) { slices.SortFunc(keys, bytes.Compare) }
 
-// TestOnlyEligibleJobsSearchRuns pins the four conditions of the run walk.
+// TestOnlyEligibleJobsSearchRuns pins the conditions of the run walk.
 func TestOnlyEligibleJobsSearchRuns(t *testing.T) {
 	pm := space(t, keyspace.Lower, 1, 4)
 	sm := keyspace.MustNew(keyspace.Lower, 1, 4, keyspace.SuffixMajor)
@@ -112,6 +151,12 @@ func TestOnlyEligibleJobsSearchRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	d1 := sha1.Sum([]byte("x"))
+	sha1Corpus, err := targetset.Build([][]byte{d1[:]}, targetset.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sha1Job := func(j *Job) { j.Algorithm, j.Target = SHA1, d1[:] }
 	for _, c := range []struct {
 		name string
 		edit func(j *Job)
@@ -119,11 +164,17 @@ func TestOnlyEligibleJobsSearchRuns(t *testing.T) {
 	}{
 		{"md5 optimized prefix-major", func(*Job) {}, true},
 		{"suffix salt", func(j *Job) { j.Salt.Suffix = []byte("s") }, true},
-		{"sha1", func(j *Job) { j.Algorithm = SHA1 }, false},
+		{"sha1", sha1Job, true},
+		{"sha1 corpus", func(j *Job) { sha1Job(j); j.Corpus = sha1Corpus }, true},
+		{"sha1 suffix salt", func(j *Job) { sha1Job(j); j.Salt.Suffix = []byte("s") }, true},
 		{"plain kernel", func(j *Job) { j.Kind = KernelPlain }, false},
 		{"naive kernel", func(j *Job) { j.Kind = KernelNaive }, false},
+		{"sha1 plain kernel", func(j *Job) { sha1Job(j); j.Kind = KernelPlain }, false},
+		{"sha1 corpus plain kernel", func(j *Job) { sha1Job(j); j.Corpus = sha1Corpus; j.Kind = KernelPlain }, false},
 		{"prefix salt", func(j *Job) { j.Salt.Prefix = []byte("p") }, false},
+		{"sha1 prefix salt", func(j *Job) { sha1Job(j); j.Salt.Prefix = []byte("p") }, false},
 		{"suffix-major", func(j *Job) { j.Space = sm }, false},
+		{"sha1 suffix-major", func(j *Job) { sha1Job(j); j.Space = sm }, false},
 		{"corpus", func(j *Job) { j.Corpus = corpus }, false},
 	} {
 		j := base

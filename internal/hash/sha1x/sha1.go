@@ -8,7 +8,10 @@
 // "the same kind of analysis" (Section V) and the corresponding kernel here
 // implements the transferable parts: packed registers, hoisting the final
 // feed-forward additions out of the loop by comparing against target−IV,
-// and early-exit comparisons over the last five steps.
+// and early-exit comparisons over the last five steps. The served kernel,
+// RunSearcher, goes further on prefix-major runs: the schedule is split
+// once per run around word 0, and a candidate stops after step 75, where
+// the digest's last word is already known.
 //
 // crypto/sha1 is used only in tests, as a differential oracle.
 package sha1x

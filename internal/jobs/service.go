@@ -31,6 +31,13 @@ type Executor interface {
 	Search(ctx context.Context, spec Spec, iv keyspace.Interval) (*dispatch.Report, error)
 }
 
+// ErrExecutorGone is wrapped by a Search error that means the executor
+// itself is gone — a remote worker whose connection dropped and did not
+// rejoin in its retry window — rather than that one search failed. The
+// service requeues the lease and retires the executor at once instead of
+// leasing to it again until MaxSearchFailures is reached.
+var ErrExecutorGone = errors.New("jobs: executor gone")
+
 // StealExecutor is an Executor whose searches are live: they report
 // tested-up-to marks while a lease runs and can be shrunk mid-flight at
 // a batch boundary. These are the two hooks the service's automatic
@@ -150,6 +157,7 @@ type Options struct {
 	// MaxSearchFailures retires an executor after this many consecutive
 	// Search errors (default 3); its in-flight lease returns to the
 	// pool each time, so a flapping executor costs requeues, not keys.
+	// An error wrapping ErrExecutorGone retires it on the first.
 	MaxSearchFailures int
 	// Telemetry receives the scheduler metrics (nil = no-op).
 	Telemetry *telemetry.Registry
@@ -416,8 +424,8 @@ func (s *Service) start(ctx context.Context, manual bool) error {
 }
 
 // ExecutorsDone is closed once every executor loop has returned: at
-// shutdown, or because each executor was retired after MaxSearchFailures
-// consecutive failures — RUNNING jobs then keep their remaining sets with
+// shutdown, or because each executor was retired (after MaxSearchFailures
+// consecutive failures, or gone) — RUNNING jobs then keep their remaining sets with
 // nobody left to lease them to, so a caller waiting on one should stop.
 // Under StartManual there are no loops and it is closed from the start.
 func (s *Service) ExecutorsDone() <-chan struct{} { return s.loopsDone }
@@ -1082,7 +1090,7 @@ func (s *Service) runExecutor(i int, ex Executor) {
 		if err != nil || rep == nil {
 			s.Fail(l)
 			failures++
-			if s.ctx.Err() != nil || failures >= s.opts.maxFailures() {
+			if s.ctx.Err() != nil || failures >= s.opts.maxFailures() || errors.Is(err, ErrExecutorGone) {
 				return
 			}
 			continue

@@ -11,6 +11,7 @@ import (
 
 	"keysearch/internal/core"
 	"keysearch/internal/dispatch"
+	"keysearch/internal/jobs"
 	"keysearch/internal/keyspace"
 	"keysearch/internal/telemetry"
 )
@@ -442,7 +443,7 @@ func (w *RemoteWorker) offerConn(c net.Conn) {
 }
 
 // takeConn returns the live connection, waiting up to wait for a
-// rejoining worker to supply one.
+// rejoining worker to supply one; if none comes, the worker is gone.
 func (w *RemoteWorker) takeConn(ctx context.Context, wait time.Duration) (net.Conn, error) {
 	w.cmu.Lock()
 	c := w.conn
@@ -470,7 +471,7 @@ func (w *RemoteWorker) takeConn(ctx context.Context, wait time.Duration) (net.Co
 		w.cmu.Unlock()
 		return c, nil
 	case <-timer.C:
-		return nil, fmt.Errorf("netproto: %s: no connection (worker did not rejoin)", w.name)
+		return nil, fmt.Errorf("netproto: %s: no connection (worker did not rejoin): %w", w.name, jobs.ErrExecutorGone)
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	case <-w.closeCh:
@@ -694,7 +695,8 @@ func (w *RemoteWorker) SearchSpecLive(ctx context.Context, spec JobSpec, iv keys
 // window: if the worker re-registers in time, the retry lands on the new
 // connection — with the spec re-registered first, since the fresh
 // connection's table is empty. A RemoteError is returned immediately
-// (the connection is fine, the request is not).
+// (the connection is fine, the request is not). When the last window
+// passes with no connection, the error wraps jobs.ErrExecutorGone.
 //
 //keyvet:allow lockorder (w.mu is the per-worker RPC serializer: holding
 // it across the backoff/rejoin wait IS the contract — concurrent calls
@@ -705,6 +707,7 @@ func (w *RemoteWorker) call(ctx context.Context, spec JobSpec, req MsgType, payl
 
 	id := SpecID(spec)
 	var lastErr error
+	var gone error // set while the latest attempt found no connection
 	for attempt := 0; attempt < w.opts.Retry.attempts(); attempt++ {
 		if attempt > 0 {
 			w.tel.retries.Inc()
@@ -718,8 +721,10 @@ func (w *RemoteWorker) call(ctx context.Context, spec JobSpec, req MsgType, payl
 			if lastErr == nil {
 				lastErr = err
 			}
+			gone = err
 			continue
 		}
+		gone = nil
 		// The prelude re-establishes the connection's tables as needed:
 		// corpus chunks first (the spec referencing them is refused
 		// otherwise), then the spec registration.
@@ -765,6 +770,10 @@ func (w *RemoteWorker) call(ctx context.Context, spec JobSpec, req MsgType, payl
 		if ctx.Err() != nil {
 			return nil, err
 		}
+	}
+	if gone != nil && gone != lastErr {
+		// The worker failed and then did not rejoin: say both.
+		return nil, fmt.Errorf("%w (after %w)", gone, lastErr)
 	}
 	return nil, lastErr
 }

@@ -158,6 +158,6 @@ func Decode(b []byte) (*Set, error) {
 			return nil, fmt.Errorf("targetset: filter misses corpus digest %d (incompatible or corrupt bank)", i)
 		}
 	}
+	s.indexWord4()
 	return s, nil
 }
-

@@ -1,4 +1,4 @@
-package targetset
+package targetset_test
 
 import (
 	"bytes"
@@ -9,13 +9,14 @@ import (
 	"keysearch/internal/hash/md5x"
 	"keysearch/internal/hash/sha1x"
 	"keysearch/internal/hash/sha256x"
+	"keysearch/internal/targetset"
 )
 
 // differentialCase runs one hash function through the differential
 // harness: a randomized corpus with planted member digests, a Bloom
 // pre-screened search over a candidate key stream, and a brute-force
 // linear-scan reference. The two hit sets must be byte-identical.
-func differentialCase(t *testing.T, name string, hash func([]byte) []byte, opt Options) {
+func differentialCase(t *testing.T, name string, hash func([]byte) []byte, opt targetset.Options) {
 	t.Helper()
 	const keys = 4096
 	candidate := func(i int) []byte { return []byte(fmt.Sprintf("key-%04d", i)) }
@@ -27,10 +28,10 @@ func differentialCase(t *testing.T, name string, hash func([]byte) []byte, opt O
 		corpus = append(corpus, hash(candidate(i)))
 		wantHits = append(wantHits, string(candidate(i)))
 	}
-	noise := testDigests(5000, len(corpus[0]), 0xd1f)
+	noise := targetset.TestDigests(5000, len(corpus[0]), 0xd1f)
 	corpus = append(corpus, noise...)
 
-	s, err := Build(corpus, opt)
+	s, err := targetset.Build(corpus, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,9 +83,9 @@ func TestDifferentialSearchers(t *testing.T) {
 		{"sha256x", func(k []byte) []byte { d := sha256x.Sum(k); return d[:] }},
 	}
 	for _, h := range hashes {
-		t.Run(h.name, func(t *testing.T) { differentialCase(t, h.name, h.fn, Options{FPRate: 1e-3}) })
+		t.Run(h.name, func(t *testing.T) { differentialCase(t, h.name, h.fn, targetset.Options{FPRate: 1e-3}) })
 		t.Run(h.name+"/adversarial", func(t *testing.T) {
-			differentialCase(t, h.name, h.fn, Options{FPRate: 0.5, Seed: 0xbad})
+			differentialCase(t, h.name, h.fn, targetset.Options{FPRate: 0.5, Seed: 0xbad})
 		})
 	}
 }
@@ -94,13 +95,13 @@ func TestDifferentialSearchers(t *testing.T) {
 // the filter: false positives of MayContain must be rejected by
 // Contains.
 func TestAdversarialCollisions(t *testing.T) {
-	corpus := testDigests(512, 16, 21)
-	s, err := Build(corpus, Options{FPRate: 0.5, Seed: 1})
+	corpus := targetset.TestDigests(512, 16, 21)
+	s, err := targetset.Build(corpus, targetset.Options{FPRate: 0.5, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	collisions := 0
-	for _, d := range testDigests(20000, 16, 22) {
+	for _, d := range targetset.TestDigests(20000, 16, 22) {
 		if s.MayContain(d) && !s.Confirm(d) {
 			collisions++
 			if s.Contains(d) {

@@ -21,8 +21,10 @@ package targetset
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -58,7 +60,68 @@ type Set struct {
 	mask   uint64   // bit-index mask; bit count mask+1 is a power of two
 	bits   []uint64 // the filter bank, (mask+1)/64 words
 	fpr    float64  // requested rate (after defaulting)
+	word4  WordFilter
 }
+
+// WordFilter is an exact-superset filter over one 32-bit digest word: a
+// bitmap in which the word of every corpus digest sets two bits, one
+// indexed by its low bits and one by its high bits, so a word that finds
+// either bit clear belongs to no member. It is a search kernel's first
+// stage, probed inside the compression before the digest is complete
+// (KeyHunt's CheckBloomBinary, moved ahead of the hash's last steps).
+type WordFilter struct {
+	bits  []uint64
+	mask  uint32 // low-bits index: w & mask
+	shift uint32 // high-bits index: w >> shift
+}
+
+// MayContain reports whether some corpus digest may carry word w: false
+// is certain, true passes every member's word and, of the others, about
+// the square of the bitmap's fill, 1 - e^(-2·Len()/Bits()).
+func (f WordFilter) MayContain(w uint32) bool {
+	i, j := w&f.mask, w>>f.shift
+	return f.bits[i>>6]&(1<<(i&63)) != 0 && f.bits[j>>6]&(1<<(j&63)) != 0
+}
+
+// Bits returns the bitmap size in bits.
+func (f WordFilter) Bits() uint64 { return uint64(f.mask) + 1 }
+
+// word4Bits sizes the word-4 bitmap from the corpus cardinality alone:
+// 64 bits per digest, a power of two between 2^16 (so a single target
+// passes about one wrong word in 2^30) and 2^24 (2 MiB: a larger bitmap
+// misses the cache on more probes than it saves in wrong words; at 10^6
+// digests 2^24 bits pass about 1.3 % of them).
+func word4Bits(n int) uint64 {
+	m := uint64(1 << 16)
+	for m < 64*uint64(n) && m < 1<<24 {
+		m <<= 1
+	}
+	return m
+}
+
+// indexWord4 builds the word-4 filter over digest bytes [16:20] (SHA1's
+// last state word, big-endian) for digests of at least 20 bytes. It is
+// derived from the sorted corpus, so Build and Decode build the same one
+// and the encoding does not carry it.
+func (s *Set) indexWord4() {
+	if s.size < 20 {
+		return
+	}
+	m := word4Bits(s.n)
+	f := WordFilter{bits: make([]uint64, m/64), mask: uint32(m - 1), shift: uint32(32 - bits.TrailingZeros64(m))}
+	for i := 0; i < s.n; i++ {
+		w := binary.BigEndian.Uint32(s.corpus[i*s.size+16:])
+		for _, j := range [2]uint32{w & f.mask, w >> f.shift} {
+			f.bits[j>>6] |= 1 << (j & 63)
+		}
+	}
+	s.word4 = f
+}
+
+// Word4 returns the exact-superset filter over digest bytes [16:20], read
+// as a big-endian word; ok is false for digests shorter than 20 bytes,
+// which have none.
+func (s *Set) Word4() (f WordFilter, ok bool) { return s.word4, s.word4.bits != nil }
 
 // Build constructs a Set from raw digests. All digests must share one
 // nonzero length; duplicates are removed. The input slice is not
@@ -110,6 +173,7 @@ func Build(digests [][]byte, opt Options) (*Set, error) {
 	for i := 0; i < n; i++ {
 		s.insert(corpus[i*size : (i+1)*size])
 	}
+	s.indexWord4()
 	return s, nil
 }
 
