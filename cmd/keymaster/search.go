@@ -66,28 +66,37 @@ func runSearch(ctx context.Context, out io.Writer, spec jobs.Spec, jf jobsFlags,
 		}
 		fmt.Fprintf(out, "tuning and dispatching over %s keys...\n", job.Space)
 	}
+	// Follow the job on its event stream, subscribed before the service
+	// starts so that no event precedes it; the hub never drops a state
+	// event, so the terminal one arrives. The search also ends when the
+	// last keyworker has been retired, which leaves the job RUNNING with
+	// nobody to lease it to.
+	events, stopWatch := svc.Watch(job.ID)
+	defer stopWatch()
 	start, tested0 := time.Now(), job.Tested
 	if err := svc.Start(ctx); err != nil {
 		return err
 	}
-
-	// Follow the job by re-reading it: the store is the one place its
-	// state cannot be missed (the event hub drops what a subscriber has
-	// no room for). The search also ends when the last keyworker has been
-	// retired, which leaves the job RUNNING with nobody to lease it to.
-	fleetLost := false
-	for !job.Done() && !fleetLost && ctx.Err() == nil {
+follow:
+	for !job.Done() {
 		select {
-		case <-time.After(20 * time.Millisecond):
+		case ev, ok := <-events:
+			if !ok {
+				break follow
+			}
+			job = ev.Job
 		case <-svc.ExecutorsDone():
-			fleetLost = true
+			break follow
 		case <-ctx.Done():
-		}
-		if j, err := svc.Get(job.ID); err == nil {
-			job = j
+			break follow
 		}
 	}
 	elapsed := time.Since(start)
+	// A lost fleet or an interrupt ends the watch between events: report
+	// the job as the store has it.
+	if j, err := svc.Get(job.ID); err == nil {
+		job = j
+	}
 	// Taken before the shutdown below cuts in-flight leases loose, which
 	// the service counts as requeues too.
 	final := reg.Snapshot()

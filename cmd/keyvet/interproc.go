@@ -102,15 +102,22 @@ func buildProgram(ps []*pkg, checkers map[*pkg]*checker) *program {
 // channel makes the enclosing function "able to block" only if it is
 // invoked, but for summary purposes we take the conservative view only
 // for immediately-invoked literals; deferred/spawned/stored literals
-// run on their own goroutine or schedule and are skipped.
+// run on their own goroutine or schedule and are skipped. So is the
+// function a go statement spawns: only its arguments are evaluated here.
 func (ff *funcFacts) collect() {
 	nb := nonBlockingComms(ff.decl.Body)
 	skipLits := escapingFuncLits(ff.decl.Body)
-	ast.Inspect(ff.decl.Body, func(n ast.Node) bool {
+	var visit func(n ast.Node) bool
+	visit = func(n ast.Node) bool {
 		if fl, ok := n.(*ast.FuncLit); ok && skipLits[fl] {
 			return false
 		}
 		switch e := n.(type) {
+		case *ast.GoStmt:
+			for _, arg := range e.Call.Args {
+				ast.Inspect(arg, visit)
+			}
+			return false
 		case *ast.SendStmt:
 			if !nb[n] {
 				ff.addBlock("channel send", e.Pos())
@@ -149,7 +156,8 @@ func (ff *funcFacts) collect() {
 			}
 		}
 		return true
-	})
+	}
+	ast.Inspect(ff.decl.Body, visit)
 }
 
 func (ff *funcFacts) addBlock(desc string, pos token.Pos) {

@@ -67,3 +67,15 @@ func (s *sender) spawn(done chan struct{}) {
 	}()
 	s.mu.Unlock()
 }
+
+// startLocked calls, under the lock, a function whose only blocking
+// operation runs on the goroutine it spawns: no finding.
+func (s *sender) startLocked(done chan struct{}) {
+	s.mu.Lock()
+	spawnWaiter(done)
+	s.mu.Unlock()
+}
+
+func spawnWaiter(done chan struct{}) { go waitDone(done) }
+
+func waitDone(done chan struct{}) { <-done }

@@ -19,6 +19,7 @@ import (
 	"os/signal"
 	"time"
 
+	"keysearch/internal/hash/md5x"
 	"keysearch/internal/netproto"
 	"keysearch/internal/telemetry"
 )
@@ -47,7 +48,9 @@ func main() {
 		defer stopLog()
 	}
 
-	fmt.Printf("worker %s connecting to %s\n", *name, *master)
+	// The MD5 screen runs ≈ 6× faster with AVX2 than without, so a slow
+	// worker in a fleet is visible from its first line.
+	fmt.Printf("worker %s connecting to %s (md5 screen %s)\n", *name, *master, md5x.ScreenKernel())
 	cfg := netproto.WorkerConfig{
 		Name:          *name,
 		Workers:       *threads,

@@ -8,11 +8,20 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+	_ "unsafe" // go:linkname
 
 	"keysearch/internal/core"
+	"keysearch/internal/hash/md5x"
 	"keysearch/internal/keyspace"
 	"keysearch/internal/targetset"
 )
+
+// md5xUseAVX2 is md5x's screen dispatch, set from CPUID and deliberately
+// not an option. The MD5 rows below flip it so that a host with AVX2 runs
+// the 2-lane fallback through CrackInterval too.
+//
+//go:linkname md5xUseAVX2 keysearch/internal/hash/md5x.useAVX2
+var md5xUseAVX2 bool
 
 // TestRunWalkMatchesPerCandidate: CrackInterval's run walk and the
 // per-candidate walk (core.SearchEach over the job's TestFactory) return
@@ -20,12 +29,13 @@ import (
 // that straddle lengths 3→4 and 4→5, chunk ends in the middle of runs,
 // suffix salts short and past one block, a prefix salt (which must fall
 // back to the per-candidate walk), the empty key (MinLen 0), a one-symbol
-// charset and MaxSolutions 1. Every case runs three times: MD5 against
-// one target (unprefixed names), SHA1 against one target ("sha1/") and
-// SHA1 against a corpus ("sha1_corpus/") that holds the planted digest,
-// noise, and a decoy sharing digest bytes [16:20] with another key of the
-// interval, so that key passes the word-4 filter and must be refused by
-// the confirm.
+// charset and MaxSolutions 1. Every case runs four times: MD5 against
+// one target on the host's screen (unprefixed names: the 16-lane AVX2
+// screen where the CPU has it) and on the 2-lane Go screen ("md5 go2/"),
+// SHA1 against one target ("sha1/") and SHA1 against a corpus
+// ("sha1 corpus/") that holds the planted digest, noise, and a decoy
+// sharing digest bytes [16:20] with another key of the interval, so that
+// key passes the word-4 filter and must be refused by the confirm.
 func TestRunWalkMatchesPerCandidate(t *testing.T) {
 	lower := space(t, keyspace.Lower, 1, 5)
 	// Lowercase ids: length 3 starts at 702, length 4 at 18278, length 5
@@ -64,19 +74,22 @@ func TestRunWalkMatchesPerCandidate(t *testing.T) {
 		{name: "one symbol", space: space(t, keyspace.MustCharset("q"), 1, 20), lo: 0, hi: 20, plant: 7,
 			opt: core.Options{Workers: 2, ChunkSize: 3}, all: true, planted: true},
 	}
+	md5Job := func(t *testing.T, salted func(int64) []byte, plant, _ int64) *Job {
+		d := md5.Sum(salted(plant))
+		return &Job{Algorithm: MD5, Target: d[:]}
+	}
 	for _, variant := range []struct {
 		prefix string
+		go2    bool // MD5 on the 2-lane screen whatever the CPU has
 		job    func(t *testing.T, salted func(id int64) []byte, plant, decoy int64) *Job
 	}{
-		{"", func(t *testing.T, salted func(int64) []byte, plant, _ int64) *Job {
-			d := md5.Sum(salted(plant))
-			return &Job{Algorithm: MD5, Target: d[:]}
-		}},
-		{"sha1/", func(t *testing.T, salted func(int64) []byte, plant, _ int64) *Job {
+		{"", false, md5Job},
+		{"md5 go2/", true, md5Job},
+		{"sha1/", false, func(t *testing.T, salted func(int64) []byte, plant, _ int64) *Job {
 			d := sha1.Sum(salted(plant))
 			return &Job{Algorithm: SHA1, Target: d[:]}
 		}},
-		{"sha1 corpus/", func(t *testing.T, salted func(int64) []byte, plant, decoy int64) *Job {
+		{"sha1 corpus/", false, func(t *testing.T, salted func(int64) []byte, plant, decoy int64) *Job {
 			planted := sha1.Sum(salted(plant))
 			corpus := [][]byte{planted[:]}
 			for i := 0; i < 300; i++ {
@@ -96,6 +109,14 @@ func TestRunWalkMatchesPerCandidate(t *testing.T) {
 	} {
 		for _, tc := range cases {
 			t.Run(variant.prefix+tc.name, func(t *testing.T) {
+				if variant.go2 {
+					host := md5xUseAVX2
+					md5xUseAVX2 = false
+					defer func() { md5xUseAVX2 = host }()
+					if md5x.ScreenKernel() != "go2" {
+						t.Fatal("md5xUseAVX2 does not reach md5x's screen dispatch")
+					}
+				}
 				salted := func(id int64) []byte { return tc.salt.Apply(nil, tc.space.Key64(uint64(id))) }
 				key := tc.space.Key64(uint64(tc.plant))
 				job := variant.job(t, salted, tc.plant, tc.lo+(tc.hi-tc.lo)/2+1)

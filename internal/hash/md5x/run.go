@@ -7,8 +7,10 @@ import "keysearch/internal/hash/runword"
 // and so differ only in packed word 0 (k ≤ 4). Per run it packs the
 // message and builds the ReverseContext once, then enumerates word 0 with
 // a runword.Counter — Section V's "next applied to the packed form" — and
-// screens two candidates at a time with the interleaved screen2,
-// confirming a surviving lane with Test.
+// screens sixteen candidates at a time with screen16 in AVX2 vector lanes
+// where the CPU has them, two at a time with the interleaved screen2
+// otherwise and for the last n mod 16, confirming a surviving lane with
+// Test.
 //
 // A RunSearcher is not safe for concurrent use; each worker owns one.
 type RunSearcher struct {
@@ -16,6 +18,16 @@ type RunSearcher struct {
 	ctr    runword.Counter
 	block  [16]uint32
 	rc     ReverseContext
+}
+
+// ScreenKernel names the screen SearchRun runs on this CPU: "avx2x16"
+// (screen16, sixteen candidates per call in YMM lanes) or "go2" (screen2,
+// two interleaved scalar lanes).
+func ScreenKernel() string {
+	if useAVX2 {
+		return "avx2x16"
+	}
+	return "go2"
 }
 
 // NewRunSearcher builds a run searcher for a raw MD5 digest over the
@@ -49,6 +61,25 @@ func (s *RunSearcher) SearchRun(msg []byte, k int, n uint64, found [][]byte) [][
 	hi, d0 := c.Start(s.block[0])
 	tab0 := c.Tab0()
 	syms := len(tab0)
+	if useAVX2 && n >= 16 {
+		var w [16]uint32
+		//keyvet:hotloop
+		for ; n >= 16; n -= 16 {
+			for l := range w {
+				w[l] = hi | tab0[d0]
+				if d0++; d0 == syms {
+					d0, hi = 0, c.Carry()
+				}
+			}
+			if hit := screen16(&s.rc, &w); hit != 0 {
+				for l := range w {
+					if hit&(1<<l) != 0 && s.rc.Test(w[l]) {
+						found = append(found, c.Key(msg, w[l])) //keyvet:allow hotloop (solution copy, as in core.SearchEach)
+					}
+				}
+			}
+		}
+	}
 	var w [2]uint32
 	//keyvet:hotloop
 	for ; n >= 2; n -= 2 {

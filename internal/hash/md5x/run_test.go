@@ -3,6 +3,8 @@ package md5x
 import (
 	"bytes"
 	"crypto/md5"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -20,15 +22,29 @@ func runCandidate(symbols, msg []byte, k int, i uint64) []byte {
 	return out
 }
 
-// FuzzSearchRun checks SearchRun against the per-candidate Searcher.Test
-// and against crypto/md5 on random templates, run widths, start digits,
-// lengths and symbol sets. The target is planted at candidate plant of
-// the run — either lane of a 2-lane group or the odd tail — or, when
-// plant ≥ n, nowhere.
+// hostAVX2 is useAVX2 as CPUID set it, before any test flips it.
+var hostAVX2 = useAVX2
+
+// screenPaths returns the settings of useAVX2 the CPU can run: screen16
+// where the CPU has AVX2, and screen2 always.
+func screenPaths() []bool {
+	if hostAVX2 {
+		return []bool{true, false}
+	}
+	return []bool{false}
+}
+
+// FuzzSearchRun checks SearchRun, on each screen the CPU can run,
+// against the per-candidate Searcher.Test and against crypto/md5 on random
+// templates, run widths, start digits, lengths and symbol sets. The target
+// is planted at candidate plant of the run — any lane of a 16-lane group,
+// either lane of a 2-lane group of the n mod 16 tail, or its odd last key
+// — or, when plant ≥ n, nowhere.
 func FuzzSearchRun(f *testing.F) {
-	// One seed per lane position, one in the tail, one miss, one empty
-	// key, one short (pad inside word 0), one one-symbol set, one past
-	// a single block.
+	// Seeds in lanes 0, 1, 6 and 15 of a 16-lane group, in the odd tail,
+	// one miss, one empty key, one short (pad inside word 0), one
+	// one-symbol set, one past a single block, then lanes 8 and 23 (the
+	// second group) and the 2-lane part of the tail.
 	f.Add([]byte("abcdefghijklmnopqrst"), []byte("aaaaSUFFIX"), uint8(4), uint16(64), uint16(0))
 	f.Add([]byte("abcdefghijklmnopqrst"), []byte("taaaSUFFIX"), uint8(4), uint16(64), uint16(1))
 	f.Add([]byte("abcdefghijklmnopqrst"), []byte("bcaaSUFFIX"), uint8(4), uint16(65), uint16(6))
@@ -39,6 +55,9 @@ func FuzzSearchRun(f *testing.F) {
 	f.Add([]byte("abc"), []byte("ba"), uint8(2), uint16(7), uint16(5))
 	f.Add([]byte("z"), []byte("zzzzz"), uint8(4), uint16(1), uint16(0))
 	f.Add([]byte("ab"), bytes.Repeat([]byte("a"), 60), uint8(3), uint16(8), uint16(3))
+	f.Add([]byte("abcdefghijklmnopqrst"), []byte("aaaaSUFFIX"), uint8(4), uint16(64), uint16(8))
+	f.Add([]byte("abcdefghijklmnopqrst"), []byte("ahaaSUFFIX"), uint8(4), uint16(50), uint16(23))
+	f.Add([]byte("abcdefghijklmnopqrst"), []byte("qrstSUFFIX"), uint8(4), uint16(67), uint16(65))
 	f.Fuzz(func(t *testing.T, symbols, msg []byte, rawK uint8, rawN, plant uint16) {
 		symbols = distinct(symbols)
 		if len(symbols) == 0 || len(msg) > 80 {
@@ -76,13 +95,12 @@ func FuzzSearchRun(f *testing.F) {
 				want = append(want, c)
 			}
 		}
-		got := NewRunSearcher(target, symbols).SearchRun(msg, k, n, nil)
-		if len(got) != len(want) {
-			t.Fatalf("SearchRun(%q, k=%d, n=%d) found %q, want %q", msg, k, n, got, want)
-		}
-		for i := range got {
-			if !bytes.Equal(got[i], want[i]) {
-				t.Fatalf("SearchRun(%q, k=%d, n=%d) found %q, want %q", msg, k, n, got, want)
+		defer func() { useAVX2 = hostAVX2 }()
+		for _, avx2 := range screenPaths() {
+			useAVX2 = avx2
+			got := NewRunSearcher(target, symbols).SearchRun(msg, k, n, nil)
+			if !slices.EqualFunc(got, want, bytes.Equal) {
+				t.Fatalf("%s: SearchRun(%q, k=%d, n=%d) found %q, want %q", ScreenKernel(), msg, k, n, got, want)
 			}
 		}
 	})
@@ -105,21 +123,118 @@ func distinct(b []byte) []byte {
 // different lengths and templates, as a worker goroutine does, and finds
 // the planted key in each.
 func TestSearchRunReusesSearcher(t *testing.T) {
+	defer func() { useAVX2 = hostAVX2 }()
 	symbols := []byte("abcdefghij")
 	keys := []string{"jihgKEY", "cde", "aaaaLONGER", "j"}
-	for _, key := range keys {
-		s := NewRunSearcher(md5.Sum([]byte(key)), symbols)
-		for _, start := range []string{"aaaaKEY", "aaa", "aaaaLONGER", "a"} {
-			k := min(4, len(start))
-			span := uint64(1)
-			for p := 0; p < k; p++ {
-				span *= uint64(len(symbols))
+	for _, avx2 := range screenPaths() {
+		useAVX2 = avx2
+		for _, key := range keys {
+			s := NewRunSearcher(md5.Sum([]byte(key)), symbols)
+			for _, start := range []string{"aaaaKEY", "aaa", "aaaaLONGER", "a"} {
+				k := min(4, len(start))
+				span := uint64(1)
+				for p := 0; p < k; p++ {
+					span *= uint64(len(symbols))
+				}
+				got := s.SearchRun([]byte(start), k, span, nil)
+				want := len(start) == len(key) && start[k:] == key[k:]
+				if (len(got) == 1 && string(got[0]) == key) != want || len(got) > 1 {
+					t.Errorf("%s: key %q, run from %q: found %q", ScreenKernel(), key, start, got)
+				}
 			}
-			got := s.SearchRun([]byte(start), k, span, nil)
-			want := len(start) == len(key) && start[k:] == key[k:]
-			if (len(got) == 1 && string(got[0]) == key) != want || len(got) > 1 {
-				t.Errorf("key %q, run from %q: found %q", key, start, got)
+		}
+	}
+}
+
+// TestSearchRunFindsEveryPosition plants the target at each position of a
+// 53-key run piece in turn — every lane of three 16-lane groups, the
+// 2-lane pairs of the n mod 16 tail and its odd last key — and requires
+// SearchRun to find exactly that key on each screen; planted at the two
+// keys after the piece, it must find nothing. Seven symbols put digit-0
+// carries in the middle of groups.
+func TestSearchRunFindsEveryPosition(t *testing.T) {
+	defer func() { useAVX2 = hostAVX2 }()
+	symbols := []byte("abcdefg")
+	msg := []byte("cbaaTAIL")
+	const n = 3*16 + 5
+	for _, avx2 := range screenPaths() {
+		useAVX2 = avx2
+		for p := uint64(0); p < n+2; p++ {
+			key := runCandidate(symbols, msg, 4, p)
+			got := NewRunSearcher(md5.Sum(key), symbols).SearchRun(msg, 4, n, nil)
+			if p < n && (len(got) != 1 || !bytes.Equal(got[0], key)) || p >= n && len(got) != 0 {
+				t.Errorf("%s: target at position %d of %d (%q): found %q", ScreenKernel(), p, n, key, got)
 			}
+		}
+	}
+}
+
+// step45 is the reference for the screens: the register MD5 step 45
+// writes for template block with word 0 set to w0.
+func step45(block [16]uint32, w0 uint32) uint32 {
+	block[0] = w0
+	a, b, c, d := iv[0], iv[1], iv[2], iv[3]
+	for i := 0; i <= 45; i++ {
+		a, b, c, d = Step(i, a, b, c, d, block[MsgIndex(i)])
+	}
+	return b
+}
+
+// TestScreen16MatchesScreen2 is the differential test of the AVX2 screen:
+// over random templates and targets, its 16-bit mask must equal eight
+// screen2 calls' and the scalar step-45 reference, lane by lane. Each
+// trial forces a hit into a chosen lane, cycling through all sixteen and
+// copying the word into the same lane of the other group: a real preimage
+// (Test accepts it) or a collision in rev[0] alone (Test refuses it).
+func TestScreen16MatchesScreen2(t *testing.T) {
+	if !hostAVX2 {
+		t.Skip("no AVX2 on this CPU")
+	}
+	rng := rand.New(rand.NewSource(28))
+	var rc ReverseContext
+	for trial := 0; trial < 3000; trial++ {
+		var block [16]uint32
+		var w [16]uint32
+		for i := range block {
+			block[i] = rng.Uint32()
+		}
+		for l := range w {
+			w[l] = rng.Uint32()
+		}
+		target := [4]uint32{rng.Uint32(), rng.Uint32(), rng.Uint32(), rng.Uint32()}
+		lane := trial % 16
+		kind := trial / 16 % 3 // 0: preimage, 1: rev[0] collision, 2: none
+		if trial%2 == 0 {
+			w[lane^8] = w[lane]
+		}
+		if kind == 0 {
+			pre := block
+			pre[0] = w[lane]
+			target = SumPacked(&pre)
+		}
+		rc.reset(target, &block)
+		if kind == 1 {
+			rc.rev[0] = step45(block, w[lane])
+		}
+		got := screen16(&rc, &w)
+
+		var pairs, ref uint
+		for j := 0; j < 16; j += 2 {
+			pairs |= rc.screen2(w[j], w[j+1]) << j
+		}
+		for l, w0 := range w {
+			if step45(block, w0) == rc.rev[0] {
+				ref |= 1 << l
+			}
+		}
+		if got != pairs || got != ref {
+			t.Fatalf("trial %d: screen16 mask %016b, screen2 %016b, reference %016b", trial, got, pairs, ref)
+		}
+		if kind != 2 && got&(1<<lane) == 0 {
+			t.Fatalf("trial %d: hit planted in lane %d, mask %016b", trial, lane, got)
+		}
+		if kind != 2 && rc.Test(w[lane]) != (kind == 0) {
+			t.Fatalf("trial %d: Test(lane %d) = %v for a %s", trial, lane, kind != 0, []string{"preimage", "rev[0] collision"}[kind])
 		}
 	}
 }

@@ -20,10 +20,32 @@ type Event struct {
 	Job  Job       `json:"job"`
 }
 
-// hub fans events out to subscribers (the SSE handlers). Sends never
-// block: a subscriber that stops draining its channel loses events
-// rather than stalling the scheduler — SSE clients always re-read the
-// job snapshot they missed from the next event or a GET.
+// rank orders event types for coalescing: when two events of one job
+// merge, the merged event keeps the higher-ranked type.
+func (t EventType) rank() int {
+	switch t {
+	case EventState:
+		return 3
+	case EventFound:
+		return 2
+	case EventSubmitted:
+		return 1
+	}
+	return 0
+}
+
+// hub fans events out to subscribers (the SSE handlers, keymaster's
+// single search). Publishing never blocks the scheduler, costs O(1) per
+// subscriber, and a subscriber that falls behind misses no job's last
+// state. Once its channel is full, each job keeps at most one pending
+// event: a newer event of the job replaces the pending one's snapshot
+// (which carries the state and the cumulative finds), and the merged
+// event keeps the higher-ranked type — state over found over submitted
+// over progress — so a terminal state always arrives labelled as one.
+// The pending set is thus bounded by the jobs the store holds. A pump
+// goroutine moves pending events into the channel, oldest job first, as
+// the subscriber drains it, and exits when none is left; until then
+// publish queues behind it, so a job's snapshots never arrive out of order.
 type hub struct {
 	mu     sync.Mutex
 	nextID int
@@ -32,8 +54,13 @@ type hub struct {
 }
 
 type subscriber struct {
-	jobID string // "" = all jobs
-	ch    chan Event
+	jobID   string // "" = all jobs
+	ch      chan Event
+	pending map[string]Event // per job, the event waiting for room in ch; guarded by hub.mu
+	order   []string         // pending's job IDs, oldest first; guarded by hub.mu
+	pumping bool             // a pump owns the sends to ch; guarded by hub.mu
+	ended   bool             // the subscription is over; guarded by hub.mu
+	gone    chan struct{}    // closed when ended is set, to wake a blocked pump
 }
 
 func newHub() *hub {
@@ -56,20 +83,21 @@ func (h *hub) subscribe(jobID string, buf int) (<-chan Event, func()) {
 	}
 	id := h.nextID
 	h.nextID++
-	sub := &subscriber{jobID: jobID, ch: make(chan Event, buf)}
+	sub := &subscriber{jobID: jobID, ch: make(chan Event, buf), pending: make(map[string]Event), gone: make(chan struct{})}
 	h.subs[id] = sub
 	return sub.ch, func() {
 		h.mu.Lock()
 		defer h.mu.Unlock()
 		if s, ok := h.subs[id]; ok {
 			delete(h.subs, id)
-			close(s.ch)
+			h.end(s)
 		}
 	}
 }
 
-// publish delivers the event to every matching subscriber, dropping it
-// for any whose buffer is full.
+// publish delivers the event to every matching subscriber: into its
+// channel when the channel has room and nothing is pending, else into
+// its pending set.
 func (h *hub) publish(ev Event) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -80,10 +108,59 @@ func (h *hub) publish(ev Event) {
 		if s.jobID != "" && s.jobID != ev.Job.ID {
 			continue
 		}
+		if !s.pumping {
+			select {
+			case s.ch <- ev:
+				continue
+			default:
+			}
+			s.pumping = true
+			go h.pump(s)
+		}
+		merged := ev
+		if old, ok := s.pending[ev.Job.ID]; !ok {
+			s.order = append(s.order, ev.Job.ID)
+		} else if old.Type.rank() > ev.Type.rank() {
+			merged.Type = old.Type
+		}
+		s.pending[ev.Job.ID] = merged
+	}
+}
+
+// pump sends s's pending events into its channel, oldest job first, and
+// exits when none is left or the subscription ends; in the latter case
+// it closes the channel, which end left to it.
+func (h *hub) pump(s *subscriber) {
+	for {
+		h.mu.Lock()
+		if s.ended || len(s.order) == 0 {
+			s.pumping = false
+			if s.ended {
+				close(s.ch)
+			}
+			h.mu.Unlock()
+			return
+		}
+		id := s.order[0]
+		s.order = s.order[1:]
+		ev := s.pending[id]
+		delete(s.pending, id)
+		h.mu.Unlock()
 		select {
 		case s.ch <- ev:
-		default:
+		case <-s.gone:
 		}
+	}
+}
+
+// end finishes a subscription under h.mu. Its channel closes now, or,
+// while a pump may be sending on it, when the pump sees gone.
+func (h *hub) end(s *subscriber) {
+	s.ended = true
+	s.pending, s.order = nil, nil
+	close(s.gone)
+	if !s.pumping {
+		close(s.ch)
 	}
 }
 
@@ -98,6 +175,6 @@ func (h *hub) close() {
 	h.closed = true
 	for id, s := range h.subs {
 		delete(h.subs, id)
-		close(s.ch)
+		h.end(s)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"time"
 )
 
 // Backend is what the API serves: one Service, or anything that routes
@@ -49,6 +50,9 @@ const (
 	maxSubmitBody = MaxTargets*(2*sha1.Size+3) + 64<<10
 	maxCancelBody = 4 << 10
 )
+
+// sseWriteTimeout bounds the write of one event to an SSE client.
+var sseWriteTimeout = 10 * time.Second
 
 // Handler builds the routing table.
 func (a *API) Handler() http.Handler {
@@ -159,7 +163,10 @@ func (a *API) cancel(w http.ResponseWriter, r *http.Request) {
 // stream begins with a synthetic snapshot event per matching job so a
 // late subscriber starts from current truth, and ends when the client
 // goes away, the service shuts down, or (for a single-job stream) the
-// job reaches a terminal state.
+// job reaches a terminal state. Each event must be written within
+// sseWriteTimeout: a client that stops reading loses its stream rather
+// than pinning the handler and its subscription; it reconnects to a new
+// snapshot prologue.
 func (a *API) events(w http.ResponseWriter, r *http.Request) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
@@ -181,11 +188,15 @@ func (a *API) events(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush() // deliver headers before the first event arrives
 
+	// The deadline is the connection's: clear it for the next request.
+	rc := http.NewResponseController(w)
+	defer rc.SetWriteDeadline(time.Time{})
 	send := func(ev Event) bool {
 		data, err := json.Marshal(ev)
 		if err != nil {
 			return false
 		}
+		_ = rc.SetWriteDeadline(time.Now().Add(sseWriteTimeout)) //keyvet:allow clockseam (a socket deadline is wall time)
 		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, data); err != nil {
 			return false
 		}

@@ -157,9 +157,8 @@ func verifyExactCoverage(t *testing.T, jobID string, entries []auditEntry, total
 
 // waitFor blocks until cond holds, re-checking after every service
 // event rather than polling on a sleep: the wait wakes exactly when
-// the service publishes progress. The hub drops events for slow
-// subscribers and some conditions flip without an event (e.g. a lease
-// being issued), so a coarse ticker backstops lost wakeups; the
+// the service publishes progress. Some conditions flip without an event
+// (e.g. a lease being issued), so a coarse ticker backstops them; the
 // timeout bounds the whole wait.
 func waitFor(t *testing.T, svc *Service, timeout time.Duration, what string, cond func() bool) {
 	t.Helper()

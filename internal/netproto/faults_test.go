@@ -71,6 +71,13 @@ func spaceSize(t *testing.T) uint64 {
 	return n
 }
 
+// healthyPause parks the chaos tests' healthy workers after every chunk.
+// The 18-chunk space takes a fast kernel well under a scheduler time
+// slice, and a worker trading frames with the master keeps being woken
+// first, so without the pause one worker could drain the space before
+// the severed one issues its first chunk — and nothing would be severed.
+const healthyPause = time.Millisecond
+
 // TestClusterSurvivesWorkerDeath is the headline chaos test: 3 workers, a
 // seeded schedule severs one mid-search (after its 5th write — in the
 // middle of its first search-result frame), and the search must still
@@ -95,6 +102,9 @@ func TestClusterSurvivesWorkerDeath(t *testing.T) {
 
 		for i := 0; i < 3; i++ {
 			cfg := WorkerConfig{Name: "worker-" + string(rune('A'+i)), Workers: 1, TuneStart: 512}
+			if i != 1 {
+				cfg.Throttle = healthyPause
+			}
 			if inject && i == 1 {
 				// Writes: hello (hdr+payload), tune result (hdr+payload),
 				// then sever right after the header of the first search

@@ -108,6 +108,8 @@ func TestTelemetryChaosExactness(t *testing.T) {
 		cfg := WorkerConfig{Name: "worker-" + string(rune('A'+i)), Workers: 1, TuneStart: 512}
 		if i == 1 {
 			cfg.Dialer = chaosDialer(chaos.Plan{SeverAfterWrites: 5, Mode: chaos.Close})
+		} else {
+			cfg.Throttle = healthyPause
 		}
 		go func() { _ = Dial(ctx, m.Addr(), cfg) }()
 	}

@@ -33,11 +33,12 @@ type pump struct {
 }
 
 // Watch subscribes to one job's events ("" = all jobs) across every
-// shard. The returned channel is never closed — like the hub, the
-// plane drops events for a subscriber that stops draining; callers end
-// the watch with the cancel function (SSE handlers tie it to the
-// request context). The buffer absorbs cross-shard bursts. merged, when
-// non-nil, counts every event forwarded into the merged channel.
+// shard. The returned channel is never closed; callers end the watch
+// with the cancel function (SSE handlers tie it to the request context).
+// A subscriber that stops draining stalls the pumps, and each shard's hub
+// then holds at most one pending event per job. The buffer absorbs cross-shard
+// bursts. merged, when non-nil, counts every event forwarded into the
+// merged channel.
 func (p *Plane) Watch(jobID string, merged *telemetry.Counter) (<-chan jobs.Event, func()) {
 	w := &planeWatch{
 		plane:  p,
