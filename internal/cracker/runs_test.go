@@ -12,16 +12,21 @@ import (
 
 	"keysearch/internal/core"
 	"keysearch/internal/hash/md5x"
+	"keysearch/internal/hash/sha1x"
 	"keysearch/internal/keyspace"
 	"keysearch/internal/targetset"
 )
 
-// md5xUseAVX2 is md5x's screen dispatch, set from CPUID and deliberately
-// not an option. The MD5 rows below flip it so that a host with AVX2 runs
-// the 2-lane fallback through CrackInterval too.
+// md5xUseAVX2 and sha1xUseAVX2 are md5x's and sha1x's kernel dispatch,
+// set from CPUID and deliberately not options. The "go2/" and "go1/" rows
+// below flip them so that a host with AVX2 runs the Go fallbacks through
+// CrackInterval too.
 //
 //go:linkname md5xUseAVX2 keysearch/internal/hash/md5x.useAVX2
 var md5xUseAVX2 bool
+
+//go:linkname sha1xUseAVX2 keysearch/internal/hash/sha1x.useAVX2
+var sha1xUseAVX2 bool
 
 // TestRunWalkMatchesPerCandidate: CrackInterval's run walk and the
 // per-candidate walk (core.SearchEach over the job's TestFactory) return
@@ -29,13 +34,15 @@ var md5xUseAVX2 bool
 // that straddle lengths 3→4 and 4→5, chunk ends in the middle of runs,
 // suffix salts short and past one block, a prefix salt (which must fall
 // back to the per-candidate walk), the empty key (MinLen 0), a one-symbol
-// charset and MaxSolutions 1. Every case runs four times: MD5 against
+// charset and MaxSolutions 1. Every case runs six times: MD5 against
 // one target on the host's screen (unprefixed names: the 16-lane AVX2
 // screen where the CPU has it) and on the 2-lane Go screen ("md5 go2/"),
 // SHA1 against one target ("sha1/") and SHA1 against a corpus
 // ("sha1 corpus/") that holds the planted digest, noise, and a decoy
 // sharing digest bytes [16:20] with another key of the interval, so that
-// key passes the word-4 filter and must be refused by the confirm.
+// key passes the word-4 filter and must be refused by the confirm — both
+// SHA1 walks on the host's kernel and on the 1-lane Go kernel ("sha1
+// go1/", "sha1 corpus go1/").
 func TestRunWalkMatchesPerCandidate(t *testing.T) {
 	lower := space(t, keyspace.Lower, 1, 5)
 	// Lowercase ids: length 3 starts at 702, length 4 at 18278, length 5
@@ -78,43 +85,50 @@ func TestRunWalkMatchesPerCandidate(t *testing.T) {
 		d := md5.Sum(salted(plant))
 		return &Job{Algorithm: MD5, Target: d[:]}
 	}
+	sha1Job := func(t *testing.T, salted func(int64) []byte, plant, _ int64) *Job {
+		d := sha1.Sum(salted(plant))
+		return &Job{Algorithm: SHA1, Target: d[:]}
+	}
+	sha1CorpusJob := func(t *testing.T, salted func(int64) []byte, plant, decoy int64) *Job {
+		planted := sha1.Sum(salted(plant))
+		corpus := [][]byte{planted[:]}
+		for i := 0; i < 300; i++ {
+			d := sha1.Sum([]byte(fmt.Sprintf("noise-%d", i)))
+			corpus = append(corpus, d[:])
+		}
+		word := sha1.Sum(salted(decoy))
+		fake := sha1.Sum([]byte("decoy"))
+		copy(fake[16:], word[16:])
+		corpus = append(corpus, fake[:])
+		set, err := targetset.Build(corpus, targetset.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &Job{Algorithm: SHA1, Corpus: set}
+	}
 	for _, variant := range []struct {
 		prefix string
-		go2    bool // MD5 on the 2-lane screen whatever the CPU has
+		goOnly bool // the Go kernel (MD5's 2-lane screen, SHA1's finalE) whatever the CPU has
 		job    func(t *testing.T, salted func(id int64) []byte, plant, decoy int64) *Job
 	}{
 		{"", false, md5Job},
 		{"md5 go2/", true, md5Job},
-		{"sha1/", false, func(t *testing.T, salted func(int64) []byte, plant, _ int64) *Job {
-			d := sha1.Sum(salted(plant))
-			return &Job{Algorithm: SHA1, Target: d[:]}
-		}},
-		{"sha1 corpus/", false, func(t *testing.T, salted func(int64) []byte, plant, decoy int64) *Job {
-			planted := sha1.Sum(salted(plant))
-			corpus := [][]byte{planted[:]}
-			for i := 0; i < 300; i++ {
-				d := sha1.Sum([]byte(fmt.Sprintf("noise-%d", i)))
-				corpus = append(corpus, d[:])
-			}
-			word := sha1.Sum(salted(decoy))
-			fake := sha1.Sum([]byte("decoy"))
-			copy(fake[16:], word[16:])
-			corpus = append(corpus, fake[:])
-			set, err := targetset.Build(corpus, targetset.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return &Job{Algorithm: SHA1, Corpus: set}
-		}},
+		{"sha1/", false, sha1Job},
+		{"sha1 go1/", true, sha1Job},
+		{"sha1 corpus/", false, sha1CorpusJob},
+		{"sha1 corpus go1/", true, sha1CorpusJob},
 	} {
 		for _, tc := range cases {
 			t.Run(variant.prefix+tc.name, func(t *testing.T) {
-				if variant.go2 {
-					host := md5xUseAVX2
-					md5xUseAVX2 = false
-					defer func() { md5xUseAVX2 = host }()
+				if variant.goOnly {
+					md5Host, sha1Host := md5xUseAVX2, sha1xUseAVX2
+					md5xUseAVX2, sha1xUseAVX2 = false, false
+					defer func() { md5xUseAVX2, sha1xUseAVX2 = md5Host, sha1Host }()
 					if md5x.ScreenKernel() != "go2" {
 						t.Fatal("md5xUseAVX2 does not reach md5x's screen dispatch")
+					}
+					if sha1x.ScreenKernel() != "go1" {
+						t.Fatal("sha1xUseAVX2 does not reach sha1x's kernel dispatch")
 					}
 				}
 				salted := func(id int64) []byte { return tc.salt.Apply(nil, tc.space.Key64(uint64(id))) }

@@ -1,6 +1,14 @@
 package md5x
 
-import "keysearch/internal/hash/runword"
+import (
+	"keysearch/internal/hash/hostcpu"
+	"keysearch/internal/hash/runword"
+)
+
+// useAVX2 makes SearchRun screen sixteen candidates per call with
+// screen16 instead of two with screen2. It is set once, from the CPUID
+// probe; only tests change it, to run both paths on one host.
+var useAVX2 = hostcpu.AVX2
 
 // RunSearcher tests whole prefix-major runs against one MD5 target: the
 // consecutive keys of one length that share every byte from position k on

@@ -7,19 +7,25 @@ import (
 )
 
 // TestGeneratedKernelsAreCurrent regenerates the kernels in memory and
-// requires the checked-in file to match byte for byte: an edit to the
+// requires the checked-in files to match byte for byte: an edit to the
 // generator or to the definitions it reads must come with
 // `go generate ./internal/hash/sha1x/`.
 func TestGeneratedKernelsAreCurrent(t *testing.T) {
-	want, err := generate()
+	src, err := generate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile("../kernels_gen.go")
+	asm, err := generateAsm()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("internal/hash/sha1x/kernels_gen.go is stale: run go generate ./internal/hash/sha1x/")
+	for file, want := range map[string][]byte{"kernels_gen.go": src, "screen_amd64.s": asm} {
+		got, err := os.ReadFile("../" + file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("internal/hash/sha1x/%s is stale: run go generate ./internal/hash/sha1x/", file)
+		}
 	}
 }

@@ -6,9 +6,26 @@ import (
 	"fmt"
 	"math/bits"
 
+	"keysearch/internal/hash/hostcpu"
 	"keysearch/internal/hash/runword"
 	"keysearch/internal/targetset"
 )
+
+// useAVX2 makes SearchRun screen sixteen candidates per call with
+// screen16 before it runs finalE on the last n mod 16. It is set once,
+// from the CPUID probe; only tests change it, to run both paths on one
+// host.
+var useAVX2 = hostcpu.AVX2
+
+// ScreenKernel names the kernel SearchRun runs on this CPU: "avx2x16"
+// (screen16, sixteen candidates per call in YMM lanes) or "go1" (finalE,
+// one candidate per call).
+func ScreenKernel() string {
+	if useAVX2 {
+		return "avx2x16"
+	}
+	return "go1"
+}
 
 // ExitStep is the last step the run kernel executes: the register it
 // writes is the final state's E word after rotl30 and the feed-forward
@@ -40,10 +57,13 @@ func W0Rotations() (mask [80]uint32) {
 // bracket, and per symbol, once, the row of L_t(lo). Per key it counts
 // word 0 with a runword.Counter and runs the generated straight-line
 // steps 0..75 (finalE), reading each reached schedule word as one XOR of
-// the bracket and the row. The E word those steps yield is probed in the
-// set's word-4 filter; a key that passes is hashed in full and must pass
-// Set.Contains, the Bloom pre-screen and exact confirm, so a solution's
-// whole digest matches.
+// the bracket and the row. Where the CPU has AVX2, sixteen keys at a time
+// go through screen16 instead, which runs the same steps in vector lanes
+// and XORs word 0's rotations into C per lane; finalE takes the last n
+// mod 16. The E word those steps yield is probed in the set's word-4
+// filter; a key that passes is hashed in full and must pass Set.Contains,
+// the Bloom pre-screen and exact confirm, so a solution's whole digest
+// matches.
 //
 // A RunSearcher is not safe for concurrent use; each worker owns one.
 type RunSearcher struct {
@@ -112,10 +132,30 @@ func (s *RunSearcher) SearchRun(msg []byte, k int, n uint64, found [][]byte) [][
 	}
 	s.split()
 	hi, d0 := c.Start(s.block[0])
-	s.rehigh(hi)
 	tab0 := c.Tab0()
 	syms := len(tab0)
 	rows, word4 := s.rows, s.word4
+	if useAVX2 && n >= 16 {
+		var w, e [16]uint32
+		//keyvet:hotloop
+		for ; n >= 16; n -= 16 {
+			for l := range w {
+				w[l] = hi | tab0[d0]
+				if d0++; d0 == syms {
+					d0, hi = 0, c.Carry()
+				}
+			}
+			screen16(s, &w, &e)
+			for l, x := range e {
+				if word4.MayContain(x) && s.confirm(w[l]) {
+					found = append(found, c.Key(msg, w[l])) //keyvet:allow hotloop (solution copy, as in core.SearchEach)
+				}
+			}
+		}
+	}
+	// screen16 moves hi without refolding the bracket: fold it once for
+	// the keys finalE takes.
+	s.rehigh(hi)
 	//keyvet:hotloop
 	for ; n > 0; n-- {
 		w0 := hi | tab0[d0]

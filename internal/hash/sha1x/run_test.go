@@ -5,6 +5,7 @@ import (
 	"crypto/sha1"
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"keysearch/internal/targetset"
@@ -67,17 +68,32 @@ func distinct(b []byte) []byte {
 	return out
 }
 
-// FuzzSearchRun checks SearchRun against per-candidate crypto/sha1 and a
-// linear scan of the corpus on random templates, run widths, start
-// digits, lengths and symbol sets. Two digests are planted, at candidates
-// plant and plant2 of the run — the first or last key before a carry
-// among them, nowhere when ≥ n — beside a decoy whose bytes [16:20] equal the
-// word of candidate decoy, so that candidate passes the word-4 filter and
-// must be turned away by the full-digest confirm.
+// hostAVX2 is useAVX2 as the CPUID probe set it, before any test flips it.
+var hostAVX2 = useAVX2
+
+// screenPaths returns the settings of useAVX2 the CPU can run: screen16
+// where the CPU has AVX2, and finalE alone always.
+func screenPaths() []bool {
+	if hostAVX2 {
+		return []bool{true, false}
+	}
+	return []bool{false}
+}
+
+// FuzzSearchRun checks SearchRun, on each kernel the CPU can run, against
+// per-candidate crypto/sha1 and a linear scan of the corpus on random
+// templates, run widths, start digits, lengths and symbol sets. Two
+// digests are planted, at candidates plant and plant2 of the run — any
+// lane of either 8-lane group of a 16-key screen, the n mod 16 tail, the
+// first or last key before a carry among them, nowhere when ≥ n — beside
+// a decoy whose bytes [16:20] equal the word of candidate decoy, so that
+// candidate passes the word-4 filter and must be turned away by the
+// full-digest confirm.
 func FuzzSearchRun(f *testing.F) {
 	// Plants at both ends of a digit-0 cycle and across carries, one
 	// miss, one empty key, one short (pad inside word 0), one one-symbol
-	// set, one past a single block.
+	// set, one past a single block, then lanes 8, 15 and 23 (the second
+	// group) and the tail, with the decoy in the other group.
 	f.Add([]byte("abcdefghijklmnopqrst"), []byte("aaaaSUFFIX"), uint8(4), uint16(64), uint16(0), uint16(1), uint16(2))
 	f.Add([]byte("abcdefghijklmnopqrst"), []byte("taaaSUFFIX"), uint8(4), uint16(64), uint16(1), uint16(62), uint16(63))
 	f.Add([]byte("abcdefghijklmnopqrst"), []byte("bcaaSUFFIX"), uint8(4), uint16(65), uint16(6), uint16(64), uint16(7))
@@ -88,6 +104,9 @@ func FuzzSearchRun(f *testing.F) {
 	f.Add([]byte("abc"), []byte("ba"), uint8(2), uint16(7), uint16(5), uint16(6), uint16(1))
 	f.Add([]byte("z"), []byte("zzzzz"), uint8(4), uint16(1), uint16(0), uint16(0), uint16(0))
 	f.Add([]byte("ab"), bytes.Repeat([]byte("a"), 60), uint8(3), uint16(8), uint16(3), uint16(7), uint16(2))
+	f.Add([]byte("abcdefghijklmnopqrst"), []byte("aaaaSUFFIX"), uint8(4), uint16(64), uint16(8), uint16(15), uint16(7))
+	f.Add([]byte("abcdefghijklmnopqrst"), []byte("ahaaSUFFIX"), uint8(4), uint16(50), uint16(23), uint16(49), uint16(24))
+	f.Add([]byte("wxyz"), []byte("xwwwSUFFIX"), uint8(4), uint16(37), uint16(32), uint16(36), uint16(9))
 	f.Fuzz(func(t *testing.T, symbols, msg []byte, rawK uint8, rawN, plant, plant2, decoy uint16) {
 		symbols = distinct(symbols)
 		if len(symbols) == 0 || len(msg) > 80 {
@@ -135,17 +154,15 @@ func FuzzSearchRun(f *testing.F) {
 				}
 			}
 		}
-		s, err := NewRunSearcher(set, symbols)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := s.SearchRun(msg, k, n, nil)
-		if len(got) != len(want) {
-			t.Fatalf("SearchRun(%q, k=%d, n=%d) found %q, want %q", msg, k, n, got, want)
-		}
-		for i := range got {
-			if !bytes.Equal(got[i], want[i]) {
-				t.Fatalf("SearchRun(%q, k=%d, n=%d) found %q, want %q", msg, k, n, got, want)
+		defer func() { useAVX2 = hostAVX2 }()
+		for _, avx2 := range screenPaths() {
+			useAVX2 = avx2
+			s, err := NewRunSearcher(set, symbols)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := s.SearchRun(msg, k, n, nil); !slices.EqualFunc(got, want, bytes.Equal) {
+				t.Fatalf("%s: SearchRun(%q, k=%d, n=%d) found %q, want %q", ScreenKernel(), msg, k, n, got, want)
 			}
 		}
 	})
@@ -190,8 +207,9 @@ func TestFinalEMatchesDigestWord(t *testing.T) {
 
 // TestSearchRunReusesSearcher: one searcher walks consecutive runs of
 // different lengths and templates, as a worker goroutine does, and finds
-// each planted key of a corpus exactly where it lies.
+// each planted key of a corpus exactly where it lies, on each kernel.
 func TestSearchRunReusesSearcher(t *testing.T) {
+	defer func() { useAVX2 = hostAVX2 }()
 	symbols := []byte("abcdefghij")
 	keys := []string{"jihgKEY", "cde", "aaaaLONGER", "j"}
 	var corpus [][]byte
@@ -203,19 +221,114 @@ func TestSearchRunReusesSearcher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, avx2 := range screenPaths() {
+		useAVX2 = avx2
+		s, err := NewRunSearcher(set, symbols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, start := range []string{"aaaaKEY", "aaa", "aaaaLONGER", "a"} {
+			k := min(4, len(start))
+			span := uint64(1)
+			for p := 0; p < k; p++ {
+				span *= uint64(len(symbols))
+			}
+			got := s.SearchRun([]byte(start), k, span, nil)
+			if len(got) != 1 || string(got[0]) != keys[i] {
+				t.Errorf("%s: run from %q: found %q, want [%s]", ScreenKernel(), start, got, keys[i])
+			}
+		}
+	}
+}
+
+// TestSearchRunFindsEveryPosition plants a digest at each position of a
+// 53-key run piece in turn — every lane of both groups of three 16-key
+// screens and each key of the n mod 16 tail — beside a decoy sharing
+// digest bytes [16:20] with the key five positions on (it passes the
+// word-4 filter and must fail the confirm), and requires SearchRun to find
+// exactly the planted key on each kernel; planted past the piece, it must
+// find nothing. Seven and four symbols put several digit-0 carries inside
+// one group, and both pieces start where their n mod 16 tail begins right
+// after a carry.
+func TestSearchRunFindsEveryPosition(t *testing.T) {
+	defer func() { useAVX2 = hostAVX2 }()
+	const n = 3*16 + 5
+	miss := sha1.Sum([]byte("a message no run reaches"))
+	for _, tc := range []struct{ symbols, msg string }{
+		{"abcdefg", "bcaaTAIL"}, // digit 0 starts at 1: key 48 is digit 0 again
+		{"wxyz", "wxywTAIL"},
+	} {
+		symbols, msg := []byte(tc.symbols), []byte(tc.msg)
+		for _, avx2 := range screenPaths() {
+			useAVX2 = avx2
+			for p := uint64(0); p < n+2; p++ {
+				key := runCandidate(symbols, msg, 4, p)
+				d := sha1.Sum(key)
+				decoy := sha1.Sum(runCandidate(symbols, msg, 4, (p+5)%n))
+				fake := append(miss[:16:16], decoy[16:]...)
+				set, err := targetset.Build([][]byte{d[:], fake}, targetset.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				s, err := NewRunSearcher(set, symbols)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := s.SearchRun(msg, 4, n, nil)
+				if p < n && (len(got) != 1 || !bytes.Equal(got[0], key)) || p >= n && len(got) != 0 {
+					t.Errorf("%s: %s from %q, digest at position %d of %d (%q): found %q", ScreenKernel(), tc.symbols, msg, p, n, key, got)
+				}
+			}
+		}
+	}
+}
+
+// TestScreen16MatchesFinalE is the differential test of the AVX2 kernel:
+// on random blocks and sixteen random words 0, lane l of its output must
+// equal finalE on w[l] (fed the bracket of w[l]'s high bytes and the row
+// of its first byte, every byte a symbol) and word 4 of SumPacked on the
+// block with word 0 set to w[l]. Every other trial copies a lane's word
+// into the same lane of the other group.
+func TestScreen16MatchesFinalE(t *testing.T) {
+	if !hostAVX2 {
+		t.Skip("no AVX2 on this CPU")
+	}
+	set, err := targetset.Build([][]byte{make([]byte, Size)}, targetset.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	symbols := make([]byte, 256)
+	for i := range symbols {
+		symbols[i] = byte(i)
+	}
 	s, err := NewRunSearcher(set, symbols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, start := range []string{"aaaaKEY", "aaa", "aaaaLONGER", "a"} {
-		k := min(4, len(start))
-		span := uint64(1)
-		for p := 0; p < k; p++ {
-			span *= uint64(len(symbols))
+	rng := rand.New(rand.NewSource(30))
+	for trial := 0; trial < 2000; trial++ {
+		var w, e [16]uint32
+		for i := range s.block {
+			s.block[i] = rng.Uint32()
 		}
-		got := s.SearchRun([]byte(start), k, span, nil)
-		if len(got) != 1 || string(got[0]) != keys[i] {
-			t.Errorf("run from %q: found %q, want [%s]", start, got, keys[i])
+		for l := range w {
+			w[l] = rng.Uint32()
+		}
+		if trial%2 == 0 {
+			lane := trial / 2 % 16
+			w[lane^8] = w[lane]
+		}
+		s.split()
+		screen16(s, &w, &e)
+		for l, x := range w {
+			block := s.block
+			block[0] = x
+			sum := SumPacked(&block)
+			s.rehigh(x &^ 0xff000000)
+			fe := s.finalE(x, (*[w0Reach]uint32)(s.rows[int(x>>24)*w0Reach:]))
+			if e[l] != sum[4] || e[l] != fe {
+				t.Fatalf("trial %d, lane %d (w0 %08x): screen16 %08x, finalE %08x, SumPacked word 4 %08x", trial, l, x, e[l], fe, sum[4])
+			}
 		}
 	}
 }

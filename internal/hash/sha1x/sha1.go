@@ -11,7 +11,8 @@
 // and early-exit comparisons over the last five steps. The served kernel,
 // RunSearcher, goes further on prefix-major runs: the schedule is split
 // once per run around word 0, and a candidate stops after step 75, where
-// the digest's last word is already known.
+// the digest's last word is already known; with AVX2, sixteen candidates
+// run those steps at once in vector lanes.
 //
 // crypto/sha1 is used only in tests, as a differential oracle.
 package sha1x

@@ -109,8 +109,12 @@ func TestNonceEnum(t *testing.T) {
 	}
 }
 
-// TestPoolSharesProportionalToHashrate: miners' share counts (and hence
-// rewards) track their assigned slice of the nonce space.
+// TestPoolSharesProportionalToHashrate: a pool round over miners of
+// unequal hashrate solves the block with a valid nonce, and each miner's
+// reward is its fraction of the shares counted, the rewards summing to 1.
+// Hashrate only sizes each miner's slice of the nonce space; both miners
+// run the same number of goroutines, so the shares counted before an
+// early solve split about evenly, and the test asserts no ratio.
 func TestPoolSharesProportionalToHashrate(t *testing.T) {
 	pool := &Pool{Template: header(), Difficulty: 18, ShareDifficulty: 7}
 	miners := []*Miner{
@@ -124,7 +128,6 @@ func TestPoolSharesProportionalToHashrate(t *testing.T) {
 	if !res.Solved {
 		t.Fatal("pool did not solve an 18-bit block over the full nonce space")
 	}
-	// Verify the winning nonce.
 	h := pool.Template
 	h.Nonce = res.WinningNonce
 	if !h.MeetsDifficulty(pool.Difficulty) {
@@ -133,19 +136,20 @@ func TestPoolSharesProportionalToHashrate(t *testing.T) {
 	if res.TotalShares == 0 {
 		t.Fatal("no shares recorded")
 	}
+	var shares int
 	var sum float64
-	for _, r := range res.Rewards {
-		sum += r
+	for _, m := range miners {
+		shares += m.Shares
+		if want := float64(m.Shares) / float64(res.TotalShares); res.Rewards[m.Name] != want {
+			t.Errorf("%s: reward %v for %d of %d shares, want %v", m.Name, res.Rewards[m.Name], m.Shares, res.TotalShares, want)
+		}
+		sum += res.Rewards[m.Name]
+	}
+	if shares != res.TotalShares || len(res.Rewards) != len(miners) {
+		t.Errorf("miners hold %d shares and %d rewards; the pool counted %d shares", shares, len(res.Rewards), res.TotalShares)
 	}
 	if sum < 0.999 || sum > 1.001 {
 		t.Errorf("rewards sum to %v", sum)
-	}
-	// With a 3:1 split of the space, shares before the solve lean toward
-	// the bigger miner. The solve can land early, so only require the big
-	// miner to be credited more than a token amount when shares are many.
-	if res.TotalShares > 50 && res.Rewards["big"] < 0.4 {
-		t.Errorf("big miner reward %.2f of %d shares; expected the lion's share",
-			res.Rewards["big"], res.TotalShares)
 	}
 }
 
