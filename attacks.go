@@ -44,18 +44,7 @@ func NewDictSpace(words []string, rules []Rule, mask *Space) (*DictSpace, error)
 
 // DictAttack runs a dictionary/hybrid attack against a digest.
 func DictAttack(ctx context.Context, alg Algorithm, digest []byte, space *DictSpace, opt Options) (*Result, error) {
-	if opt.MaxSolutions == 0 {
-		opt.MaxSolutions = 1
-	}
-	factory := func() core.TestFunc {
-		k, err := cracker.NewKernel(alg, cracker.KernelOptimized, digest)
-		if err != nil {
-			return func([]byte) bool { return false }
-		}
-		return k.Test
-	}
-	iv := keyspace.Interval{Start: new(big.Int), End: space.Size()}
-	return core.SearchEach(ctx, space.Factory(), iv, factory, opt)
+	return searchDigest(ctx, alg, digest, space.Factory(), opt)
 }
 
 // Precomputation attacks (and why salting defeats them).
@@ -124,18 +113,7 @@ func MarkovBands(maxCost, k int) [][2]int { return markov.Bands(maxCost, k) }
 
 // MarkovAttack searches one cost band for a preimage of digest.
 func MarkovAttack(ctx context.Context, alg Algorithm, digest []byte, space *MarkovSpace, opt Options) (*Result, error) {
-	if opt.MaxSolutions == 0 {
-		opt.MaxSolutions = 1
-	}
-	factory := func() core.TestFunc {
-		k, err := cracker.NewKernel(alg, cracker.KernelOptimized, digest)
-		if err != nil {
-			return func([]byte) bool { return false }
-		}
-		return k.Test
-	}
-	iv := keyspace.Interval{Start: new(big.Int), End: space.Size()}
-	return core.SearchEach(ctx, space.Factory(), iv, factory, opt)
+	return searchDigest(ctx, alg, digest, space.Factory(), opt)
 }
 
 // Mask (pattern) attacks: per-position charsets like "?u?l?l?d?d".
@@ -147,16 +125,22 @@ func ParseMask(spec string) (*Mask, error) { return mask.Parse(spec) }
 
 // MaskAttack searches a mask's candidates for a preimage of digest.
 func MaskAttack(ctx context.Context, alg Algorithm, digest []byte, m *Mask, opt Options) (*Result, error) {
+	return searchDigest(ctx, alg, digest, m.Factory(), opt)
+}
+
+// searchDigest searches all of space, one candidate at a time on the
+// optimized kernel, for preimages of digest — by default for the first.
+// A digest the kernel refuses, such as one of the wrong length, is an
+// error before the search starts.
+func searchDigest(ctx context.Context, alg Algorithm, digest []byte, space core.Factory, opt Options) (*Result, error) {
 	if opt.MaxSolutions == 0 {
 		opt.MaxSolutions = 1
 	}
-	factory := func() core.TestFunc {
-		k, err := cracker.NewKernel(alg, cracker.KernelOptimized, digest)
-		if err != nil {
-			return func([]byte) bool { return false }
-		}
-		return k.Test
+	job := &cracker.Job{Algorithm: alg, Target: digest, Kind: cracker.KernelOptimized}
+	newTest, err := job.TestFactory()
+	if err != nil {
+		return nil, err
 	}
-	iv := keyspace.Interval{Start: new(big.Int), End: m.Size()}
-	return core.SearchEach(ctx, m.Factory(), iv, factory, opt)
+	iv := keyspace.Interval{Start: new(big.Int), End: space.Size()}
+	return core.SearchEach(ctx, space, iv, newTest, opt)
 }

@@ -15,8 +15,11 @@ package main
 import (
 	"bufio"
 	"context"
+	"encoding/hex"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/big"
 	"os"
 	"os/signal"
@@ -26,62 +29,97 @@ import (
 )
 
 func main() {
-	var (
-		algName    = flag.String("alg", "md5", "hash algorithm: md5 or sha1")
-		hashHex    = flag.String("hash", "", "hex digest to invert (required)")
-		charset    = flag.String("charset", keysearch.Lowercase, "candidate charset")
-		minLen     = flag.Int("min", 1, "minimum key length")
-		maxLen     = flag.Int("max", 5, "maximum key length")
-		workers    = flag.Int("workers", 0, "goroutines (0 = all cores)")
-		kernelName = flag.String("kernel", "optimized", "kernel tier: optimized, plain, naive")
-		saltPre    = flag.String("salt-prefix", "", "salt prepended to candidates")
-		saltSuf    = flag.String("salt-suffix", "", "salt appended to candidates")
-		maskSpec   = flag.String("mask", "", "mask attack: per-position pattern like ?u?l?l?d?d")
-		wordlist   = flag.String("wordlist", "", "dictionary attack: word file (one per line)")
-		rulesSpec  = flag.String("rules", "identity", "dictionary mangling rules")
-		maskLen    = flag.Int("mask-digits", 0, "hybrid attack: brute-forced digit suffix length")
-		all        = flag.Bool("all", false, "find all preimages instead of stopping at the first")
-	)
-	flag.Parse()
-
-	if *hashHex == "" {
-		flag.Usage()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	switch err := run(ctx, os.Args[1:], os.Stdout); {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
 		os.Exit(2)
+	default:
+		fatal(err)
+	}
+}
+
+// errUsage is a command line run cannot use; it has printed why.
+var errUsage = errors.New("usage")
+
+// run parses the command line in args, runs the attack it names and
+// reports it to stdout.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("crack", flag.ContinueOnError)
+	var (
+		algName    = fs.String("alg", "md5", "hash algorithm: md5 or sha1")
+		hashHex    = fs.String("hash", "", "hex digest to invert (required)")
+		charset    = fs.String("charset", keysearch.Lowercase, "candidate charset")
+		minLen     = fs.Int("min", 1, "minimum key length")
+		maxLen     = fs.Int("max", 5, "maximum key length")
+		workers    = fs.Int("workers", 0, "goroutines (0 = all cores)")
+		kernelName = fs.String("kernel", "optimized", "kernel tier: optimized, plain, naive")
+		saltPre    = fs.String("salt-prefix", "", "salt prepended to candidates")
+		saltSuf    = fs.String("salt-suffix", "", "salt appended to candidates")
+		maskSpec   = fs.String("mask", "", "mask attack: per-position pattern like ?u?l?l?d?d")
+		wordlist   = fs.String("wordlist", "", "dictionary attack: word file (one per line)")
+		rulesSpec  = fs.String("rules", "identity", "dictionary mangling rules")
+		maskLen    = fs.Int("mask-digits", 0, "hybrid attack: brute-forced digit suffix length")
+		all        = fs.Bool("all", false, "find all preimages instead of stopping at the first")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage
+	}
+	if *hashHex == "" {
+		fs.Usage()
+		return errUsage
 	}
 	alg, err := keysearch.ParseAlgorithm(*algName)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
+	raw, err := digestFromHex(alg, *hashHex)
+	if err != nil {
+		return err
+	}
+	opt := keysearch.Options{Workers: *workers}
+	if *all {
+		opt.MaxSolutions = -1
+	}
+	if *maskSpec != "" || *wordlist != "" {
+		// The mask and dictionary attacks run the unsalted optimized kernel.
+		if *saltPre != "" || *saltSuf != "" || *kernelName != "optimized" {
+			return errors.New("-mask and -wordlist take no -salt-prefix, -salt-suffix or -kernel")
+		}
+	}
 
 	start := time.Now()
 	var res *keysearch.Result
 	if *maskSpec != "" {
-		res, err = maskAttack(ctx, alg, *hashHex, *maskSpec, *workers)
+		res, err = maskAttack(ctx, stdout, alg, raw, *maskSpec, opt)
 	} else if *wordlist != "" {
-		res, err = dictAttack(ctx, alg, *hashHex, *wordlist, *rulesSpec, *maskLen, *workers)
+		res, err = dictAttack(ctx, stdout, alg, raw, *wordlist, *rulesSpec, *maskLen, opt)
 	} else {
-		res, err = bruteForce(ctx, alg, *hashHex, *charset, *minLen, *maxLen,
-			*kernelName, *saltPre, *saltSuf, *workers, *all)
+		res, err = bruteForce(ctx, stdout, alg, raw, *charset, *minLen, *maxLen,
+			*kernelName, *saltPre, *saltSuf, opt)
 	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	elapsed := time.Since(start)
 	for _, s := range res.Solutions {
-		fmt.Printf("FOUND: %q\n", s)
+		fmt.Fprintf(stdout, "FOUND: %q\n", s)
 	}
 	if len(res.Solutions) == 0 {
-		fmt.Println("not found in the search space")
+		fmt.Fprintln(stdout, "not found in the search space")
 	}
 	rate := float64(res.Tested) / elapsed.Seconds() / 1e6
-	fmt.Printf("tested %d keys in %v (%.2f MKey/s)\n", res.Tested, elapsed.Round(time.Millisecond), rate)
+	fmt.Fprintf(stdout, "tested %d keys in %v (%.2f MKey/s)\n", res.Tested, elapsed.Round(time.Millisecond), rate)
+	return nil
 }
 
-func bruteForce(ctx context.Context, alg keysearch.Algorithm, hashHex, charset string,
-	minLen, maxLen int, kernelName, saltPre, saltSuf string, workers int, all bool) (*keysearch.Result, error) {
+func bruteForce(ctx context.Context, stdout io.Writer, alg keysearch.Algorithm, raw []byte, charset string,
+	minLen, maxLen int, kernelName, saltPre, saltSuf string, opt keysearch.Options) (*keysearch.Result, error) {
 
 	space, err := keysearch.NewSpace(charset, minLen, maxLen)
 	if err != nil {
@@ -98,43 +136,34 @@ func bruteForce(ctx context.Context, alg keysearch.Algorithm, hashHex, charset s
 	default:
 		return nil, fmt.Errorf("unknown kernel %q", kernelName)
 	}
-	job, err := jobFromHex(alg, hashHex, space)
-	if err != nil {
-		return nil, err
-	}
-	job.Kind = kind
-	job.Salt = keysearch.Salt{Prefix: []byte(saltPre), Suffix: []byte(saltSuf)}
-	opt := keysearch.Options{Workers: workers}
-	if all {
-		opt.MaxSolutions = -1
-	}
-	fmt.Printf("searching %v keys (%s, %s kernel)\n", space.Size(), alg, kind)
+	job := &keysearch.Job{Algorithm: alg, Target: raw, Space: space, Kind: kind,
+		Salt: keysearch.Salt{Prefix: []byte(saltPre), Suffix: []byte(saltSuf)}}
+	fmt.Fprintf(stdout, "searching %v keys (%s, %s kernel)\n", space.Size(), alg, kind)
 	return keysearch.Crack(ctx, job, opt)
 }
 
-func jobFromHex(alg keysearch.Algorithm, hexDigest string, space *keysearch.Space) (*keysearch.Job, error) {
-	raw := make([]byte, alg.DigestSize())
-	if _, err := fmt.Sscanf(hexDigest, "%x", &raw); err != nil || len(raw) != alg.DigestSize() {
+// digestFromHex decodes a hex digest and checks its length against alg.
+func digestFromHex(alg keysearch.Algorithm, hexDigest string) ([]byte, error) {
+	raw, err := hex.DecodeString(hexDigest)
+	if err != nil || len(raw) != alg.DigestSize() {
 		return nil, fmt.Errorf("bad %s digest %q", alg, hexDigest)
 	}
-	return &keysearch.Job{Algorithm: alg, Target: raw, Space: space}, nil
+	return raw, nil
 }
 
-func maskAttack(ctx context.Context, alg keysearch.Algorithm, hashHex, spec string, workers int) (*keysearch.Result, error) {
+func maskAttack(ctx context.Context, stdout io.Writer, alg keysearch.Algorithm, raw []byte, spec string,
+	opt keysearch.Options) (*keysearch.Result, error) {
+
 	m, err := keysearch.ParseMask(spec)
 	if err != nil {
 		return nil, err
 	}
-	raw := make([]byte, alg.DigestSize())
-	if _, err := fmt.Sscanf(hashHex, "%x", &raw); err != nil {
-		return nil, fmt.Errorf("bad digest %q", hashHex)
-	}
-	fmt.Printf("mask attack %q: %v candidates\n", spec, m.Size())
-	return keysearch.MaskAttack(ctx, alg, raw, m, keysearch.Options{Workers: workers})
+	fmt.Fprintf(stdout, "mask attack %q: %v candidates\n", spec, m.Size())
+	return keysearch.MaskAttack(ctx, alg, raw, m, opt)
 }
 
-func dictAttack(ctx context.Context, alg keysearch.Algorithm, hashHex, wordfile, rulesSpec string,
-	maskDigits, workers int) (*keysearch.Result, error) {
+func dictAttack(ctx context.Context, stdout io.Writer, alg keysearch.Algorithm, raw []byte, wordfile, rulesSpec string,
+	maskDigits int, opt keysearch.Options) (*keysearch.Result, error) {
 
 	f, err := os.Open(wordfile)
 	if err != nil {
@@ -166,13 +195,9 @@ func dictAttack(ctx context.Context, alg keysearch.Algorithm, hashHex, wordfile,
 	if err != nil {
 		return nil, err
 	}
-	raw := make([]byte, alg.DigestSize())
-	if _, err := fmt.Sscanf(hashHex, "%x", &raw); err != nil {
-		return nil, fmt.Errorf("bad digest %q", hashHex)
-	}
 	size := new(big.Int).Set(ds.Size())
-	fmt.Printf("dictionary attack: %d words x rules x mask = %v candidates\n", len(words), size)
-	return keysearch.DictAttack(ctx, alg, raw, ds, keysearch.Options{Workers: workers})
+	fmt.Fprintf(stdout, "dictionary attack: %d words x rules x mask = %v candidates\n", len(words), size)
+	return keysearch.DictAttack(ctx, alg, raw, ds, opt)
 }
 
 func fatal(err error) {

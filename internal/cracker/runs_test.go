@@ -11,22 +11,23 @@ import (
 	_ "unsafe" // go:linkname
 
 	"keysearch/internal/core"
+	"keysearch/internal/hash/hostcpu"
 	"keysearch/internal/hash/md5x"
 	"keysearch/internal/hash/sha1x"
 	"keysearch/internal/keyspace"
 	"keysearch/internal/targetset"
 )
 
-// md5xUseAVX2 and sha1xUseAVX2 are md5x's and sha1x's kernel dispatch,
-// set from CPUID and deliberately not options. The "go2/" and "go1/" rows
-// below flip them so that a host with AVX2 runs the Go fallbacks through
-// CrackInterval too.
+// md5xScreenLevel and sha1xScreenLevel are md5x's and sha1x's kernel
+// dispatch, set from CPUID and deliberately not options. The "avx2/",
+// "go2/" and "go1/" rows below pin them, so that a host with AVX-512VL
+// runs the AVX2 screens and the Go fallbacks through CrackInterval too.
 //
-//go:linkname md5xUseAVX2 keysearch/internal/hash/md5x.useAVX2
-var md5xUseAVX2 bool
+//go:linkname md5xScreenLevel keysearch/internal/hash/md5x.screenLevel
+var md5xScreenLevel hostcpu.Level
 
-//go:linkname sha1xUseAVX2 keysearch/internal/hash/sha1x.useAVX2
-var sha1xUseAVX2 bool
+//go:linkname sha1xScreenLevel keysearch/internal/hash/sha1x.screenLevel
+var sha1xScreenLevel hostcpu.Level
 
 // TestRunWalkMatchesPerCandidate: CrackInterval's run walk and the
 // per-candidate walk (core.SearchEach over the job's TestFactory) return
@@ -42,7 +43,8 @@ var sha1xUseAVX2 bool
 // sharing digest bytes [16:20] with another key of the interval, so that
 // key passes the word-4 filter and must be refused by the confirm — both
 // SHA1 walks on the host's kernel and on the 1-lane Go kernel ("sha1
-// go1/", "sha1 corpus go1/").
+// go1/", "sha1 corpus go1/"). Where the host's kernel is the AVX-512VL
+// screen, "md5 avx2/" and "sha1 avx2/" run both hashes' AVX2 screens.
 func TestRunWalkMatchesPerCandidate(t *testing.T) {
 	lower := space(t, keyspace.Lower, 1, 5)
 	// Lowercase ids: length 3 starts at 702, length 4 at 18278, length 5
@@ -107,28 +109,31 @@ func TestRunWalkMatchesPerCandidate(t *testing.T) {
 		return &Job{Algorithm: SHA1, Corpus: set}
 	}
 	for _, variant := range []struct {
-		prefix string
-		goOnly bool // the Go kernel (MD5's 2-lane screen, SHA1's finalE) whatever the CPU has
-		job    func(t *testing.T, salted func(id int64) []byte, plant, decoy int64) *Job
+		prefix  string
+		level   hostcpu.Level // the level both hashes run on, with kernels
+		kernels string        // md5x's and sha1x's ScreenKernel there; "" for the CPU's best
+		job     func(t *testing.T, salted func(id int64) []byte, plant, decoy int64) *Job
 	}{
-		{"", false, md5Job},
-		{"md5 go2/", true, md5Job},
-		{"sha1/", false, sha1Job},
-		{"sha1 go1/", true, sha1Job},
-		{"sha1 corpus/", false, sha1CorpusJob},
-		{"sha1 corpus go1/", true, sha1CorpusJob},
+		{"", 0, "", md5Job},
+		{"md5 avx2/", hostcpu.LevelAVX2, "avx2x16 avx2x16", md5Job},
+		{"md5 go2/", hostcpu.LevelGo, "go2 go1", md5Job},
+		{"sha1/", 0, "", sha1Job},
+		{"sha1 avx2/", hostcpu.LevelAVX2, "avx2x16 avx2x16", sha1Job},
+		{"sha1 go1/", hostcpu.LevelGo, "go2 go1", sha1Job},
+		{"sha1 corpus/", 0, "", sha1CorpusJob},
+		{"sha1 corpus go1/", hostcpu.LevelGo, "go2 go1", sha1CorpusJob},
 	} {
 		for _, tc := range cases {
 			t.Run(variant.prefix+tc.name, func(t *testing.T) {
-				if variant.goOnly {
-					md5Host, sha1Host := md5xUseAVX2, sha1xUseAVX2
-					md5xUseAVX2, sha1xUseAVX2 = false, false
-					defer func() { md5xUseAVX2, sha1xUseAVX2 = md5Host, sha1Host }()
-					if md5x.ScreenKernel() != "go2" {
-						t.Fatal("md5xUseAVX2 does not reach md5x's screen dispatch")
+				if variant.kernels != "" {
+					if variant.level > hostcpu.Best {
+						t.Skipf("this CPU cannot run the %s kernels", variant.kernels)
 					}
-					if sha1x.ScreenKernel() != "go1" {
-						t.Fatal("sha1xUseAVX2 does not reach sha1x's kernel dispatch")
+					md5Host, sha1Host := md5xScreenLevel, sha1xScreenLevel
+					md5xScreenLevel, sha1xScreenLevel = variant.level, variant.level
+					defer func() { md5xScreenLevel, sha1xScreenLevel = md5Host, sha1Host }()
+					if got := md5x.ScreenKernel() + " " + sha1x.ScreenKernel(); got != variant.kernels {
+						t.Fatalf("pinned to %s, the kernels report %s: the linkname does not reach the dispatch", variant.kernels, got)
 					}
 				}
 				salted := func(id int64) []byte { return tc.salt.Apply(nil, tc.space.Key64(uint64(id))) }

@@ -20,3 +20,14 @@ func hasAVX2() bool {
 	_, ebx, _, _ := cpuid(7, 0)
 	return ebx&(1<<5) != 0
 }
+
+// hasAVX512VL reads, on top of what hasAVX2 requires, XCR0's opmask and
+// ZMM state bits and CPUID leaf 7 EBX AVX512F and AVX512VL.
+func hasAVX512VL() bool {
+	if xcr0, _ := xgetbv(); xcr0&0xe6 != 0xe6 {
+		return false
+	}
+	const avx512f, avx512vl = 1 << 16, 1 << 31
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&avx512f != 0 && ebx&avx512vl != 0
+}

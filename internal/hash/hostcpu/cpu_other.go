@@ -3,3 +3,5 @@
 package hostcpu
 
 func hasAVX2() bool { return false }
+
+func hasAVX512VL() bool { return false }

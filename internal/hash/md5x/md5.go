@@ -13,10 +13,11 @@
 //     digest, and every candidate runs only the first 49 steps forward —
 //     with early-exit comparisons after steps 45, 46, 47 and 48;
 //   - RunSearcher, which searches a whole prefix-major run at once: word 0
-//     is counted up over per-position symbol tables and screened four
-//     candidates at a time by an interleaved straight-line kernel. The
-//     forward kernels are generated into kernels_gen.go by ./gen from T,
-//     Shift and MsgIndex.
+//     is counted up over per-position symbol tables and screened sixteen
+//     candidates at a time in vector lanes, or two by an interleaved
+//     straight-line kernel. The forward kernels are generated into
+//     kernels_gen.go and screen_amd64.s by ./gen from T, Shift, MsgIndex
+//     and Round.
 //
 // The implementation is pure Go and depends only on the standard library;
 // crypto/md5 is used exclusively in tests, as a differential oracle.
@@ -89,8 +90,8 @@ func fG(b, c, d uint32) uint32 { return (b & d) | (c & ^d) }
 func fH(b, c, d uint32) uint32 { return b ^ c ^ d }
 func fI(b, c, d uint32) uint32 { return c ^ (b | ^d) }
 
-// roundFunc returns the value of the round function for step i.
-func roundFunc(i int, b, c, d uint32) uint32 {
+// Round returns the value of step i's boolean function: F, G, H or I.
+func Round(i int, b, c, d uint32) uint32 {
 	switch {
 	case i < 16:
 		return fF(b, c, d)
@@ -107,7 +108,7 @@ func roundFunc(i int, b, c, d uint32) uint32 {
 // registers. The register naming follows RFC 1321's (a,b,c,d) convention
 // where a is the slot overwritten by the step.
 func Step(i int, a, b, c, d, m uint32) (uint32, uint32, uint32, uint32) {
-	a += roundFunc(i, b, c, d) + m + T[i]
+	a += Round(i, b, c, d) + m + T[i]
 	a = b + bits.RotateLeft32(a, int(shifts[i]))
 	return d, a, b, c // new (a, b, c, d)
 }
@@ -117,7 +118,7 @@ func Step(i int, a, b, c, d, m uint32) (uint32, uint32, uint32, uint32) {
 func InvStep(i int, a, b, c, d, m uint32) (uint32, uint32, uint32, uint32) {
 	// Forward: (a', b', c', d') = (d, b + rotl(a + f(b,c,d) + m + T, s), b, c)
 	pb, pc, pd := c, d, a
-	pa := bits.RotateLeft32(b-pb, -int(shifts[i])) - roundFunc(i, pb, pc, pd) - m - T[i]
+	pa := bits.RotateLeft32(b-pb, -int(shifts[i])) - Round(i, pb, pc, pd) - m - T[i]
 	return pa, pb, pc, pd
 }
 

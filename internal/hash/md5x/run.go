@@ -5,20 +5,21 @@ import (
 	"keysearch/internal/hash/runword"
 )
 
-// useAVX2 makes SearchRun screen sixteen candidates per call with
-// screen16 instead of two with screen2. It is set once, from the CPUID
-// probe; only tests change it, to run both paths on one host.
-var useAVX2 = hostcpu.AVX2
+// screenLevel is the screen SearchRun runs: with AVX-512VL, sixteen
+// candidates per call through screen16VL; with AVX2 through screen16;
+// otherwise two with screen2. It is set once, from the CPUID probe; only
+// tests change it, to run every path the host can run.
+var screenLevel = hostcpu.Best
 
 // RunSearcher tests whole prefix-major runs against one MD5 target: the
 // consecutive keys of one length that share every byte from position k on
 // and so differ only in packed word 0 (k ≤ 4). Per run it packs the
 // message and builds the ReverseContext once, then enumerates word 0 with
 // a runword.Counter — Section V's "next applied to the packed form" — and
-// screens sixteen candidates at a time with screen16 in AVX2 vector lanes
-// where the CPU has them, two at a time with the interleaved screen2
-// otherwise and for the last n mod 16, confirming a surviving lane with
-// Test.
+// screens sixteen candidates at a time in vector lanes where the CPU has
+// them — screen16VL with AVX-512VL, screen16 with AVX2 — and two at a
+// time with the interleaved screen2 otherwise and for the last n mod 16,
+// confirming a surviving lane with Test.
 //
 // A RunSearcher is not safe for concurrent use; each worker owns one.
 type RunSearcher struct {
@@ -28,11 +29,15 @@ type RunSearcher struct {
 	rc     ReverseContext
 }
 
-// ScreenKernel names the screen SearchRun runs on this CPU: "avx2x16"
-// (screen16, sixteen candidates per call in YMM lanes) or "go2" (screen2,
-// two interleaved scalar lanes).
+// ScreenKernel names the screen SearchRun runs on this CPU: "avx512x16"
+// (screen16VL, sixteen candidates per call in YMM lanes, AVX-512VL),
+// "avx2x16" (screen16, the same in AVX2) or "go2" (screen2, two
+// interleaved scalar lanes).
 func ScreenKernel() string {
-	if useAVX2 {
+	switch screenLevel {
+	case hostcpu.LevelAVX512VL:
+		return "avx512x16"
+	case hostcpu.LevelAVX2:
 		return "avx2x16"
 	}
 	return "go2"
@@ -69,7 +74,8 @@ func (s *RunSearcher) SearchRun(msg []byte, k int, n uint64, found [][]byte) [][
 	hi, d0 := c.Start(s.block[0])
 	tab0 := c.Tab0()
 	syms := len(tab0)
-	if useAVX2 && n >= 16 {
+	if screenLevel != hostcpu.LevelGo && n >= 16 {
+		vl := screenLevel == hostcpu.LevelAVX512VL
 		var w [16]uint32
 		//keyvet:hotloop
 		for ; n >= 16; n -= 16 {
@@ -79,7 +85,13 @@ func (s *RunSearcher) SearchRun(msg []byte, k int, n uint64, found [][]byte) [][
 					d0, hi = 0, c.Carry()
 				}
 			}
-			if hit := screen16(&s.rc, &w); hit != 0 {
+			var hit uint
+			if vl {
+				hit = screen16VL(&s.rc, &w)
+			} else {
+				hit = screen16(&s.rc, &w)
+			}
+			if hit != 0 {
 				for l := range w {
 					if hit&(1<<l) != 0 && s.rc.Test(w[l]) {
 						found = append(found, c.Key(msg, w[l])) //keyvet:allow hotloop (solution copy, as in core.SearchEach)

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"keysearch/internal/hash/hostcpu"
 )
 
 // runCandidate returns the i-th message of the run that starts at msg:
@@ -22,17 +24,9 @@ func runCandidate(symbols, msg []byte, k int, i uint64) []byte {
 	return out
 }
 
-// hostAVX2 is useAVX2 as CPUID set it, before any test flips it.
-var hostAVX2 = useAVX2
-
-// screenPaths returns the settings of useAVX2 the CPU can run: screen16
-// where the CPU has AVX2, and screen2 always.
-func screenPaths() []bool {
-	if hostAVX2 {
-		return []bool{true, false}
-	}
-	return []bool{false}
-}
+// screenPaths returns every screen level the CPU runs, fastest first:
+// screen16VL with AVX-512VL, screen16 with AVX2, and screen2 always.
+func screenPaths() []hostcpu.Level { return hostcpu.Levels() }
 
 // FuzzSearchRun checks SearchRun, on each screen the CPU can run,
 // against the per-candidate Searcher.Test and against crypto/md5 on random
@@ -95,9 +89,9 @@ func FuzzSearchRun(f *testing.F) {
 				want = append(want, c)
 			}
 		}
-		defer func() { useAVX2 = hostAVX2 }()
-		for _, avx2 := range screenPaths() {
-			useAVX2 = avx2
+		defer func() { screenLevel = hostcpu.Best }()
+		for _, level := range screenPaths() {
+			screenLevel = level
 			got := NewRunSearcher(target, symbols).SearchRun(msg, k, n, nil)
 			if !slices.EqualFunc(got, want, bytes.Equal) {
 				t.Fatalf("%s: SearchRun(%q, k=%d, n=%d) found %q, want %q", ScreenKernel(), msg, k, n, got, want)
@@ -123,11 +117,11 @@ func distinct(b []byte) []byte {
 // different lengths and templates, as a worker goroutine does, and finds
 // the planted key in each.
 func TestSearchRunReusesSearcher(t *testing.T) {
-	defer func() { useAVX2 = hostAVX2 }()
+	defer func() { screenLevel = hostcpu.Best }()
 	symbols := []byte("abcdefghij")
 	keys := []string{"jihgKEY", "cde", "aaaaLONGER", "j"}
-	for _, avx2 := range screenPaths() {
-		useAVX2 = avx2
+	for _, level := range screenPaths() {
+		screenLevel = level
 		for _, key := range keys {
 			s := NewRunSearcher(md5.Sum([]byte(key)), symbols)
 			for _, start := range []string{"aaaaKEY", "aaa", "aaaaLONGER", "a"} {
@@ -153,12 +147,12 @@ func TestSearchRunReusesSearcher(t *testing.T) {
 // keys after the piece, it must find nothing. Seven symbols put digit-0
 // carries in the middle of groups.
 func TestSearchRunFindsEveryPosition(t *testing.T) {
-	defer func() { useAVX2 = hostAVX2 }()
+	defer func() { screenLevel = hostcpu.Best }()
 	symbols := []byte("abcdefg")
 	msg := []byte("cbaaTAIL")
 	const n = 3*16 + 5
-	for _, avx2 := range screenPaths() {
-		useAVX2 = avx2
+	for _, level := range screenPaths() {
+		screenLevel = level
 		for p := uint64(0); p < n+2; p++ {
 			key := runCandidate(symbols, msg, 4, p)
 			got := NewRunSearcher(md5.Sum(key), symbols).SearchRun(msg, 4, n, nil)
@@ -180,14 +174,25 @@ func step45(block [16]uint32, w0 uint32) uint32 {
 	return b
 }
 
-// TestScreen16MatchesScreen2 is the differential test of the AVX2 screen:
-// over random templates and targets, its 16-bit mask must equal eight
-// screen2 calls' and the scalar step-45 reference, lane by lane. Each
-// trial forces a hit into a chosen lane, cycling through all sixteen and
-// copying the word into the same lane of the other group: a real preimage
-// (Test accepts it) or a collision in rev[0] alone (Test refuses it).
+// screens16 are the 16-lane screens, each with the level it needs.
+var screens16 = []struct {
+	name   string
+	level  hostcpu.Level
+	screen func(*ReverseContext, *[16]uint32) uint
+}{
+	{"screen16", hostcpu.LevelAVX2, screen16},
+	{"screen16VL", hostcpu.LevelAVX512VL, screen16VL},
+}
+
+// TestScreen16MatchesScreen2 is the differential test of the vector
+// screens: over random templates and targets, the 16-bit mask of each one
+// the CPU runs must equal eight screen2 calls' and the scalar step-45
+// reference, lane by lane. Each trial forces a hit into a chosen lane,
+// cycling through all sixteen and copying the word into the same lane of
+// the other group: a real preimage (Test accepts it) or a collision in
+// rev[0] alone (Test refuses it).
 func TestScreen16MatchesScreen2(t *testing.T) {
-	if !hostAVX2 {
+	if hostcpu.Best == hostcpu.LevelGo {
 		t.Skip("no AVX2 on this CPU")
 	}
 	rng := rand.New(rand.NewSource(28))
@@ -216,7 +221,6 @@ func TestScreen16MatchesScreen2(t *testing.T) {
 		if kind == 1 {
 			rc.rev[0] = step45(block, w[lane])
 		}
-		got := screen16(&rc, &w)
 
 		var pairs, ref uint
 		for j := 0; j < 16; j += 2 {
@@ -227,11 +231,19 @@ func TestScreen16MatchesScreen2(t *testing.T) {
 				ref |= 1 << l
 			}
 		}
-		if got != pairs || got != ref {
-			t.Fatalf("trial %d: screen16 mask %016b, screen2 %016b, reference %016b", trial, got, pairs, ref)
+		if pairs != ref {
+			t.Fatalf("trial %d: screen2 %016b, reference %016b", trial, pairs, ref)
 		}
-		if kind != 2 && got&(1<<lane) == 0 {
-			t.Fatalf("trial %d: hit planted in lane %d, mask %016b", trial, lane, got)
+		if kind != 2 && ref&(1<<lane) == 0 {
+			t.Fatalf("trial %d: hit planted in lane %d, mask %016b", trial, lane, ref)
+		}
+		for _, s := range screens16 {
+			if s.level > hostcpu.Best {
+				continue
+			}
+			if got := s.screen(&rc, &w); got != ref {
+				t.Fatalf("trial %d: %s mask %016b, reference %016b", trial, s.name, got, ref)
+			}
 		}
 		if kind != 2 && rc.Test(w[lane]) != (kind == 0) {
 			t.Fatalf("trial %d: Test(lane %d) = %v for a %s", trial, lane, kind != 0, []string{"preimage", "rev[0] collision"}[kind])
@@ -261,5 +273,27 @@ func BenchmarkSearchRun(b *testing.B) {
 	b.ResetTimer()
 	for left := b.N; left > 0; left -= run {
 		sinkHit += uint(len(s.SearchRun(msg, 4, uint64(min(left, run)), nil)))
+	}
+}
+
+// TestScreenKernels logs the screen SearchRun picks on this CPU and runs
+// one planted search on each screen level, a subtest per kernel: run with
+// -v, a level the CPU cannot run shows as skipped, not as passed.
+func TestScreenKernels(t *testing.T) {
+	t.Logf("ScreenKernel() = %s (hostcpu.AVX2 %v, hostcpu.AVX512VL %v)", ScreenKernel(), hostcpu.AVX2, hostcpu.AVX512VL)
+	defer func() { screenLevel = hostcpu.Best }()
+	symbols, msg := []byte("abcdefg"), []byte("cbaaTAIL")
+	key := runCandidate(symbols, msg, 4, 37)
+	for _, level := range []hostcpu.Level{hostcpu.LevelAVX512VL, hostcpu.LevelAVX2, hostcpu.LevelGo} {
+		screenLevel = level
+		t.Run(ScreenKernel(), func(t *testing.T) {
+			if level > hostcpu.Best {
+				t.Skip("this CPU cannot run it")
+			}
+			got := NewRunSearcher(md5.Sum(key), symbols).SearchRun(msg, 4, 53, nil)
+			if len(got) != 1 || !bytes.Equal(got[0], key) {
+				t.Errorf("found %q, want [%s]", got, key)
+			}
+		})
 	}
 }

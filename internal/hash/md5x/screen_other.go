@@ -2,8 +2,12 @@
 
 package md5x
 
-// Off amd64 hostcpu.AVX2 is false, so SearchRun screens two candidates at
-// a time with screen2 and never calls this.
+// Off amd64 hostcpu.Best is LevelGo, so SearchRun screens two candidates
+// at a time with screen2 and never calls these.
 func screen16(*ReverseContext, *[16]uint32) uint {
 	panic("md5x: screen16 is amd64 assembly")
+}
+
+func screen16VL(*ReverseContext, *[16]uint32) uint {
+	panic("md5x: screen16VL is amd64 assembly")
 }

@@ -11,17 +11,22 @@ import (
 	"keysearch/internal/targetset"
 )
 
-// useAVX2 makes SearchRun screen sixteen candidates per call with
-// screen16 before it runs finalE on the last n mod 16. It is set once,
-// from the CPUID probe; only tests change it, to run both paths on one
-// host.
-var useAVX2 = hostcpu.AVX2
+// screenLevel is the kernel SearchRun runs: with AVX-512VL, sixteen
+// candidates per call through screen16VL; with AVX2 through screen16;
+// either way finalE takes the last n mod 16, and is the whole loop
+// without a vector level. It is set once, from the CPUID probe; only tests
+// change it, to run every path the host can run.
+var screenLevel = hostcpu.Best
 
-// ScreenKernel names the kernel SearchRun runs on this CPU: "avx2x16"
-// (screen16, sixteen candidates per call in YMM lanes) or "go1" (finalE,
-// one candidate per call).
+// ScreenKernel names the kernel SearchRun runs on this CPU: "avx512x16"
+// (screen16VL, sixteen candidates per call in YMM lanes, AVX-512VL),
+// "avx2x16" (screen16, the same in AVX2) or "go1" (finalE, one candidate
+// per call).
 func ScreenKernel() string {
-	if useAVX2 {
+	switch screenLevel {
+	case hostcpu.LevelAVX512VL:
+		return "avx512x16"
+	case hostcpu.LevelAVX2:
 		return "avx2x16"
 	}
 	return "go1"
@@ -58,9 +63,9 @@ func W0Rotations() (mask [80]uint32) {
 // word 0 with a runword.Counter and runs the generated straight-line
 // steps 0..75 (finalE), reading each reached schedule word as one XOR of
 // the bracket and the row. Where the CPU has AVX2, sixteen keys at a time
-// go through screen16 instead, which runs the same steps in vector lanes
-// and XORs word 0's rotations into C per lane; finalE takes the last n
-// mod 16. The E word those steps yield is probed in the set's word-4
+// go through screen16 (screen16VL with AVX-512VL) instead, which runs the
+// same steps in vector lanes and XORs word 0's rotations into C per lane;
+// finalE takes the last n mod 16. The E word those steps yield is probed in the set's word-4
 // filter; a key that passes is hashed in full and must pass Set.Contains,
 // the Bloom pre-screen and exact confirm, so a solution's whole digest
 // matches.
@@ -135,7 +140,8 @@ func (s *RunSearcher) SearchRun(msg []byte, k int, n uint64, found [][]byte) [][
 	tab0 := c.Tab0()
 	syms := len(tab0)
 	rows, word4 := s.rows, s.word4
-	if useAVX2 && n >= 16 {
+	if screenLevel != hostcpu.LevelGo && n >= 16 {
+		vl := screenLevel == hostcpu.LevelAVX512VL
 		var w, e [16]uint32
 		//keyvet:hotloop
 		for ; n >= 16; n -= 16 {
@@ -145,7 +151,11 @@ func (s *RunSearcher) SearchRun(msg []byte, k int, n uint64, found [][]byte) [][
 					d0, hi = 0, c.Carry()
 				}
 			}
-			screen16(s, &w, &e)
+			if vl {
+				screen16VL(s, &w, &e)
+			} else {
+				screen16(s, &w, &e)
+			}
 			for l, x := range e {
 				if word4.MayContain(x) && s.confirm(w[l]) {
 					found = append(found, c.Key(msg, w[l])) //keyvet:allow hotloop (solution copy, as in core.SearchEach)

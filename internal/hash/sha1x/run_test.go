@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"keysearch/internal/hash/hostcpu"
 	"keysearch/internal/targetset"
 )
 
@@ -68,17 +69,9 @@ func distinct(b []byte) []byte {
 	return out
 }
 
-// hostAVX2 is useAVX2 as the CPUID probe set it, before any test flips it.
-var hostAVX2 = useAVX2
-
-// screenPaths returns the settings of useAVX2 the CPU can run: screen16
-// where the CPU has AVX2, and finalE alone always.
-func screenPaths() []bool {
-	if hostAVX2 {
-		return []bool{true, false}
-	}
-	return []bool{false}
-}
+// screenPaths returns every kernel level the CPU runs, fastest first:
+// screen16VL with AVX-512VL, screen16 with AVX2, and finalE alone always.
+func screenPaths() []hostcpu.Level { return hostcpu.Levels() }
 
 // FuzzSearchRun checks SearchRun, on each kernel the CPU can run, against
 // per-candidate crypto/sha1 and a linear scan of the corpus on random
@@ -154,9 +147,9 @@ func FuzzSearchRun(f *testing.F) {
 				}
 			}
 		}
-		defer func() { useAVX2 = hostAVX2 }()
-		for _, avx2 := range screenPaths() {
-			useAVX2 = avx2
+		defer func() { screenLevel = hostcpu.Best }()
+		for _, level := range screenPaths() {
+			screenLevel = level
 			s, err := NewRunSearcher(set, symbols)
 			if err != nil {
 				t.Fatal(err)
@@ -209,7 +202,7 @@ func TestFinalEMatchesDigestWord(t *testing.T) {
 // different lengths and templates, as a worker goroutine does, and finds
 // each planted key of a corpus exactly where it lies, on each kernel.
 func TestSearchRunReusesSearcher(t *testing.T) {
-	defer func() { useAVX2 = hostAVX2 }()
+	defer func() { screenLevel = hostcpu.Best }()
 	symbols := []byte("abcdefghij")
 	keys := []string{"jihgKEY", "cde", "aaaaLONGER", "j"}
 	var corpus [][]byte
@@ -221,8 +214,8 @@ func TestSearchRunReusesSearcher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, avx2 := range screenPaths() {
-		useAVX2 = avx2
+	for _, level := range screenPaths() {
+		screenLevel = level
 		s, err := NewRunSearcher(set, symbols)
 		if err != nil {
 			t.Fatal(err)
@@ -251,7 +244,7 @@ func TestSearchRunReusesSearcher(t *testing.T) {
 // one group, and both pieces start where their n mod 16 tail begins right
 // after a carry.
 func TestSearchRunFindsEveryPosition(t *testing.T) {
-	defer func() { useAVX2 = hostAVX2 }()
+	defer func() { screenLevel = hostcpu.Best }()
 	const n = 3*16 + 5
 	miss := sha1.Sum([]byte("a message no run reaches"))
 	for _, tc := range []struct{ symbols, msg string }{
@@ -259,8 +252,8 @@ func TestSearchRunFindsEveryPosition(t *testing.T) {
 		{"wxyz", "wxywTAIL"},
 	} {
 		symbols, msg := []byte(tc.symbols), []byte(tc.msg)
-		for _, avx2 := range screenPaths() {
-			useAVX2 = avx2
+		for _, level := range screenPaths() {
+			screenLevel = level
 			for p := uint64(0); p < n+2; p++ {
 				key := runCandidate(symbols, msg, 4, p)
 				d := sha1.Sum(key)
@@ -283,14 +276,25 @@ func TestSearchRunFindsEveryPosition(t *testing.T) {
 	}
 }
 
-// TestScreen16MatchesFinalE is the differential test of the AVX2 kernel:
-// on random blocks and sixteen random words 0, lane l of its output must
-// equal finalE on w[l] (fed the bracket of w[l]'s high bytes and the row
-// of its first byte, every byte a symbol) and word 4 of SumPacked on the
-// block with word 0 set to w[l]. Every other trial copies a lane's word
-// into the same lane of the other group.
+// screens16 are the 16-lane kernels, each with the level it needs.
+var screens16 = []struct {
+	name   string
+	level  hostcpu.Level
+	screen func(*RunSearcher, *[16]uint32, *[16]uint32)
+}{
+	{"screen16", hostcpu.LevelAVX2, screen16},
+	{"screen16VL", hostcpu.LevelAVX512VL, screen16VL},
+}
+
+// TestScreen16MatchesFinalE is the differential test of the vector
+// kernels: on random blocks and sixteen random words 0, lane l of the
+// output of each one the CPU runs must equal finalE on w[l] (fed the
+// bracket of w[l]'s high bytes and the row of its first byte, every byte
+// a symbol) and word 4 of SumPacked on the block with word 0 set to w[l].
+// Every other trial copies a lane's word into the same lane of the other
+// group.
 func TestScreen16MatchesFinalE(t *testing.T) {
-	if !hostAVX2 {
+	if hostcpu.Best == hostcpu.LevelGo {
 		t.Skip("no AVX2 on this CPU")
 	}
 	set, err := targetset.Build([][]byte{make([]byte, Size)}, targetset.Options{})
@@ -307,7 +311,7 @@ func TestScreen16MatchesFinalE(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(30))
 	for trial := 0; trial < 2000; trial++ {
-		var w, e [16]uint32
+		var w [16]uint32
 		for i := range s.block {
 			s.block[i] = rng.Uint32()
 		}
@@ -319,15 +323,26 @@ func TestScreen16MatchesFinalE(t *testing.T) {
 			w[lane^8] = w[lane]
 		}
 		s.split()
-		screen16(s, &w, &e)
+		var want [16]uint32
 		for l, x := range w {
 			block := s.block
 			block[0] = x
 			sum := SumPacked(&block)
 			s.rehigh(x &^ 0xff000000)
 			fe := s.finalE(x, (*[w0Reach]uint32)(s.rows[int(x>>24)*w0Reach:]))
-			if e[l] != sum[4] || e[l] != fe {
-				t.Fatalf("trial %d, lane %d (w0 %08x): screen16 %08x, finalE %08x, SumPacked word 4 %08x", trial, l, x, e[l], fe, sum[4])
+			if fe != sum[4] {
+				t.Fatalf("trial %d, lane %d (w0 %08x): finalE %08x, SumPacked word 4 %08x", trial, l, x, fe, sum[4])
+			}
+			want[l] = fe
+		}
+		for _, k := range screens16 {
+			if k.level > hostcpu.Best {
+				continue
+			}
+			var e [16]uint32
+			k.screen(s, &w, &e)
+			if e != want {
+				t.Fatalf("trial %d (w0 %08x): %s %08x, finalE %08x", trial, w, k.name, e, want)
 			}
 		}
 	}
@@ -370,3 +385,33 @@ func benchmarkSearchRun(b *testing.B, corpusSize int) {
 
 func BenchmarkSearchRun(b *testing.B)       { benchmarkSearchRun(b, 1) }
 func BenchmarkSearchRunCorpus(b *testing.B) { benchmarkSearchRun(b, 10000) }
+
+// TestScreenKernels logs the kernel SearchRun picks on this CPU and runs
+// one planted search on each kernel level, a subtest per kernel: run with
+// -v, a level the CPU cannot run shows as skipped, not as passed.
+func TestScreenKernels(t *testing.T) {
+	t.Logf("ScreenKernel() = %s (hostcpu.AVX2 %v, hostcpu.AVX512VL %v)", ScreenKernel(), hostcpu.AVX2, hostcpu.AVX512VL)
+	defer func() { screenLevel = hostcpu.Best }()
+	symbols, msg := []byte("abcdefg"), []byte("bcaaTAIL")
+	key := runCandidate(symbols, msg, 4, 37)
+	d := sha1.Sum(key)
+	set, err := targetset.Build([][]byte{d[:]}, targetset.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, level := range []hostcpu.Level{hostcpu.LevelAVX512VL, hostcpu.LevelAVX2, hostcpu.LevelGo} {
+		screenLevel = level
+		t.Run(ScreenKernel(), func(t *testing.T) {
+			if level > hostcpu.Best {
+				t.Skip("this CPU cannot run it")
+			}
+			s, err := NewRunSearcher(set, symbols)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := s.SearchRun(msg, 4, 53, nil); len(got) != 1 || !bytes.Equal(got[0], key) {
+				t.Errorf("found %q, want [%s]", got, key)
+			}
+		})
+	}
+}

@@ -8,3 +8,10 @@ package sha1x
 //
 //go:noescape
 func screen16(s *RunSearcher, w, e *[16]uint32)
+
+// screen16VL is screen16 lowered to AVX-512VL on the same YMM registers
+// and frame: one VPROLD per rotate and one VPTERNLOGD per round function.
+// It needs AVX-512F and AVX-512VL.
+//
+//go:noescape
+func screen16VL(s *RunSearcher, w, e *[16]uint32)

@@ -2,8 +2,12 @@
 
 package sha1x
 
-// Off amd64 hostcpu.AVX2 is false, so SearchRun runs finalE on every
-// candidate and never calls this.
+// Off amd64 hostcpu.Best is LevelGo, so SearchRun runs finalE on every
+// candidate and never calls these.
 func screen16(*RunSearcher, *[16]uint32, *[16]uint32) {
 	panic("sha1x: screen16 is amd64 assembly")
+}
+
+func screen16VL(*RunSearcher, *[16]uint32, *[16]uint32) {
+	panic("sha1x: screen16VL is amd64 assembly")
 }

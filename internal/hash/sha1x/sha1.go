@@ -41,6 +41,18 @@ func fCh(b, c, d uint32) uint32     { return (b & c) | (^b & d) }
 func fParity(b, c, d uint32) uint32 { return b ^ c ^ d }
 func fMaj(b, c, d uint32) uint32    { return (b & c) | (b & d) | (c & d) }
 
+// Round returns the value of step t's boolean function: Ch for steps
+// 0..19, Maj for 40..59, parity otherwise.
+func Round(t int, b, c, d uint32) uint32 {
+	switch t / 20 {
+	case 0:
+		return fCh(b, c, d)
+	case 2:
+		return fMaj(b, c, d)
+	}
+	return fParity(b, c, d)
+}
+
 // Expand fills w[16..79] from w[0..15] with the SHA1 message schedule.
 func Expand(w *[80]uint32) {
 	for i := 16; i < 80; i++ {

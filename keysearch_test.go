@@ -125,6 +125,9 @@ func TestDictAttackFacade(t *testing.T) {
 	if len(res.Solutions) != 1 || string(res.Solutions[0]) != "Summer7" {
 		t.Errorf("solutions = %q", res.Solutions)
 	}
+	if res, err := keysearch.DictAttack(context.Background(), keysearch.MD5, digest[:15], ds, keysearch.Options{Workers: 2}); err == nil {
+		t.Errorf("a 15-byte MD5 digest searched %d candidates with no error", res.Tested)
+	}
 }
 
 func TestRainbowFacade(t *testing.T) {
@@ -196,6 +199,9 @@ func TestMaskAttackFacade(t *testing.T) {
 	if len(res.Solutions) != 1 || string(res.Solutions[0]) != "Q42" {
 		t.Errorf("solutions = %q", res.Solutions)
 	}
+	if res, err := keysearch.MaskAttack(context.Background(), keysearch.SHA1, digest[:16], m, keysearch.Options{Workers: 2}); err == nil {
+		t.Errorf("a 16-byte SHA1 digest searched %d candidates with no error", res.Tested)
+	}
 	if _, err := keysearch.ParseMask("?x"); err == nil {
 		t.Error("bad mask accepted")
 	}
@@ -225,6 +231,9 @@ func TestMarkovFacade(t *testing.T) {
 	}
 	if len(res.Solutions) != 1 || string(res.Solutions[0]) != string(member) {
 		t.Errorf("solutions = %q, want %q", res.Solutions, member)
+	}
+	if res, err := keysearch.MarkovAttack(context.Background(), keysearch.SHA1, digest, space, keysearch.Options{Workers: 2}); err == nil {
+		t.Errorf("a 16-byte digest as SHA1 searched %d candidates with no error", res.Tested)
 	}
 	if len(keysearch.MarkovBands(20, 4)) != 4 {
 		t.Error("MarkovBands")
