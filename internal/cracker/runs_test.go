@@ -19,9 +19,10 @@ import (
 )
 
 // md5xScreenLevel and sha1xScreenLevel are md5x's and sha1x's kernel
-// dispatch, set from CPUID and deliberately not options. The "avx2/",
-// "go2/" and "go1/" rows below pin them, so that a host with AVX-512VL
-// runs the AVX2 screens and the Go fallbacks through CrackInterval too.
+// dispatch, set from CPUID and deliberately not options. The "avx512/",
+// "avx2/", "go2/" and "go1/" rows below pin them, so that a host with
+// AVX-512 runs the AVX2 screens and the Go fallbacks through CrackInterval
+// too, and the ZMM screens under the names ScreenKernel gives them.
 //
 //go:linkname md5xScreenLevel keysearch/internal/hash/md5x.screenLevel
 var md5xScreenLevel hostcpu.Level
@@ -35,16 +36,18 @@ var sha1xScreenLevel hostcpu.Level
 // that straddle lengths 3→4 and 4→5, chunk ends in the middle of runs,
 // suffix salts short and past one block, a prefix salt (which must fall
 // back to the per-candidate walk), the empty key (MinLen 0), a one-symbol
-// charset and MaxSolutions 1. Every case runs six times: MD5 against
-// one target on the host's screen (unprefixed names: the 16-lane AVX2
-// screen where the CPU has it) and on the 2-lane Go screen ("md5 go2/"),
-// SHA1 against one target ("sha1/") and SHA1 against a corpus
-// ("sha1 corpus/") that holds the planted digest, noise, and a decoy
-// sharing digest bytes [16:20] with another key of the interval, so that
-// key passes the word-4 filter and must be refused by the confirm — both
-// SHA1 walks on the host's kernel and on the 1-lane Go kernel ("sha1
-// go1/", "sha1 corpus go1/"). Where the host's kernel is the AVX-512VL
-// screen, "md5 avx2/" and "sha1 avx2/" run both hashes' AVX2 screens.
+// charset and MaxSolutions 1. Every case runs on each row of the table
+// below: MD5 against one target on the host's screen (unprefixed names:
+// the 32-lane ZMM screen where the CPU has AVX-512) and on the 2-lane Go
+// screen ("md5 go2/"), SHA1 against one target ("sha1/") and SHA1
+// against a corpus ("sha1 corpus/") that holds the planted digest,
+// noise, and a decoy sharing digest bytes [16:20] with another key of the
+// interval, so that key passes the word-4 filter and must be refused by
+// the confirm — both SHA1 walks on the host's kernel and on the 1-lane Go
+// kernel ("sha1 go1/", "sha1 corpus go1/"). "md5 avx512/" and "sha1 avx512/" pin the
+// ZMM screens (avx512x32 for MD5, avx512x16 for SHA1) and "md5 avx2/" and
+// "sha1 avx2/" both hashes' AVX2 screens, each skipped where the CPU
+// cannot run it.
 func TestRunWalkMatchesPerCandidate(t *testing.T) {
 	lower := space(t, keyspace.Lower, 1, 5)
 	// Lowercase ids: length 3 starts at 702, length 4 at 18278, length 5
@@ -115,9 +118,11 @@ func TestRunWalkMatchesPerCandidate(t *testing.T) {
 		job     func(t *testing.T, salted func(id int64) []byte, plant, decoy int64) *Job
 	}{
 		{"", 0, "", md5Job},
+		{"md5 avx512/", hostcpu.LevelAVX512, "avx512x32 avx512x16", md5Job},
 		{"md5 avx2/", hostcpu.LevelAVX2, "avx2x16 avx2x16", md5Job},
 		{"md5 go2/", hostcpu.LevelGo, "go2 go1", md5Job},
 		{"sha1/", 0, "", sha1Job},
+		{"sha1 avx512/", hostcpu.LevelAVX512, "avx512x32 avx512x16", sha1Job},
 		{"sha1 avx2/", hostcpu.LevelAVX2, "avx2x16 avx2x16", sha1Job},
 		{"sha1 go1/", hostcpu.LevelGo, "go2 go1", sha1Job},
 		{"sha1 corpus/", 0, "", sha1CorpusJob},

@@ -21,13 +21,13 @@ func hasAVX2() bool {
 	return ebx&(1<<5) != 0
 }
 
-// hasAVX512VL reads, on top of what hasAVX2 requires, XCR0's opmask and
-// ZMM state bits and CPUID leaf 7 EBX AVX512F and AVX512VL.
-func hasAVX512VL() bool {
+// hasAVX512 reads, on top of what hasAVX2 requires, XCR0's opmask and
+// ZMM state bits and CPUID leaf 7 EBX AVX512F.
+func hasAVX512() bool {
 	if xcr0, _ := xgetbv(); xcr0&0xe6 != 0xe6 {
 		return false
 	}
-	const avx512f, avx512vl = 1 << 16, 1 << 31
+	const avx512f = 1 << 16
 	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&avx512f != 0 && ebx&avx512vl != 0
+	return ebx&avx512f != 0
 }

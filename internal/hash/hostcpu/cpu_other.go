@@ -4,4 +4,4 @@ package hostcpu
 
 func hasAVX2() bool { return false }
 
-func hasAVX512VL() bool { return false }
+func hasAVX512() bool { return false }

@@ -8,10 +8,10 @@ import (
 	"testing"
 )
 
-// TestProbesMatchProcCPUInfo: on Linux, AVX2 and AVX512VL agree with the
-// flags the kernel reports for the first CPU — avx2, and avx512f with
-// avx512vl — which it lists only when the OS also saves their register
-// state.
+// TestProbesMatchProcCPUInfo: on Linux, AVX2 and AVX512 agree with the
+// flags the kernel reports for the first CPU — avx2 and avx512f — which
+// it lists only when the OS also saves their register state. Without a
+// readable /proc/cpuinfo the test skips.
 func TestProbesMatchProcCPUInfo(t *testing.T) {
 	raw, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {
@@ -34,23 +34,27 @@ func TestProbesMatchProcCPUInfo(t *testing.T) {
 	if want := has("avx2"); AVX2 != want {
 		t.Errorf("AVX2 = %v, /proc/cpuinfo avx2 = %v", AVX2, want)
 	}
-	if want := has("avx512f") && has("avx512vl"); AVX512VL != want {
-		t.Errorf("AVX512VL = %v, /proc/cpuinfo avx512f and avx512vl = %v", AVX512VL, want)
+	if want := has("avx2") && has("avx512f"); AVX512 != want {
+		t.Errorf("AVX512 = %v, /proc/cpuinfo avx2 %v and avx512f %v", AVX512, has("avx2"), has("avx512f"))
 	}
 }
 
-// TestLevels: Best is the fastest level the probes allow, and Levels
-// counts down from it to LevelGo.
+// TestLevels: Best is the fastest level the probes allow, All counts
+// down from LevelAVX512 to LevelGo, and Levels is the part of All from
+// Best on.
 func TestLevels(t *testing.T) {
 	want := LevelGo
 	switch {
-	case AVX512VL:
-		want = LevelAVX512VL
+	case AVX512:
+		want = LevelAVX512
 	case AVX2:
 		want = LevelAVX2
 	}
 	if Best != want {
-		t.Errorf("Best = %d with AVX2 %v, AVX512VL %v; want %d", Best, AVX2, AVX512VL, want)
+		t.Errorf("Best = %d with AVX2 %v, AVX512 %v; want %d", Best, AVX2, AVX512, want)
+	}
+	if all := All(); !slices.Equal(all, []Level{LevelAVX512, LevelAVX2, LevelGo}) {
+		t.Errorf("All() = %v", all)
 	}
 	ls := Levels()
 	if len(ls) != int(Best)+1 || ls[0] != Best || ls[len(ls)-1] != LevelGo {

@@ -1,14 +1,17 @@
 package md5x
 
 import (
+	"math/bits"
+
 	"keysearch/internal/hash/hostcpu"
 	"keysearch/internal/hash/runword"
 )
 
-// screenLevel is the screen SearchRun runs: with AVX-512VL, sixteen
-// candidates per call through screen16VL; with AVX2 through screen16;
-// otherwise two with screen2. It is set once, from the CPUID probe; only
-// tests change it, to run every path the host can run.
+// screenLevel is the screen SearchRun runs: with AVX-512, thirty-two
+// candidates per call through screen32; with AVX2 the same thirty-two
+// through two screen16 calls; otherwise two with screen2. It is set once,
+// from the CPUID probe; only tests change it, to run every path the host
+// can run.
 var screenLevel = hostcpu.Best
 
 // RunSearcher tests whole prefix-major runs against one MD5 target: the
@@ -16,10 +19,10 @@ var screenLevel = hostcpu.Best
 // and so differ only in packed word 0 (k ≤ 4). Per run it packs the
 // message and builds the ReverseContext once, then enumerates word 0 with
 // a runword.Counter — Section V's "next applied to the packed form" — and
-// screens sixteen candidates at a time in vector lanes where the CPU has
-// them — screen16VL with AVX-512VL, screen16 with AVX2 — and two at a
-// time with the interleaved screen2 otherwise and for the last n mod 16,
-// confirming a surviving lane with Test.
+// screens thirty-two candidates at a time in vector lanes where the CPU
+// has them — screen32 with AVX-512, screen16 twice with AVX2 — and two at
+// a time with the interleaved screen2 otherwise and for the last n mod
+// 32, confirming a surviving lane with Test.
 //
 // A RunSearcher is not safe for concurrent use; each worker owns one.
 type RunSearcher struct {
@@ -29,14 +32,14 @@ type RunSearcher struct {
 	rc     ReverseContext
 }
 
-// ScreenKernel names the screen SearchRun runs on this CPU: "avx512x16"
-// (screen16VL, sixteen candidates per call in YMM lanes, AVX-512VL),
-// "avx2x16" (screen16, the same in AVX2) or "go2" (screen2, two
-// interleaved scalar lanes).
+// ScreenKernel names the screen SearchRun runs on this CPU: "avx512x32"
+// (screen32, thirty-two candidates per call in ZMM lanes, AVX-512F),
+// "avx2x16" (screen16, sixteen per call in YMM lanes, AVX2) or "go2"
+// (screen2, two interleaved scalar lanes).
 func ScreenKernel() string {
 	switch screenLevel {
-	case hostcpu.LevelAVX512VL:
-		return "avx512x16"
+	case hostcpu.LevelAVX512:
+		return "avx512x32"
 	case hostcpu.LevelAVX2:
 		return "avx2x16"
 	}
@@ -74,11 +77,11 @@ func (s *RunSearcher) SearchRun(msg []byte, k int, n uint64, found [][]byte) [][
 	hi, d0 := c.Start(s.block[0])
 	tab0 := c.Tab0()
 	syms := len(tab0)
-	if screenLevel != hostcpu.LevelGo && n >= 16 {
-		vl := screenLevel == hostcpu.LevelAVX512VL
-		var w [16]uint32
+	if screenLevel != hostcpu.LevelGo && n >= 32 {
+		zmm := screenLevel == hostcpu.LevelAVX512
+		var w [32]uint32
 		//keyvet:hotloop
-		for ; n >= 16; n -= 16 {
+		for ; n >= 32; n -= 32 {
 			for l := range w {
 				w[l] = hi | tab0[d0]
 				if d0++; d0 == syms {
@@ -86,16 +89,14 @@ func (s *RunSearcher) SearchRun(msg []byte, k int, n uint64, found [][]byte) [][
 				}
 			}
 			var hit uint
-			if vl {
-				hit = screen16VL(&s.rc, &w)
+			if zmm {
+				hit = screen32(&s.rc, &w)
 			} else {
-				hit = screen16(&s.rc, &w)
+				hit = screen16(&s.rc, (*[16]uint32)(w[:16])) | screen16(&s.rc, (*[16]uint32)(w[16:]))<<16
 			}
-			if hit != 0 {
-				for l := range w {
-					if hit&(1<<l) != 0 && s.rc.Test(w[l]) {
-						found = append(found, c.Key(msg, w[l])) //keyvet:allow hotloop (solution copy, as in core.SearchEach)
-					}
+			for ; hit != 0; hit &= hit - 1 {
+				if l := bits.TrailingZeros(hit); s.rc.Test(w[l]) {
+					found = append(found, c.Key(msg, w[l])) //keyvet:allow hotloop (solution copy, as in core.SearchEach)
 				}
 			}
 		}

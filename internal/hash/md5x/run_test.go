@@ -25,20 +25,22 @@ func runCandidate(symbols, msg []byte, k int, i uint64) []byte {
 }
 
 // screenPaths returns every screen level the CPU runs, fastest first:
-// screen16VL with AVX-512VL, screen16 with AVX2, and screen2 always.
+// screen32 with AVX-512, screen16 with AVX2, and screen2 always.
 func screenPaths() []hostcpu.Level { return hostcpu.Levels() }
 
 // FuzzSearchRun checks SearchRun, on each screen the CPU can run,
 // against the per-candidate Searcher.Test and against crypto/md5 on random
 // templates, run widths, start digits, lengths and symbol sets. The target
-// is planted at candidate plant of the run — any lane of a 16-lane group,
-// either lane of a 2-lane group of the n mod 16 tail, or its odd last key
+// is planted at candidate plant of the run — any lane of a 32-lane pass,
+// either lane of a 2-lane group of the n mod 32 tail, or its odd last key
 // — or, when plant ≥ n, nowhere.
 func FuzzSearchRun(f *testing.F) {
-	// Seeds in lanes 0, 1, 6 and 15 of a 16-lane group, in the odd tail,
+	// Seeds in lanes 0, 1, 6 and 15 of a 32-lane pass, in the odd tail,
 	// one miss, one empty key, one short (pad inside word 0), one
 	// one-symbol set, one past a single block, then lanes 8 and 23 (the
-	// second group) and the 2-lane part of the tail.
+	// second YMM group) and the 2-lane part of the tail, then lanes 16 and
+	// 31 (the second ZMM group) and the 2-lane and odd parts of a tail
+	// past 32.
 	f.Add([]byte("abcdefghijklmnopqrst"), []byte("aaaaSUFFIX"), uint8(4), uint16(64), uint16(0))
 	f.Add([]byte("abcdefghijklmnopqrst"), []byte("taaaSUFFIX"), uint8(4), uint16(64), uint16(1))
 	f.Add([]byte("abcdefghijklmnopqrst"), []byte("bcaaSUFFIX"), uint8(4), uint16(65), uint16(6))
@@ -52,6 +54,10 @@ func FuzzSearchRun(f *testing.F) {
 	f.Add([]byte("abcdefghijklmnopqrst"), []byte("aaaaSUFFIX"), uint8(4), uint16(64), uint16(8))
 	f.Add([]byte("abcdefghijklmnopqrst"), []byte("ahaaSUFFIX"), uint8(4), uint16(50), uint16(23))
 	f.Add([]byte("abcdefghijklmnopqrst"), []byte("qrstSUFFIX"), uint8(4), uint16(67), uint16(65))
+	f.Add([]byte("abcdefghijklmnopqrst"), []byte("aaaaSUFFIX"), uint8(4), uint16(64), uint16(16))
+	f.Add([]byte("abcdefghijklmnopqrst"), []byte("ahaaSUFFIX"), uint8(4), uint16(50), uint16(31))
+	f.Add([]byte("abcdefghijklmnopqrst"), []byte("bcaaSUFFIX"), uint8(4), uint16(45), uint16(40))
+	f.Add([]byte("abcdefghijklmnopqrst"), []byte("bcaaSUFFIX"), uint8(4), uint16(45), uint16(44))
 	f.Fuzz(func(t *testing.T, symbols, msg []byte, rawK uint8, rawN, plant uint16) {
 		symbols = distinct(symbols)
 		if len(symbols) == 0 || len(msg) > 80 {
@@ -141,8 +147,8 @@ func TestSearchRunReusesSearcher(t *testing.T) {
 }
 
 // TestSearchRunFindsEveryPosition plants the target at each position of a
-// 53-key run piece in turn — every lane of three 16-lane groups, the
-// 2-lane pairs of the n mod 16 tail and its odd last key — and requires
+// 117-key run piece in turn — every lane of three 32-lane passes, the
+// 2-lane pairs of the n mod 32 tail and its odd last key — and requires
 // SearchRun to find exactly that key on each screen; planted at the two
 // keys after the piece, it must find nothing. Seven symbols put digit-0
 // carries in the middle of groups.
@@ -150,7 +156,7 @@ func TestSearchRunFindsEveryPosition(t *testing.T) {
 	defer func() { screenLevel = hostcpu.Best }()
 	symbols := []byte("abcdefg")
 	msg := []byte("cbaaTAIL")
-	const n = 3*16 + 5
+	const n = 3*32 + 21
 	for _, level := range screenPaths() {
 		screenLevel = level
 		for p := uint64(0); p < n+2; p++ {
@@ -174,32 +180,36 @@ func step45(block [16]uint32, w0 uint32) uint32 {
 	return b
 }
 
-// screens16 are the 16-lane screens, each with the level it needs.
-var screens16 = []struct {
+// screens32 are the vector screens on thirty-two candidates, each with
+// the level it needs: two screen16 calls, one per half, or one screen32.
+var screens32 = []struct {
 	name   string
 	level  hostcpu.Level
-	screen func(*ReverseContext, *[16]uint32) uint
+	screen func(*ReverseContext, *[32]uint32) uint
 }{
-	{"screen16", hostcpu.LevelAVX2, screen16},
-	{"screen16VL", hostcpu.LevelAVX512VL, screen16VL},
+	{"screen16", hostcpu.LevelAVX2, func(r *ReverseContext, w *[32]uint32) uint {
+		return screen16(r, (*[16]uint32)(w[:16])) | screen16(r, (*[16]uint32)(w[16:]))<<16
+	}},
+	{"screen32", hostcpu.LevelAVX512, screen32},
 }
 
 // TestScreen16MatchesScreen2 is the differential test of the vector
-// screens: over random templates and targets, the 16-bit mask of each one
-// the CPU runs must equal eight screen2 calls' and the scalar step-45
+// screens: over random templates and targets, the 32-bit mask of each one
+// the CPU runs must equal sixteen screen2 calls' and the scalar step-45
 // reference, lane by lane. Each trial forces a hit into a chosen lane,
-// cycling through all sixteen and copying the word into the same lane of
-// the other group: a real preimage (Test accepts it) or a collision in
-// rev[0] alone (Test refuses it).
+// cycling through all thirty-two, and every other trial copies the word
+// into the same lane of the other group — of screen32's two groups of
+// sixteen, or of screen16's two of eight: a real preimage (Test accepts
+// it) or a collision in rev[0] alone (Test refuses it).
 func TestScreen16MatchesScreen2(t *testing.T) {
 	if hostcpu.Best == hostcpu.LevelGo {
 		t.Skip("no AVX2 on this CPU")
 	}
 	rng := rand.New(rand.NewSource(28))
 	var rc ReverseContext
-	for trial := 0; trial < 3000; trial++ {
+	for trial := 0; trial < 6000; trial++ {
 		var block [16]uint32
-		var w [16]uint32
+		var w [32]uint32
 		for i := range block {
 			block[i] = rng.Uint32()
 		}
@@ -207,9 +217,12 @@ func TestScreen16MatchesScreen2(t *testing.T) {
 			w[l] = rng.Uint32()
 		}
 		target := [4]uint32{rng.Uint32(), rng.Uint32(), rng.Uint32(), rng.Uint32()}
-		lane := trial % 16
-		kind := trial / 16 % 3 // 0: preimage, 1: rev[0] collision, 2: none
-		if trial%2 == 0 {
+		lane := trial % 32
+		kind := trial / 32 % 3 // 0: preimage, 1: rev[0] collision, 2: none
+		switch trial % 4 {
+		case 0:
+			w[lane^16] = w[lane]
+		case 2:
 			w[lane^8] = w[lane]
 		}
 		if kind == 0 {
@@ -223,7 +236,7 @@ func TestScreen16MatchesScreen2(t *testing.T) {
 		}
 
 		var pairs, ref uint
-		for j := 0; j < 16; j += 2 {
+		for j := 0; j < 32; j += 2 {
 			pairs |= rc.screen2(w[j], w[j+1]) << j
 		}
 		for l, w0 := range w {
@@ -232,17 +245,17 @@ func TestScreen16MatchesScreen2(t *testing.T) {
 			}
 		}
 		if pairs != ref {
-			t.Fatalf("trial %d: screen2 %016b, reference %016b", trial, pairs, ref)
+			t.Fatalf("trial %d: screen2 %032b, reference %032b", trial, pairs, ref)
 		}
 		if kind != 2 && ref&(1<<lane) == 0 {
-			t.Fatalf("trial %d: hit planted in lane %d, mask %016b", trial, lane, ref)
+			t.Fatalf("trial %d: hit planted in lane %d, mask %032b", trial, lane, ref)
 		}
-		for _, s := range screens16 {
+		for _, s := range screens32 {
 			if s.level > hostcpu.Best {
 				continue
 			}
 			if got := s.screen(&rc, &w); got != ref {
-				t.Fatalf("trial %d: %s mask %016b, reference %016b", trial, s.name, got, ref)
+				t.Fatalf("trial %d: %s mask %032b, reference %032b", trial, s.name, got, ref)
 			}
 		}
 		if kind != 2 && rc.Test(w[lane]) != (kind == 0) {
@@ -277,20 +290,21 @@ func BenchmarkSearchRun(b *testing.B) {
 }
 
 // TestScreenKernels logs the screen SearchRun picks on this CPU and runs
-// one planted search on each screen level, a subtest per kernel: run with
-// -v, a level the CPU cannot run shows as skipped, not as passed.
+// one planted search, the key in the second 32-lane pass, on each level
+// hostcpu defines, a subtest per kernel: run with -v, a level the CPU
+// cannot run shows as skipped, not as passed.
 func TestScreenKernels(t *testing.T) {
-	t.Logf("ScreenKernel() = %s (hostcpu.AVX2 %v, hostcpu.AVX512VL %v)", ScreenKernel(), hostcpu.AVX2, hostcpu.AVX512VL)
+	t.Logf("ScreenKernel() = %s (hostcpu.AVX2 %v, hostcpu.AVX512 %v)", ScreenKernel(), hostcpu.AVX2, hostcpu.AVX512)
 	defer func() { screenLevel = hostcpu.Best }()
 	symbols, msg := []byte("abcdefg"), []byte("cbaaTAIL")
 	key := runCandidate(symbols, msg, 4, 37)
-	for _, level := range []hostcpu.Level{hostcpu.LevelAVX512VL, hostcpu.LevelAVX2, hostcpu.LevelGo} {
+	for _, level := range hostcpu.All() {
 		screenLevel = level
 		t.Run(ScreenKernel(), func(t *testing.T) {
 			if level > hostcpu.Best {
 				t.Skip("this CPU cannot run it")
 			}
-			got := NewRunSearcher(md5.Sum(key), symbols).SearchRun(msg, 4, 53, nil)
+			got := NewRunSearcher(md5.Sum(key), symbols).SearchRun(msg, 4, 85, nil)
 			if len(got) != 1 || !bytes.Equal(got[0], key) {
 				t.Errorf("found %q, want [%s]", got, key)
 			}

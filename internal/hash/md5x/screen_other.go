@@ -8,6 +8,6 @@ func screen16(*ReverseContext, *[16]uint32) uint {
 	panic("md5x: screen16 is amd64 assembly")
 }
 
-func screen16VL(*ReverseContext, *[16]uint32) uint {
-	panic("md5x: screen16VL is amd64 assembly")
+func screen32(*ReverseContext, *[32]uint32) uint {
+	panic("md5x: screen32 is amd64 assembly")
 }

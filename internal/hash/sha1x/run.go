@@ -11,20 +11,20 @@ import (
 	"keysearch/internal/targetset"
 )
 
-// screenLevel is the kernel SearchRun runs: with AVX-512VL, sixteen
-// candidates per call through screen16VL; with AVX2 through screen16;
+// screenLevel is the kernel SearchRun runs: with AVX-512, sixteen
+// candidates per call through screen16Z; with AVX2 through screen16;
 // either way finalE takes the last n mod 16, and is the whole loop
 // without a vector level. It is set once, from the CPUID probe; only tests
 // change it, to run every path the host can run.
 var screenLevel = hostcpu.Best
 
 // ScreenKernel names the kernel SearchRun runs on this CPU: "avx512x16"
-// (screen16VL, sixteen candidates per call in YMM lanes, AVX-512VL),
-// "avx2x16" (screen16, the same in AVX2) or "go1" (finalE, one candidate
-// per call).
+// (screen16Z, sixteen candidates per call in ZMM lanes, AVX-512F),
+// "avx2x16" (screen16, the same in YMM lanes, AVX2) or "go1" (finalE, one
+// candidate per call).
 func ScreenKernel() string {
 	switch screenLevel {
-	case hostcpu.LevelAVX512VL:
+	case hostcpu.LevelAVX512:
 		return "avx512x16"
 	case hostcpu.LevelAVX2:
 		return "avx2x16"
@@ -63,7 +63,7 @@ func W0Rotations() (mask [80]uint32) {
 // word 0 with a runword.Counter and runs the generated straight-line
 // steps 0..75 (finalE), reading each reached schedule word as one XOR of
 // the bracket and the row. Where the CPU has AVX2, sixteen keys at a time
-// go through screen16 (screen16VL with AVX-512VL) instead, which runs the
+// go through screen16 (screen16Z with AVX-512) instead, which runs the
 // same steps in vector lanes and XORs word 0's rotations into C per lane;
 // finalE takes the last n mod 16. The E word those steps yield is probed in the set's word-4
 // filter; a key that passes is hashed in full and must pass Set.Contains,
@@ -141,7 +141,7 @@ func (s *RunSearcher) SearchRun(msg []byte, k int, n uint64, found [][]byte) [][
 	syms := len(tab0)
 	rows, word4 := s.rows, s.word4
 	if screenLevel != hostcpu.LevelGo && n >= 16 {
-		vl := screenLevel == hostcpu.LevelAVX512VL
+		zmm := screenLevel == hostcpu.LevelAVX512
 		var w, e [16]uint32
 		//keyvet:hotloop
 		for ; n >= 16; n -= 16 {
@@ -151,8 +151,8 @@ func (s *RunSearcher) SearchRun(msg []byte, k int, n uint64, found [][]byte) [][
 					d0, hi = 0, c.Carry()
 				}
 			}
-			if vl {
-				screen16VL(s, &w, &e)
+			if zmm {
+				screen16Z(s, &w, &e)
 			} else {
 				screen16(s, &w, &e)
 			}

@@ -70,14 +70,15 @@ func distinct(b []byte) []byte {
 }
 
 // screenPaths returns every kernel level the CPU runs, fastest first:
-// screen16VL with AVX-512VL, screen16 with AVX2, and finalE alone always.
+// screen16Z with AVX-512, screen16 with AVX2, and finalE alone always.
 func screenPaths() []hostcpu.Level { return hostcpu.Levels() }
 
 // FuzzSearchRun checks SearchRun, on each kernel the CPU can run, against
 // per-candidate crypto/sha1 and a linear scan of the corpus on random
 // templates, run widths, start digits, lengths and symbol sets. Two
 // digests are planted, at candidates plant and plant2 of the run — any
-// lane of either 8-lane group of a 16-key screen, the n mod 16 tail, the
+// lane of a 16-key screen (of either 8-lane group on YMM, of the one
+// 16-lane group on ZMM), the n mod 16 tail, the
 // first or last key before a carry among them, nowhere when ≥ n — beside
 // a decoy whose bytes [16:20] equal the word of candidate decoy, so that
 // candidate passes the word-4 filter and must be turned away by the
@@ -283,7 +284,7 @@ var screens16 = []struct {
 	screen func(*RunSearcher, *[16]uint32, *[16]uint32)
 }{
 	{"screen16", hostcpu.LevelAVX2, screen16},
-	{"screen16VL", hostcpu.LevelAVX512VL, screen16VL},
+	{"screen16Z", hostcpu.LevelAVX512, screen16Z},
 }
 
 // TestScreen16MatchesFinalE is the differential test of the vector
@@ -291,8 +292,8 @@ var screens16 = []struct {
 // output of each one the CPU runs must equal finalE on w[l] (fed the
 // bracket of w[l]'s high bytes and the row of its first byte, every byte
 // a symbol) and word 4 of SumPacked on the block with word 0 set to w[l].
-// Every other trial copies a lane's word into the same lane of the other
-// group.
+// Every other trial copies a lane's word into the same lane of screen16's
+// other group.
 func TestScreen16MatchesFinalE(t *testing.T) {
 	if hostcpu.Best == hostcpu.LevelGo {
 		t.Skip("no AVX2 on this CPU")
@@ -387,10 +388,11 @@ func BenchmarkSearchRun(b *testing.B)       { benchmarkSearchRun(b, 1) }
 func BenchmarkSearchRunCorpus(b *testing.B) { benchmarkSearchRun(b, 10000) }
 
 // TestScreenKernels logs the kernel SearchRun picks on this CPU and runs
-// one planted search on each kernel level, a subtest per kernel: run with
-// -v, a level the CPU cannot run shows as skipped, not as passed.
+// one planted search on each level hostcpu defines, a subtest per kernel:
+// run with -v, a level the CPU cannot run shows as skipped, not as
+// passed.
 func TestScreenKernels(t *testing.T) {
-	t.Logf("ScreenKernel() = %s (hostcpu.AVX2 %v, hostcpu.AVX512VL %v)", ScreenKernel(), hostcpu.AVX2, hostcpu.AVX512VL)
+	t.Logf("ScreenKernel() = %s (hostcpu.AVX2 %v, hostcpu.AVX512 %v)", ScreenKernel(), hostcpu.AVX2, hostcpu.AVX512)
 	defer func() { screenLevel = hostcpu.Best }()
 	symbols, msg := []byte("abcdefg"), []byte("bcaaTAIL")
 	key := runCandidate(symbols, msg, 4, 37)
@@ -399,7 +401,7 @@ func TestScreenKernels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, level := range []hostcpu.Level{hostcpu.LevelAVX512VL, hostcpu.LevelAVX2, hostcpu.LevelGo} {
+	for _, level := range hostcpu.All() {
 		screenLevel = level
 		t.Run(ScreenKernel(), func(t *testing.T) {
 			if level > hostcpu.Best {

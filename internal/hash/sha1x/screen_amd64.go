@@ -9,9 +9,10 @@ package sha1x
 //go:noescape
 func screen16(s *RunSearcher, w, e *[16]uint32)
 
-// screen16VL is screen16 lowered to AVX-512VL on the same YMM registers
-// and frame: one VPROLD per rotate and one VPTERNLOGD per round function.
-// It needs AVX-512F and AVX-512VL.
+// screen16Z is screen16 in one group of sixteen ZMM lanes, lowered to
+// AVX-512F: one VPROLD per rotate and one VPTERNLOGD per round function,
+// with word 0's rotations held in registers instead of a stack frame. It
+// needs AVX-512F.
 //
 //go:noescape
-func screen16VL(s *RunSearcher, w, e *[16]uint32)
+func screen16Z(s *RunSearcher, w, e *[16]uint32)

@@ -8,6 +8,6 @@ func screen16(*RunSearcher, *[16]uint32, *[16]uint32) {
 	panic("sha1x: screen16 is amd64 assembly")
 }
 
-func screen16VL(*RunSearcher, *[16]uint32, *[16]uint32) {
-	panic("sha1x: screen16VL is amd64 assembly")
+func screen16Z(*RunSearcher, *[16]uint32, *[16]uint32) {
+	panic("sha1x: screen16Z is amd64 assembly")
 }
