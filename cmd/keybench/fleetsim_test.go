@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -42,6 +43,39 @@ func TestFleetsimReportMatchesCheckedIn(t *testing.T) {
 			t.Errorf("%s: trace %s steal %s makespan %v commits %d steals %d;\nBENCH_sim.json %s: trace %s steal %s makespan %v commits %d steals %d",
 				sc.Name, g.TraceDigest, g.StealDigest, g.Makespan, g.Commits, g.Steals,
 				want.Scenarios[i].Name, w.TraceDigest, w.StealDigest, w.Makespan, w.Commits, w.Steals)
+		}
+	}
+}
+
+// TestShardplaneFailoverMatchesCheckedIn re-runs the failover table of
+// `keybench -shardplane` (not the wall-clock router bench) and requires
+// every field of every row except host_seconds to equal the tracked
+// BENCH_shardplane.json: the rehearsal is virtual-time and seeded, so a
+// change to lease order, crash handling or promotion shows up here.
+func TestShardplaneFailoverMatchesCheckedIn(t *testing.T) {
+	data, err := os.ReadFile("../../BENCH_shardplane.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want ShardplaneReport
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	scenarios := failoverScenarios(want.Quick)
+	if len(scenarios) != len(want.Failover) {
+		t.Fatalf("%d failover scenarios, BENCH_shardplane.json has %d", len(scenarios), len(want.Failover))
+	}
+	for i, s := range scenarios {
+		got, err := runFailoverScenario(s.name, s.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := want.Failover[i]
+		got.HostSeconds, w.HostSeconds = 0, 0
+		if !reflect.DeepEqual(got, w) {
+			g, _ := json.Marshal(got)
+			b, _ := json.Marshal(w)
+			t.Errorf("failover row %d differs from BENCH_shardplane.json:\n got  %s\n want %s", i, g, b)
 		}
 	}
 }

@@ -221,26 +221,20 @@ func runFailoverScenario(name string, cfg fleetsim.FailoverConfig) (FailoverScen
 	return sc, nil
 }
 
-// shardplaneMain runs the sharded control-plane benchmark and writes
-// the BENCH_shardplane.json document.
-func shardplaneMain(quick bool, out string) error {
-	rep := &ShardplaneReport{Quick: quick}
-	requests, nJobs := 2000, 24
+// namedFailover is one row of the failover table.
+type namedFailover struct {
+	name string
+	cfg  fleetsim.FailoverConfig
+}
+
+// failoverScenarios is the failover table of BENCH_shardplane.json:
+// a no-crash baseline, then a mid-run master crash against a
+// synchronous and a lagged replica.
+func failoverScenarios(quick bool) []namedFailover {
 	workers, maxLen := 60, 18 // ~520k keys per job
 	if quick {
-		requests, nJobs = 400, 12
 		workers, maxLen = 30, 16 // ~130k keys per job
 	}
-
-	fmt.Println("== Router overhead: sharded front-end vs direct job API ==")
-	rb, err := routerBench(3, nJobs, requests)
-	if err != nil {
-		return err
-	}
-	rep.Router = rb
-	fmt.Printf("get:  direct %8.0f ns/op  router %8.0f ns/op  (%.2fx)\n", rb.DirectGetNsPerOp, rb.RouterGetNsPerOp, rb.GetOverhead)
-	fmt.Printf("list: direct %8.0f ns/op  router %8.0f ns/op  (%.2fx, %d-shard fan-out)\n", rb.DirectListNsPerOp, rb.RouterListNsPerOp, rb.ListOverhead, rb.Shards)
-
 	spec := fleetSpec("ab", maxLen)
 	spec.Steal = false
 	base := fleetsim.FailoverConfig{
@@ -269,16 +263,33 @@ func shardplaneMain(quick bool, out string) error {
 	}
 	crashLag := crash
 	crashLag.ReplLag = 16
-
-	fmt.Println("== Failover rehearsal: virtual-time crash-promote cycles ==")
-	for _, s := range []struct {
-		name string
-		cfg  fleetsim.FailoverConfig
-	}{
+	return []namedFailover{
 		{"baseline-no-crash", base},
 		{"crash-sync-replica", crash},
 		{"crash-lagged-replica", crashLag},
-	} {
+	}
+}
+
+// shardplaneMain runs the sharded control-plane benchmark and writes
+// the BENCH_shardplane.json document.
+func shardplaneMain(quick bool, out string) error {
+	rep := &ShardplaneReport{Quick: quick}
+	requests, nJobs := 2000, 24
+	if quick {
+		requests, nJobs = 400, 12
+	}
+
+	fmt.Println("== Router overhead: sharded front-end vs direct job API ==")
+	rb, err := routerBench(3, nJobs, requests)
+	if err != nil {
+		return err
+	}
+	rep.Router = rb
+	fmt.Printf("get:  direct %8.0f ns/op  router %8.0f ns/op  (%.2fx)\n", rb.DirectGetNsPerOp, rb.RouterGetNsPerOp, rb.GetOverhead)
+	fmt.Printf("list: direct %8.0f ns/op  router %8.0f ns/op  (%.2fx, %d-shard fan-out)\n", rb.DirectListNsPerOp, rb.RouterListNsPerOp, rb.ListOverhead, rb.Shards)
+
+	fmt.Println("== Failover rehearsal: virtual-time crash-promote cycles ==")
+	for _, s := range failoverScenarios(quick) {
 		sc, err := runFailoverScenario(s.name, s.cfg)
 		if err != nil {
 			return err
