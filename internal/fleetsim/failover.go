@@ -5,16 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"math/rand"
 	"sort"
-	"time"
 
-	"keysearch/internal/core"
-	"keysearch/internal/dispatch"
 	"keysearch/internal/jobs"
 	"keysearch/internal/keyspace"
 	"keysearch/internal/shardplane"
-	"keysearch/internal/sim"
 )
 
 // FailoverConfig describes one master-crash rehearsal: a worker fleet
@@ -51,16 +46,9 @@ type FailoverConfig struct {
 	OnCommit func(promoted bool, jobID, tenant string, iv keyspace.Interval, tested uint64)
 }
 
-func (c FailoverConfig) leaseSeconds() float64 {
-	if c.LeaseSeconds <= 0 {
-		return 30
-	}
-	return c.LeaseSeconds
-}
-
-// FailoverResult is the trajectory of one rehearsal. Run has already
-// audited the exactly-once invariant (promoted-phase commits tile the
-// promotion-time remaining set exactly) before returning it.
+// FailoverResult is the trajectory of one rehearsal. RehearseFailover
+// has already audited the exactly-once invariant (promoted-phase commits
+// tile the promotion-time remaining set exactly) before returning it.
 type FailoverResult struct {
 	CrashAt    float64 `json:"crash_at_s"`    // -1 on the baseline
 	PromotedAt float64 `json:"promoted_at_s"` // -1 on the baseline
@@ -85,44 +73,28 @@ type FailoverResult struct {
 	TimeToFind float64 `json:"time_to_find_s"` // -1 = never
 }
 
-// failover is one in-progress rehearsal.
+// failover is one in-progress rehearsal: Run's fleet, driving first a
+// replicating master and then the replica promoted in its place.
 type failover struct {
-	cfg   FailoverConfig
-	eng   *sim.Engine
-	clock *sim.Virtual
+	*fleet
+	fcfg FailoverConfig
 
-	svc  *jobs.Service // the active service (master, then promoted)
-	link *shardplane.Link
-	rep  *jobs.Replica
-	fol  *shardplane.Follower
+	master *jobs.Store
+	rep    *jobs.Replica
+	fol    *shardplane.Follower
+	link   *shardplane.Link
 
-	execs []jobs.Executor
-	ws    []failWorker
-	idle  []int32
-	gen   uint64 // bumped at crash: invalidates every scheduled completion
-
-	down     bool // between crash and promotion
 	promoted bool
 	err      error // first fatal failure, sticky; reported after the engine drains
 
-	plants    map[string]uint64
-	foundJobs map[string]bool
-	doneJobs  map[string]bool
+	crashAt, promotedAt, firstCommitAfter float64
+	replicaSeq                            uint64
+	dropped                               int
 
 	// Exactness audit: the promotion-time remaining set per job, and
 	// the spans the promoted service committed against it.
 	remaining map[string][]keyspace.Interval
 	spans     map[string][]keyspace.Interval
-
-	res FailoverResult
-}
-
-type failWorker struct {
-	tput  float64
-	has   bool
-	idle  bool
-	epoch uint64
-	lease jobs.Lease
 }
 
 // RehearseFailover runs one configured rehearsal to completion in
@@ -130,99 +102,71 @@ type failWorker struct {
 // promoted service commits must tile the promotion-time remaining set
 // exactly — no gap, no overlap, no key outside it. Deterministic for a
 // fixed config (fresh directories assumed).
-func RehearseFailover(cfg FailoverConfig) (*FailoverResult, error) {
-	if cfg.Workers <= 0 {
-		return nil, errors.New("fleetsim: Workers must be positive")
-	}
-	if cfg.TputMin <= 0 || cfg.TputMax < cfg.TputMin {
-		return nil, fmt.Errorf("fleetsim: bad throughput range [%v, %v]", cfg.TputMin, cfg.TputMax)
-	}
-	if len(cfg.Submissions) == 0 {
-		return nil, errors.New("fleetsim: no submissions")
-	}
+func RehearseFailover(cfg FailoverConfig) (res *FailoverResult, err error) {
 	if cfg.MasterDir == "" || cfg.ReplicaDir == "" || cfg.MasterDir == cfg.ReplicaDir {
 		return nil, errors.New("fleetsim: MasterDir and ReplicaDir must be distinct")
 	}
 	if cfg.CrashAt >= 0 && cfg.DetectAfter < 0 {
 		return nil, errors.New("fleetsim: negative DetectAfter")
 	}
-
-	eng := sim.NewEngine()
-	if cfg.EventBudget > 0 {
-		eng.SetBudget(cfg.EventBudget)
-	}
 	f := &failover{
-		cfg:       cfg,
-		eng:       eng,
-		clock:     sim.NewVirtual(eng, time.Time{}),
-		ws:        make([]failWorker, cfg.Workers),
-		plants:    make(map[string]uint64),
-		foundJobs: make(map[string]bool),
-		doneJobs:  make(map[string]bool),
-		remaining: make(map[string][]keyspace.Interval),
-		spans:     make(map[string][]keyspace.Interval),
+		fcfg:             cfg,
+		crashAt:          -1,
+		promotedAt:       -1,
+		firstCommitAfter: -1,
+		remaining:        make(map[string][]keyspace.Interval),
+		spans:            make(map[string][]keyspace.Interval),
 	}
-	f.res = FailoverResult{CrashAt: -1, PromotedAt: -1, FirstCommitAfter: -1, TimeToFind: -1}
-
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	f.execs = make([]jobs.Executor, cfg.Workers)
-	for i := range f.ws {
-		tput := cfg.TputMin + rng.Float64()*(cfg.TputMax-cfg.TputMin)
-		f.ws[i] = failWorker{tput: tput}
-		f.execs[i] = &simExec{
-			name: fmt.Sprintf("w%06d", i),
-			tn:   core.Tuning{MinBatch: uint64(tput*cfg.leaseSeconds()) + 1, Throughput: tput},
-		}
+	f.fleet, err = newFleet(Config{
+		Workers:         cfg.Workers,
+		Seed:            cfg.Seed,
+		TputMin:         cfg.TputMin,
+		TputMax:         cfg.TputMax,
+		LeaseSeconds:    cfg.LeaseSeconds,
+		CheckpointEvery: cfg.CheckpointEvery,
+		Submissions:     cfg.Submissions,
+		Dir:             cfg.MasterDir,
+		EventBudget:     cfg.EventBudget,
+		OnCommit:        f.commit,
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Replica first, then the master wired to feed it through the real
 	// frame codec via the synchronous link.
-	rep, err := jobs.OpenReplica(cfg.ReplicaDir, jobs.ReplicaOptions{NoSync: true})
-	if err != nil {
+	if f.rep, err = jobs.OpenReplica(cfg.ReplicaDir, jobs.ReplicaOptions{NoSync: true}); err != nil {
 		return nil, err
 	}
-	f.rep = rep
-	f.fol = shardplane.NewFollower(rep)
+	defer func() {
+		if cerr := f.close(); err == nil && cerr != nil {
+			res, err = nil, cerr
+		}
+	}()
+	f.fol = shardplane.NewFollower(f.rep)
 	f.link = shardplane.NewLink(f.fol, cfg.ReplLag)
-
-	store, err := jobs.Open(cfg.MasterDir, jobs.StoreOptions{
+	f.master, err = jobs.Open(cfg.MasterDir, jobs.StoreOptions{
 		NoSync:   true,
 		Clock:    f.clock,
 		OnAppend: f.link.OnAppend,
 	})
 	if err != nil {
-		rep.Close()
 		return nil, err
 	}
-	if err := f.link.Seed(store.ExportSnapshot); err != nil {
-		store.Close()
-		rep.Close()
+	if err := f.link.Seed(f.master.ExportSnapshot); err != nil {
 		return nil, err
 	}
-	f.svc = jobs.NewService(store, f.execs, f.serviceOptions(false))
-	if err := f.svc.StartManual(context.Background()); err != nil {
-		store.Close()
-		rep.Close()
+	if err := f.start(f.master); err != nil {
 		return nil, err
 	}
-
-	for _, sub := range cfg.Submissions {
-		sub := sub
-		eng.Schedule(sub.At, func() { f.submit(sub) })
-	}
-	eng.Schedule(0, func() {
-		for i := range f.ws {
-			f.tryStart(int32(i))
-		}
-	})
+	f.begin()
 	if cfg.CrashAt >= 0 {
-		eng.Schedule(cfg.CrashAt, f.crash)
-		eng.Schedule(cfg.CrashAt+cfg.DetectAfter, f.promote)
+		f.eng.Schedule(cfg.CrashAt, f.crash)
+		f.eng.Schedule(cfg.CrashAt+cfg.DetectAfter, f.promote)
 	}
 
-	f.res.EngineEnd = eng.Run()
-	if eng.BudgetExceeded() {
-		return nil, fmt.Errorf("fleetsim: event budget of %d exceeded at t=%v (runaway rehearsal)", cfg.EventBudget, eng.Now())
+	if err := f.run(); err != nil {
+		return nil, err
 	}
 	if err := f.link.Err(); err != nil {
 		return nil, fmt.Errorf("fleetsim: replication link failed: %w", err)
@@ -236,123 +180,52 @@ func RehearseFailover(cfg FailoverConfig) (*FailoverResult, error) {
 		}
 	} else {
 		// Baseline: record where the tail ended up.
-		f.res.ReplicaSeq = f.fol.Seq()
-		f.rep.Close()
+		f.replicaSeq = f.fol.Seq()
 	}
-	f.res.JobsDone = len(f.doneJobs)
-	f.res.FoundJobs = len(f.foundJobs)
-	if err := f.svc.Shutdown(context.Background()); err != nil && !f.down {
-		return nil, err
-	}
-	store.Close() // the abandoned master store, when a crash happened
-	res := f.res
-	return &res, nil
+	return &FailoverResult{
+		CrashAt:          f.crashAt,
+		PromotedAt:       f.promotedAt,
+		FirstCommitAfter: f.firstCommitAfter,
+		Makespan:         f.res.Makespan,
+		EngineEnd:        f.res.EngineEnd,
+		ReplicaSeq:       f.replicaSeq,
+		DroppedRecords:   f.dropped,
+		Tested:           f.res.Tested,
+		Commits:          f.res.Commits,
+		JobsDone:         len(f.doneJobs),
+		FoundJobs:        len(f.foundJobs),
+		TimeToFind:       f.res.TimeToFind,
+	}, nil
 }
 
-func (f *failover) serviceOptions(promoted bool) jobs.Options {
-	return jobs.Options{
-		Clock:           f.clock,
-		CheckpointEvery: f.cfg.CheckpointEvery,
-		OnCommit: func(jobID, tenant string, iv keyspace.Interval, tested uint64) {
-			if promoted {
-				f.spans[jobID] = append(f.spans[jobID], iv.Clone())
-				if f.res.FirstCommitAfter < 0 {
-					f.res.FirstCommitAfter = f.eng.Now()
-				}
-			}
-			if f.cfg.OnCommit != nil {
-				f.cfg.OnCommit(promoted, jobID, tenant, iv, tested)
-			}
-		},
-		OnRequeue: func(string) { f.wake() },
+// close is the one teardown, on success and on every error path: it
+// stops the live service and releases both stores. A crashed master's
+// service is already dead, and its store was abandoned, not closed, so
+// that close's error is not the rehearsal's.
+func (f *failover) close() error {
+	var err error
+	if f.svc != nil && !f.down {
+		err = f.svc.Shutdown(context.Background())
 	}
+	if f.master != nil {
+		f.master.Close()
+	}
+	if rerr := f.rep.Close(); err == nil {
+		err = rerr
+	}
+	return err
 }
 
-func (f *failover) submit(sub Submission) {
-	if f.down {
-		return // the control plane is dead; this submission is lost
-	}
-	j, err := f.svc.Submit(sub.Tenant, sub.Priority, sub.Spec)
-	if err != nil {
-		return
-	}
-	if sub.Plant >= 0 {
-		f.plants[j.ID] = uint64(sub.Plant)
-	}
-	f.wake()
-}
-
-func (f *failover) wake() {
-	if len(f.idle) == 0 {
-		return
-	}
-	f.eng.Schedule(0, func() {
-		for len(f.idle) > 0 {
-			i := f.idle[len(f.idle)-1]
-			f.idle = f.idle[:len(f.idle)-1]
-			if w := &f.ws[i]; w.idle && !w.has {
-				w.idle = false
-				f.tryStart(i)
-				return
-			}
+// commit observes every lease the active service commits.
+func (f *failover) commit(jobID, tenant string, iv keyspace.Interval, tested uint64) {
+	if f.promoted {
+		f.spans[jobID] = append(f.spans[jobID], iv.Clone())
+		if f.firstCommitAfter < 0 {
+			f.firstCommitAfter = f.eng.Now()
 		}
-	})
-}
-
-func (f *failover) tryStart(i int32) {
-	w := &f.ws[i]
-	if f.down || w.has {
-		return
 	}
-	l, ok := f.svc.TryLease(int(i))
-	if !ok {
-		if !w.idle {
-			w.idle = true
-			f.idle = append(f.idle, i)
-		}
-		return
-	}
-	w.has, w.idle = true, false
-	w.lease = l
-	w.epoch++
-	ep, gen := w.epoch, f.gen
-	f.eng.Schedule(float64(l.N)/w.tput, func() { f.complete(i, ep, gen) })
-	f.wake() // one success chains the next idle attempt
-}
-
-func (f *failover) complete(i int32, epoch, gen uint64) {
-	w := &f.ws[i]
-	if gen != f.gen || epoch != w.epoch || !w.has {
-		return // the crash superseded this completion
-	}
-	l := w.lease
-	w.has = false
-	rep := &dispatch.Report{Tested: l.N}
-	lo := l.Interval.Start.Uint64()
-	if p, ok := f.plants[l.JobID]; ok && p >= lo && p < lo+l.N {
-		rep.Found = [][]byte{[]byte(fmt.Sprintf("plant@%d", p))}
-	}
-	if f.svc.Commit(l, rep) {
-		f.res.Commits++
-		f.res.Tested += l.N
-		f.res.Makespan = f.eng.Now()
-		if len(rep.Found) > 0 {
-			f.foundJobs[l.JobID] = true
-			if f.res.TimeToFind < 0 {
-				f.res.TimeToFind = f.eng.Now()
-			}
-		}
-		f.checkJobDone(l.JobID)
-	}
-	f.tryStart(i)
-}
-
-func (f *failover) checkJobDone(jobID string) {
-	if f.doneJobs[jobID] {
-		return
-	}
-	if j, err := f.svc.Get(jobID); err == nil && j.State.Terminal() {
-		f.doneJobs[jobID] = true
+	if f.fcfg.OnCommit != nil {
+		f.fcfg.OnCommit(f.promoted, jobID, tenant, iv, tested)
 	}
 }
 
@@ -361,28 +234,24 @@ func (f *failover) checkJobDone(jobID string) {
 // applied to the replica — is lost, exactly like unflushed frames on a
 // severed connection.
 func (f *failover) crash() {
-	f.down = true
-	f.gen++
+	f.masterDown()
 	f.svc.Kill()
-	f.res.DroppedRecords = f.link.Drop()
-	f.res.CrashAt = f.eng.Now()
-	for i := range f.ws {
-		f.ws[i].has, f.ws[i].idle = false, false
-	}
-	f.idle = f.idle[:0]
+	f.dropped = f.link.Drop()
+	f.crashAt = f.eng.Now()
 }
 
 // promote closes the replica and runs ordinary crash recovery over its
 // directory — never touching the master's disk — then records the
 // remaining set the exactness audit will check the promoted commits
-// against, and puts the fleet back to work.
+// against, and swaps the promoted store in under the fleet, which
+// leaves the master-down state and goes back to work.
 func (f *failover) promote() {
-	f.res.ReplicaSeq = f.rep.Seq()
+	f.replicaSeq = f.rep.Seq()
 	if err := f.rep.Close(); err != nil {
 		f.err = fmt.Errorf("fleetsim: closing replica: %w", err)
 		return
 	}
-	store, err := jobs.Open(f.cfg.ReplicaDir, jobs.StoreOptions{NoSync: true, Clock: f.clock})
+	store, err := jobs.Open(f.fcfg.ReplicaDir, jobs.StoreOptions{NoSync: true, Clock: f.clock})
 	if err != nil {
 		f.err = fmt.Errorf("fleetsim: promoting replica: %w", err)
 		return
@@ -390,22 +259,19 @@ func (f *failover) promote() {
 	for _, j := range store.List("") {
 		cp, err := store.Progress(j.ID)
 		if err != nil {
+			store.Close()
 			f.err = err
 			return
 		}
 		f.remaining[j.ID] = cp.Remaining
 	}
-	f.svc = jobs.NewService(store, f.execs, f.serviceOptions(true))
-	if err := f.svc.StartManual(context.Background()); err != nil {
+	if err := f.start(store); err != nil {
 		f.err = err
 		return
 	}
-	f.down = false
-	f.promoted = true
-	f.res.PromotedAt = f.eng.Now()
-	for i := range f.ws {
-		f.tryStart(int32(i))
-	}
+	f.down, f.promoted = false, true
+	f.promotedAt = f.eng.Now()
+	f.startAll()
 }
 
 // auditTiling proves the exactly-once invariant: per job, the sorted

@@ -192,10 +192,35 @@ func TestFailoverRejectsBadConfig(t *testing.T) {
 		{Workers: 1, TputMin: 0},
 		{Workers: 1, TputMin: 1, TputMax: 2},
 		{Workers: 1, TputMin: 1, TputMax: 2, Submissions: []Submission{{}}, MasterDir: dir, ReplicaDir: dir},
+		{Workers: 1, TputMin: 1, TputMax: 2, Submissions: []Submission{{}}, MasterDir: dir, ReplicaDir: t.TempDir(), CrashAt: 1, DetectAfter: -1},
+		{Workers: 1, TputMin: 1, TputMax: 2, Submissions: []Submission{{}}, ReplicaDir: dir},
 	}
 	for i, cfg := range bad {
 		if _, err := RehearseFailover(cfg); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
+	}
+}
+
+// TestFailoverErrorReleasesStores pins the error path's teardown: a
+// rehearsal that fails part-way (here: a runaway event budget) must
+// stop its service and close both stores before returning.
+func TestFailoverErrorReleasesStores(t *testing.T) {
+	fds := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("no /proc/self/fd: %v", err)
+		}
+		return len(ents)
+	}
+	cfg := failoverConfig(t, 7)
+	cfg.CrashAt = -1
+	cfg.EventBudget = 200
+	before := fds()
+	if _, err := RehearseFailover(cfg); err == nil {
+		t.Fatal("a 200-event budget did not abort the rehearsal")
+	}
+	if after := fds(); after > before {
+		t.Fatalf("%d open descriptors after the failed rehearsal, %d before: a store was left open", after, before)
 	}
 }

@@ -69,7 +69,7 @@ type Config struct {
 	// Schedule is nil.
 	Churn ChurnOptions
 	// Schedule overrides generated churn with an explicit event list.
-	Schedule []ChurnEvent
+	Schedule    []ChurnEvent
 	Submissions []Submission
 	// Dir is the store directory (WAL + snapshots live here).
 	Dir string
@@ -125,10 +125,10 @@ type Result struct {
 	FairnessJain float64           `json:"fairness_jain"`
 	TenantKeys   map[string]uint64 `json:"tenant_keys"`
 
-	TraceEvents uint64 `json:"trace_events"`
-	TraceDigest string `json:"trace_digest"`
-	StealDigest string `json:"steal_digest"`
-	JobsDone    int    `json:"jobs_done"`
+	TraceEvents uint64  `json:"trace_events"`
+	TraceDigest string  `json:"trace_digest"`
+	StealDigest string  `json:"steal_digest"`
+	JobsDone    int     `json:"jobs_done"`
 	EngineEnd   float64 `json:"engine_end_s"` // drained virtual clock (≥ makespan)
 }
 
@@ -195,8 +195,8 @@ func (h stragHeap) Less(i, j int) bool {
 	}
 	return h[i].idx < h[j].idx // deterministic tie-break
 }
-func (h stragHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *stragHeap) Push(x any)        { *h = append(*h, x.(stragEntry)) }
+func (h stragHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *stragHeap) Push(x any)   { *h = append(*h, x.(stragEntry)) }
 func (h *stragHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -205,18 +205,28 @@ func (h *stragHeap) Pop() any {
 	return x
 }
 
-// fleet is one in-progress run.
+// fleet is one in-progress run: the worker fleet, the engine and
+// clock it runs on, and the service it drives. Run drives one fleet to
+// completion; RehearseFailover drives the same fleet through a master
+// crash and a promotion.
 type fleet struct {
-	cfg   Config
-	eng   *sim.Engine
-	clock *sim.Virtual
-	svc   *jobs.Service
-	ws    []worker
-	idle  []int32
-	strag stragHeap
+	cfg      Config
+	eng      *sim.Engine
+	clock    *sim.Virtual
+	svc      *jobs.Service
+	execs    []jobs.Executor
+	schedule []ChurnEvent
+	ws       []worker
+	idle     []int32
+	strag    stragHeap
 
-	plants   map[string]uint64 // jobID -> planted identifier index
-	doneJobs map[string]bool
+	// down is the master-down state: between a master crash and its
+	// replacement, submissions are lost and no lease is issued.
+	down bool
+
+	plants    map[string]uint64 // jobID -> planted identifier index
+	doneJobs  map[string]bool
+	foundJobs map[string]bool // jobs with a committed find
 
 	res     Result
 	traceH  uint64 // FNV-1a over the event trace
@@ -260,6 +270,36 @@ func (f *fleet) trace(kind uint8, a, b, c uint64) {
 // contents — use a fresh directory) yields the same Result, digest for
 // digest.
 func Run(cfg Config) (*Result, error) {
+	f, err := newFleet(cfg)
+	if err != nil {
+		return nil, err
+	}
+	store, err := jobs.Open(cfg.Dir, jobs.StoreOptions{NoSync: true, Clock: f.clock})
+	if err != nil {
+		return nil, err
+	}
+	if err := f.start(store); err != nil {
+		return nil, err
+	}
+	f.begin()
+	if err := f.run(); err != nil {
+		f.svc.Shutdown(context.Background())
+		return nil, err
+	}
+	f.res.FairnessJain = jain(f.tenants, cfg.Weights)
+	f.res.JobsDone = len(f.doneJobs)
+	f.res.TraceDigest = fmt.Sprintf("fnv1a:%016x", f.traceH)
+	f.res.StealDigest = fmt.Sprintf("fnv1a:%016x", f.stealH)
+	if err := f.svc.Shutdown(context.Background()); err != nil {
+		return nil, err
+	}
+	res := f.res
+	return &res, nil
+}
+
+// newFleet validates cfg and builds the fleet: the seeded throughput
+// draw, one simulated executor per worker, the engine and its clock.
+func newFleet(cfg Config) (*fleet, error) {
 	if cfg.Workers <= 0 {
 		return nil, errors.New("fleetsim: Workers must be positive")
 	}
@@ -289,90 +329,105 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.EventBudget > 0 {
 		eng.SetBudget(cfg.EventBudget)
 	}
-	clock := sim.NewVirtual(eng, time.Time{})
 	f := &fleet{
-		cfg:      cfg,
-		eng:      eng,
-		clock:    clock,
-		ws:       make([]worker, cfg.Workers),
-		plants:   make(map[string]uint64),
-		doneJobs: make(map[string]bool),
-		tenants:  make(map[string]uint64),
-		traceH:   fnvOffset,
-		stealH:   fnvOffset,
+		cfg:       cfg,
+		eng:       eng,
+		clock:     sim.NewVirtual(eng, time.Time{}),
+		schedule:  schedule,
+		ws:        make([]worker, cfg.Workers),
+		execs:     make([]jobs.Executor, cfg.Workers),
+		plants:    make(map[string]uint64),
+		doneJobs:  make(map[string]bool),
+		foundJobs: make(map[string]bool),
+		tenants:   make(map[string]uint64),
+		traceH:    fnvOffset,
+		stealH:    fnvOffset,
 	}
 	f.res = Result{Workers: cfg.Workers, Seed: cfg.Seed, TimeToFind: -1, TenantKeys: f.tenants}
 
 	// Heterogeneous fleet: throughputs from the seeded stream, in index
 	// order, so the draw is part of the deterministic trace.
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	execs := make([]jobs.Executor, cfg.Workers)
 	for i := range f.ws {
 		tput := cfg.TputMin + rng.Float64()*(cfg.TputMax-cfg.TputMin)
 		f.ws[i] = worker{tput: tput, up: true}
-		execs[i] = &simExec{
+		f.execs[i] = &simExec{
 			name: fmt.Sprintf("w%06d", i),
 			tn:   core.Tuning{MinBatch: uint64(tput*cfg.leaseSeconds()) + 1, Throughput: tput},
 		}
 	}
+	return f, nil
+}
 
-	store, err := jobs.Open(cfg.Dir, jobs.StoreOptions{NoSync: true, Clock: clock})
-	if err != nil {
-		return nil, err
-	}
-	f.svc = jobs.NewService(store, execs, jobs.Options{
-		Sched:           jobs.SchedOptions{MaxRunning: cfg.MaxRunning, Weights: cfg.Weights},
-		Clock:           clock,
-		LeaseTimeout:    cfg.LeaseTimeout,
-		CheckpointEvery: cfg.CheckpointEvery,
+// start puts a service over store in front of the fleet and starts it
+// in manual-drive mode. On failure the store is closed and the fleet
+// keeps its previous service.
+func (f *fleet) start(store *jobs.Store) error {
+	svc := jobs.NewService(store, f.execs, jobs.Options{
+		Sched:           jobs.SchedOptions{MaxRunning: f.cfg.MaxRunning, Weights: f.cfg.Weights},
+		Clock:           f.clock,
+		LeaseTimeout:    f.cfg.LeaseTimeout,
+		CheckpointEvery: f.cfg.CheckpointEvery,
 		OnCommit: func(jobID, tenant string, iv keyspace.Interval, tested uint64) {
 			f.tenants[tenant] += tested
-			if cfg.OnCommit != nil {
-				cfg.OnCommit(jobID, tenant, iv, tested)
+			if f.cfg.OnCommit != nil {
+				f.cfg.OnCommit(jobID, tenant, iv, tested)
 			}
 		},
 		OnRequeue: func(jobID string) {
 			f.res.Requeues++
 			f.trace(evRequeue, fnvStr(jobID), 0, 0)
-			if len(f.idle) > 0 {
-				f.eng.Schedule(0, f.wakeOne)
-			}
+			f.chainWake()
 		},
 	})
-	if err := f.svc.StartManual(context.Background()); err != nil {
+	if err := svc.StartManual(context.Background()); err != nil {
 		store.Close()
-		return nil, err
+		return err
 	}
+	f.svc = svc
+	return nil
+}
 
-	for _, ev := range schedule {
-		ev := ev
-		eng.Schedule(ev.At, func() { f.churn(ev) })
+// begin schedules the scenario on a started fleet: churn, submissions,
+// then the bootstrap after the t=0 submissions (same timestamp, later
+// serial).
+func (f *fleet) begin() {
+	for _, ev := range f.schedule {
+		f.eng.Schedule(ev.At, func() { f.churn(ev) })
 	}
-	for _, sub := range cfg.Submissions {
-		sub := sub
-		eng.Schedule(sub.At, func() { f.submit(sub) })
+	for _, sub := range f.cfg.Submissions {
+		f.eng.Schedule(sub.At, func() { f.submit(sub) })
 	}
-	// Bootstrap after the t=0 submissions (same timestamp, later serial).
-	eng.Schedule(0, func() {
-		for i := range f.ws {
-			f.tryStart(int32(i))
-		}
-	})
+	f.eng.Schedule(0, f.startAll)
+}
 
-	f.res.EngineEnd = eng.Run()
-	if eng.BudgetExceeded() {
-		f.svc.Shutdown(context.Background())
-		return nil, fmt.Errorf("fleetsim: event budget of %d exceeded at t=%v (runaway simulation)", cfg.EventBudget, eng.Now())
+// run drains the engine and fails a run that hit its event budget.
+func (f *fleet) run() error {
+	f.res.EngineEnd = f.eng.Run()
+	if f.eng.BudgetExceeded() {
+		return fmt.Errorf("fleetsim: event budget of %d exceeded at t=%v (runaway simulation)", f.cfg.EventBudget, f.eng.Now())
 	}
-	f.res.FairnessJain = jain(f.tenants, cfg.Weights)
-	f.res.JobsDone = len(f.doneJobs)
-	f.res.TraceDigest = fmt.Sprintf("fnv1a:%016x", f.traceH)
-	f.res.StealDigest = fmt.Sprintf("fnv1a:%016x", f.stealH)
-	if err := f.svc.Shutdown(context.Background()); err != nil {
-		return nil, err
+	return nil
+}
+
+// masterDown enters the master-down state: every in-flight lease dies
+// with the master (its scheduled completion is cancelled), and no
+// worker waits idle on a service that is gone.
+func (f *fleet) masterDown() {
+	f.down = true
+	for i := range f.ws {
+		w := &f.ws[i]
+		w.epoch++
+		w.has, w.idle = false, false
 	}
-	res := f.res
-	return &res, nil
+	f.idle = f.idle[:0]
+}
+
+// startAll offers work to every worker, in index order.
+func (f *fleet) startAll() {
+	for i := range f.ws {
+		f.tryStart(int32(i))
+	}
 }
 
 // jain computes Jain's fairness index over per-tenant committed keys,
@@ -398,6 +453,9 @@ func jain(keys map[string]uint64, weights map[string]float64) float64 {
 }
 
 func (f *fleet) submit(sub Submission) {
+	if f.down {
+		return // the control plane is dead; this submission is lost
+	}
 	j, err := f.svc.Submit(sub.Tenant, sub.Priority, sub.Spec)
 	if err != nil {
 		// A rejected submission is part of the scenario, not a crash.
@@ -408,16 +466,14 @@ func (f *fleet) submit(sub Submission) {
 		f.plants[j.ID] = uint64(sub.Plant)
 	}
 	f.trace(evLease, fnvStr(j.ID), 0, 0)
-	if len(f.idle) > 0 {
-		f.eng.Schedule(0, f.wakeOne)
-	}
+	f.chainWake()
 }
 
 // tryStart gets worker i onto new work: lease first, then steal, then
 // park idle.
 func (f *fleet) tryStart(i int32) {
 	w := &f.ws[i]
-	if !w.up || w.has || w.leaving {
+	if f.down || !w.up || w.has || w.leaving {
 		return
 	}
 	if l, ok := f.svc.TryLease(int(i)); ok {
@@ -506,8 +562,11 @@ func (f *fleet) complete(i int32, epoch uint64) {
 		f.res.Commits++
 		f.res.Tested += l.N
 		f.res.Makespan = now
-		if len(rep.Found) > 0 && f.res.TimeToFind < 0 {
-			f.res.TimeToFind = now
+		if len(rep.Found) > 0 {
+			f.foundJobs[l.JobID] = true
+			if f.res.TimeToFind < 0 {
+				f.res.TimeToFind = now
+			}
 		}
 		f.trace(evCommit, uint64(i), l.ID, l.N)
 		f.checkJobDone(l.JobID)
