@@ -133,7 +133,7 @@ func runJobs(ctx context.Context, out io.Writer, listen, statusAddr string, jf j
 		return err
 	}
 	fmt.Fprintf(out, "job service: %d job(s) recovered, executor shares %v\n",
-		len(svc.List("")), svc.Shares())
+		svc.Count(), svc.Shares())
 
 	mux := http.NewServeMux()
 	mux.Handle("/", jobs.NewAPI(svc).Handler())

@@ -79,7 +79,7 @@ func runShardedJobs(ctx context.Context, out io.Writer, listen, statusAddr strin
 			closeAll()
 			return fmt.Errorf("shard %s: %w", name, err)
 		}
-		fmt.Fprintf(out, "shard %s: %d job(s) recovered\n", name, len(sh.Service().List("")))
+		fmt.Fprintf(out, "shard %s: %d job(s) recovered\n", name, sh.Service().Count())
 	}
 
 	plane, err := shardplane.NewPlane(shards, shardplane.RingOptions{})

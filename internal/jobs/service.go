@@ -486,9 +486,9 @@ func (s *Service) runnableTenantsLocked() []string {
 
 // admitLocked moves PENDING jobs to RUNNING while admission control
 // allows: a global cap on running jobs and a per-tenant quota.
-// Admission order is priority, then submission order. The cheap
-// pending-count check keeps the no-op case (the common one on the
-// lease hot path) off the full table scan.
+// Admission order is priority, then earliest SubmittedAt, then table
+// order. It reads only the store's pending index, so its cost does not
+// grow with the terminal jobs the table holds.
 func (s *Service) admitLocked() {
 	if s.draining || s.store.PendingCount() == 0 {
 		return
@@ -499,10 +499,7 @@ func (s *Service) admitLocked() {
 	}
 	for len(s.active) < s.opts.Sched.maxRunning() {
 		var best *Job
-		for _, j := range s.store.List("") {
-			if j.State != StatePending {
-				continue
-			}
+		for _, j := range s.store.Pending() {
 			if perTenant[j.Tenant] >= s.opts.Sched.tenantQuota() {
 				continue
 			}
@@ -1122,6 +1119,9 @@ func (s *Service) Get(id string) (Job, error) { return s.store.Get(id) }
 
 // List returns jobs in submission order, optionally filtered by tenant.
 func (s *Service) List(tenant string) []Job { return s.store.List(tenant) }
+
+// Count returns the number of jobs the service holds, in O(1).
+func (s *Service) Count() int { return s.store.Count() }
 
 // Watch subscribes to a job's events ("" = all jobs).
 func (s *Service) Watch(jobID string) (<-chan Event, func()) {

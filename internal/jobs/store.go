@@ -76,6 +76,7 @@ type jobRec struct {
 	remaining *big.Int            // cached cp.RemainingKeys(), kept in lockstep
 	subAt     time.Time
 	updAt     time.Time
+	pos       int // index in Store.order
 }
 
 // Store is the persistent job table: an in-memory map rebuilt on Open
@@ -84,16 +85,16 @@ type jobRec struct {
 // before the table changes, so the table on disk is never behind the
 // one in memory.
 type Store struct {
-	mu      sync.Mutex
-	dir     string
-	opts    StoreOptions
-	now     func() time.Time
-	tel     *storeTelemetry
-	log     *frame.Log
-	jobs    map[string]*jobRec
-	order   []string // submission order, for stable listings
-	dirty   int      // records appended since the last snapshot
-	pending int      // jobs in StatePending (admission fast path)
+	mu    sync.Mutex
+	dir   string
+	opts  StoreOptions
+	now   func() time.Time
+	tel   *storeTelemetry
+	log   *frame.Log
+	jobs  map[string]*jobRec
+	order []string  // table order: submission order, kept by snapshots
+	pend  []*jobRec // the StatePending jobs in table order, for admission
+	dirty int       // records appended since the last snapshot
 }
 
 // Open recovers (or creates) a store in dir: load the snapshot if one
@@ -184,10 +185,11 @@ func (s *Store) applySubmit(sr submitRecord) error {
 		remaining: new(big.Int).Set(size),
 		subAt:     at,
 		updAt:     at,
+		pos:       len(s.order),
 	}
 	s.jobs[sr.ID] = r
 	s.order = append(s.order, sr.ID)
-	s.pending++
+	s.pend = append(s.pend, r)
 	return nil
 }
 
@@ -199,10 +201,13 @@ func (s *Store) applyState(tr stateRecord) error {
 	if !tr.To.Valid() || !validTransition(r.state, tr.To) {
 		return fmt.Errorf("%w: job %s: %s -> %s", ErrTransition, tr.ID, r.state, tr.To)
 	}
-	if r.state == StatePending && tr.To != StatePending {
-		s.pending--
-	} else if r.state != StatePending && tr.To == StatePending {
-		s.pending++
+	if (r.state == StatePending) != (tr.To == StatePending) {
+		i, found := slices.BinarySearchFunc(s.pend, r.pos, func(p *jobRec, pos int) int { return p.pos - pos })
+		if found {
+			s.pend = slices.Delete(s.pend, i, i+1)
+		} else {
+			s.pend = slices.Insert(s.pend, i, r)
+		}
 	}
 	r.state = tr.To
 	r.reason = tr.Reason
@@ -355,13 +360,32 @@ func (s *Store) List(tenant string) []Job {
 	return out
 }
 
-// PendingCount returns the number of jobs in StatePending. Maintained
-// incrementally so the scheduler's admission check on the lease hot
-// path is O(1) instead of a table scan.
+// Pending returns snapshots of the StatePending jobs in submission
+// order. It reads the pending index apply keeps, so admission on the
+// lease path costs the same however many terminal jobs the table holds.
+func (s *Store) Pending() []Job {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]Job, len(s.pend))
+	for i, r := range s.pend {
+		out[i] = s.snapshotJob(r)
+	}
+	return out
+}
+
+// PendingCount returns the number of jobs in StatePending.
 func (s *Store) PendingCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.pending
+	return len(s.pend)
+}
+
+// Count returns the number of jobs in the table, without snapshotting
+// them.
+func (s *Store) Count() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.order)
 }
 
 // Tenants returns the distinct tenant names with jobs in the table.
@@ -502,7 +526,12 @@ func decodeSnapshot(data []byte) (*snapEnvelope, error) {
 	if env.Sum != want {
 		return nil, fmt.Errorf("%w: snapshot: checksum mismatch (file %s, content %s)", frame.ErrCorrupt, env.Sum, want)
 	}
+	seen := make(map[string]bool, len(env.Jobs))
 	for _, sj := range env.Jobs {
+		if seen[sj.ID] {
+			return nil, fmt.Errorf("%w: snapshot job %s: listed twice", frame.ErrCorrupt, sj.ID)
+		}
+		seen[sj.ID] = true
 		space, err := sj.Spec.Space()
 		if err != nil {
 			return nil, fmt.Errorf("%w: snapshot job %s: %v", frame.ErrCorrupt, sj.ID, err)
@@ -536,7 +565,7 @@ func (s *Store) loadSnapshot() (uint64, error) {
 		if err != nil {
 			return 0, fmt.Errorf("%w: snapshot job %s: %v", frame.ErrCorrupt, sj.ID, err)
 		}
-		s.jobs[sj.ID] = &jobRec{
+		r := &jobRec{
 			id:        sj.ID,
 			tenant:    sj.Tenant,
 			priority:  sj.Priority,
@@ -548,13 +577,16 @@ func (s *Store) loadSnapshot() (uint64, error) {
 			remaining: sj.CP.RemainingKeys(),
 			subAt:     time.Unix(0, sj.SubmittedAt),
 			updAt:     time.Unix(0, sj.UpdatedAt),
+			pos:       len(s.order),
 		}
+		s.jobs[sj.ID] = r
+		// The snapshot lists jobs in table order. Keep it: admission breaks
+		// ties by it, and IDs stop sorting in that order past j999999.
 		s.order = append(s.order, sj.ID)
 		if sj.State == StatePending {
-			s.pending++
+			s.pend = append(s.pend, r)
 		}
 	}
-	sort.Strings(s.order)
 	return env.Seq, nil
 }
 

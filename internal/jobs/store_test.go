@@ -11,6 +11,7 @@ import (
 	"math/big"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"keysearch/internal/dispatch"
@@ -326,6 +327,58 @@ func TestStoreCompact(t *testing.T) {
 	got, _ := s3.Get(a.ID)
 	if got.Tested != 4 || got.Remaining != "10" {
 		t.Fatalf("snapshot+stale-log replay: %+v", got)
+	}
+}
+
+// TestStoreSnapshotKeepsTableOrder: a compacted-and-reopened store lists
+// jobs in submission order past j999999, as WAL replay does; admission
+// breaks ties by that order.
+func TestStoreSnapshotKeepsTableOrder(t *testing.T) {
+	dir := t.TempDir()
+	s := testStore(t, dir)
+	if err := s.log.Reset(999997); err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for range 3 {
+		j, err := s.Submit("t", 0, testSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, j.ID)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, j := range reopen(t, dir).List("") {
+		got = append(got, j.ID)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("reopened table order %v, want submission order %v", got, want)
+	}
+}
+
+// TestStoreSnapshotDuplicateJobRefused: a snapshot that lists one job
+// twice, checksummed correctly, is refused rather than loaded as a table
+// whose order and pending index disagree with its job map.
+func TestStoreSnapshotDuplicateJobRefused(t *testing.T) {
+	sj := snapJob{ID: "j1", Tenant: "t", Spec: testSpec(), State: StatePending,
+		CP: *dispatch.NewCheckpoint([]keyspace.Interval{keyspace.NewInterval(0, 14)}, 0, nil)}
+	body := snapBody{Seq: 2, Jobs: []snapJob{sj, sj}}
+	sum, err := snapSum(&body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, snapFile), mustJSON(t, snapEnvelope{snapBody: body, Sum: sum}), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := Open(dir, StoreOptions{NoSync: true}); !errors.Is(err, frame.ErrCorrupt) {
+		if err == nil {
+			s.Close()
+		}
+		t.Fatalf("Open = %v, want ErrCorrupt", err)
 	}
 }
 

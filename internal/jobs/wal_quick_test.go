@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -88,13 +89,30 @@ func recordBoundaries(t *testing.T, data []byte) []int {
 }
 
 // checkConsistent verifies the package invariant over a recovered
-// table: valid states, per-job tested+remaining inside the space, and
-// the summed tested counter never exceeding the summed keyspace.
+// table: valid states, per-job tested+remaining inside the space, the
+// summed tested counter never exceeding the summed keyspace, and the
+// pending index holding exactly the PENDING jobs in table order.
 func checkConsistent(t *testing.T, s *Store, seed int64, prefix int) bool {
 	t.Helper()
+	all := s.List("")
+	var want []string
+	for _, j := range all {
+		if j.State == StatePending {
+			want = append(want, j.ID)
+		}
+	}
+	var got []string
+	for _, j := range s.Pending() {
+		got = append(got, j.ID)
+	}
+	if !slices.Equal(got, want) || s.PendingCount() != len(want) || s.Count() != len(all) {
+		t.Logf("seed %d prefix %d: pending index %v (count %d), table scan %v; Count %d of %d",
+			seed, prefix, got, s.PendingCount(), want, s.Count(), len(all))
+		return false
+	}
 	sumTested := new(big.Int)
 	sumSpace := new(big.Int)
-	for _, j := range s.List("") {
+	for _, j := range all {
 		if !j.State.Valid() {
 			t.Logf("seed %d prefix %d: job %s invalid state %d", seed, prefix, j.ID, j.State)
 			return false

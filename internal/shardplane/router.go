@@ -134,7 +134,7 @@ func (rt *Router) shards(w http.ResponseWriter, r *http.Request) {
 	for _, sh := range rt.plane.Shards() {
 		resp.Shards = append(resp.Shards, shardInfo{
 			Name:  sh.Name(),
-			Jobs:  len(sh.Service().List("")),
+			Jobs:  sh.Service().Count(),
 			Acked: sh.Acked(),
 		})
 	}
