@@ -9,7 +9,7 @@ import (
 
 // screenLevel is the screen SearchRun runs: with AVX-512, thirty-two
 // candidates per call through screen32; with AVX2 the same thirty-two
-// through two screen16 calls; otherwise two with screen2. It is set once,
+// through screen16; otherwise two with screen2. It is set once,
 // from the CPUID probe; only tests change it, to run every path the host
 // can run.
 var screenLevel = hostcpu.Best
@@ -18,11 +18,11 @@ var screenLevel = hostcpu.Best
 // consecutive keys of one length that share every byte from position k on
 // and so differ only in packed word 0 (k ≤ 4). Per run it packs the
 // message and builds the ReverseContext once, then enumerates word 0 with
-// a runword.Counter — Section V's "next applied to the packed form" — and
-// screens thirty-two candidates at a time in vector lanes where the CPU
-// has them — screen32 with AVX-512, screen16 twice with AVX2 — and two at
-// a time with the interleaved screen2 otherwise and for the last n mod
-// 32, confirming a surviving lane with Test.
+// a runword.Counter — Section V's "next applied to the packed form". In
+// vector lanes where the CPU has them, screen32 (AVX-512) or screen16
+// (AVX2) generates thirty-two words 0 per call from the counter's block
+// form and returns a hit mask; screen2 takes two at a time otherwise and
+// for the last n mod 32. Test confirms a surviving lane.
 //
 // A RunSearcher is not safe for concurrent use; each worker owns one.
 type RunSearcher struct {
@@ -34,7 +34,7 @@ type RunSearcher struct {
 
 // ScreenKernel names the screen SearchRun runs on this CPU: "avx512x32"
 // (screen32, thirty-two candidates per call in ZMM lanes, AVX-512F),
-// "avx2x16" (screen16, sixteen per call in YMM lanes, AVX2) or "go2"
+// "avx2x16" (screen16, sixteen at a time in YMM lanes, AVX2) or "go2"
 // (screen2, two interleaved scalar lanes).
 func ScreenKernel() string {
 	switch screenLevel {
@@ -50,7 +50,7 @@ func ScreenKernel() string {
 // given symbols, in digit order (at most 256, no duplicates — a
 // keyspace.Charset's). symbols is not copied and must not change.
 func NewRunSearcher(digest [Size]byte, symbols []byte) *RunSearcher {
-	return &RunSearcher{target: StateWords(digest), ctr: runword.New(symbols, false)}
+	return &RunSearcher{target: StateWords(digest), ctr: runword.New(symbols, false, 32)}
 }
 
 // SearchRun tests the n messages that follow msg in prefix-major order,
@@ -75,32 +75,27 @@ func (s *RunSearcher) SearchRun(msg []byte, k int, n uint64, found [][]byte) [][
 		return found
 	}
 	hi, d0 := c.Start(s.block[0])
-	tab0 := c.Tab0()
-	syms := len(tab0)
 	if screenLevel != hostcpu.LevelGo && n >= 32 {
-		zmm := screenLevel == hostcpu.LevelAVX512
+		screen := screen16
+		if screenLevel == hostcpu.LevelAVX512 {
+			screen = screen32
+		}
+		c.Block()
 		var w [32]uint32
 		//keyvet:hotloop
 		for ; n >= 32; n -= 32 {
-			for l := range w {
-				w[l] = hi | tab0[d0]
-				if d0++; d0 == syms {
-					d0, hi = 0, c.Carry()
-				}
-			}
-			var hit uint
-			if zmm {
-				hit = screen32(&s.rc, &w)
-			} else {
-				hit = screen16(&s.rc, (*[16]uint32)(w[:16])) | screen16(&s.rc, (*[16]uint32)(w[16:]))<<16
-			}
-			for ; hit != 0; hit &= hit - 1 {
+			win, high, next, lim := c.Window()
+			for hit := screen(&s.rc, &w, (*[32]uint32)(win), high, next, lim); hit != 0; hit &= hit - 1 {
 				if l := bits.TrailingZeros(hit); s.rc.Test(w[l]) {
 					found = append(found, c.Key(msg, w[l])) //keyvet:allow hotloop (solution copy, as in core.SearchEach)
 				}
 			}
+			c.Advance()
 		}
+		hi, d0 = c.Unblock()
 	}
+	tab0 := c.Tab0()
+	syms := len(tab0)
 	var w [2]uint32
 	//keyvet:hotloop
 	for ; n >= 2; n -= 2 {

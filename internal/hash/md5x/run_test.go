@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"keysearch/internal/hash/hostcpu"
+	"keysearch/internal/hash/runword"
 )
 
 // runCandidate returns the i-th message of the run that starts at msg:
@@ -40,7 +41,10 @@ func FuzzSearchRun(f *testing.F) {
 	// one-symbol set, one past a single block, then lanes 8 and 23 (the
 	// second YMM group) and the 2-lane part of the tail, then lanes 16 and
 	// 31 (the second ZMM group) and the 2-lane and odd parts of a tail
-	// past 32.
+	// past 32, then three, five and six symbols, whose runword blocks
+	// (81, 125 and 36 low values) carry into the high part mid-pass, with
+	// the key in the last lane before a carry and the first after the
+	// table's wrap — six symbols' carry ripples through two positions.
 	f.Add([]byte("abcdefghijklmnopqrst"), []byte("aaaaSUFFIX"), uint8(4), uint16(64), uint16(0))
 	f.Add([]byte("abcdefghijklmnopqrst"), []byte("taaaSUFFIX"), uint8(4), uint16(64), uint16(1))
 	f.Add([]byte("abcdefghijklmnopqrst"), []byte("bcaaSUFFIX"), uint8(4), uint16(65), uint16(6))
@@ -58,6 +62,11 @@ func FuzzSearchRun(f *testing.F) {
 	f.Add([]byte("abcdefghijklmnopqrst"), []byte("ahaaSUFFIX"), uint8(4), uint16(50), uint16(31))
 	f.Add([]byte("abcdefghijklmnopqrst"), []byte("bcaaSUFFIX"), uint8(4), uint16(45), uint16(40))
 	f.Add([]byte("abcdefghijklmnopqrst"), []byte("bcaaSUFFIX"), uint8(4), uint16(45), uint16(44))
+	f.Add([]byte("abc"), []byte("cbaaSUFFIX"), uint8(4), uint16(70), uint16(31))
+	f.Add([]byte("abcde"), []byte("aaeaSUFFIX"), uint8(4), uint16(64), uint16(24))
+	f.Add([]byte("abcde"), []byte("aaeaSUFFIX"), uint8(4), uint16(64), uint16(25))
+	f.Add([]byte("abcdef"), []byte("cdfaSUFFIX"), uint8(4), uint16(80), uint16(15))
+	f.Add([]byte("abcdef"), []byte("cdfaSUFFIX"), uint8(4), uint16(80), uint16(52))
 	f.Fuzz(func(t *testing.T, symbols, msg []byte, rawK uint8, rawN, plant uint16) {
 		symbols = distinct(symbols)
 		if len(symbols) == 0 || len(msg) > 80 {
@@ -180,27 +189,26 @@ func step45(block [16]uint32, w0 uint32) uint32 {
 	return b
 }
 
-// screens32 are the vector screens on thirty-two candidates, each with
-// the level it needs: two screen16 calls, one per half, or one screen32.
+// screens32 are the vector screens, each with the level it needs.
 var screens32 = []struct {
 	name   string
 	level  hostcpu.Level
-	screen func(*ReverseContext, *[32]uint32) uint
+	screen func(r *ReverseContext, w, win *[32]uint32, hi, next uint32, lim int32) uint
 }{
-	{"screen16", hostcpu.LevelAVX2, func(r *ReverseContext, w *[32]uint32) uint {
-		return screen16(r, (*[16]uint32)(w[:16])) | screen16(r, (*[16]uint32)(w[16:]))<<16
-	}},
+	{"screen16", hostcpu.LevelAVX2, screen16},
 	{"screen32", hostcpu.LevelAVX512, screen32},
 }
 
 // TestScreen16MatchesScreen2 is the differential test of the vector
-// screens: over random templates and targets, the 32-bit mask of each one
-// the CPU runs must equal sixteen screen2 calls' and the scalar step-45
-// reference, lane by lane. Each trial forces a hit into a chosen lane,
-// cycling through all thirty-two, and every other trial copies the word
-// into the same lane of the other group — of screen32's two groups of
-// sixteen, or of screen16's two of eight: a real preimage (Test accepts
-// it) or a collision in rev[0] alone (Test refuses it).
+// screens: over random templates, targets and word-0 inputs (a random
+// window, high parts and carry lane), the words each screen the CPU runs
+// stores must be window | high part lane by lane, and its 32-bit mask
+// must equal sixteen screen2 calls' on those words and the scalar step-45
+// reference. Each trial forces a hit into a chosen lane, cycling through
+// all thirty-two, and every other trial copies the word into the same
+// lane of the other group — of screen32's two groups of sixteen, or of
+// screen16's two of eight: a real preimage (Test accepts it) or a
+// collision in rev[0] alone (Test refuses it).
 func TestScreen16MatchesScreen2(t *testing.T) {
 	if hostcpu.Best == hostcpu.LevelGo {
 		t.Skip("no AVX2 on this CPU")
@@ -209,21 +217,30 @@ func TestScreen16MatchesScreen2(t *testing.T) {
 	var rc ReverseContext
 	for trial := 0; trial < 6000; trial++ {
 		var block [16]uint32
-		var w [32]uint32
+		var win, w [32]uint32
 		for i := range block {
 			block[i] = rng.Uint32()
 		}
-		for l := range w {
-			w[l] = rng.Uint32()
+		for l := range win {
+			win[l] = rng.Uint32()
 		}
+		hi, next, lim := rng.Uint32(), rng.Uint32(), int32(trial%35)
 		target := [4]uint32{rng.Uint32(), rng.Uint32(), rng.Uint32(), rng.Uint32()}
 		lane := trial % 32
 		kind := trial / 32 % 3 // 0: preimage, 1: rev[0] collision, 2: none
 		switch trial % 4 {
-		case 0:
-			w[lane^16] = w[lane]
+		case 0: // one high part, so equal windows make equal words
+			next = hi
+			win[lane^16] = win[lane]
 		case 2:
-			w[lane^8] = w[lane]
+			next = hi
+			win[lane^8] = win[lane]
+		}
+		for l := range w {
+			w[l] = win[l] | next
+			if int32(l) < lim {
+				w[l] = win[l] | hi
+			}
 		}
 		if kind == 0 {
 			pre := block
@@ -254,12 +271,91 @@ func TestScreen16MatchesScreen2(t *testing.T) {
 			if s.level > hostcpu.Best {
 				continue
 			}
-			if got := s.screen(&rc, &w); got != ref {
-				t.Fatalf("trial %d: %s mask %032b, reference %032b", trial, s.name, got, ref)
+			var got [32]uint32
+			if hit := s.screen(&rc, &got, &win, hi, next, lim); hit != ref || got != w {
+				t.Fatalf("trial %d: %s mask %032b, words %08x; reference %032b, %08x", trial, s.name, hit, got, ref, w)
 			}
 		}
 		if kind != 2 && rc.Test(w[lane]) != (kind == 0) {
 			t.Fatalf("trial %d: Test(lane %d) = %v for a %s", trial, lane, kind != 0, []string{"preimage", "rev[0] collision"}[kind])
+		}
+	}
+}
+
+// TestScreenWord0MatchesRunword is the oracle of word 0 generated in the
+// vector screens: from every low value of the runword block's table, two
+// calls advanced as SearchRun advances them — across the table's wrap and
+// the high part's carry, which ripples on through a digit at its last
+// value — must store exactly the packed word 0 of the test's own
+// digit-by-digit count, on every screen the CPU runs, for charsets on both
+// sides of the lane count, with four key bytes in word 0 and with three
+// and the pad. Past the run's last value the count wraps, as runword's
+// does. Two symbols have no block: four positions hold sixteen keys.
+func TestScreenWord0MatchesRunword(t *testing.T) {
+	if hostcpu.Best == hostcpu.LevelGo {
+		t.Skip("no AVX2 on this CPU")
+	}
+	var rc ReverseContext
+	var block [16]uint32
+	for _, size := range []int{2, 3, 5, 6, 7, 16, 17, 18, 20, 31, 32, 33, 95} {
+		symbols := make([]byte, size)
+		for i := range symbols {
+			symbols[i] = byte(' ' + i)
+		}
+		ctr := runword.New(symbols, false, 32)
+		m, period := 1, size // the block: the fewest positions with period ≥ 32 keys
+		for period < 32 && m < 4 {
+			m, period = m+1, period*size
+		}
+		if period < 32 {
+			continue
+		}
+		for _, k := range []int{4, 3} {
+			if m > k {
+				continue
+			}
+			for _, s := range screens32 {
+				if s.level > hostcpu.Best {
+					continue
+				}
+				for pos0 := 0; pos0 < period; pos0++ {
+					msg := []byte("....TAIL")[:2*k]
+					for p, v := 0, pos0; p < k; p++ {
+						switch {
+						case p < m:
+							msg[p] = symbols[v%size]
+							v /= size
+						case p == m:
+							msg[p] = symbols[size-1]
+						default:
+							msg[p] = symbols[0]
+						}
+					}
+					if k == 3 {
+						msg = msg[:3] // the pad is word 0's byte 3
+					}
+					ctr.Seek(msg, k, 1)
+					_ = PackKey(msg, &block)
+					ctr.Start(block[0])
+					ctr.Block()
+					if _, _, _, lim := ctr.Window(); lim != int32(period-pos0) {
+						t.Fatalf("%d symbols: Block at %q leaves %d keys before the wrap, want %d", size, msg, lim, period-pos0)
+					}
+					for call := 0; call < 2; call++ {
+						win, high, next, lim := ctr.Window()
+						var w [32]uint32
+						s.screen(&rc, &w, (*[32]uint32)(win), high, next, lim)
+						for l, got := range w {
+							i := uint64(32*call + l)
+							_ = PackKey(runCandidate(symbols, msg, k, i), &block)
+							if got != block[0] {
+								t.Fatalf("%s, %d symbols, run from %q: key %d has word 0 %08x, want %08x", s.name, size, msg, i, got, block[0])
+							}
+						}
+						ctr.Advance()
+					}
+				}
+			}
 		}
 	}
 }
@@ -278,14 +374,46 @@ func BenchmarkReverseContextTest(b *testing.B) {
 	}
 }
 
-func BenchmarkSearchRun(b *testing.B) {
-	symbols := []byte("abcdefghijklmnopqrstuvwxyz")
-	s := NewRunSearcher(md5.Sum([]byte("no key")), symbols)
+func benchmarkSearchRun(b *testing.B, symbols string) {
+	s := NewRunSearcher(md5.Sum([]byte("no key")), []byte(symbols))
 	msg := []byte("aaaabc")
-	const run = 26 * 26 * 26 * 26
+	run := len(symbols) * len(symbols) * len(symbols) * len(symbols)
 	b.ResetTimer()
 	for left := b.N; left > 0; left -= run {
 		sinkHit += uint(len(s.SearchRun(msg, 4, uint64(min(left, run)), nil)))
+	}
+}
+
+// BenchmarkSearchRun is the run walk per key over 26 symbols, and
+// BenchmarkSearchRun20 over the 20 of the fleet workloads' MD5 jobs.
+func BenchmarkSearchRun(b *testing.B)   { benchmarkSearchRun(b, "abcdefghijklmnopqrstuvwxyz") }
+func BenchmarkSearchRun20(b *testing.B) { benchmarkSearchRun(b, "abcdefghijklmnopqrst") }
+
+// BenchmarkScreen is the vector screen SearchRun runs, alone, per key:
+// one call per 32 keys on a 20-symbol block's table window, with the high
+// part counting up per call as it does on the walk. BenchmarkSearchRun20 ÷
+// BenchmarkScreen is what the Go around the screen costs.
+func BenchmarkScreen(b *testing.B) {
+	screen := screen16
+	switch screenLevel {
+	case hostcpu.LevelGo:
+		b.Skip("no vector screen on this CPU")
+	case hostcpu.LevelAVX512:
+		screen = screen32
+	}
+	s := NewRunSearcher(md5.Sum([]byte("no key")), []byte("abcdefghijklmnopqrst"))
+	msg := []byte("aaaabc")
+	s.ctr.Seek(msg, 4, 1)
+	_ = PackKey(msg, &s.block)
+	s.rc.reset(s.target, &s.block)
+	s.ctr.Start(s.block[0])
+	s.ctr.Block()
+	win, _, _, lim := s.ctr.Window()
+	var w [32]uint32
+	b.ResetTimer()
+	for i := 0; i < b.N; i += 32 {
+		hi := uint32(i) << 16 // key bytes 2 and 3
+		sinkHit += screen(&s.rc, &w, (*[32]uint32)(win), hi, hi+1<<16, lim)
 	}
 }
 

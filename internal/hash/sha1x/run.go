@@ -62,23 +62,25 @@ func W0Rotations() (mask [80]uint32) {
 // bracket, and per symbol, once, the row of L_t(lo). Per key it counts
 // word 0 with a runword.Counter and runs the generated straight-line
 // steps 0..75 (finalE), reading each reached schedule word as one XOR of
-// the bracket and the row. Where the CPU has AVX2, sixteen keys at a time
-// go through screen16 (screen16Z with AVX-512) instead, which runs the
-// same steps in vector lanes and XORs word 0's rotations into C per lane;
-// finalE takes the last n mod 16. The E word those steps yield is probed in the set's word-4
-// filter; a key that passes is hashed in full and must pass Set.Contains,
-// the Bloom pre-screen and exact confirm, so a solution's whole digest
-// matches.
+// the bracket and the row, and probes the E word in the set's word-4
+// filter. With AVX2, screen16 (screen16Z with AVX-512) takes sixteen keys
+// per call instead: it generates word 0 from the counter's block form,
+// runs the same steps in vector lanes, XORing word 0's rotations into C,
+// and probes the E words itself, returning a hit mask; finalE takes the
+// last n mod 16. A key that passes the probe is hashed in full and must
+// pass Set.Contains, the Bloom pre-screen and exact confirm.
 //
 // A RunSearcher is not safe for concurrent use; each worker owns one.
 type RunSearcher struct {
-	set   *targetset.Set
-	word4 targetset.WordFilter
-	ctr   runword.Counter
-	rows  []uint32 // rows[d*w0Reach+j]: L_t of symbol d as the first key byte, t = w0Steps[j]
-	block [16]uint32
-	c     [ExitStep + 1]uint32 // the run's schedule with W[0] = 0
-	add   [ExitStep + 1]uint32 // per step: C[t] + K, or C[t] ^ L_t(hi) where W[0] reaches
+	set           *targetset.Set
+	word4         targetset.WordFilter
+	fbits         *uint64 // with fmask and fshift, word4's Layout, which the vector kernels probe
+	fmask, fshift uint32
+	ctr           runword.Counter
+	rows          []uint32 // rows[d*w0Reach+j]: L_t of symbol d as the first key byte, t = w0Steps[j]
+	block         [16]uint32
+	c             [ExitStep + 1]uint32 // the run's schedule with W[0] = 0
+	add           [ExitStep + 1]uint32 // per step: C[t] + K, or C[t] ^ L_t(hi) where W[0] reaches
 }
 
 // w0Steps lists the steps 1..ExitStep that word 0 reaches, in the order
@@ -103,7 +105,8 @@ func NewRunSearcher(set *targetset.Set, symbols []byte) (*RunSearcher, error) {
 	if !ok || set.DigestSize() != Size {
 		return nil, fmt.Errorf("sha1x: target set holds %d-byte digests, want %d", set.DigestSize(), Size)
 	}
-	s := &RunSearcher{set: set, word4: word4, ctr: runword.New(symbols, true)}
+	bitmap, mask, shift := word4.Layout()
+	s := &RunSearcher{set: set, word4: word4, fbits: &bitmap[0], fmask: mask, fshift: shift, ctr: runword.New(symbols, true, 16)}
 	s.rows = make([]uint32, len(symbols)*w0Reach)
 	for d, lo := range s.ctr.Tab0() {
 		for j, t := range w0Steps {
@@ -137,34 +140,30 @@ func (s *RunSearcher) SearchRun(msg []byte, k int, n uint64, found [][]byte) [][
 	}
 	s.split()
 	hi, d0 := c.Start(s.block[0])
-	tab0 := c.Tab0()
-	syms := len(tab0)
-	rows, word4 := s.rows, s.word4
 	if screenLevel != hostcpu.LevelGo && n >= 16 {
-		zmm := screenLevel == hostcpu.LevelAVX512
-		var w, e [16]uint32
+		screen := screen16
+		if screenLevel == hostcpu.LevelAVX512 {
+			screen = screen16Z
+		}
+		c.Block()
+		var w [16]uint32
 		//keyvet:hotloop
 		for ; n >= 16; n -= 16 {
-			for l := range w {
-				w[l] = hi | tab0[d0]
-				if d0++; d0 == syms {
-					d0, hi = 0, c.Carry()
-				}
-			}
-			if zmm {
-				screen16Z(s, &w, &e)
-			} else {
-				screen16(s, &w, &e)
-			}
-			for l, x := range e {
-				if word4.MayContain(x) && s.confirm(w[l]) {
+			win, high, next, lim := c.Window()
+			for hit := screen(s, &w, (*[16]uint32)(win), high, next, lim); hit != 0; hit &= hit - 1 {
+				if l := bits.TrailingZeros(hit); s.confirm(w[l]) {
 					found = append(found, c.Key(msg, w[l])) //keyvet:allow hotloop (solution copy, as in core.SearchEach)
 				}
 			}
+			c.Advance()
 		}
+		hi, d0 = c.Unblock()
 	}
-	// screen16 moves hi without refolding the bracket: fold it once for
-	// the keys finalE takes.
+	tab0 := c.Tab0()
+	syms := len(tab0)
+	rows, word4 := s.rows, s.word4
+	// The vector kernels move the high part without refolding the
+	// bracket: fold it once for the keys finalE takes.
 	s.rehigh(hi)
 	//keyvet:hotloop
 	for ; n > 0; n-- {

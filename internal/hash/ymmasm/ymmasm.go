@@ -6,7 +6,10 @@
 // schedule.
 package ymmasm
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Lowering is the instruction set and register width a screen is emitted
 // in: AVX2 on YMM registers, or AVX-512F on ZMM registers.
@@ -31,9 +34,9 @@ func (l Lowering) Bytes() int {
 }
 
 // Op spells the AVX2 mnemonic op as the Lowering emits it. On ZMM the
-// moves and the XOR exist only in EVEX forms that name an element width,
-// VMOVDQU32, VMOVDQA32 and VPXORD; every other mnemonic the screens use
-// is spelt the same at both widths.
+// moves and the bitwise operations exist only in EVEX forms that name an
+// element width, VMOVDQU32, VMOVDQA32, VPXORD, VPANDD and VPORD; every
+// other mnemonic the screens use is spelt the same at both widths.
 func (l Lowering) Op(op string) string {
 	if !l.ZMM {
 		return op
@@ -41,10 +44,56 @@ func (l Lowering) Op(op string) string {
 	switch op {
 	case "VMOVDQU", "VMOVDQA":
 		return op + "32"
-	case "VPXOR":
-		return "VPXORD"
+	case "VPXOR", "VPAND", "VPOR":
+		return op + "D"
 	}
 	return op
+}
+
+// Broadcast returns register n = the 32-bit value at src in every lane,
+// through the general register gp and Xn: src is a frame argument, which
+// go vet's asmdecl requires to be read by an instruction of its size.
+func (l Lowering) Broadcast(src, gp string, n int) []string {
+	return []string{
+		fmt.Sprintf("MOVL %s, %s", src, gp),
+		fmt.Sprintf("VMOVD %s, X%d", gp, n),
+		fmt.Sprintf("VPBROADCASTD X%d, %s", n, l.Reg(n)),
+	}
+}
+
+// Word0 returns the instructions that generate a group's word 0 in the
+// run screens: lane l of dst is win[l] | hi where index[l] < lim, and
+// win[l] | next elsewhere, and dst is stored to out. win (the group's
+// window of the runword low table), index (the group's lane numbers) and
+// out are memory operands; hi, next and lim (broadcast) and tmp are
+// registers. The compare is one VPCMPGTD, into tmp on AVX2 and into K1 on
+// ZMM, and the select one VPBLENDVB or VPBLENDMD.
+func (l Lowering) Word0(win, index, hi, next, lim, tmp, dst, out string) []string {
+	sel := []string{
+		fmt.Sprintf("VPCMPGTD %s, %s, %s", index, lim, tmp),
+		fmt.Sprintf("VPBLENDVB %s, %s, %s, %s", tmp, hi, next, tmp),
+	}
+	if l.ZMM {
+		sel = []string{
+			fmt.Sprintf("VPCMPGTD %s, %s, K1", index, lim),
+			fmt.Sprintf("VPBLENDMD %s, %s, K1, %s", hi, next, tmp),
+		}
+	}
+	return append(sel,
+		fmt.Sprintf("%s %s, %s, %s", l.Op("VPOR"), win, tmp, dst),
+		fmt.Sprintf("%s %s, %s", l.Op("VMOVDQU"), dst, out))
+}
+
+// LaneIndex returns the assembler data directives of name, the file-local
+// table 0, 1, ..., n-1 of 32-bit lane numbers that Word0's index operands
+// point into.
+func LaneIndex(name string, n int) string {
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "DATA %s<>+%d(SB)/4, $%d\n", name, 4*i, i)
+	}
+	fmt.Fprintf(&b, "GLOBL %s<>(SB), RODATA|NOPTR, $%d\n", name, 4*n)
+	return b.String()
 }
 
 // Rotl returns dst = rotl(src, s), which may clobber tmp. AVX2 has no

@@ -86,6 +86,12 @@ func (f WordFilter) MayContain(w uint32) bool {
 // Bits returns the bitmap size in bits.
 func (f WordFilter) Bits() uint64 { return uint64(f.mask) + 1 }
 
+// Layout returns what MayContain reads, for a kernel that probes the
+// filter itself: word w passes when bits w&mask and w>>shift of bitmap
+// are both set, bit i being bitmap[i/64]>>(i%64)&1. The bitmap is shared
+// and must not be modified.
+func (f WordFilter) Layout() (bitmap []uint64, mask, shift uint32) { return f.bits, f.mask, f.shift }
+
 // word4Bits sizes the word-4 bitmap from the corpus cardinality alone:
 // 64 bits per digest, a power of two between 2^16 (so a single target
 // passes about one wrong word in 2^30) and 2^24 (2 MiB: a larger bitmap
