@@ -287,6 +287,16 @@ func TestRefusesUnusableCheckpointDir(t *testing.T) {
 	t.Run("different-spec", func(t *testing.T) {
 		check(t, seed(t, 3), func(err error) bool { return strings.Contains(err.Error(), "different search") })
 	})
+	// -steal changes who searches a key, not which keys: the same search.
+	t.Run("steal-toggled", func(t *testing.T) {
+		ctx := testContext(t)
+		m := startMaster(ctx, "-hash", noSuchDigest, "-all", "-max", "4", "-checkpoint", seed(t, 4), "-steal")
+		m.attach(ctx, t, worker("steal-a"), worker("steal-b"))
+		out, err := m.wait(ctx, t)
+		if err != nil || !strings.Contains(out, "resuming from checkpoint") {
+			t.Errorf("run = %v\n%s", err, out)
+		}
+	})
 	t.Run("flipped-byte", func(t *testing.T) {
 		dir := seed(t, 4)
 		path := filepath.Join(dir, "jobs.wal")

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"time"
 
 	"keysearch/internal/jobs"
@@ -45,7 +46,7 @@ func runSearch(ctx context.Context, out io.Writer, spec jobs.Spec, jf jobsFlags,
 	var job jobs.Job
 	switch held := store.List(""); {
 	case len(held) == 0:
-	case len(held) == 1 && held[0].Spec.Key() == spec.Key():
+	case len(held) == 1 && sameSearch(held[0].Spec, spec):
 		job = held[0]
 	default:
 		return fmt.Errorf("%s holds a different search (%d job(s), first %s over %s keys); use a fresh -checkpoint directory",
@@ -131,4 +132,11 @@ follow:
 	}
 	fmt.Fprintln(out, "final:", telemetry.StatusLine(final))
 	return nil
+}
+
+// sameSearch reports whether two specs describe the same search: every
+// field but Steal, which changes who searches a key, not which keys.
+func sameSearch(a, b jobs.Spec) bool {
+	return a.Algorithm == b.Algorithm && a.Target == b.Target && slices.Equal(a.Targets, b.Targets) &&
+		a.Charset == b.Charset && a.MinLen == b.MinLen && a.MaxLen == b.MaxLen && a.MaxSolutions == b.MaxSolutions
 }

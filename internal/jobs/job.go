@@ -4,6 +4,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/big"
+	"sync"
 	"time"
 
 	"keysearch/internal/cracker"
@@ -121,92 +122,22 @@ type Spec struct {
 	// (StartManual) split through Service.Steal; executor-loop services
 	// with Options.Steal enabled do it live over the protocol-v4 shrink
 	// handshake. It does not change what is searched, only who searches
-	// it, so it is not part of Key.
+	// it, so two specs that differ only here describe the same search.
 	Steal bool `json:"steal,omitempty"`
+
+	// h is the job's resolution, attached by the service to the Spec of
+	// every lease it issues (see Handle). JSON never carries it.
+	h *Handle
 }
 
 // MaxTargets caps the corpus cardinality a spec may carry (the encoded
 // target set must also fit the wire codec's frame budget).
 const MaxTargets = 1 << 20
 
-// MultiTarget reports whether the spec searches a digest corpus.
-func (sp Spec) MultiTarget() bool { return len(sp.Targets) > 0 }
-
-// TargetDigests decodes the multi-target corpus into raw digests,
-// enforcing the cardinality cap and per-digest size. The wire layer uses
-// it to build the corpus blob it ships to workers.
-func (sp Spec) TargetDigests() ([][]byte, error) {
-	alg, err := cracker.ParseAlgorithm(sp.Algorithm)
-	if err != nil {
-		return nil, err
-	}
-	return sp.decodeTargets(alg)
-}
-
-// decodeTargets validates and decodes the corpus digests.
-func (sp Spec) decodeTargets(alg cracker.Algorithm) ([][]byte, error) {
-	if len(sp.Targets) > MaxTargets {
-		return nil, fmt.Errorf("jobs: %d targets exceed the %d cap", len(sp.Targets), MaxTargets)
-	}
-	out := make([][]byte, len(sp.Targets))
-	for i, t := range sp.Targets {
-		d, err := hex.DecodeString(t)
-		if err != nil || len(d) != alg.DigestSize() {
-			return nil, fmt.Errorf("jobs: bad %s digest %q at target %d", sp.Algorithm, t, i)
-		}
-		out[i] = d
-	}
-	return out, nil
-}
-
-// Validate checks the spec without building the full space.
+// Validate checks the spec without building its corpus.
 func (sp Spec) Validate() error {
-	alg, err := cracker.ParseAlgorithm(sp.Algorithm)
-	if err != nil {
-		return err
-	}
-	switch {
-	case sp.MultiTarget():
-		if sp.Target != "" {
-			return fmt.Errorf("jobs: spec sets both target and targets")
-		}
-		if _, err := sp.decodeTargets(alg); err != nil {
-			return err
-		}
-	default:
-		target, err := hex.DecodeString(sp.Target)
-		if err != nil || len(target) != alg.DigestSize() {
-			return fmt.Errorf("jobs: bad %s digest %q", sp.Algorithm, sp.Target)
-		}
-	}
-	if _, err := sp.Space(); err != nil {
-		return err
-	}
-	return nil
-}
-
-// Key returns a stable cache identity for the spec: executors key their
-// built cracker jobs (and wire-side corpus registrations) by it. The
-// corpus contributes through an FNV-1a digest of its entries, so a
-// million-target spec does not cost a megabyte-long map key.
-func (sp Spec) Key() string {
-	base := fmt.Sprintf("%s|%s|%s|%d|%d|%d", sp.Algorithm, sp.Target, sp.Charset, sp.MinLen, sp.MaxLen, sp.MaxSolutions)
-	if !sp.MultiTarget() {
-		return base
-	}
-	h := uint64(14695981039346656037)
-	mix := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= 1099511628211
-		}
-		h ^= 0xff // record separator
-		h *= 1099511628211
-	}
-	for _, t := range sp.Targets {
-		mix(t)
-	}
-	return fmt.Sprintf("%s|corpus:%d:%016x", base, len(sp.Targets), h)
+	_, _, err := sp.parse()
+	return err
 }
 
 // Space builds the job's keyspace.
@@ -218,47 +149,136 @@ func (sp Spec) Space() (*keyspace.Space, error) {
 	return keyspace.New(cs, sp.MinLen, sp.MaxLen, keyspace.PrefixMajor)
 }
 
-// CrackerJob materializes the spec into a runnable cracking job — the
-// LocalExecutor's per-job build step. Multi-target specs build the Bloom
-// pre-screened corpus set once here; every lease then shares it.
+// CrackerJob materializes the spec into a runnable cracking job: the
+// lease's shared one when the spec carries its job's handle, a fresh one
+// otherwise.
 func (sp Spec) CrackerJob() (*cracker.Job, error) {
+	h, err := sp.Resolved()
+	if err != nil {
+		return nil, err
+	}
+	return h.job, nil
+}
+
+// parse is the one place a spec is decoded: the algorithm, the target or
+// the corpus digests, and the space. It returns the cracker job without
+// its corpus, and the raw digests (nil in single-target mode).
+func (sp Spec) parse() (*cracker.Job, [][]byte, error) {
 	alg, err := cracker.ParseAlgorithm(sp.Algorithm)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	space, err := sp.Space()
-	if err != nil {
-		return nil, err
-	}
-	if sp.MultiTarget() {
+	job := &cracker.Job{Algorithm: alg, Kind: cracker.KernelOptimized}
+	var digests [][]byte
+	switch {
+	case len(sp.Targets) > 0:
 		if sp.Target != "" {
-			return nil, fmt.Errorf("jobs: spec sets both target and targets")
+			return nil, nil, fmt.Errorf("jobs: spec sets both target and targets")
 		}
-		digests, err := sp.decodeTargets(alg)
-		if err != nil {
-			return nil, err
+		if len(sp.Targets) > MaxTargets {
+			return nil, nil, fmt.Errorf("jobs: %d targets exceed the %d cap", len(sp.Targets), MaxTargets)
 		}
-		set, err := targetset.Build(digests, targetset.Options{})
-		if err != nil {
-			return nil, err
+		digests = make([][]byte, len(sp.Targets))
+		for i, t := range sp.Targets {
+			d, err := hex.DecodeString(t)
+			if err != nil || len(d) != alg.DigestSize() {
+				return nil, nil, fmt.Errorf("jobs: bad %s digest %q at target %d", sp.Algorithm, t, i)
+			}
+			digests[i] = d
 		}
-		return &cracker.Job{
-			Algorithm: alg,
-			Corpus:    set,
-			Space:     space,
-			Kind:      cracker.KernelOptimized,
-		}, nil
+	default:
+		target, err := hex.DecodeString(sp.Target)
+		if err != nil || len(target) != alg.DigestSize() {
+			return nil, nil, fmt.Errorf("jobs: bad %s digest %q", sp.Algorithm, sp.Target)
+		}
+		job.Target = target
 	}
-	target, err := hex.DecodeString(sp.Target)
-	if err != nil || len(target) != alg.DigestSize() {
-		return nil, fmt.Errorf("jobs: bad %s digest %q", sp.Algorithm, sp.Target)
+	if job.Space, err = sp.Space(); err != nil {
+		return nil, nil, err
 	}
-	return &cracker.Job{
-		Algorithm: alg,
-		Target:    target,
-		Space:     space,
-		Kind:      cracker.KernelOptimized,
-	}, nil
+	return job, digests, nil
+}
+
+// Handle is a job's spec resolved once — parsed, and a corpus built and
+// encoded — at the first lease that asks, outside the service lock. The
+// service creates one per active job (activateLocked) and releases it
+// when the job leaves the active set; every lease's Spec carries it, so
+// executors share one immutable resolution instead of re-deriving it.
+type Handle struct {
+	spec Spec
+
+	once     sync.Once
+	job      *cracker.Job
+	corpus   []byte
+	corpusID uint64
+	err      error
+
+	mu       sync.Mutex
+	released bool
+	holds    map[any]func()
+}
+
+// Resolved returns the spec's handle, resolved: the job's own when the
+// spec came with a lease, otherwise one resolved on the spot, owned by
+// no job — released from birth, cached nowhere.
+func (sp Spec) Resolved() (*Handle, error) {
+	h := sp.h
+	if h == nil {
+		h = &Handle{spec: sp, released: true}
+	}
+	return h, h.resolve()
+}
+
+func (h *Handle) resolve() error {
+	h.once.Do(func() {
+		job, digests, err := h.spec.parse()
+		if err == nil && digests != nil {
+			job.Corpus, err = targetset.Build(digests, targetset.Options{})
+			if err == nil {
+				h.corpus = job.Corpus.Encode()
+				h.corpusID = targetset.ID(h.corpus)
+			}
+		}
+		if err == nil {
+			h.job = job
+		}
+		h.err = err
+	})
+	return h.err
+}
+
+// Job is the built cracker job, shared by every lease of the job; it is
+// safe for concurrent searches.
+func (h *Handle) Job() *cracker.Job { return h.job }
+
+// Corpus is the canonical encoding of the job's target set and its
+// content ID (targetset.ID), what a remote worker needs to rebuild it;
+// nil and 0 in single-target mode.
+func (h *Handle) Corpus() ([]byte, uint64) { return h.corpus, h.corpusID }
+
+// Hold ties a resource to the job's lifetime: the first Hold under a key
+// runs acquire and keeps release to run when the handle is released;
+// later Holds under the same key do nothing. On a released handle —
+// every handle resolved for a Spec that carried none — Hold does nothing.
+func (h *Handle) Hold(key any, acquire, release func()) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if _, held := h.holds[key]; held || h.released {
+		return
+	}
+	acquire()
+	h.holds[key] = release
+}
+
+// release ends the handle's life, running every Hold's release once.
+func (h *Handle) release() {
+	h.mu.Lock()
+	holds := h.holds
+	h.holds, h.released = nil, true
+	h.mu.Unlock()
+	for _, f := range holds {
+		f()
+	}
 }
 
 // Job is the externally visible snapshot of one job — what the API

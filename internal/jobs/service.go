@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"keysearch/internal/core"
-	"keysearch/internal/cracker"
 	"keysearch/internal/dispatch"
 	"keysearch/internal/keyspace"
 	"keysearch/internal/sim"
@@ -65,8 +64,8 @@ type StealExecutor interface {
 	ShrinkLease(ctx context.Context, leaseID, keep uint64) (cut uint64, ok bool)
 }
 
-// LocalExecutor runs leases on local goroutines, building (and
-// caching) the cracker job for each spec it sees.
+// LocalExecutor runs leases on local goroutines, on the cracker job each
+// lease's spec resolves to (built once per job, see Handle).
 type LocalExecutor struct {
 	name    string
 	workers int
@@ -74,22 +73,12 @@ type LocalExecutor struct {
 	// Clock stamps Report.Elapsed (nil = the wall clock). Clock-driven
 	// tests inject a sim.Virtual so elapsed times are deterministic.
 	Clock sim.Clock
-
-	mu    sync.Mutex
-	cache map[string]*cracker.Job
-}
-
-func (e *LocalExecutor) clock() sim.Clock {
-	if e.Clock != nil {
-		return e.Clock
-	}
-	return sim.Wall{}
 }
 
 // NewLocalExecutor wraps the in-process CPU engine as an executor.
 // workers is the goroutine count (0 = NumCPU).
 func NewLocalExecutor(name string, workers int) *LocalExecutor {
-	return &LocalExecutor{name: name, workers: workers, cache: make(map[string]*cracker.Job)}
+	return &LocalExecutor{name: name, workers: workers}
 }
 
 // Name identifies the executor.
@@ -119,30 +108,17 @@ func TuneSpec() Spec {
 	}
 }
 
-// Search exhausts the lease with the cached cracker job for the spec.
+// Search exhausts the lease with the spec's cracker job.
 func (e *LocalExecutor) Search(ctx context.Context, spec Spec, iv keyspace.Interval) (*dispatch.Report, error) {
-	job, err := e.job(spec)
+	job, err := spec.CrackerJob()
 	if err != nil {
 		return nil, err
 	}
-	return dispatch.SearchLocal(ctx, e.clock(), job, iv, core.Options{Workers: e.workers})
-}
-
-func (e *LocalExecutor) job(spec Spec) (*cracker.Job, error) {
-	// Spec.Key covers the corpus too, so a multi-target job's Bloom set is
-	// built once and shared by every lease.
-	key := spec.Key()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if j, ok := e.cache[key]; ok {
-		return j, nil
+	clock := e.Clock
+	if clock == nil {
+		clock = sim.Wall{}
 	}
-	j, err := spec.CrackerJob()
-	if err != nil {
-		return nil, err
-	}
-	e.cache[key] = j
-	return j, nil
+	return dispatch.SearchLocal(ctx, clock, job, iv, core.Options{Workers: e.workers})
 }
 
 // Options configure the Service.
@@ -439,7 +415,9 @@ func (s *Service) Shares() []uint64 {
 }
 
 // activateLocked builds runtime state for a RUNNING job from its
-// durable checkpoint. Callers hold s.mu.
+// durable checkpoint, with the handle its leases carry: admission, resume
+// and recovery all pass through here, and dropIfDrainedLocked releases
+// the handle. Callers hold s.mu.
 func (s *Service) activateLocked(j Job) error {
 	if a, ok := s.active[j.ID]; ok {
 		// A pause left leases in flight and the job never drained from
@@ -456,11 +434,13 @@ func (s *Service) activateLocked(j Job) error {
 	if err != nil {
 		return err
 	}
+	spec := j.Spec
+	spec.h = &Handle{spec: j.Spec, holds: make(map[any]func())}
 	a := &activeJob{
 		id:       j.ID,
 		tenant:   j.Tenant,
 		priority: j.Priority,
-		spec:     j.Spec,
+		spec:     spec,
 		subAt:    j.SubmittedAt,
 		leases:   dispatch.NewTable[leaseState](cp.Remaining...),
 		tested:   cp.Tested,
@@ -1057,10 +1037,12 @@ func (s *Service) finishIfDoneLocked(a *activeJob) *Event {
 }
 
 // dropIfDrainedLocked removes a no-longer-leasing job from the active
-// set once its in-flight leases are gone, freeing its admission slot.
+// set once its in-flight leases are gone, freeing its admission slot and
+// releasing its handle. It is the one place a job leaves the set.
 func (s *Service) dropIfDrainedLocked(a *activeJob) {
 	if a.stopLeasing && a.leases.Len() == 0 {
 		delete(s.active, a.id)
+		a.spec.h.release()
 	}
 }
 
@@ -1130,47 +1112,32 @@ func (s *Service) Watch(jobID string) (<-chan Event, func()) {
 
 // Pause stops new leases for the job; in-flight leases run to their
 // chunk boundary and still commit. Valid from PENDING or RUNNING.
-func (s *Service) Pause(id string) (Job, error) {
-	s.mu.Lock()
-	j, err := s.store.SetState(id, StatePaused, "")
-	if err == nil {
-		if a, ok := s.active[id]; ok {
-			a.stopLeasing = true
-			s.dropIfDrainedLocked(a)
-		}
-		s.hub.publish(Event{Type: EventState, Job: j})
-		s.refreshGaugesLocked()
-	}
-	s.mu.Unlock()
-	return j, err
-}
+func (s *Service) Pause(id string) (Job, error) { return s.setState(id, StatePaused, "") }
 
 // Resume re-queues a PAUSED job through admission control.
-func (s *Service) Resume(id string) (Job, error) {
-	s.mu.Lock()
-	j, err := s.store.SetState(id, StatePending, "")
-	if err == nil {
-		s.hub.publish(Event{Type: EventState, Job: j})
-	}
-	s.mu.Unlock()
-	if err == nil {
-		s.cond.Broadcast()
-	}
-	return j, err
-}
+func (s *Service) Resume(id string) (Job, error) { return s.setState(id, StatePending, "") }
 
 // Cancel terminates a job. In-flight leases finish their chunk but
 // their results are discarded (the job is terminal; no further
 // checkpoint lands).
 func (s *Service) Cancel(id, reason string) (Job, error) {
+	return s.setState(id, StateCancelled, reason)
+}
+
+// setState applies a client's transition: a paused or cancelled job
+// stops leasing and leaves the active set once its in-flight leases
+// drain. Lease waiters are woken either way.
+func (s *Service) setState(id string, to State, reason string) (Job, error) {
 	s.mu.Lock()
-	j, err := s.store.SetState(id, StateCancelled, reason)
+	j, err := s.store.SetState(id, to, reason)
 	if err == nil {
-		if a, ok := s.active[id]; ok {
+		if a, ok := s.active[id]; ok && to != StatePending {
 			a.stopLeasing = true
 			s.dropIfDrainedLocked(a)
 		}
-		s.tel.cancelled.Inc()
+		if to == StateCancelled {
+			s.tel.cancelled.Inc()
+		}
 		s.hub.publish(Event{Type: EventState, Job: j})
 		s.refreshGaugesLocked()
 	}

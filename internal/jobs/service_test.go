@@ -17,6 +17,7 @@ import (
 	"keysearch/internal/core"
 	"keysearch/internal/dispatch"
 	"keysearch/internal/keyspace"
+	"keysearch/internal/targetset"
 	"keysearch/internal/telemetry"
 )
 
@@ -708,4 +709,70 @@ func TestSubmitWakesParkedExecutor(t *testing.T) {
 		g, err := svc.Get(j.ID)
 		return err == nil && g.State == StateDone
 	})
+}
+
+// TestHandleLivesAsLongAsItsJob: every lease of a job carries the one
+// handle the service resolved for it — one built cracker job and corpus
+// — and the handle is released exactly when the job leaves the active
+// set, letting go of what was held on it; a Hold on a released handle
+// acquires nothing. A spec built by hand resolves afresh each time.
+func TestHandleLivesAsLongAsItsJob(t *testing.T) {
+	store, err := Open(t.TempDir(), StoreOptions{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec := &fakeExec{name: "manual", tn: core.Tuning{MinBatch: 64, Throughput: 1e6}}
+	svc := NewService(store, []Executor{exec}, Options{MinLease: 4, MaxLease: 4})
+	if err := svc.StartManual(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Shutdown(context.Background())
+
+	var targets []string
+	for k := 0; k < 50; k++ {
+		sum := md5.Sum([]byte(fmt.Sprint("OUTSIDE-", k)))
+		targets = append(targets, hex.EncodeToString(sum[:]))
+	}
+	spec := Spec{Algorithm: "md5", Targets: targets, Charset: "ab", MinLen: 1, MaxLen: 3}
+	j, err := svc.Submit("t", 0, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first *Handle
+	held, released, leases := 0, 0, 0
+	for l, ok := svc.TryLease(0); ok; l, ok = svc.TryLease(0) {
+		h, err := l.Spec.Resolved()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = h
+		}
+		if h != first || h.Job().Corpus == nil {
+			t.Fatalf("lease %d resolves to handle %p (job corpus %p), the first to %p", l.ID, h, h.Job().Corpus, first)
+		}
+		h.Hold("test", func() { held++ }, func() { released++ })
+		if held != 1 || released != 0 {
+			t.Fatalf("lease %d of the live job: acquired %d, released %d", l.ID, held, released)
+		}
+		svc.Commit(l, &dispatch.Report{Tested: l.N})
+		leases++
+	}
+	if got, _ := svc.Get(j.ID); got.State != StateDone || leases < 2 {
+		t.Fatalf("job %s after %d leases", got.State, leases)
+	}
+	if released != 1 {
+		t.Fatalf("the job ended; its handle released the hold %d times", released)
+	}
+	first.Hold("late", func() { t.Error("a released handle acquired a hold") }, nil)
+
+	a, err := spec.Resolved()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := spec.Resolved()
+	blob, id := a.Corpus()
+	if a == b || a.Job().Corpus == nil || id == 0 || id != targetset.ID(blob) {
+		t.Fatalf("hand-built resolutions: shared %v, corpus %p, id %016x of a %d-byte blob", a == b, a.Job().Corpus, id, len(blob))
+	}
 }

@@ -105,7 +105,7 @@ func TestCorpusFramesTile(t *testing.T) {
 // decodes back to a set holding every planted digest.
 func TestWireSpecCorpus(t *testing.T) {
 	spec := corpusSpec(t, []string{"abc", "zz"}, 100)
-	ws, blob, err := WireSpec(spec)
+	ws, blob, err := new(Executor).bind(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestWireSpecCorpus(t *testing.T) {
 
 	// Single-target conversion still yields no blob.
 	sum = md5.Sum([]byte("one"))
-	ws1, blob1, err := WireSpec(jobs.Spec{
+	ws1, blob1, err := new(Executor).bind(jobs.Spec{
 		Algorithm: "md5", Target: hex.EncodeToString(sum[:]),
 		Charset: "ab", MinLen: 1, MaxLen: 2,
 	})
@@ -141,10 +141,6 @@ func TestWireSpecCorpus(t *testing.T) {
 func TestCorpusEndToEnd(t *testing.T) {
 	planted := []string{"a", "ko", "net", "zzz"}
 	spec := corpusSpec(t, planted, 300)
-	ws, blob, err := WireSpec(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	m, err := NewMaster("127.0.0.1:0")
 	if err != nil {
@@ -163,13 +159,19 @@ func TestCorpusEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range workers {
-		if id := w.RegisterCorpus(blob); id != ws.CorpusID {
-			t.Fatalf("registered corpus hashes to %016x, spec says %016x", id, ws.CorpusID)
+	fleet := make([]dispatch.Worker, len(workers))
+	for i, w := range workers {
+		ex := NewExecutor(w)
+		fleet[i] = &dispatch.FuncWorker{
+			WorkerName: ex.Name(),
+			TuneFunc:   ex.Tune,
+			SearchFunc: func(ctx context.Context, iv keyspace.Interval) (*dispatch.Report, error) {
+				return ex.Search(ctx, spec, iv)
+			},
 		}
 	}
 
-	d := dispatch.NewDispatcher("corpus-root", dispatch.Options{}, bindWorkers(ws, workers)...)
+	d := dispatch.NewDispatcher("corpus-root", dispatch.Options{}, fleet...)
 	space, _ := keyspace.New(keyspace.Lower, 1, 3, keyspace.PrefixMajor)
 	rep, err := d.Search(ctx, keyspace.Interval{Start: big.NewInt(0), End: space.Size()})
 	if err != nil {
@@ -189,8 +191,8 @@ func TestCorpusEndToEnd(t *testing.T) {
 	}
 }
 
-// TestCorpusUnregisteredRefused: a spec naming a corpus the master never
-// registered must fail the call without touching the worker.
+// TestCorpusUnregisteredRefused: a spec naming a corpus the call does not
+// carry must fail the call without touching the worker.
 func TestCorpusUnregisteredRefused(t *testing.T) {
 	m, err := NewMaster("127.0.0.1:0")
 	if err != nil {
@@ -216,7 +218,7 @@ func TestCorpusUnregisteredRefused(t *testing.T) {
 		CorpusID:  0x1234,
 	}
 	_, err = workers[0].SearchSpec(ctx, ws, keyspace.NewInterval(0, 2))
-	if err == nil || !strings.Contains(err.Error(), "RegisterCorpus") {
+	if err == nil || !strings.Contains(err.Error(), "carries no corpus") {
 		t.Fatalf("unregistered corpus: err = %v", err)
 	}
 }

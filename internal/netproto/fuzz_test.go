@@ -35,6 +35,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 8, byte(MsgPing), 1, 2, 3})
 	// Requeue whose inner length prefix overruns the frame.
 	f.Add([]byte{0, 0, 0, 5, byte(MsgRequeue), 0xff, 0xff, 0xff, 0xff, 0})
+	f.Add(good(MsgForget, EncodeForget(Forget{SpecID: 0xfeedface})))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		typ, payload, err := ReadFrame(bytes.NewReader(data))
 		if err != nil {
@@ -63,6 +64,8 @@ func FuzzReadFrame(f *testing.F) {
 			_, _ = DecodeSpec(payload)
 		case MsgCorpus:
 			_, _ = DecodeCorpusChunk(payload)
+		case MsgForget:
+			_, _ = DecodeForget(payload)
 		}
 	})
 }

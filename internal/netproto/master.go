@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -90,6 +92,15 @@ func (o MasterOptions) withDefaults() MasterOptions {
 		o.PendingBuffer = 64
 	}
 	return o
+}
+
+// ackWait bounds the wait for a shrink's answer: a heartbeat timeout, or
+// a write timeout with heartbeats off.
+func (o MasterOptions) ackWait() time.Duration {
+	if o.HeartbeatTimeout > 0 {
+		return o.HeartbeatTimeout
+	}
+	return o.WriteTimeout
 }
 
 // testHookPendingFull, nil outside tests, fires on the registration
@@ -235,15 +246,7 @@ func (m *Master) register(conn net.Conn) {
 		default:
 		}
 	}
-	write := func(t MsgType, p []byte) error {
-		_ = conn.SetWriteDeadline(time.Now().Add(m.opts.WriteTimeout))
-		err := WriteFrame(conn, t, p)
-		_ = conn.SetWriteDeadline(time.Time{})
-		if err == nil {
-			m.tel.sent.Inc()
-		}
-		return err
-	}
+	write := m.tel.writer(conn, m.opts.WriteTimeout)
 
 	_ = conn.SetReadDeadline(time.Now().Add(m.opts.WriteTimeout))
 	t, payload, err := ReadFrame(conn)
@@ -287,6 +290,8 @@ func (m *Master) register(conn net.Conn) {
 		return
 	}
 	w := &RemoteWorker{
+		holds:   make(map[uint64]int),
+		forgets: make(map[uint64]uint64),
 		name:    hello.Name,
 		opts:    m.opts,
 		tel:     m.tel,
@@ -359,10 +364,11 @@ func (m *Master) AcceptWorkers(ctx context.Context, n int) ([]*RemoteWorker, err
 // connection.
 //
 // Every call names a JobSpec; the proxy tracks which spec IDs the
-// CURRENT connection has seen and sends a MsgSpec registration ahead of
-// the first call that references a new one. A replacement connection
-// after a reconnect starts with an empty table, so specs are re-sent
-// transparently and rejoin works mid-job for any number of jobs.
+// CURRENT connection holds and sends a MsgSpec registration ahead of the
+// first call that references a new one, and a MsgForget once a spec has
+// no holder left. A replacement connection after a reconnect starts with
+// an empty table, so specs are re-sent transparently and rejoin works
+// mid-job for any number of jobs.
 type RemoteWorker struct {
 	name string
 	opts MasterOptions
@@ -386,22 +392,21 @@ type RemoteWorker struct {
 
 	mu sync.Mutex // serializes calls
 
-	cmu     sync.Mutex // guards conn and the spec-sent table
+	cmu     sync.Mutex // guards conn and the spec tables below
 	conn    net.Conn
 	newConn chan net.Conn
 	closeCh chan struct{}
 	closed  bool
 
-	// specConn names the connection the sent-sets below are valid for; a
-	// different current connection means empty worker-side tables.
-	specConn   net.Conn
-	specSent   map[uint64]bool
-	corpusSent map[uint64]bool
-
-	// corpora holds encoded target sets by content hash for every spec
-	// that names one, so a reconnect can re-transfer the corpus exactly as
-	// it re-registers specs. Registered once, read-only thereafter.
-	corpora map[uint64][]byte
+	// specSent maps each spec ID registered on specConn to the corpus ID
+	// it names (0 = none); another current connection has empty tables.
+	// holds counts each spec ID's holders: calls in flight and live jobs.
+	// A sent spec without one moves to forgets, for the next prelude, so
+	// specSent mirrors the worker's tables once those land (package doc).
+	specConn net.Conn
+	specSent map[uint64]uint64
+	holds    map[uint64]int
+	forgets  map[uint64]uint64
 }
 
 // Name identifies the remote worker.
@@ -490,67 +495,61 @@ func (w *RemoteWorker) discardConn(c net.Conn) {
 	w.cmu.Unlock()
 }
 
-// specNeeded reports whether the spec must be (re-)registered before a
-// call that references it can run on conn.
-func (w *RemoteWorker) specNeeded(conn net.Conn, id uint64) bool {
+// hold counts a holder of spec id. A forget still queued for it is
+// withdrawn: the worker holds the spec until the forget is sent.
+func (w *RemoteWorker) hold(id uint64) {
 	w.cmu.Lock()
 	defer w.cmu.Unlock()
-	return w.specConn != conn || !w.specSent[id]
+	w.holds[id]++
+	if c, ok := w.forgets[id]; ok {
+		delete(w.forgets, id)
+		w.specSent[id] = c
+	}
 }
 
-// corpusNeeded reports whether the corpus must be (re-)transferred before
-// a spec that references it can be registered on conn.
-func (w *RemoteWorker) corpusNeeded(conn net.Conn, id uint64) bool {
+// unhold lets go of spec id. After its last holder, a spec the worker
+// holds leaves specSent and is queued to be forgotten.
+func (w *RemoteWorker) unhold(id uint64) {
 	w.cmu.Lock()
 	defer w.cmu.Unlock()
-	return w.specConn != conn || !w.corpusSent[id]
+	if w.holds[id]--; w.holds[id] > 0 {
+		return
+	}
+	delete(w.holds, id)
+	if c, sent := w.specSent[id]; sent {
+		delete(w.specSent, id)
+		w.forgets[id] = c
+	}
 }
 
-// markSpecSent records that conn's worker-side tables hold the spec and
-// (when non-zero) its corpus. Only called after a successful exchange, so
-// a spec the worker refused is retried (idempotently — re-installing a
-// spec overwrites in place, and the worker skips chunks of an
-// already-assembled corpus).
-func (w *RemoteWorker) markSpecSent(conn net.Conn, id, corpusID uint64) {
+// prelude returns the frames conn needs ahead of a call against spec:
+// the queued forgets, then the spec registration if conn lacks it, after
+// its corpus if no spec there names that. specSent counts them delivered
+// at once: any path where they might not be discards conn. registers
+// reports frames the worker may refuse (all but the forgets).
+func (w *RemoteWorker) prelude(conn net.Conn, spec JobSpec, id uint64, corpus []byte) (frames []frame, registers bool) {
 	w.cmu.Lock()
 	defer w.cmu.Unlock()
 	if w.specConn != conn {
 		w.specConn = conn
-		w.specSent = make(map[uint64]bool)
-		w.corpusSent = make(map[uint64]bool)
+		w.specSent = make(map[uint64]uint64)
+		clear(w.forgets) // meant for the old connection's tables
 	}
-	w.specSent[id] = true
-	if corpusID != 0 {
-		if w.corpusSent == nil {
-			w.corpusSent = make(map[uint64]bool)
+	for fid := range w.forgets {
+		frames = append(frames, frame{t: MsgForget, p: EncodeForget(Forget{SpecID: fid})})
+	}
+	clear(w.forgets)
+	forgets := len(frames)
+	if _, ok := w.specSent[id]; !ok {
+		if spec.CorpusID != 0 && !slices.Contains(slices.Collect(maps.Values(w.specSent)), spec.CorpusID) {
+			for _, p := range CorpusFrames(corpus) {
+				frames = append(frames, frame{t: MsgCorpus, p: p})
+			}
 		}
-		w.corpusSent[corpusID] = true
+		frames = append(frames, frame{t: MsgSpec, p: EncodeSpec(spec)})
+		w.specSent[id] = spec.CorpusID
 	}
-}
-
-// RegisterCorpus stores an encoded target set with the worker proxy and
-// returns its content hash. Every call whose spec carries that CorpusID
-// transfers the blob (chunked over MsgCorpus) ahead of the spec, at most
-// once per connection. Registering the same blob again is a no-op.
-func (w *RemoteWorker) RegisterCorpus(encoded []byte) uint64 {
-	id := specHash(encoded)
-	w.cmu.Lock()
-	defer w.cmu.Unlock()
-	if w.corpora == nil {
-		w.corpora = make(map[uint64][]byte)
-	}
-	if _, ok := w.corpora[id]; !ok {
-		w.corpora[id] = encoded
-	}
-	return id
-}
-
-// corpusBlob returns a registered corpus encoding.
-func (w *RemoteWorker) corpusBlob(id uint64) ([]byte, bool) {
-	w.cmu.Lock()
-	defer w.cmu.Unlock()
-	b, ok := w.corpora[id]
-	return b, ok
+	return frames, len(frames) > forgets
 }
 
 // activeSearch names the search in flight on a worker's connection and
@@ -630,11 +629,7 @@ func (w *RemoteWorker) Shrink(ctx context.Context, seq, keep uint64) (uint64, bo
 	if write(MsgShrink, EncodeShrink(Shrink{Seq: seq, Keep: keep})) != nil {
 		return 0, false
 	}
-	wait := w.opts.HeartbeatTimeout
-	if wait <= 0 {
-		wait = w.opts.WriteTimeout
-	}
-	timer := time.NewTimer(wait)
+	timer := time.NewTimer(w.opts.ackWait())
 	defer timer.Stop()
 	select {
 	case ack := <-ch:
@@ -652,7 +647,7 @@ func (w *RemoteWorker) Shrink(ctx context.Context, seq, keep uint64) (uint64, bo
 
 // TuneSpec runs the tuning step remotely against the given spec.
 func (w *RemoteWorker) TuneSpec(ctx context.Context, spec JobSpec) (core.Tuning, error) {
-	payload, err := w.call(ctx, spec, MsgTune, EncodeTuneRequest(TuneRequest{SpecID: SpecID(spec)}), MsgTuneResult, nil)
+	payload, err := w.call(ctx, spec, nil, MsgTune, EncodeTuneRequest(TuneRequest{SpecID: SpecID(spec)}), MsgTuneResult, nil)
 	if err != nil {
 		return core.Tuning{}, err
 	}
@@ -663,12 +658,14 @@ func (w *RemoteWorker) TuneSpec(ctx context.Context, spec JobSpec) (core.Tuning,
 	return core.Tuning{MinBatch: res.MinBatch, Throughput: res.Throughput}, nil
 }
 
-// SearchSpec runs an interval remotely against the given spec.
+// SearchSpec runs an interval remotely against the given spec, which
+// names no corpus.
 func (w *RemoteWorker) SearchSpec(ctx context.Context, spec JobSpec, iv keyspace.Interval) (*dispatch.Report, error) {
-	return w.SearchSpecLive(ctx, spec, iv, w.NewSearchSeq(), 0, nil)
+	return w.SearchSpecLive(ctx, spec, nil, iv, w.NewSearchSeq(), 0, nil)
 }
 
-// SearchSpecLive is SearchSpec with the live-search hooks of protocol v4:
+// SearchSpecLive is SearchSpec with the encoded corpus spec.CorpusID
+// names (nil when it names none) and the live-search hooks of protocol v4:
 // the worker reports its tested-up-to mark roughly every progressEvery of
 // search time (0 disables the marks), and the search answers to
 // Shrink(seq, ...) while it runs. onProgress is invoked on the
@@ -676,10 +673,10 @@ func (w *RemoteWorker) SearchSpec(ctx context.Context, spec JobSpec, iv keyspace
 // into this RemoteWorker. Cancelling ctx mid-search asks the worker to
 // stop at the next batch boundary and drains its truncated result, so
 // the connection survives cancellation without a reconnect cycle.
-func (w *RemoteWorker) SearchSpecLive(ctx context.Context, spec JobSpec, iv keyspace.Interval, seq uint64, progressEvery time.Duration, onProgress func(done uint64)) (*dispatch.Report, error) {
+func (w *RemoteWorker) SearchSpecLive(ctx context.Context, spec JobSpec, corpus []byte, iv keyspace.Interval, seq uint64, progressEvery time.Duration, onProgress func(done uint64)) (*dispatch.Report, error) {
 	req := SearchRequest{SpecID: SpecID(spec), Seq: seq, ProgressEvery: progressEvery, Start: iv.Start, End: iv.End}
 	as := &activeSearch{seq: seq, onProgress: onProgress}
-	payload, err := w.call(ctx, spec, MsgSearch, EncodeSearch(req), MsgSearchResult, as)
+	payload, err := w.call(ctx, spec, corpus, MsgSearch, EncodeSearch(req), MsgSearchResult, as)
 	if err != nil {
 		return nil, err
 	}
@@ -691,21 +688,27 @@ func (w *RemoteWorker) SearchSpecLive(ctx context.Context, spec JobSpec, iv keys
 }
 
 // call sends a request and awaits the matching response, retrying per the
-// policy on transport failures. Each backoff window doubles as a rejoin
-// window: if the worker re-registers in time, the retry lands on the new
-// connection — with the spec re-registered first, since the fresh
-// connection's table is empty. A RemoteError is returned immediately
+// policy on transport failures; it holds spec while it runs, and corpus
+// is the encoding spec.CorpusID names. Each backoff window doubles as a
+// rejoin window: if the worker re-registers in time, the retry lands on
+// the new connection — with the spec re-registered first, since the
+// fresh connection's table is empty. A RemoteError is returned immediately
 // (the connection is fine, the request is not). When the last window
 // passes with no connection, the error wraps jobs.ErrExecutorGone.
 //
 //keyvet:allow lockorder (w.mu is the per-worker RPC serializer: holding
 // it across the backoff/rejoin wait IS the contract — concurrent calls
 // queue behind it rather than interleave frames on one connection)
-func (w *RemoteWorker) call(ctx context.Context, spec JobSpec, req MsgType, payload []byte, want MsgType, as *activeSearch) ([]byte, error) {
+func (w *RemoteWorker) call(ctx context.Context, spec JobSpec, corpus []byte, req MsgType, payload []byte, want MsgType, as *activeSearch) ([]byte, error) {
+	if spec.CorpusID != 0 && corpus == nil {
+		return nil, fmt.Errorf("netproto: %s: spec references corpus %016x, but the call carries no corpus", w.name, spec.CorpusID)
+	}
+	id := SpecID(spec)
+	w.hold(id)
+	defer w.unhold(id)
 	w.mu.Lock()
 	defer w.mu.Unlock()
 
-	id := SpecID(spec)
 	var lastErr error
 	var gone error // set while the latest attempt found no connection
 	for attempt := 0; attempt < w.opts.Retry.attempts(); attempt++ {
@@ -725,25 +728,9 @@ func (w *RemoteWorker) call(ctx context.Context, spec JobSpec, req MsgType, payl
 			continue
 		}
 		gone = nil
-		// The prelude re-establishes the connection's tables as needed:
-		// corpus chunks first (the spec referencing them is refused
-		// otherwise), then the spec registration.
-		var prelude []frame
-		if spec.CorpusID != 0 && w.corpusNeeded(conn, spec.CorpusID) {
-			blob, ok := w.corpusBlob(spec.CorpusID)
-			if !ok {
-				return nil, fmt.Errorf("netproto: %s: spec references corpus %016x, but no such corpus was registered (call RegisterCorpus first)", w.name, spec.CorpusID)
-			}
-			for _, p := range CorpusFrames(blob) {
-				prelude = append(prelude, frame{t: MsgCorpus, p: p})
-			}
-		}
-		if w.specNeeded(conn, id) {
-			prelude = append(prelude, frame{t: MsgSpec, p: EncodeSpec(spec)})
-		}
+		prelude, registers := w.prelude(conn, spec, id, corpus)
 		resp, err := w.callOn(ctx, conn, prelude, req, payload, want, as)
 		if err == nil {
-			w.markSpecSent(conn, id, spec.CorpusID)
 			return resp, nil
 		}
 		var clean *cleanCancel
@@ -751,12 +738,11 @@ func (w *RemoteWorker) call(ctx context.Context, spec JobSpec, req MsgType, payl
 			// Cancelled, but drained to a frame boundary: the worker
 			// accepted the prelude and the call, so its tables are current
 			// and the connection is reusable as-is.
-			w.markSpecSent(conn, id, spec.CorpusID)
 			return nil, clean.err
 		}
 		var remote *RemoteError
 		if errors.As(err, &remote) {
-			if len(prelude) > 0 {
+			if registers {
 				// The error may answer a prelude frame rather than the
 				// request itself, in which case a second error frame for
 				// the request is still in flight; drop the connection so
@@ -795,18 +781,7 @@ type frame struct {
 // a graceful shrink-to-zero drain (see below) instead of tearing the
 // connection down mid-frame.
 func (w *RemoteWorker) callOn(ctx context.Context, conn net.Conn, prelude []frame, req MsgType, payload []byte, want MsgType, as *activeSearch) ([]byte, error) {
-	var wmu sync.Mutex
-	write := func(t MsgType, p []byte) error {
-		wmu.Lock()
-		defer wmu.Unlock()
-		_ = conn.SetWriteDeadline(time.Now().Add(w.opts.WriteTimeout))
-		err := WriteFrame(conn, t, p)
-		_ = conn.SetWriteDeadline(time.Time{})
-		if err == nil {
-			w.tel.sent.Inc()
-		}
-		return err
-	}
+	write := w.tel.writer(conn, w.opts.WriteTimeout)
 
 	stop := make(chan struct{})
 	defer close(stop)
@@ -832,11 +807,7 @@ func (w *RemoteWorker) callOn(ctx context.Context, conn net.Conn, prelude []fram
 				// connection at a frame boundary. Poison the conn only if
 				// the drain stalls (worker stuck mid-batch or gone).
 				if write(MsgShrink, EncodeShrink(Shrink{Seq: as.seq, Keep: 0})) == nil {
-					wait := w.opts.HeartbeatTimeout
-					if wait <= 0 {
-						wait = w.opts.WriteTimeout
-					}
-					t := time.NewTimer(wait)
+					t := time.NewTimer(w.opts.ackWait())
 					defer t.Stop()
 					select {
 					case <-stop:

@@ -236,6 +236,23 @@ func CorpusFrames(encoded []byte) [][]byte {
 	return frames
 }
 
+// Forget is the payload of MsgForget (see the package doc's v5 section).
+type Forget struct{ SpecID uint64 }
+
+// EncodeForget serializes a Forget.
+func EncodeForget(f Forget) []byte {
+	var e enc
+	e.u64(f.SpecID)
+	return e.b
+}
+
+// DecodeForget parses a Forget.
+func DecodeForget(b []byte) (Forget, error) {
+	d := dec{b: b}
+	f := Forget{SpecID: d.u64()}
+	return f, d.err()
+}
+
 // TuneRequest asks the worker to run the tuning step against a
 // registered spec.
 type TuneRequest struct {

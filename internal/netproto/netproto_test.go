@@ -235,39 +235,42 @@ func TestWorkerDeathMidSearch(t *testing.T) {
 }
 
 // TestVersionMismatch: a worker with the wrong protocol version must be
-// rejected at registration.
+// rejected at registration — a v4 peer, which cannot forget specs (v5),
+// as much as one from the future.
 func TestVersionMismatch(t *testing.T) {
-	m, err := NewMaster("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	reply := make(chan MsgType, 1)
-	go func() {
-		conn, err := net.Dial("tcp", m.Addr())
+	for _, version := range []int{99, 4} {
+		m, err := NewMaster("127.0.0.1:0")
 		if err != nil {
-			return
+			t.Fatal(err)
 		}
-		defer conn.Close()
-		_ = WriteFrame(conn, MsgHello, EncodeHello(Hello{Version: 99, Name: "old"}))
-		if typ, _, err := ReadFrame(conn); err == nil {
-			reply <- typ
+		defer m.Close()
+
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		reply := make(chan MsgType, 1)
+		go func() {
+			conn, err := net.Dial("tcp", m.Addr())
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			_ = WriteFrame(conn, MsgHello, EncodeHello(Hello{Version: version, Name: "old"}))
+			if typ, _, err := ReadFrame(conn); err == nil {
+				reply <- typ
+			}
+		}()
+		if _, err := m.AcceptWorkers(ctx, 1); err == nil {
+			t.Errorf("version %d accepted by a v%d master", version, Version)
 		}
-	}()
-	if _, err := m.AcceptWorkers(ctx, 1); err == nil {
-		t.Error("version mismatch accepted")
-	}
-	// The refused worker is told why, not just hung up on.
-	select {
-	case typ := <-reply:
-		if typ != MsgError {
-			t.Errorf("refusal frame type = %d, want MsgError", typ)
+		// The refused worker is told why, not just hung up on.
+		select {
+		case typ := <-reply:
+			if typ != MsgError {
+				t.Errorf("v%d refusal frame type = %d, want MsgError", version, typ)
+			}
+		case <-ctx.Done():
+			t.Errorf("no refusal frame for v%d before the hangup", version)
 		}
-	case <-ctx.Done():
-		t.Error("no refusal frame before the hangup")
 	}
 }
 

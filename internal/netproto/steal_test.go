@@ -90,7 +90,7 @@ func TestLiveSearchShrinkHandshake(t *testing.T) {
 	}
 	resCh := make(chan result, 1)
 	go func() {
-		rep, err := w.SearchSpecLive(context.Background(), spec, iv, seq, time.Millisecond, func(done uint64) {
+		rep, err := w.SearchSpecLive(context.Background(), spec, nil, iv, seq, time.Millisecond, func(done uint64) {
 			mu.Lock()
 			marks = append(marks, done)
 			mu.Unlock()
@@ -225,7 +225,7 @@ func TestShrinkAfterSearchEndsRefused(t *testing.T) {
 
 	spec := testJob(t, "ab")
 	seq := w.NewSearchSeq()
-	rep, err := w.SearchSpecLive(context.Background(), spec, keyspace.NewInterval(0, 702), seq, 0, nil)
+	rep, err := w.SearchSpecLive(context.Background(), spec, nil, keyspace.NewInterval(0, 702), seq, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestCancelMidSearchKeepsConnection(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		_, err := w.SearchSpecLive(ctx, spec, keyspace.NewInterval(0, lowerSpaceSize), w.NewSearchSeq(), time.Millisecond, func(uint64) {
+		_, err := w.SearchSpecLive(ctx, spec, nil, keyspace.NewInterval(0, lowerSpaceSize), w.NewSearchSeq(), time.Millisecond, func(uint64) {
 			select {
 			case progressed <- struct{}{}:
 			default:

@@ -1,6 +1,7 @@
 package netproto
 
 import (
+	"net"
 	"sync"
 	"time"
 
@@ -43,6 +44,23 @@ func newNetTelemetry(reg *telemetry.Registry) *netTelemetry {
 	nt.shrinks = reg.Counter(telemetry.MetricNetShrinks)
 	nt.rtt = reg.Histogram(telemetry.MetricNetPingRTT)
 	return nt
+}
+
+// writer returns WriteFrame on conn for goroutines to share: one frame at
+// a time, each bounded by timeout and counted once it went out.
+func (nt *netTelemetry) writer(conn net.Conn, timeout time.Duration) func(MsgType, []byte) error {
+	var mu sync.Mutex
+	return func(t MsgType, p []byte) error {
+		mu.Lock()
+		defer mu.Unlock()
+		_ = conn.SetWriteDeadline(time.Now().Add(timeout))
+		err := WriteFrame(conn, t, p)
+		_ = conn.SetWriteDeadline(time.Time{})
+		if err == nil {
+			nt.sent.Inc()
+		}
+		return err
+	}
 }
 
 // pingClock matches pongs back to the pings that caused them by sequence

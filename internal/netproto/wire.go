@@ -26,14 +26,15 @@
 //     frame carries the spec's ID — a content hash of its encoding — and
 //     the spec itself; the receiver recomputes the hash and rejects a
 //     mismatched frame, so a corrupted table entry can never silently
-//     search the wrong space. The master sends each spec at most once
-//     per connection (a fresh connection after a reconnect starts with
-//     an empty table and the spec is re-sent before its next use).
+//     search the wrong space. The master sends a spec once per stay in
+//     the table (a fresh connection after a reconnect starts with an
+//     empty table and the spec is re-sent before its next use).
 //   - MsgTune and MsgSearch reference a previously registered spec by
-//     ID. The worker builds the cracker job for a spec the first time it
-//     is installed and caches it per ID, so the same TCP fleet serves
-//     many tenants' jobs — the multiplexing the internal/jobs service
-//     needs — with per-call overhead of eight bytes.
+//     ID. The worker builds the cracker job for a spec when it is
+//     installed and keeps it in the table under its ID until the master
+//     forgets it (v5, below), so the same TCP fleet serves many tenants'
+//     jobs — the multiplexing the internal/jobs service needs — with
+//     per-call overhead of eight bytes.
 //
 // Version 1 peers are incompatible and fail fast at the handshake: a v1
 // worker announces Version 1 and is refused with MsgError before any
@@ -60,8 +61,9 @@
 //   - a MsgSpec whose CorpusID is absent from that table is refused, so
 //     a spec can never silently run with the wrong (or no) corpus.
 //
-// Like specs, corpora are sent at most once per connection and re-sent
-// transparently after a reconnect. The corpus is the one deliberately
+// Like specs, corpora are sent at most once per connection while they
+// stay in its tables, and re-sent transparently after a reconnect or
+// once a v5 forget has dropped them. The corpus is the one deliberately
 // large payload in the protocol; chunking keeps every frame under
 // MaxFrame so liveness frames never queue behind a megabyte write.
 //
@@ -102,6 +104,19 @@
 //     Seq does not match the connection's current search is dropped,
 //     and a MsgShrink for a finished search is refused. Frames from a
 //     previous call can therefore never move a later search's boundary.
+//
+// # Protocol v5: forgetting
+//
+// Version 5 bounds the worker's tables by the live jobs. The master
+// counts the holders of each spec ID on a worker — calls in flight, and
+// the live jobs (internal/jobs handles) whose leases ran there. Once the
+// last one lets go, it queues MsgForget{SpecID} and sends it at the head
+// of its next call's prelude, unless the spec is held again first. The
+// worker drops the spec, and its corpus once no remaining spec names it
+// (two live jobs may share one); a forget for an absent spec is a no-op
+// and has no answer. The master's sent-set follows the same rule, so a
+// later job re-sends what it needs, and forgets queued for a connection
+// that has since been replaced are dropped with its tables.
 //
 // # Failure model
 //
@@ -170,6 +185,7 @@ const (
 	MsgProgress                        // worker -> master: tested-up-to mark for the active search
 	MsgShrink                          // master -> worker: truncate the active search at a boundary
 	MsgShrinkAck                       // worker -> master: effective boundary, or refusal
+	MsgForget                          // master -> worker: drop a spec (and any corpus no spec names)
 )
 
 // Version is the protocol version exchanged in MsgHello. Version 2
@@ -178,9 +194,10 @@ const (
 // CorpusID field on the wire spec and MsgCorpus chunk transfer of the
 // encoded target set it names; version 4 added live-search visibility —
 // Seq and ProgressEvery on MsgSearch, MsgProgress marks, and the
-// MsgShrink/MsgShrinkAck truncation handshake that backs work stealing.
-// Older peers are refused at the handshake.
-const Version = 4
+// MsgShrink/MsgShrinkAck truncation handshake that backs work stealing;
+// version 5 added MsgForget, which ends a spec's life in the worker's
+// tables. Older peers are refused at the handshake.
+const Version = 5
 
 // MaxFrame is the maximum accepted payload size; anything larger is
 // treated as a malformed frame. Search results carry at most a few keys,
@@ -213,7 +230,7 @@ func ReadFrame(r io.Reader) (MsgType, []byte, error) {
 		return 0, nil, fmt.Errorf("netproto: oversized frame (%d bytes)", n)
 	}
 	t := MsgType(hdr[4])
-	if t < MsgHello || t > MsgShrinkAck {
+	if t < MsgHello || t > MsgForget {
 		return 0, nil, fmt.Errorf("netproto: unknown message type %d", hdr[4])
 	}
 	payload := make([]byte, n)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -96,13 +97,15 @@ var (
 	testHookSearchBegin    atomic.Pointer[func(worker string)]
 	testHookSearchDone     atomic.Pointer[func(worker string)]
 	testHookRequeueClaimed atomic.Pointer[func(worker string)]
+	testHookTables         atomic.Pointer[func(worker string, specs, corpora int)]
 )
 
 // ServeConn runs the worker side of the protocol on an established
 // connection: exchange hellos, then answer spec registrations, tune,
 // search and ping requests until the connection closes or ctx is
-// cancelled. Job specs arrive over MsgSpec and are cached per spec ID,
-// so one connection serves any number of different jobs.
+// cancelled. Job specs arrive over MsgSpec and stay in the connection's
+// table under their spec ID until a MsgForget drops them, so one
+// connection serves any number of different jobs.
 //
 // Requests execute on a separate goroutine so the read loop keeps
 // answering MsgPing with MsgPong while a long search occupies the cores —
@@ -121,18 +124,7 @@ func serveConn(ctx context.Context, conn net.Conn, cfg WorkerConfig, onReady fun
 	defer conn.Close()
 
 	nt := newNetTelemetry(cfg.Telemetry)
-	var wmu sync.Mutex
-	write := func(t MsgType, p []byte) error {
-		wmu.Lock()
-		defer wmu.Unlock()
-		_ = conn.SetWriteDeadline(time.Now().Add(cfg.writeTimeout()))
-		err := WriteFrame(conn, t, p)
-		_ = conn.SetWriteDeadline(time.Time{})
-		if err == nil {
-			nt.sent.Inc()
-		}
-		return err
-	}
+	write := nt.writer(conn, cfg.writeTimeout())
 	sendErr := func(err error) { _ = write(MsgError, []byte(err.Error())) }
 
 	if err := write(MsgHello, EncodeHello(Hello{Version: Version, Name: cfg.Name})); err != nil {
@@ -166,14 +158,16 @@ func serveConn(ctx context.Context, conn net.Conn, cfg WorkerConfig, onReady fun
 		onReady()
 	}
 
-	// specs is the per-connection spec table: cracker jobs built once per
-	// spec ID and reused across calls. Only the read loop touches it.
+	// The per-connection tables: specs (cracker jobs by spec ID, Corpus
+	// set), corpora (decoded target sets by content hash) and asm (chunk
+	// assemblies feeding corpora). Only the read loop touches them.
 	specs := make(map[uint64]*cracker.Job)
-
-	// corpora is the per-connection corpus table (decoded target sets by
-	// content hash) and asm the in-flight chunk assemblies feeding it.
-	// Only the read loop touches either.
 	corpora := make(map[uint64]*targetset.Set)
+	tables := func() {
+		if hook := testHookTables.Load(); hook != nil {
+			(*hook)(cfg.Name, len(specs), len(corpora))
+		}
+	}
 	type corpusAsm struct {
 		buf   []byte
 		total uint32
@@ -283,6 +277,7 @@ func serveConn(ctx context.Context, conn net.Conn, cfg WorkerConfig, onReady fun
 				continue
 			}
 			corpora[ck.ID] = set
+			tables()
 		case MsgSpec:
 			sf, err := DecodeSpec(payload)
 			if err != nil {
@@ -303,6 +298,24 @@ func serveConn(ctx context.Context, conn net.Conn, cfg WorkerConfig, onReady fun
 				job.Corpus = set
 			}
 			specs[sf.ID] = job
+			tables()
+		case MsgForget:
+			fg, err := DecodeForget(payload)
+			if err != nil {
+				sendErr(err)
+				continue
+			}
+			if job, ok := specs[fg.SpecID]; ok {
+				delete(specs, fg.SpecID)
+				named := job.Corpus == nil
+				for _, j := range specs {
+					named = named || j.Corpus == job.Corpus
+				}
+				if !named {
+					maps.DeleteFunc(corpora, func(_ uint64, set *targetset.Set) bool { return set == job.Corpus })
+				}
+			}
+			tables()
 		case MsgTune:
 			req, err := DecodeTuneRequest(payload)
 			if err != nil {
