@@ -13,8 +13,8 @@ import (
 // set's filter, and exact-confirm survivors against the sorted corpus
 // index. This is the audit-database shape — thousands to millions of
 // unsalted rows cracked in one enumeration pass — where the per-candidate
-// cost must stay flat in the corpus size, unlike the per-target searcher
-// loop of NewMultiKernel's small-set path.
+// cost must stay flat in the corpus size, not grow with it as a loop over
+// one searcher per target would.
 //
 // These per-candidate kernels hash every key in full: the Bloom probe
 // needs the complete digest. They serve the MD5 corpus, whose reversal

@@ -35,6 +35,39 @@ type Job struct {
 	// Salt, when non-empty, is combined with each candidate before
 	// hashing.
 	Salt Salt
+
+	// single is Target as a corpus of one, the set a single SHA1 target
+	// is searched as (see Prepare); nil until built.
+	single *targetset.Set
+}
+
+// Prepare builds, once, what every search of the job would otherwise
+// rebuild: the corpus of one — a word-4 bitmap and a Bloom filter — that
+// a single SHA1 target is searched as. Call it when the job's fields are
+// final, before its searches start; the set does not follow a later
+// change of Target. An unprepared job still searches correctly, building
+// the set per search.
+func (j *Job) Prepare() error {
+	if j.Algorithm != SHA1 || j.Corpus != nil {
+		return nil
+	}
+	set, err := j.targetSet()
+	j.single = set
+	return err
+}
+
+// targetSet returns the set a SHA1 job's run walk probes: its corpus, or
+// its single target as a corpus of one — Prepare's, or a fresh one.
+func (j *Job) targetSet() (*targetset.Set, error) {
+	switch {
+	case j.Corpus != nil:
+		return j.Corpus, nil
+	case j.single != nil:
+		return j.single, nil
+	case len(j.Target) != sha1x.Size:
+		return nil, fmt.Errorf("cracker: target length %d, want %d for %s", len(j.Target), sha1x.Size, j.Algorithm)
+	}
+	return targetset.Build([][]byte{j.Target}, targetset.Options{})
 }
 
 // NewJobHex builds a job from a hex-encoded digest.
@@ -122,15 +155,9 @@ func (j *Job) runTestFactory() (core.RunTestFactory, error) {
 	var newSearch func() core.RunTestFunc
 	switch {
 	case j.Algorithm == SHA1:
-		set := j.Corpus
-		if set == nil {
-			if len(j.Target) != sha1x.Size {
-				return nil, fmt.Errorf("cracker: target length %d, want %d for %s", len(j.Target), sha1x.Size, j.Algorithm)
-			}
-			var err error
-			if set, err = targetset.Build([][]byte{j.Target}, targetset.Options{}); err != nil {
-				return nil, err
-			}
+		set, err := j.targetSet()
+		if err != nil {
+			return nil, err
 		}
 		if _, err := sha1x.NewRunSearcher(set, symbols); err != nil {
 			return nil, err

@@ -124,40 +124,6 @@ func TestNewKernelErrors(t *testing.T) {
 	}
 }
 
-func TestMultiKernel(t *testing.T) {
-	passwords := [][]byte{[]byte("aa"), []byte("zz"), []byte("qx")}
-	for _, alg := range []Algorithm{MD5, SHA1} {
-		// Small set (reversal path for MD5) and large set (map path).
-		for _, pad := range []int{0, 10} {
-			targets := make([][]byte, 0, len(passwords)+pad)
-			for _, p := range passwords {
-				targets = append(targets, alg.HashKey(p))
-			}
-			for i := 0; i < pad; i++ {
-				targets = append(targets, alg.HashKey([]byte{byte('0' + i), '!', '#'})) // outside space
-			}
-			k, err := NewMultiKernel(alg, targets)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, p := range passwords {
-				if !k.Test(p) {
-					t.Errorf("%v pad=%d: missed %q", alg, pad, p)
-				}
-			}
-			if k.Test([]byte("no")) {
-				t.Errorf("%v pad=%d: false positive", alg, pad)
-			}
-		}
-	}
-	if _, err := NewMultiKernel(MD5, nil); err == nil {
-		t.Error("empty targets: want error")
-	}
-	if _, err := NewMultiKernel(MD5, [][]byte{{1, 2}}); err == nil {
-		t.Error("bad target size: want error")
-	}
-}
-
 func TestSaltedKernel(t *testing.T) {
 	salt := Salt{Prefix: []byte("pre$"), Suffix: []byte("$suf")}
 	password := []byte("pw")
@@ -191,27 +157,6 @@ func TestSaltedCrackEndToEnd(t *testing.T) {
 	}
 	if len(res.Solutions) != 1 || string(res.Solutions[0]) != "cat" {
 		t.Errorf("solutions = %q", res.Solutions)
-	}
-}
-
-func TestSaltedMultiKernel(t *testing.T) {
-	salts := []Salt{{Suffix: []byte("s1")}, {Prefix: []byte("s2")}}
-	targets := [][]byte{
-		MD5.HashKey([]byte("dogs1")),
-		MD5.HashKey([]byte("s2cat")),
-	}
-	k, err := NewSaltedMultiKernel(MD5, targets, salts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !k.Test([]byte("dog")) || !k.Test([]byte("cat")) {
-		t.Error("salted multi kernel missed a password")
-	}
-	if k.Test([]byte("rat")) {
-		t.Error("false positive")
-	}
-	if _, err := NewSaltedMultiKernel(MD5, targets, salts[:1]); err == nil {
-		t.Error("mismatched lengths: want error")
 	}
 }
 

@@ -63,29 +63,3 @@ func (k *saltedKernel) Test(key []byte) bool {
 	k.buf = k.salt.Apply(k.buf[:0], key)
 	return k.inner.Test(k.buf)
 }
-
-// NewSaltedMultiKernel builds a kernel matching any of several
-// (target, salt) pairs — the shape of a real audit database where every
-// row has its own random salt. This is exactly why the paper's attack model
-// must re-run the search per row: precomputed tables are useless.
-func NewSaltedMultiKernel(alg Algorithm, targets [][]byte, salts []Salt) (Kernel, error) {
-	if len(targets) != len(salts) {
-		return nil, fmt.Errorf("cracker: %d targets but %d salts", len(targets), len(salts))
-	}
-	kernels := make([]Kernel, len(targets))
-	for i := range targets {
-		k, err := NewSaltedKernel(alg, KernelOptimized, targets[i], salts[i])
-		if err != nil {
-			return nil, err
-		}
-		kernels[i] = k
-	}
-	return kernelFunc(func(key []byte) bool {
-		for _, k := range kernels {
-			if k.Test(key) {
-				return true
-			}
-		}
-		return false
-	}), nil
-}

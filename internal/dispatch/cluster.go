@@ -3,11 +3,9 @@ package dispatch
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"keysearch/internal/core"
 	"keysearch/internal/sim"
-	"keysearch/internal/telemetry"
 )
 
 // SimNode models a leaf computing node of the virtual-time cluster: a GPU
@@ -19,14 +17,6 @@ type SimNode struct {
 	// Overhead is the fixed cost per dispatched chunk in seconds (kernel
 	// launches, host transfers).
 	Overhead float64
-	// FailAt, when positive, is the virtual time at which the node dies
-	// mid-search (fault-injection experiments).
-	FailAt float64
-	// JoinAt, when positive, is the virtual time at which the node joins
-	// the running cluster (§III: "the proposed pattern can be extended to
-	// a dynamic network that can be configured at runtime"). Until then
-	// the node is online-pending: it blocks nothing and receives nothing.
-	JoinAt float64
 }
 
 // SimTree is a dispatch tree mirroring §III's hierarchical topology: a
@@ -78,25 +68,21 @@ func (t *SimTree) Leaves() []*SimNode {
 	return out
 }
 
+const (
+	// targetEfficiency sizes the chunks: a node's minimum batch is what
+	// keeps its overhead below (1 - targetEfficiency) of its time.
+	targetEfficiency = 0.98
+	// messageBytes is the size of a work-assignment or result message on
+	// the links (the paper: "only a very small amount of data must be
+	// scattered" — an interval is two integers).
+	messageBytes = 64
+)
+
 // ClusterOptions tunes the virtual-time cluster run.
 type ClusterOptions struct {
-	// TargetEfficiency sizes the per-node chunks: a node's minimum batch
-	// is what keeps its overhead below (1 - target) of its time. 0 = 0.98.
-	TargetEfficiency float64
 	// RoundScale multiplies chunk sizes (same knob as Options.RoundScale).
+	// 0 = 1.
 	RoundScale float64
-	// MessageBytes is the size of a work-assignment or result message on
-	// the links (0 = 64; the paper: "only a very small amount of data must
-	// be scattered" — an interval is two integers).
-	MessageBytes int
-	// FailureDetect is the delay before a dead node's unfinished work is
-	// reassigned (0 = 0.5s).
-	FailureDetect float64
-	// Telemetry, when non-nil, receives the simulation's events stamped
-	// with VIRTUAL time (the trace's At field is simulated seconds, not
-	// wall clock) and, after the run, per-node measured-vs-model
-	// throughput gauges and per-leaf tested counters.
-	Telemetry *telemetry.Registry
 }
 
 // ClusterResult reports a virtual-time cluster search (the Table IX rows).
@@ -114,38 +100,11 @@ type ClusterResult struct {
 	DispatchEfficiency float64
 	// PerNode is the number of keys each leaf tested.
 	PerNode map[string]float64
-	// Levels reports, per tree depth, the aggregate throughput of the
-	// dispatch frontier at that depth against the model's SumThroughput
-	// yardstick — the hierarchical version of Table IX's "roughly equal
-	// to the sum of the throughputs" check.
-	Levels []LevelStats
-	// Failed lists nodes (and exhausted subtrees) that died during the run.
-	Failed []string
-}
-
-// LevelStats aggregates one depth of the dispatch tree. The frontier at
-// depth d is every tree node at depth d plus every leaf shallower than
-// d, so each level partitions the keyspace and its totals are
-// comparable with the whole-cluster numbers.
-type LevelStats struct {
-	// Depth is the tree depth (0 = root).
-	Depth int
-	// Nodes is the number of frontier nodes at this depth.
-	Nodes int
-	// Keys is the number of key tests the frontier performed (sums to
-	// the run's total on every level).
-	Keys float64
-	// Throughput is Keys divided by the run's virtual duration.
-	Throughput float64
-	// SumThroughput is the model yardstick: the sum of the frontier
-	// subtrees' per-device sustained throughputs.
-	SumThroughput float64
 }
 
 // simActor is the runtime state of one tree node within the simulation.
 type simActor struct {
 	tree     *SimTree
-	parent   *simActor
 	children []*simActor
 	tuning   core.Tuning
 	chunk    float64 // chunk size this actor requests from its parent
@@ -155,36 +114,23 @@ type simActor struct {
 	active      int     // children with an outstanding assignment
 	currentDone func()  // completion callback of the current assignment
 
-	// State as seen by the parent.
-	busy    bool
-	failed  bool
-	offline bool // not yet joined (JoinAt in the future)
-
-	res *ClusterResult
-	opt ClusterOptions
-	eng *sim.Engine
+	res   *ClusterResult
+	scale float64 // ClusterOptions.RoundScale
+	eng   *sim.Engine
 }
 
 // SimulateCluster runs an exhaustive search of totalKeys key tests over
 // the dispatch tree in virtual time. Nothing is hashed — the simulation
-// models time, work conservation, link traffic and failures; per-node
-// throughputs come from the device model. This is the engine behind the
-// Table IX reproduction and the granularity/fault benchmarks.
+// models time, work conservation and link traffic; per-node throughputs
+// come from the device model. This is the engine behind the Table IX
+// reproduction and the granularity benchmark. Faults and a changing
+// membership are rehearsed over the real job service by fleetsim.
 func SimulateCluster(tree *SimTree, totalKeys float64, opt ClusterOptions) (*ClusterResult, error) {
 	if totalKeys <= 0 {
 		return nil, fmt.Errorf("dispatch: totalKeys must be positive")
 	}
-	if opt.TargetEfficiency == 0 {
-		opt.TargetEfficiency = 0.98
-	}
 	if opt.RoundScale == 0 {
 		opt.RoundScale = 1
-	}
-	if opt.MessageBytes == 0 {
-		opt.MessageBytes = 64
-	}
-	if opt.FailureDetect == 0 {
-		opt.FailureDetect = 0.5
 	}
 
 	eng := sim.NewEngine()
@@ -193,9 +139,8 @@ func SimulateCluster(tree *SimTree, totalKeys float64, opt ClusterOptions) (*Clu
 		PerNode:       make(map[string]float64),
 	}
 
-	root := buildActor(tree, nil, res, opt, eng)
+	root := buildActor(tree, res, opt.RoundScale, eng)
 	root.tune()
-	scheduleJoins(root, eng)
 
 	finished := false
 	root.assign(totalKeys, func() { finished = true })
@@ -212,125 +157,15 @@ func SimulateCluster(tree *SimTree, totalKeys float64, opt ClusterOptions) (*Clu
 	if res.SumThroughput > 0 {
 		res.DispatchEfficiency = res.Throughput / res.SumThroughput
 	}
-	res.Levels = treeLevels(tree, res)
-	recordClusterTelemetry(tree, res, opt.Telemetry)
 	return res, nil
 }
 
-// subtreeKeys sums the tested keys of a subtree's leaves.
-func subtreeKeys(t *SimTree, res *ClusterResult) float64 {
-	if t.Node != nil {
-		return res.PerNode[t.Node.Name]
-	}
-	var s float64
+func buildActor(t *SimTree, res *ClusterResult, scale float64, eng *sim.Engine) *simActor {
+	a := &simActor{tree: t, res: res, scale: scale, eng: eng}
 	for _, c := range t.Children {
-		s += subtreeKeys(c, res)
-	}
-	return s
-}
-
-// treeLevels computes the per-depth frontier aggregates: at each depth,
-// inner nodes at that depth plus leaves above it partition the leaves,
-// so Keys sums to the run total on every level while SumThroughput is
-// the model's yardstick for the same frontier.
-func treeLevels(tree *SimTree, res *ClusterResult) []LevelStats {
-	var levels []LevelStats
-	frontier := []*SimTree{tree}
-	for depth := 0; len(frontier) > 0; depth++ {
-		st := LevelStats{Depth: depth, Nodes: len(frontier)}
-		var next []*SimTree
-		for _, t := range frontier {
-			st.Keys += subtreeKeys(t, res)
-			st.SumThroughput += t.SumThroughput()
-			if t.Node != nil {
-				next = append(next, t) // leaves stay on the frontier
-			} else {
-				next = append(next, t.Children...)
-			}
-		}
-		if res.SimSeconds > 0 {
-			st.Throughput = st.Keys / res.SimSeconds
-		}
-		levels = append(levels, st)
-		allLeaves := true
-		for _, t := range frontier {
-			if t.Node == nil {
-				allLeaves = false
-				break
-			}
-		}
-		if allLeaves {
-			break
-		}
-		frontier = next
-	}
-	return levels
-}
-
-// recordClusterTelemetry publishes the run's outcome: per-leaf tested
-// counters and, for every tree node, the measured subtree throughput
-// against the model's SumThroughput.
-func recordClusterTelemetry(tree *SimTree, res *ClusterResult, reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
-	var walk func(t *SimTree)
-	walk = func(t *SimTree) {
-		keys := subtreeKeys(t, res)
-		if res.SimSeconds > 0 {
-			reg.Gauge(telemetry.PerNode(telemetry.MetricClusterX, t.Name)).Set(keys / res.SimSeconds)
-		}
-		reg.Gauge(telemetry.PerNode(telemetry.MetricClusterModelX, t.Name)).Set(t.SumThroughput())
-		if t.Node != nil {
-			reg.Counter(telemetry.PerNode(telemetry.MetricClusterTested, t.Name)).Add(uint64(keys))
-			return
-		}
-		for _, c := range t.Children {
-			walk(c)
-		}
-	}
-	walk(tree)
-}
-
-func buildActor(t *SimTree, parent *simActor, res *ClusterResult, opt ClusterOptions, eng *sim.Engine) *simActor {
-	a := &simActor{tree: t, parent: parent, res: res, opt: opt, eng: eng}
-	if t.Node != nil && t.Node.JoinAt > 0 {
-		a.offline = true
-	}
-	for _, c := range t.Children {
-		a.children = append(a.children, buildActor(c, a, res, opt, eng))
+		a.children = append(a.children, buildActor(c, res, scale, eng))
 	}
 	return a
-}
-
-// emit records an event on the telemetry trace stamped with VIRTUAL
-// time — the simulated clock, not the wall clock.
-func (a *simActor) emit(typ telemetry.EventType, node string, keys float64, detail string) {
-	if a.opt.Telemetry == nil {
-		return
-	}
-	at := time.Duration(a.eng.Now() * float64(time.Second))
-	a.opt.Telemetry.Trace().RecordAt(at, typ, node, uint64(keys), detail)
-}
-
-// scheduleJoins arms the join events of late-arriving nodes: at JoinAt the
-// node comes online and its parent immediately rebalances — "executing the
-// above mentioned steps each time the number of depending nodes ... vary".
-func scheduleJoins(a *simActor, eng *sim.Engine) {
-	if a.offline {
-		node := a
-		eng.Schedule(node.tree.Node.JoinAt, func() {
-			node.offline = false
-			node.emit(telemetry.EventJoin, node.tree.Name, 0, "joined at runtime")
-			if p := node.parent; p != nil {
-				p.distribute()
-				p.maybeFinish()
-			}
-		})
-	}
-	for _, c := range a.children {
-		scheduleJoins(c, eng)
-	}
 }
 
 // tune computes, bottom-up, each actor's tuning (X_j, n_j) and the chunk
@@ -342,11 +177,11 @@ func (a *simActor) tune() {
 		// Efficiency e at batch b: (b/X) / (o + b/X) >= e  =>
 		// b >= X·o·e/(1-e), with o covering the chunk overhead plus the
 		// scatter/gather round trip.
-		e := a.opt.TargetEfficiency
-		o := n.Overhead + 2*a.tree.Link.TransferTime(a.opt.MessageBytes)
+		e := targetEfficiency
+		o := n.Overhead + 2*a.tree.Link.TransferTime(messageBytes)
 		minBatch := n.Throughput * o * e / (1 - e)
 		a.tuning = core.Tuning{MinBatch: uint64(minBatch) + 1, Throughput: n.Throughput}
-		a.chunk = math.Ceil(minBatch+1) * a.opt.RoundScale
+		a.chunk = math.Ceil(minBatch+1) * a.scale
 		if a.chunk < 1 {
 			a.chunk = 1
 		}
@@ -360,7 +195,7 @@ func (a *simActor) tune() {
 	// Children chunks follow the balancing rule N_j = N_max · X_j / X_max.
 	balanced := core.Balance(ts)
 	for i, c := range a.children {
-		c.chunk = float64(balanced[i]) * a.opt.RoundScale
+		c.chunk = float64(balanced[i]) * a.scale
 		if c.chunk < 1 && c.tuning.Throughput > 0 {
 			c.chunk = 1
 		}
@@ -375,8 +210,8 @@ func (a *simActor) tune() {
 	// children's chunks proportionally if the sum falls short. This is
 	// §III's observation that N_node "could be arbitrarily increased to
 	// minimize the overhead caused by the dispatch and merge steps".
-	e := a.opt.TargetEfficiency
-	oDisp := a.tree.Overhead + 2*a.tree.Link.TransferTime(a.opt.MessageBytes)
+	e := targetEfficiency
+	oDisp := a.tree.Overhead + 2*a.tree.Link.TransferTime(messageBytes)
 	minRound := a.tuning.Throughput * oDisp * e / (1 - e)
 	if a.chunk > 0 && a.chunk < minRound {
 		f := minRound / a.chunk
@@ -403,30 +238,27 @@ func (a *simActor) assign(keys float64, done func()) {
 	a.maybeFinish()
 }
 
-// distribute scatters one round of pool work across the live children,
-// split proportionally to their tuned throughputs — the paper's rule
-// N_j = N_max · X_j / X_max verbatim. A round is at most the sum of the
-// children's balanced chunks (times RoundScale), so the dispatcher gathers
-// periodically rather than handing out the whole space at once; because
-// the shares are proportional, the children finish together and no
-// straggler tail builds up inside a round.
+// distribute scatters one round of pool work across the children with
+// a nonzero throughput, split proportionally to their tuned throughputs —
+// the paper's rule N_j = N_max · X_j / X_max verbatim. A round is at most
+// the sum of the children's balanced chunks (times RoundScale), so the
+// dispatcher gathers periodically rather than handing out the whole space
+// at once; because the shares are proportional, the children finish
+// together and no straggler tail builds up inside a round.
 func (a *simActor) distribute() {
-	if a.pool <= 0 {
-		return
+	if a.pool <= 0 || a.active > 0 {
+		return // nothing left, or a round is in flight and its barrier re-triggers us
 	}
 	var liveX, roundCap float64
 	for _, c := range a.children {
-		if c.failed || c.offline || c.tuning.Throughput == 0 {
+		if c.tuning.Throughput == 0 {
 			continue
-		}
-		if c.busy {
-			return // a round is in flight; its barrier re-triggers us
 		}
 		liveX += c.tuning.Throughput
 		roundCap += c.chunk
 	}
 	if liveX == 0 {
-		return // no live children; maybeFinish bubbles the pool up
+		return // nothing can take work; SimulateCluster reports the stall
 	}
 	// Absorb small overages into the current round: chunk sizes are
 	// minimums for efficiency, so running a round up to 50% larger is
@@ -437,7 +269,7 @@ func (a *simActor) distribute() {
 	}
 	a.pool -= round
 	for _, c := range a.children {
-		if c.failed || c.offline || c.tuning.Throughput == 0 {
+		if c.tuning.Throughput == 0 {
 			continue
 		}
 		share := round * c.tuning.Throughput / liveX
@@ -445,16 +277,12 @@ func (a *simActor) distribute() {
 			continue
 		}
 		a.active++
-		c.busy = true
 		child := c
-		a.emit(telemetry.EventDispatch, child.tree.Name, share, "")
 		// Scatter: the assignment crosses the child's link; the child's
 		// completion (gather) fires the callback back here.
-		child.tree.Link.Send(a.eng, a.opt.MessageBytes, func() {
+		child.tree.Link.Send(a.eng, messageBytes, func() {
 			child.assign(share, func() {
-				child.busy = false
 				a.active--
-				a.emit(telemetry.EventGather, child.tree.Name, share, "")
 				a.distribute()
 				a.maybeFinish()
 			})
@@ -463,38 +291,9 @@ func (a *simActor) distribute() {
 }
 
 // maybeFinish completes the dispatcher's current assignment when the pool
-// is drained and every child is idle. If work remains but every child is
-// dead, the unfinished pool bubbles up to the grandparent — the subtree
-// behaves like one failed node, the recovery for the dispatching-node
-// failure §III warns about.
+// is drained and every child is idle.
 func (a *simActor) maybeFinish() {
-	if a.active > 0 || a.currentDone == nil {
-		return
-	}
-	if a.pool > 0 {
-		if !a.allChildrenDead() {
-			return // distribute will drain it
-		}
-		rest := a.pool
-		a.pool = 0
-		a.currentDone = nil
-		if !a.failed {
-			a.failed = true
-			a.res.Failed = append(a.res.Failed, a.tree.Name)
-			a.emit(telemetry.EventFailure, a.tree.Name, 0, "subtree exhausted")
-		}
-		a.emit(telemetry.EventRequeue, a.tree.Name, rest, "bubbled to grandparent")
-		if parent := a.parent; parent != nil {
-			a.tree.Link.Send(a.eng, a.opt.MessageBytes, func() {
-				a.busy = false
-				parent.pool += rest
-				parent.active--
-				parent.distribute()
-				parent.maybeFinish()
-			})
-		}
-		// With no parent (the root) the work is stranded; SimulateCluster
-		// reports the stall.
+	if a.active > 0 || a.currentDone == nil || a.pool > 0 {
 		return
 	}
 	finish := a.currentDone
@@ -502,58 +301,17 @@ func (a *simActor) maybeFinish() {
 	// Gather: the dispatcher's bookkeeping overhead plus the completion
 	// message crossing its own link.
 	a.eng.Schedule(a.tree.Overhead, func() {
-		a.tree.Link.Send(a.eng, a.opt.MessageBytes, finish)
+		a.tree.Link.Send(a.eng, messageBytes, finish)
 	})
 }
 
-// allChildrenDead reports whether no child can ever take work again.
-// Offline (not-yet-joined) children count as alive: their join event will
-// restart distribution.
-func (a *simActor) allChildrenDead() bool {
-	for _, c := range a.children {
-		if !c.failed && c.tuning.Throughput > 0 {
-			return false
-		}
-	}
-	return len(a.children) > 0
-}
-
-// computeLeaf models a leaf executing a chunk, including mid-chunk death.
+// computeLeaf models a leaf executing a chunk.
 func (a *simActor) computeLeaf(keys float64, done func()) {
 	n := a.tree.Node
-	dur := n.Overhead + keys/n.Throughput
-	start := a.eng.Now()
-	if n.FailAt > 0 && start+dur > n.FailAt {
-		// The node dies mid-chunk: credit the completed fraction, then
-		// after the detection delay the parent reclaims the rest and
-		// excludes the node. In a real run the partially-searched prefix
-		// would be re-searched by the inheritor; the simulation credits it
-		// once and returns only the remainder, keeping conservation exact.
-		healthy := math.Max(0, n.FailAt-start-n.Overhead)
-		did := math.Min(keys, healthy*n.Throughput)
-		rest := keys - did
-		a.res.PerNode[n.Name] += did
-		a.eng.Schedule(math.Max(0, n.FailAt-start)+a.opt.FailureDetect, func() {
-			if !a.failed {
-				a.failed = true
-				a.res.Failed = append(a.res.Failed, n.Name)
-				a.emit(telemetry.EventFailure, n.Name, did, "died mid-chunk")
-			}
-			a.busy = false
-			if parent := a.parent; parent != nil {
-				a.emit(telemetry.EventRequeue, n.Name, rest, "reclaimed by parent")
-				parent.pool += rest
-				parent.active--
-				parent.distribute()
-				parent.maybeFinish()
-			}
-		})
-		return
-	}
-	a.eng.Schedule(dur, func() {
+	a.eng.Schedule(n.Overhead+keys/n.Throughput, func() {
 		a.res.PerNode[n.Name] += keys
 		// Gather: the result message crosses the leaf's link back to the
-		// parent, which then marks the leaf idle.
-		a.tree.Link.Send(a.eng, a.opt.MessageBytes, done)
+		// parent.
+		a.tree.Link.Send(a.eng, messageBytes, done)
 	})
 }

@@ -103,74 +103,13 @@ func TestClusterGranularitySweep(t *testing.T) {
 	}
 }
 
-// TestClusterFaultTolerance kills node B's GTX 660 (the fastest device)
-// mid-run; the search must still complete with all keys tested, at reduced
-// throughput.
-func TestClusterFaultTolerance(t *testing.T) {
-	tree := PaperNetwork(tableVIIIMD5)
-	// Fail the 660 at t=10s.
-	for _, leaf := range tree.Leaves() {
-		if leaf.Name == "GeForce GTX 660" {
-			leaf.FailAt = 10
-		}
-	}
-	total := 3.26e9 * 60
-	res, err := SimulateCluster(tree, total, ClusterOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	for _, n := range res.PerNode {
-		sum += n
-	}
-	if math.Abs(sum-total)/total > 1e-9 {
-		t.Errorf("work lost after failure: %v of %v", sum, total)
-	}
-	if len(res.Failed) == 0 {
-		t.Error("failure not recorded")
-	}
-	// Healthy run for comparison.
-	healthy, err := SimulateCluster(PaperNetwork(tableVIIIMD5), total, ClusterOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SimSeconds <= healthy.SimSeconds {
-		t.Errorf("failed run (%.1fs) should be slower than healthy (%.1fs)", res.SimSeconds, healthy.SimSeconds)
-	}
-}
-
-// TestClusterSubtreeDeath kills every device below node C; the work must
-// bubble up and the run must complete.
-func TestClusterSubtreeDeath(t *testing.T) {
-	tree := PaperNetwork(tableVIIIMD5)
-	for _, leaf := range tree.Leaves() {
-		if leaf.Name == "GeForce 8600M GT" || leaf.Name == "GeForce 8800 GTS 512" {
-			leaf.FailAt = 5
-		}
-	}
-	total := 3.26e9 * 30
-	res, err := SimulateCluster(tree, total, ClusterOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	for _, n := range res.PerNode {
-		sum += n
-	}
-	if math.Abs(sum-total)/total > 1e-9 {
-		t.Errorf("work lost after subtree death: %v of %v", sum, total)
-	}
-}
-
-// TestClusterWholeClusterDeath: killing every node must stall, reported as
-// an error rather than a bogus result.
+// TestClusterWholeClusterDeath: a tree whose every device is dead (zero
+// throughput) can never finish, and must report the stall as an error
+// rather than a bogus result.
 func TestClusterWholeClusterDeath(t *testing.T) {
-	tree := PaperNetwork(tableVIIIMD5)
-	for _, leaf := range tree.Leaves() {
-		leaf.FailAt = 1
-	}
+	tree := PaperNetwork(func(arch.Device) float64 { return 0 })
 	if _, err := SimulateCluster(tree, 3.26e9*30, ClusterOptions{}); err == nil {
-		t.Fatal("want stall error when the whole cluster dies")
+		t.Fatal("want stall error when no device can take work")
 	}
 }
 
@@ -220,91 +159,5 @@ func TestClusterHighLatencyLinks(t *testing.T) {
 func TestSimulateClusterRejectsZeroWork(t *testing.T) {
 	if _, err := SimulateCluster(PaperNetwork(tableVIIIMD5), 0, ClusterOptions{}); err == nil {
 		t.Error("want error for zero keys")
-	}
-}
-
-// TestClusterDynamicJoin: a node joining mid-run (§III's dynamic network)
-// must speed the search up versus never having it, and work conservation
-// must hold.
-func TestClusterDynamicJoin(t *testing.T) {
-	total := 3.26e9 * 60
-
-	// Baseline: network without the GTX 660 at all.
-	without := PaperNetwork(tableVIIIMD5)
-	for _, leaf := range without.Leaves() {
-		if leaf.Name == "GeForce GTX 660" {
-			leaf.Throughput = 0 // never participates
-		}
-	}
-	resWithout, err := SimulateCluster(without, total, ClusterOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The 660 joins 10 seconds into the run.
-	joining := PaperNetwork(tableVIIIMD5)
-	for _, leaf := range joining.Leaves() {
-		if leaf.Name == "GeForce GTX 660" {
-			leaf.JoinAt = 10
-		}
-	}
-	resJoin, err := SimulateCluster(joining, total, ClusterOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if resJoin.SimSeconds >= resWithout.SimSeconds {
-		t.Errorf("join run (%.1fs) not faster than no-660 run (%.1fs)",
-			resJoin.SimSeconds, resWithout.SimSeconds)
-	}
-	var sum float64
-	for _, n := range resJoin.PerNode {
-		sum += n
-	}
-	if math.Abs(sum-total)/total > 1e-9 {
-		t.Errorf("work lost across join: %v of %v", sum, total)
-	}
-	if resJoin.PerNode["GeForce GTX 660"] == 0 {
-		t.Error("joined node did no work")
-	}
-	// And it must be slower than having the 660 from the start.
-	full, err := SimulateCluster(PaperNetwork(tableVIIIMD5), total, ClusterOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resJoin.SimSeconds <= full.SimSeconds {
-		t.Errorf("join run (%.1fs) should trail the always-on run (%.1fs)",
-			resJoin.SimSeconds, full.SimSeconds)
-	}
-}
-
-// TestClusterJoinThenFail: a node that joins and later dies — both
-// transitions handled in one run.
-func TestClusterJoinThenFail(t *testing.T) {
-	tree := PaperNetwork(tableVIIIMD5)
-	for _, leaf := range tree.Leaves() {
-		if leaf.Name == "GeForce GTX 660" {
-			leaf.JoinAt = 5
-			leaf.FailAt = 20
-		}
-	}
-	total := 3.26e9 * 60
-	res, err := SimulateCluster(tree, total, ClusterOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	for _, n := range res.PerNode {
-		sum += n
-	}
-	if math.Abs(sum-total)/total > 1e-9 {
-		t.Errorf("work lost: %v of %v", sum, total)
-	}
-	did := res.PerNode["GeForce GTX 660"]
-	if did == 0 {
-		t.Error("node never worked between join and failure")
-	}
-	if len(res.Failed) == 0 {
-		t.Error("failure not recorded")
 	}
 }

@@ -34,8 +34,7 @@ type Options struct {
 	// from each device".
 	Progress func(tested uint64, found int)
 	// OnRequeue, when non-nil, is called (serialized) each time a worker
-	// is declared dead and its in-flight interval returns to the pool —
-	// the real-time counterpart of the simulator's FailureDetect event.
+	// is declared dead and its in-flight interval returns to the pool.
 	OnRequeue func(worker string, iv keyspace.Interval, cause error)
 	// Telemetry, when non-nil, receives the dispatch metrics and events:
 	// per-worker tested counts, chunk sizes, round latencies, requeues

@@ -191,6 +191,41 @@ func TestDispatcherHierarchy(t *testing.T) {
 	}
 }
 
+// TestDispatcherSubtreeDeath kills every worker under node C of the
+// paper's A -> (B, C), C -> D tree. Node D then runs out of workers and
+// fails to C, C runs out and fails to the root, and the root requeues
+// C's chunk once to the survivors: every id is tested, and Tested counts
+// each exactly once because nothing of a failed chunk is gathered.
+func TestDispatcherSubtreeDeath(t *testing.T) {
+	cover := newCoverage()
+	mk := func(name string, speed float64, failAt uint64) *recordingWorker {
+		// The healthy workers pace their chunks so node C is sure to
+		// claim one before the pool drains.
+		return &recordingWorker{name: name, speed: speed, cover: cover, failAt: failAt, delay: time.Millisecond}
+	}
+	nodeD := NewDispatcher("node-D", Options{}, mk("8800", 480, 1))
+	nodeC := NewDispatcher("node-C", Options{}, mk("8600M", 71, 1), nodeD)
+	nodeB := NewDispatcher("node-B", Options{}, mk("660", 1841, 0), mk("550Ti", 654, 0))
+	root := NewDispatcher("node-A", Options{}, mk("540M", 214, 0), nodeB, nodeC)
+
+	const n = 30000
+	rep, err := root.Search(context.Background(), keyspace.NewInterval(0, n))
+	if err != nil {
+		t.Fatalf("search failed despite surviving subtrees: %v", err)
+	}
+	if rep.Tested != n {
+		t.Errorf("tested %d, want %d exactly", rep.Tested, n)
+	}
+	if rep.Requeues != 1 || rep.Retested == 0 {
+		t.Errorf("root saw %d requeues of %d ids, want node C's one chunk", rep.Requeues, rep.Retested)
+	}
+	for id := uint64(0); id < n; id++ {
+		if cover.counts[id] < 1 {
+			t.Fatalf("id %d never covered after the subtree died", id)
+		}
+	}
+}
+
 func TestDispatcherMaxSolutions(t *testing.T) {
 	cover := newCoverage()
 	targets := make(map[uint64]bool)

@@ -9,7 +9,6 @@ import (
 
 	"keysearch/internal/core"
 	"keysearch/internal/keyspace"
-	"keysearch/internal/sim"
 	"keysearch/internal/telemetry"
 )
 
@@ -151,62 +150,5 @@ func TestTelemetryExactUnderChaos(t *testing.T) {
 				t.Fatalf("requeue events sum to %d, retested = %d", requeued, rep.Retested)
 			}
 		})
-	}
-}
-
-// TestClusterTelemetryAndLevels: the virtual-time simulator publishes
-// per-level frontier stats that each partition the keyspace, per-node
-// measured-vs-model gauges, and a virtual-time event trace.
-func TestClusterTelemetryAndLevels(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	gbit := sim.Link{Latency: 100e-6, Bandwidth: 125e6}
-	tree := Branch("root", sim.Link{},
-		Branch("rack0", gbit,
-			Leaf(SimNode{Name: "gpu00", Throughput: 500e6, Overhead: 1e-3}, gbit),
-			Leaf(SimNode{Name: "gpu01", Throughput: 250e6, Overhead: 1e-3}, gbit),
-		),
-		Leaf(SimNode{Name: "gpu1", Throughput: 1000e6, Overhead: 1e-3}, gbit),
-	)
-	const total = 4e9
-	res, err := SimulateCluster(tree, total, ClusterOptions{Telemetry: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Levels) < 2 {
-		t.Fatalf("levels = %+v, want at least 2 depths", res.Levels)
-	}
-	for _, lv := range res.Levels {
-		if diff := lv.Keys - total; diff > 1 || diff < -1 {
-			t.Fatalf("depth %d frontier keys = %g, want %g (partition)", lv.Depth, lv.Keys, total)
-		}
-		if lv.SumThroughput != res.SumThroughput {
-			t.Fatalf("depth %d model yardstick %g, want %g", lv.Depth, lv.SumThroughput, res.SumThroughput)
-		}
-		if lv.Throughput <= 0 || lv.Throughput > lv.SumThroughput {
-			t.Fatalf("depth %d throughput %g outside (0, %g]", lv.Depth, lv.Throughput, lv.SumThroughput)
-		}
-	}
-
-	s := reg.Snapshot()
-	var testedSum uint64
-	for _, name := range []string{"gpu00", "gpu01", "gpu1"} {
-		testedSum += s.Counters[telemetry.PerNode(telemetry.MetricClusterTested, name)]
-		x := s.Gauges[telemetry.PerNode(telemetry.MetricClusterX, name)]
-		mx := s.Gauges[telemetry.PerNode(telemetry.MetricClusterModelX, name)]
-		if x <= 0 || mx <= 0 || x > mx*1.01 {
-			t.Fatalf("%s: measured %g vs model %g gauges implausible", name, x, mx)
-		}
-	}
-	if diff := float64(testedSum) - total; diff > 2 || diff < -2 {
-		t.Fatalf("per-leaf tested counters sum to %d, want %g", testedSum, total)
-	}
-	// Events are stamped with virtual time and must be monotone.
-	if len(s.Events) == 0 {
-		t.Fatal("no virtual-time events recorded")
-	}
-	for i := 1; i < len(s.Events); i++ {
-		if s.Events[i].At < s.Events[i-1].At {
-			t.Fatalf("event %d at %v precedes event %d at %v", i, s.Events[i].At, i-1, s.Events[i-1].At)
-		}
 	}
 }

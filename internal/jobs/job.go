@@ -199,11 +199,12 @@ func (sp Spec) parse() (*cracker.Job, [][]byte, error) {
 	return job, digests, nil
 }
 
-// Handle is a job's spec resolved once — parsed, and a corpus built and
-// encoded — at the first lease that asks, outside the service lock. The
-// service creates one per active job (activateLocked) and releases it
-// when the job leaves the active set; every lease's Spec carries it, so
-// executors share one immutable resolution instead of re-deriving it.
+// Handle is a job's spec resolved once — parsed, a corpus built and
+// encoded, the cracker job prepared — at the first lease that asks,
+// outside the service lock. The service creates one per active job
+// (activateLocked) and releases it when the job leaves the active set;
+// every lease's Spec carries it, so executors share one immutable
+// resolution instead of re-deriving it.
 type Handle struct {
 	spec Spec
 
@@ -238,6 +239,9 @@ func (h *Handle) resolve() error {
 				h.corpus = job.Corpus.Encode()
 				h.corpusID = targetset.ID(h.corpus)
 			}
+		}
+		if err == nil {
+			err = job.Prepare()
 		}
 		if err == nil {
 			h.job = job

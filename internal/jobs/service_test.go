@@ -3,10 +3,12 @@ package jobs
 import (
 	"context"
 	"crypto/md5"
+	"crypto/sha1"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/big"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -15,6 +17,7 @@ import (
 	"time"
 
 	"keysearch/internal/core"
+	"keysearch/internal/cracker"
 	"keysearch/internal/dispatch"
 	"keysearch/internal/keyspace"
 	"keysearch/internal/targetset"
@@ -774,5 +777,46 @@ func TestHandleLivesAsLongAsItsJob(t *testing.T) {
 	blob, id := a.Corpus()
 	if a == b || a.Job().Corpus == nil || id == 0 || id != targetset.ID(blob) {
 		t.Fatalf("hand-built resolutions: shared %v, corpus %p, id %016x of a %d-byte blob", a == b, a.Job().Corpus, id, len(blob))
+	}
+}
+
+// TestResolvedSHA1JobBuildsItsSetOnce: a single SHA1 target is searched
+// as a corpus of one, and a handle builds that set once, when it
+// resolves — not once per lease: a repeat search of one key allocates
+// less than the set's word-4 bitmap alone, and the job still finds its
+// key.
+func TestResolvedSHA1JobBuildsItsSetOnce(t *testing.T) {
+	sum := sha1.Sum([]byte("ba"))
+	spec := Spec{Algorithm: "sha1", Target: hex.EncodeToString(sum[:]), Charset: "ab", MinLen: 1, MaxLen: 3}
+	h, err := spec.Resolved()
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, ctx, opt := h.Job(), context.Background(), core.Options{Workers: 1}
+	res, err := cracker.CrackAll(ctx, job, job.Space.Whole(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Solutions) != 1 || string(res.Solutions[0]) != "ba" {
+		t.Fatalf("solutions %q, want [ba]", res.Solutions)
+	}
+
+	set, err := targetset.Build([][]byte{sum[:]}, targetset.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	word4, _ := set.Word4()
+	bitmap := word4.Bits() / 8
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := cracker.CrackAll(ctx, job, keyspace.NewInterval(0, 1), opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= bitmap {
+		t.Fatalf("a one-key search allocates %d bytes, no less than the %d-byte word-4 bitmap: the set is rebuilt per search", per, bitmap)
 	}
 }

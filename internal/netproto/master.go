@@ -47,9 +47,8 @@ func (e *RequeueError) Error() string {
 	return fmt.Sprintf("netproto: %s: worker requeued its interval: %s", e.Worker, e.Reason)
 }
 
-// MasterOptions tunes the master's failure model. The defaults mirror the
-// virtual-time simulator's FailureDetect: a dead worker is detected
-// within roughly HeartbeatTimeout and its interval requeued.
+// MasterOptions tunes the master's failure model: a dead worker is
+// detected within roughly HeartbeatTimeout and its interval requeued.
 type MasterOptions struct {
 	// Heartbeat is the ping interval while a call is in flight (0 = 2s).
 	// Exactly -1 disables heartbeats — and with them, unless

@@ -127,8 +127,7 @@
 // per frame; the worker answers MsgPong from its read loop even while
 // the search runs in another goroutine. A worker that is merely slow
 // keeps ponging; a dead or partitioned one goes silent and is detected
-// within one HeartbeatTimeout — the real-network mirror of the
-// simulator's FailureDetect event.
+// within one HeartbeatTimeout.
 //
 // When a call fails at the transport level the connection is discarded
 // and the call retried per MasterOptions.Retry (capped exponential

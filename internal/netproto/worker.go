@@ -159,8 +159,9 @@ func serveConn(ctx context.Context, conn net.Conn, cfg WorkerConfig, onReady fun
 	}
 
 	// The per-connection tables: specs (cracker jobs by spec ID, Corpus
-	// set), corpora (decoded target sets by content hash) and asm (chunk
-	// assemblies feeding corpora). Only the read loop touches them.
+	// set, prepared), corpora (decoded target sets by content hash) and
+	// asm (chunk assemblies feeding corpora). Only the read loop touches
+	// them.
 	specs := make(map[uint64]*cracker.Job)
 	corpora := make(map[uint64]*targetset.Set)
 	tables := func() {
@@ -296,6 +297,10 @@ func serveConn(ctx context.Context, conn net.Conn, cfg WorkerConfig, onReady fun
 					continue
 				}
 				job.Corpus = set
+			}
+			if err := job.Prepare(); err != nil {
+				sendErr(err)
+				continue
 			}
 			specs[sf.ID] = job
 			tables()

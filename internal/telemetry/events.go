@@ -27,10 +27,8 @@ const (
 	// EventReconnect: Node re-registered and its fresh connection
 	// replaced the broken one.
 	EventReconnect
-	// EventJoin: Node registered (or, in the simulator, came online).
+	// EventJoin: Node registered.
 	EventJoin
-	// EventFailure: Node failed permanently for this run.
-	EventFailure
 )
 
 // String names the event type.
@@ -50,8 +48,6 @@ func (t EventType) String() string {
 		return "reconnect"
 	case EventJoin:
 		return "join"
-	case EventFailure:
-		return "failure"
 	default:
 		return "unknown"
 	}
@@ -62,8 +58,7 @@ func (t EventType) MarshalText() ([]byte, error) { return []byte(t.String()), ni
 
 // Event is one entry of the structured trace.
 type Event struct {
-	// At is the monotonic offset from the trace's start. For the
-	// virtual-time cluster simulator it is virtual time instead.
+	// At is the monotonic offset from the trace's start.
 	At time.Duration `json:"at_ns"`
 	// Type classifies the event.
 	Type EventType `json:"type"`
@@ -102,15 +97,7 @@ func (tr *Trace) Record(typ EventType, node string, n uint64, detail string) {
 	if tr == nil {
 		return
 	}
-	tr.RecordAt(time.Since(tr.start), typ, node, n, detail)
-}
-
-// RecordAt appends an event with an explicit timestamp offset — the
-// virtual-time hook used by the cluster simulator.
-func (tr *Trace) RecordAt(at time.Duration, typ EventType, node string, n uint64, detail string) {
-	if tr == nil {
-		return
-	}
+	at := time.Since(tr.start)
 	tr.mu.Lock()
 	if tr.wrapped {
 		tr.dropped++

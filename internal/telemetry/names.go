@@ -16,11 +16,6 @@ const (
 	MetricDispatchShare    = "dispatch.share"     // gauge (per worker): balanced chunk size N_j
 	MetricDispatchXj       = "dispatch.x"         // gauge (per worker): tuned throughput X_j, keys/s
 
-	// Cluster simulator (internal/dispatch, virtual time).
-	MetricClusterTested = "cluster.tested"  // counter (per leaf): keys tested
-	MetricClusterX      = "cluster.x"       // gauge (per tree node): measured subtree throughput, keys/s
-	MetricClusterModelX = "cluster.model_x" // gauge (per tree node): SumThroughput yardstick, keys/s
-
 	// Transport (internal/netproto).
 	MetricNetFramesSent = "net.frames_sent" // counter: frames written
 	MetricNetFramesRecv = "net.frames_recv" // counter: frames read

@@ -125,7 +125,7 @@ func TestHistogramConcurrent(t *testing.T) {
 func TestTraceRingAndOrder(t *testing.T) {
 	tr := NewTrace(4)
 	for i := 0; i < 6; i++ {
-		tr.RecordAt(time.Duration(i), EventDispatch, "n", uint64(i), "")
+		tr.Record(EventDispatch, "n", uint64(i), "")
 	}
 	if tr.Len() != 4 {
 		t.Fatalf("len = %d, want 4", tr.Len())
