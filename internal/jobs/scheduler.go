@@ -146,6 +146,9 @@ type activeJob struct {
 	tested  uint64
 	found   [][]byte
 	sinceCP int // commits applied since the last durable checkpoint
+	// unflushed counts the commits settled in memory and not yet through
+	// their flush (see Service.Commit).
+	unflushed int
 
 	// stopLeasing marks a job that must issue no further leases
 	// (paused, cancelled, done, or solution quota met); the entry is

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -151,19 +152,18 @@ type Options struct {
 	// executors cost duplicated work, never duplicated or lost
 	// coverage.
 	LeaseTimeout time.Duration
-	// CheckpointEvery writes the durable per-job checkpoint on every
-	// Nth committed lease instead of every one (<=1 = every commit,
-	// the default). Completion, solution-bearing commits, and quota
+	// CheckpointEvery writes the durable per-job checkpoint once N
+	// committed leases have gathered since the last one, instead of on
+	// every flush (<=1 = every flush, the default). Completion, solution-bearing commits, and quota
 	// stops always checkpoint. Throttling trades crash re-search (up
 	// to N-1 committed leases are re-run after a crash) for commit
 	// throughput; in-memory accounting stays exact either way.
 	CheckpointEvery int
 	// OnCommit, when set, observes every committed lease in commit
-	// order: it runs under the service lock after the commit is
-	// applied (and its checkpoint is durable, unless CheckpointEvery
-	// throttled it), so implementations must be fast and must not
-	// call back into the Service or Store. Tests use it to audit
-	// exactness.
+	// order: it runs under the service lock once the flush covering the
+	// lease has made its checkpoint durable (unless CheckpointEvery
+	// deferred it), so implementations must be fast and must not call
+	// back into the Service or Store. Tests use it to audit exactness.
 	OnCommit func(jobID, tenant string, iv keyspace.Interval, tested uint64)
 	// OnRequeue, when set, observes every interval returned to a
 	// job's pool by an executor failure or lease timeout. It runs
@@ -260,6 +260,10 @@ type leaseState struct {
 	// retrying would fail the same way (the search finished or the
 	// worker predates the protocol).
 	noSteal bool
+	// started marks a lease an executor loop has begun to search. Until
+	// then it is queued behind the executor's running search, and an
+	// idle executor may reclaim it (reclaimLocked).
+	started bool
 }
 
 // liveLease is one entry of a job's lease table.
@@ -273,8 +277,8 @@ func stopTimer(le *liveLease) {
 }
 
 // Service multiplexes jobs over a fleet of executors: admission
-// control and fair-share scheduling on the lease path, synchronous WAL
-// checkpoints on the commit path, events out the side.
+// control and fair-share scheduling on the lease path, group-committed
+// WAL checkpoints on the commit path, events out the side.
 type Service struct {
 	store *Store
 	execs []Executor
@@ -299,6 +303,42 @@ type Service struct {
 	wg        sync.WaitGroup
 	loopsDone chan struct{} // closed when every executor loop has returned
 	closeOnce sync.Once
+
+	// loops is the per-executor state of the executor loops (Start mode).
+	loops []execLoop
+	// storeErr is the error of a FAILED record the store could not write
+	// after a WAL failure: the log is dead, and no lease is issued again.
+	storeErr error
+
+	// The commit pipeline (see Commit). pending holds the leases settled
+	// since the last flush began, flushing marks a flush writing the store
+	// with s.mu released, and flushCond wakes whoever waits on either. In
+	// Start mode the flusher goroutine writes every batch; loopsEnded
+	// tells it the executor loops have returned, and it closes
+	// flusherDone when it returns.
+	pending     []*settled
+	flushing    bool
+	flushCond   *sync.Cond
+	loopsEnded  bool
+	flusherDone chan struct{}
+}
+
+// loopsPerExecutor is the number of executor loops per executor: one
+// searches, and the other holds the executor's next lease queued behind
+// that search, so the worker gets its next request the moment it answers
+// and the last lease commits while the next one searches.
+const loopsPerExecutor = 2
+
+// execLoop is what an executor's loops share. queue admits one loop at a
+// time to lease and wait for the token, so leases start in the order
+// they were issued; token admits one search at a time. failures (guarded
+// by token) counts the executor's consecutive failed searches; retired
+// (guarded by s.mu) ends its loops.
+type execLoop struct {
+	queue    chan struct{}
+	token    chan struct{}
+	failures int
+	retired  bool
 }
 
 // NewService wires a store and a fleet. Call Start (or StartManual)
@@ -321,6 +361,8 @@ func NewService(store *Store, execs []Executor, opts Options) *Service {
 		loopsDone: make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
+	s.flushCond = sync.NewCond(&s.mu)
+	s.flusherDone = make(chan struct{})
 	return s
 }
 
@@ -337,7 +379,7 @@ func (s *Service) Start(ctx context.Context) error { return s.start(ctx, false) 
 // WAL, admission — from a discrete-event engine, one event at a time.
 func (s *Service) StartManual(ctx context.Context) error { return s.start(ctx, true) }
 
-func (s *Service) start(ctx context.Context, manual bool) error {
+func (s *Service) start(ctx context.Context, manual bool) (err error) {
 	s.mu.Lock()
 	if s.started || s.starting {
 		s.mu.Unlock()
@@ -358,6 +400,11 @@ func (s *Service) start(ctx context.Context, manual bool) error {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	defer func() {
+		if err != nil {
+			close(s.flusherDone) // no flusher runs; Kill does not wait for one
+		}
+	}()
 	s.starting = false
 	s.shares = dispatch.Shares(tunings, s.opts.LeaseScale, s.opts.MinLease, s.opts.MaxLease)
 	if !slices.ContainsFunc(s.shares, func(n uint64) bool { return n > 0 }) {
@@ -381,27 +428,46 @@ func (s *Service) start(ctx context.Context, manual bool) error {
 	s.refreshGaugesLocked()
 
 	if !manual {
+		s.loops = make([]execLoop, len(s.execs))
 		for i, ex := range s.execs {
 			if s.shares[i] == 0 {
 				continue
 			}
-			s.wg.Add(1)
-			go s.runExecutor(i, ex)
+			s.loops[i].queue = make(chan struct{}, 1)
+			s.loops[i].token = make(chan struct{}, 1)
+			for range loopsPerExecutor {
+				s.wg.Add(1)
+				go s.runExecutor(i, ex)
+			}
 		}
-		// Wake lease waiters when the context dies.
-		context.AfterFunc(s.ctx, s.cond.Broadcast)
+		// Wake lease waiters and the flusher when the context dies.
+		context.AfterFunc(s.ctx, func() {
+			s.mu.Lock()
+			s.flushCond.Broadcast()
+			s.mu.Unlock()
+			s.cond.Broadcast()
+		})
+		go s.runFlusher()
+	} else {
+		close(s.flusherDone)
 	}
 	go func() {
 		s.wg.Wait()
+		s.mu.Lock()
+		s.loopsEnded = true
+		s.flushCond.Broadcast()
+		s.mu.Unlock()
+		<-s.flusherDone
 		close(s.loopsDone)
 	}()
 	s.started = true
 	return nil
 }
 
-// ExecutorsDone is closed once every executor loop has returned: at
-// shutdown, or because each executor was retired (after MaxSearchFailures
-// consecutive failures, or gone) — RUNNING jobs then keep their remaining sets with
+// ExecutorsDone is closed once every executor loop has returned and the
+// commits they settled are flushed: at shutdown, or because each executor
+// was retired (after MaxSearchFailures consecutive failures, or gone), or
+// because the WAL died — RUNNING jobs then keep their remaining sets with
 // nobody left to lease them to, so a caller waiting on one should stop.
 // Under StartManual there are no loops and it is closed from the start.
 func (s *Service) ExecutorsDone() <-chan struct{} { return s.loopsDone }
@@ -512,32 +578,40 @@ func (s *Service) refreshGaugesLocked() {
 }
 
 // next blocks until a lease is available for executor i, the service
-// drains, or the context dies.
+// drains, the executor is retired, or the context dies. Only when the
+// executor is idle — no lease of its searching — does it reclaim a lease
+// queued on another executor, or steal.
 func (s *Service) next(i int) (Lease, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	el := &s.loops[i]
 	waitStart := s.clock.Now()
 	for {
-		if s.draining || s.ctx.Err() != nil {
+		if s.draining || s.ctx.Err() != nil || el.retired || s.storeErr != nil {
 			return Lease{}, false
 		}
 		if l, ok := s.tryLeaseLocked(i, waitStart); ok {
 			return l, true
 		}
-		if s.opts.Steal.Enabled {
-			// Idle with no leasable work: try to split the worst
-			// straggler's lease instead of waiting behind it. A failed
-			// attempt (no victim, refused handshake) falls through to the
-			// wait; a refusal that requeued the tail is picked up by
-			// tryLeaseLocked on the next iteration.
-			if l, ok := s.stealLocked(i); ok {
-				return l, true
+		if busy := s.searchingLocked(); !busy[i] {
+			if s.reclaimLocked(i, busy) {
+				continue
 			}
-			if s.draining || s.ctx.Err() != nil {
-				return Lease{}, false
-			}
-			if l, ok := s.tryLeaseLocked(i, waitStart); ok {
-				return l, true
+			if s.opts.Steal.Enabled {
+				// Idle with no leasable work: try to split the worst
+				// straggler's lease instead of waiting behind it. A failed
+				// attempt (no victim, refused handshake) falls through to the
+				// wait; a refusal that requeued the tail is picked up by
+				// tryLeaseLocked on the next iteration.
+				if l, ok := s.stealLocked(i); ok {
+					return l, true
+				}
+				if s.draining || s.ctx.Err() != nil {
+					return Lease{}, false
+				}
+				if l, ok := s.tryLeaseLocked(i, waitStart); ok {
+					return l, true
+				}
 			}
 		}
 		if hook := testHookIdle.Load(); hook != nil {
@@ -545,6 +619,41 @@ func (s *Service) next(i int) (Lease, bool) {
 		}
 		s.cond.Wait()
 	}
+}
+
+// searchingLocked reports which executors have a lease searching (only
+// the executor loops start leases, and they lease to valid indices). It
+// scans the live leases, so only the idle path asks. Callers hold s.mu.
+func (s *Service) searchingLocked() []bool {
+	busy := make([]bool, len(s.execs))
+	for _, a := range s.active {
+		for _, le := range a.leases.Live() {
+			if le.State.started {
+				busy[le.State.exec] = true
+			}
+		}
+	}
+	return busy
+}
+
+// reclaimLocked returns to its pool a lease that another executor holds
+// queued behind its running search, so that idle executor i leases it
+// now instead of waiting for that search to end: without it, the last
+// leases of a job wait behind busy executors while idle ones look on.
+// A lease whose executor is not searching is about to start, and is
+// left alone. It reports whether it found one. Callers hold s.mu.
+func (s *Service) reclaimLocked(i int, busy []bool) bool {
+	for _, a := range s.active {
+		if a.stopLeasing {
+			continue
+		}
+		for _, le := range a.leases.Live() {
+			if st := le.State; !st.started && !st.stealing && st.exec != i && busy[st.exec] {
+				return s.requeueLocked(a, le.ID, nil)
+			}
+		}
+	}
+	return false
 }
 
 // testHookIdle, when set, runs in next with s.mu held, after an executor
@@ -569,7 +678,7 @@ func (s *Service) TryLease(exec int) (Lease, bool) {
 // tryLeaseLocked picks the next lease for executor i, or reports none
 // runnable. Callers hold s.mu.
 func (s *Service) tryLeaseLocked(i int, waitStart time.Time) (Lease, bool) {
-	if i < 0 || i >= len(s.shares) || s.shares[i] == 0 {
+	if i < 0 || i >= len(s.shares) || s.shares[i] == 0 || s.storeErr != nil {
 		return Lease{}, false
 	}
 	for {
@@ -648,9 +757,11 @@ func (s *Service) noteProgress(jobID string, leaseID, done uint64) {
 
 // requeueLocked returns live lease id of job a to the pool untested: the
 // tenant's deficit is refunded, counter counts it and lease waiters are
-// woken. It reports false — and does nothing — when the lease has already
-// left the table, which is how a late Fail or expiry stays harmless.
-// Callers hold s.mu and run Options.OnRequeue once they have released it.
+// woken. A nil counter returns a lease that never reached its executor,
+// which is no requeue incident. It reports false — and does nothing —
+// when the lease has already left the table, which is how a late Fail or
+// expiry stays harmless. Callers hold s.mu and run Options.OnRequeue once
+// they have released it.
 func (s *Service) requeueLocked(a *activeJob, id uint64, counter *telemetry.Counter) bool {
 	le, ok := a.leases.Requeue(id)
 	if !ok {
@@ -658,8 +769,10 @@ func (s *Service) requeueLocked(a *activeJob, id uint64, counter *telemetry.Coun
 	}
 	stopTimer(le)
 	s.sched.credit(a.tenant, le.N)
-	counter.Inc()
-	s.tel.requeued.Add(le.N)
+	if counter != nil {
+		counter.Inc()
+		s.tel.requeued.Add(le.N)
+	}
 	s.dropIfDrainedLocked(a)
 	s.cond.Broadcast()
 	return true
@@ -702,30 +815,121 @@ func (s *Service) Fail(l Lease) {
 	}
 }
 
-// Commit lands a completed lease: progress accumulates, the job's
-// checkpoint (the lease table's Remaining, tested = committed keys) is
-// appended to the WAL before anything acknowledges the work (subject to
-// CheckpointEvery), and completion is detected. A crash at ANY point
-// re-searches only leases whose checkpoint never landed — committed
-// spans are never re-issued. It reports whether the commit was accepted
-// — false means the lease was already requeued by the timeout (or the
-// job is gone) and the work must be discarded, which is how exactly-once
-// coverage survives late arrivals.
+// Commit lands a completed lease: its keys count, the job's checkpoint
+// (the lease table's Remaining, tested = committed keys) is appended to
+// the WAL (subject to CheckpointEvery), and only once that append is
+// durable is the commit acknowledged: OnCommit, events, tenant charging
+// and completion. A crash at ANY point re-searches only leases whose
+// checkpoint never landed — committed spans are never re-issued. It
+// reports whether the commit was accepted — false means the lease was
+// already requeued by the timeout (or the job is gone, or its checkpoint
+// could not be written) and the work must be discarded, which is how
+// exactly-once coverage survives late arrivals.
+//
+// Commit waits for the flush that covers its lease, and runs that flush
+// itself when no other one is running; a lone caller — manual drive — is
+// a batch of one. The executor loops do not wait: they settle and go on
+// to their next lease, and the flusher writes their batches.
 func (s *Service) Commit(l Lease, rep *dispatch.Report) bool {
 	s.mu.Lock()
+	c := s.settleLocked(l, rep)
+	for c != nil && !c.done {
+		if s.flushing {
+			s.flushCond.Wait()
+			continue
+		}
+		s.mu.Unlock()
+		s.flush()
+		s.mu.Lock()
+	}
+	s.mu.Unlock()
+	return c != nil && c.accepted
+}
+
+// flush writes and acknowledges every lease settled since the last flush
+// began, unless another flush is running or nothing is pending. Whoever
+// flushes takes the whole batch: one checkpoint per job, the job's full
+// remaining set, so the batch is one ordinary record and one fsync, and
+// s.mu is released across the store writes, so leases are issued and
+// the next batch settles while the fsync runs.
+func (s *Service) flush() {
+	s.mu.Lock()
+	if s.flushing || len(s.pending) == 0 {
+		s.mu.Unlock()
+		return
+	}
+	batch := s.pending
+	s.pending, s.flushing = nil, true
+	fl := s.prepareFlushLocked(batch)
+	s.mu.Unlock()
+	s.writeFlush(fl)
+	s.mu.Lock()
+	s.finishFlushLocked(batch, fl)
+	s.flushing = false
+	s.flushCond.Broadcast()
+	s.mu.Unlock()
+	s.cond.Broadcast()
+}
+
+// runFlusher flushes the executor loops' commits in Start mode, batch
+// after batch, until the loops have returned and nothing is pending, or
+// the context dies (a crash or a shutdown past its deadline: what is
+// unflushed is in each job's durable remaining set, and is re-searched).
+func (s *Service) runFlusher() {
+	defer close(s.flusherDone)
+	s.mu.Lock()
+	for {
+		if s.ctx.Err() != nil || s.loopsEnded && len(s.pending) == 0 && !s.flushing {
+			s.mu.Unlock()
+			return
+		}
+		if s.flushing || len(s.pending) == 0 {
+			s.flushCond.Wait()
+			continue
+		}
+		s.mu.Unlock()
+		s.flush()
+		s.mu.Lock()
+	}
+}
+
+// settle lands a lease an executor loop searched, without waiting for its
+// flush: the loop goes straight on to lease again while the flusher
+// writes the checkpoint.
+func (s *Service) settle(l Lease, rep *dispatch.Report) {
+	s.mu.Lock()
+	if s.settleLocked(l, rep) != nil {
+		s.flushCond.Broadcast()
+	}
+	s.mu.Unlock()
+}
+
+// settled is one lease Commit has settled in memory, waiting for the
+// flush that makes it durable; that flush fills in done and accepted.
+type settled struct {
+	a        *activeJob
+	tenant   string
+	iv       keyspace.Interval
+	tested   uint64
+	found    bool
+	done     bool
+	accepted bool
+}
+
+// settleLocked takes lease l out of its job's table and counts its keys
+// in memory, queueing it for the next flush. It returns nil when the
+// lease is no longer live — the timeout requeued it, and accepting this
+// commit would double-count the span when the re-issued lease lands.
+// Callers hold s.mu.
+func (s *Service) settleLocked(l Lease, rep *dispatch.Report) *settled {
 	a := s.active[l.JobID]
 	if a == nil {
-		s.mu.Unlock()
-		return false
+		return nil
 	}
 	le, live := a.leases.Settle(l.ID)
 	if !live {
-		// The lease timed out and its interval was requeued; accepting
-		// this commit would double-count the span when the re-issued
-		// lease lands.
 		s.tel.lateCommits.Inc()
-		s.mu.Unlock()
-		return false
+		return nil
 	}
 	stopTimer(le)
 	tested := rep.Tested
@@ -741,62 +945,123 @@ func (s *Service) Commit(l Lease, rep *dispatch.Report) bool {
 	a.tested += tested
 	a.found = append(a.found, rep.Found...)
 	a.sinceCP++
+	a.unflushed++
+	c := &settled{a: a, tenant: l.Tenant, iv: le.Interval, tested: tested, found: len(rep.Found) > 0}
+	s.pending = append(s.pending, c)
+	return c
+}
 
-	accepted := true
-	j, err := s.store.Get(l.JobID)
-	if err != nil {
-		s.mu.Unlock()
-		return false
-	}
-	var events []Event
-	if !j.State.Terminal() {
-		quota := a.spec.MaxSolutions > 0 && len(a.found) >= a.spec.MaxSolutions
-		// A throttled commit is applied in memory and audited; the durable
-		// checkpoint waits for a later commit. A crash before that
-		// checkpoint re-searches this span — duplicated work, not
-		// duplicated coverage.
-		durable := a.leases.Exhausted() || quota || len(rep.Found) > 0 || a.sinceCP >= s.opts.checkpointEvery()
-		var cerr error
-		if durable {
-			cerr = s.store.RecordCheckpoint(l.JobID, dispatch.NewCheckpoint(a.leases.Remaining(), a.tested, a.found))
+// jobFlush is one job's share of a flush: the checkpoint to write (nil
+// when CheckpointEvery defers it) and, once written, the outcome.
+type jobFlush struct {
+	a     *activeJob
+	cp    *dispatch.Checkpoint
+	found bool // a lease of the batch found a solution
+	final bool // cp's remaining set is empty or meets the quota: DONE follows it
+
+	err      error
+	job      Job  // the snapshot after the write
+	acked    bool // durable: the batch's leases are acknowledged
+	accepted bool // what Commit reports (a terminal job's discard counts)
+}
+
+// prepareFlushLocked builds each job's checkpoint for a batch, from the
+// tables as they stand: every lease settled so far is in this batch or
+// an earlier one, so the checkpoint covers exactly what the flush
+// acknowledges. Completion, solution-bearing batches and quota stops
+// always checkpoint. Callers hold s.mu.
+func (s *Service) prepareFlushLocked(batch []*settled) []*jobFlush {
+	var fl []*jobFlush
+	for _, c := range batch {
+		i := slices.IndexFunc(fl, func(f *jobFlush) bool { return f.a == c.a })
+		if i < 0 {
+			i = len(fl)
+			fl = append(fl, &jobFlush{a: c.a})
 		}
-		if cerr != nil {
-			// The WAL refused or failed: the job's durable state can no
-			// longer be trusted to advance. Fail the job loudly rather
-			// than keep burning keys whose coverage would be lost.
-			if fj, ferr := s.store.SetState(l.JobID, StateFailed, cerr.Error()); ferr == nil {
-				a.stopLeasing = true
+		fl[i].found = fl[i].found || c.found
+	}
+	for _, f := range fl {
+		a := f.a
+		f.final = a.leases.Exhausted() || a.spec.MaxSolutions > 0 && len(a.found) >= a.spec.MaxSolutions
+		// A deferred checkpoint leaves the commits applied in memory and
+		// acknowledged; a crash before a later checkpoint re-searches
+		// them — duplicated work, not duplicated coverage.
+		if f.final || f.found || a.sinceCP >= s.opts.checkpointEvery() {
+			f.cp = dispatch.NewCheckpoint(a.leases.Remaining(), a.tested, a.found)
+			a.sinceCP = 0 // a failed write fails the job: no later checkpoint counts on it
+		}
+	}
+	return fl
+}
+
+// writeFlush writes each job's checkpoint and reads its snapshot once,
+// with s.mu released: a lease is issued, and the next batch settles,
+// while the fsync runs.
+func (s *Service) writeFlush(fl []*jobFlush) {
+	for _, f := range fl {
+		if f.cp != nil {
+			f.err = s.store.RecordCheckpoint(f.a.id, f.cp)
+		}
+		if f.err == nil {
+			f.job, f.err = s.store.Get(f.a.id)
+		}
+	}
+}
+
+// finishFlushLocked acknowledges a written batch: for each job whose
+// checkpoint is durable, OnCommit and tenant charging per lease in commit
+// order, then one progress (or found) event and completion. A job that
+// turned terminal before its write (a cancel, say) has its batch
+// discarded, as a commit to a terminal job always was. A job whose write
+// failed is failed and stops leasing; if even its FAILED record cannot
+// be written, the log is dead and the service issues no lease again.
+// Callers hold s.mu.
+func (s *Service) finishFlushLocked(batch []*settled, fl []*jobFlush) {
+	byJob := make(map[*activeJob]*jobFlush, len(fl))
+	for _, f := range fl {
+		byJob[f.a] = f
+		switch {
+		case errors.Is(f.err, ErrTransition) || errors.Is(f.err, ErrNotFound) || f.err == nil && f.job.State.Terminal():
+			f.accepted = true
+		case f.err != nil:
+			f.a.stopLeasing = true
+			if fj, ferr := s.store.SetState(f.a.id, StateFailed, f.err.Error()); ferr != nil {
+				s.storeErr = ferr
+			} else {
 				s.tel.failed.Inc()
-				events = append(events, Event{Type: EventState, Job: fj})
+				s.hub.publish(Event{Type: EventState, Job: fj})
 			}
-			accepted = false
-		} else {
-			s.tel.committed(l.Tenant, tested)
+		default:
+			f.acked, f.accepted = true, true
+		}
+	}
+	for _, c := range batch {
+		f := byJob[c.a]
+		c.done, c.accepted = true, f.accepted
+		c.a.unflushed--
+		if f.acked {
+			s.tel.committed(c.tenant, c.tested)
 			if s.opts.OnCommit != nil {
-				s.opts.OnCommit(l.JobID, l.Tenant, le.Interval, tested)
+				s.opts.OnCommit(c.a.id, c.tenant, c.iv, c.tested)
 			}
+		}
+	}
+	for _, f := range fl {
+		if f.acked {
 			typ := EventProgress
-			if durable {
-				a.sinceCP = 0
-				j, _ = s.store.Get(l.JobID)
-				if len(rep.Found) > 0 {
-					typ = EventFound
+			if f.cp != nil && f.found {
+				typ = EventFound
+			}
+			s.hub.publish(Event{Type: typ, Job: f.job})
+			if f.final {
+				if de := s.finishIfDoneLocked(f.a); de != nil {
+					s.hub.publish(*de)
 				}
 			}
-			events = append(events, Event{Type: typ, Job: j})
-			if de := s.finishIfDoneLocked(a); de != nil {
-				events = append(events, *de)
-			}
 		}
+		s.dropIfDrainedLocked(f.a)
 	}
-	s.dropIfDrainedLocked(a)
 	s.refreshGaugesLocked()
-	for _, ev := range events {
-		s.hub.publish(ev)
-	}
-	s.mu.Unlock()
-	s.cond.Broadcast()
-	return accepted
 }
 
 // Steal splits a straggler's in-flight lease at an interior boundary:
@@ -851,6 +1116,9 @@ func (s *Service) stolenLocked(tail *liveLease) {
 // arms the tail immediately, the handshake path only once the boundary
 // settles.
 func (s *Service) splitLeaseLocked(a *activeJob, victimID, keep uint64, thief int) (*liveLease, bool) {
+	if s.storeErr != nil {
+		return nil, false
+	}
 	tail, ok := a.leases.Split(victimID, keep, s.leaseSeq+1)
 	if !ok {
 		return nil, false
@@ -1015,8 +1283,12 @@ func (s *Service) settleStealLocked(jobID string, victimID, tailID, keep, cut ui
 
 // finishIfDoneLocked transitions a job to DONE when its keyspace is
 // exhausted or its solution quota is met, returning the event to
-// publish.
+// publish. A job with commits not yet flushed waits for the flush: DONE
+// follows only a durable checkpoint.
 func (s *Service) finishIfDoneLocked(a *activeJob) *Event {
+	if a.unflushed > 0 {
+		return nil
+	}
 	exhausted := a.leases.Exhausted()
 	quota := a.spec.MaxSolutions > 0 && len(a.found) >= a.spec.MaxSolutions
 	if !exhausted && !quota {
@@ -1037,24 +1309,39 @@ func (s *Service) finishIfDoneLocked(a *activeJob) *Event {
 }
 
 // dropIfDrainedLocked removes a no-longer-leasing job from the active
-// set once its in-flight leases are gone, freeing its admission slot and
-// releasing its handle. It is the one place a job leaves the set.
+// set once its in-flight leases are gone and its settled ones flushed,
+// freeing its admission slot and releasing its handle. It is the one
+// place a job leaves the set. (A job dropped before its flush could be
+// resumed from a checkpoint that still lists the flushing leases, and
+// search them twice.)
 func (s *Service) dropIfDrainedLocked(a *activeJob) {
-	if a.stopLeasing && a.leases.Len() == 0 {
+	if a.stopLeasing && a.leases.Len() == 0 && a.unflushed == 0 {
 		delete(s.active, a.id)
 		a.spec.h.release()
 	}
 }
 
+// runExecutor is one of executor i's loops (loopsPerExecutor of them).
+// A loop leases while the other one searches, waits for the token, and
+// hands the token on before it settles its result, so the other loop's
+// queued lease searches while this one's checkpoint is written.
 func (s *Service) runExecutor(i int, ex Executor) {
 	defer s.wg.Done()
 	se, liveCapable := ex.(StealExecutor)
 	live := liveCapable && s.opts.Steal.Enabled
-	failures := 0
+	el := &s.loops[i]
 	for {
+		el.queue <- struct{}{}
 		l, ok := s.next(i)
 		if !ok {
+			<-el.queue
 			return
+		}
+		el.token <- struct{}{}
+		<-el.queue
+		if !s.begin(i, l) {
+			<-el.token
+			continue
 		}
 		var rep *dispatch.Report
 		var err error
@@ -1068,15 +1355,59 @@ func (s *Service) runExecutor(i int, ex Executor) {
 		}
 		if err != nil || rep == nil {
 			s.Fail(l)
-			failures++
-			if s.ctx.Err() != nil || failures >= s.opts.maxFailures() || errors.Is(err, ErrExecutorGone) {
+			el.failures++
+			if s.ctx.Err() != nil || el.failures >= s.opts.maxFailures() || errors.Is(err, ErrExecutorGone) {
+				// Retire before the token passes: the sibling's queued
+				// lease then goes back to its pool unsearched.
+				s.retire(i)
+				<-el.token
 				return
 			}
+			<-el.token
 			continue
 		}
-		failures = 0
-		s.Commit(l, rep)
+		el.failures = 0
+		<-el.token
+		// Yield to the loop that just took the token, so the worker's next
+		// request goes out before this loop's bookkeeping and before the
+		// flush that settle wakes: the last goroutine readied runs first,
+		// and a flush holds its processor across the fsync.
+		runtime.Gosched()
+		s.settle(l, rep)
 	}
+}
+
+// begin starts lease l on executor i, whose token the caller holds. It
+// reports false when the lease must not run: it left the table while it
+// was queued (reclaimed by an idle executor, or timed out), or the
+// executor was retired, the job stopped leasing or the service is
+// stopping, in which case the lease goes back to its pool unsearched.
+func (s *Service) begin(i int, l Lease) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	a := s.active[l.JobID]
+	if a == nil {
+		return false
+	}
+	le, ok := a.leases.Get(l.ID)
+	if !ok {
+		return false
+	}
+	if s.loops[i].retired || a.stopLeasing || s.draining || s.ctx.Err() != nil || s.storeErr != nil {
+		s.requeueLocked(a, l.ID, nil)
+		return false
+	}
+	le.State.started = true
+	return true
+}
+
+// retire ends executor i's loops: the one that failed returns, and the
+// other returns its queued lease unsearched or wakes in next and returns.
+func (s *Service) retire(i int) {
+	s.mu.Lock()
+	s.loops[i].retired = true
+	s.mu.Unlock()
+	s.cond.Broadcast()
 }
 
 // Submit validates and enqueues a job.
@@ -1147,8 +1478,9 @@ func (s *Service) setState(id string, to State, reason string) (Job, error) {
 }
 
 // Shutdown drains gracefully: admission and leasing stop, in-flight
-// leases run to their chunk boundary and checkpoint as usual, then the
-// WAL is flushed and closed. If ctx expires first, in-flight leases
+// leases run to their chunk boundary and checkpoint as usual (a lease
+// still queued behind a search goes back to its pool unsearched), then
+// the WAL is flushed and closed. If ctx expires first, in-flight leases
 // are cancelled hard — their intervals are still in every job's
 // checkpointed remaining set, so nothing is lost either way. Manual
 // drivers must finish driving before calling Shutdown; their
@@ -1187,5 +1519,6 @@ func (s *Service) Kill() {
 	s.cancel()
 	s.cond.Broadcast()
 	s.wg.Wait()
+	<-s.flusherDone
 	s.hub.close()
 }

@@ -372,6 +372,14 @@ func TestExpireDuringStealHandshakeNoDoubleDisposition(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("second executor never leased")
 	}
+	// Each executor's second loop queues the next lease behind its search;
+	// once the pool is empty every lease (and its timer) has been issued.
+	waitFor(t, svc, 10*time.Second, "queued leases", func() bool {
+		svc.mu.Lock()
+		defer svc.mu.Unlock()
+		a := svc.active[job.ID]
+		return a != nil && !a.leases.Leasable()
+	})
 
 	// Fire the timers. The straggler's lease was armed first, so its
 	// expiry pops first and parks in the gate clock — the callback is "in

@@ -11,6 +11,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"keysearch/internal/dispatch"
@@ -95,6 +96,10 @@ type Store struct {
 	order []string  // table order: submission order, kept by snapshots
 	pend  []*jobRec // the StatePending jobs in table order, for admission
 	dirty int       // records appended since the last snapshot
+
+	// npend is len(pend), kept by every change to pend so that the lease
+	// path reads it without the store lock (PendingCount).
+	npend atomic.Int64
 }
 
 // Open recovers (or creates) a store in dir: load the snapshot if one
@@ -190,6 +195,7 @@ func (s *Store) applySubmit(sr submitRecord) error {
 	s.jobs[sr.ID] = r
 	s.order = append(s.order, sr.ID)
 	s.pend = append(s.pend, r)
+	s.npend.Store(int64(len(s.pend)))
 	return nil
 }
 
@@ -208,6 +214,7 @@ func (s *Store) applyState(tr stateRecord) error {
 		} else {
 			s.pend = slices.Insert(s.pend, i, r)
 		}
+		s.npend.Store(int64(len(s.pend)))
 	}
 	r.state = tr.To
 	r.reason = tr.Reason
@@ -373,11 +380,11 @@ func (s *Store) Pending() []Job {
 	return out
 }
 
-// PendingCount returns the number of jobs in StatePending.
+// PendingCount returns the number of jobs in StatePending. It takes no
+// lock: the lease path asks it on every lease, and must not wait behind
+// an append's fsync to learn that nothing is pending.
 func (s *Store) PendingCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.pend)
+	return int(s.npend.Load())
 }
 
 // Count returns the number of jobs in the table, without snapshotting
@@ -587,6 +594,7 @@ func (s *Store) loadSnapshot() (uint64, error) {
 			s.pend = append(s.pend, r)
 		}
 	}
+	s.npend.Store(int64(len(s.pend)))
 	return env.Seq, nil
 }
 

@@ -277,6 +277,15 @@ func TestPendingFullTeardownVsRejoin(t *testing.T) {
 
 	connA := rawRegister(t, m.Addr(), "filler") // fills the 1-slot pending buffer
 	defer connA.Close()
+	// The hello ack goes out before the master enqueues the worker, so
+	// wait for the filler to hold the slot: otherwise the drifter can take
+	// it, the filler overflows instead, and the hook never fires.
+	for deadline := time.Now().Add(5 * time.Second); len(m.pending) == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("filler never reached the pending buffer")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	connB1 := rawRegister(t, m.Addr(), "race-drifter") // overflow: parks in the teardown window
 	defer connB1.Close()
 	<-full
