@@ -26,7 +26,6 @@ import (
 	"keysearch/internal/hash/md5x"
 	"keysearch/internal/kernel"
 	"keysearch/internal/keyspace"
-	"keysearch/internal/markov"
 	"keysearch/internal/model"
 )
 
@@ -352,34 +351,6 @@ func BenchmarkMPSimCycleAccuracy(b *testing.B) {
 		cyc = res.CyclesPerCandidate(1)
 	}
 	b.ReportMetric(cyc, "cycles/hash")
-}
-
-// BenchmarkMarkovUnrank measures the cost of the probability-ordered
-// f(id) (related-work extension; see internal/markov).
-func BenchmarkMarkovUnrank(b *testing.B) {
-	m, err := markov.Train([]string{
-		"password", "dragon", "sunshine", "shadow", "master", "monkey",
-		"summer", "banana", "flower", "orange", "silver", "golden",
-	}, keyspace.Lower)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := markov.NewSpace(m, 6, 6, -1, 30)
-	if err != nil {
-		b.Fatal(err)
-	}
-	size := s.Size64()
-	if size == 0 {
-		b.Fatal("empty band")
-	}
-	var buf []byte
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf, err = s.AppendKey(buf[:0], uint64(i)%size)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func BenchmarkCPUCrackSHA1(b *testing.B) {

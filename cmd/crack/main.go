@@ -9,18 +9,16 @@
 //	      -charset abcdefghijklmnopqrstuvwxyz -min 1 -max 4
 //
 //	crack -alg md5 -hash <hex> -salt-suffix NaCl   # salted target
-//	crack -alg sha1 -hash <hex> -wordlist words.txt -rules leet,capitalize
+//	crack -alg sha1 -hash <hex> -kernel plain -all  # every preimage, plain kernel
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/hex"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"math/big"
 	"os"
 	"os/signal"
 	"time"
@@ -43,7 +41,7 @@ func main() {
 // errUsage is a command line run cannot use; it has printed why.
 var errUsage = errors.New("usage")
 
-// run parses the command line in args, runs the attack it names and
+// run parses the command line in args, runs the search it names and
 // reports it to stdout.
 func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("crack", flag.ContinueOnError)
@@ -57,10 +55,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		kernelName = fs.String("kernel", "optimized", "kernel tier: optimized, plain, naive")
 		saltPre    = fs.String("salt-prefix", "", "salt prepended to candidates")
 		saltSuf    = fs.String("salt-suffix", "", "salt appended to candidates")
-		maskSpec   = fs.String("mask", "", "mask attack: per-position pattern like ?u?l?l?d?d")
-		wordlist   = fs.String("wordlist", "", "dictionary attack: word file (one per line)")
-		rulesSpec  = fs.String("rules", "identity", "dictionary mangling rules")
-		maskLen    = fs.Int("mask-digits", 0, "hybrid attack: brute-forced digit suffix length")
 		all        = fs.Bool("all", false, "find all preimages instead of stopping at the first")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -85,23 +79,20 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if *all {
 		opt.MaxSolutions = -1
 	}
-	if *maskSpec != "" || *wordlist != "" {
-		// The mask and dictionary attacks run the unsalted optimized kernel.
-		if *saltPre != "" || *saltSuf != "" || *kernelName != "optimized" {
-			return errors.New("-mask and -wordlist take no -salt-prefix, -salt-suffix or -kernel")
-		}
+	kind, err := parseKernel(*kernelName)
+	if err != nil {
+		return err
 	}
+	space, err := keysearch.NewSpace(*charset, *minLen, *maxLen)
+	if err != nil {
+		return err
+	}
+	job := &keysearch.Job{Algorithm: alg, Target: raw, Space: space, Kind: kind,
+		Salt: keysearch.Salt{Prefix: []byte(*saltPre), Suffix: []byte(*saltSuf)}}
+	fmt.Fprintf(stdout, "searching %v keys (%s, %s kernel)\n", space.Size(), alg, kind)
 
 	start := time.Now()
-	var res *keysearch.Result
-	if *maskSpec != "" {
-		res, err = maskAttack(ctx, stdout, alg, raw, *maskSpec, opt)
-	} else if *wordlist != "" {
-		res, err = dictAttack(ctx, stdout, alg, raw, *wordlist, *rulesSpec, *maskLen, opt)
-	} else {
-		res, err = bruteForce(ctx, stdout, alg, raw, *charset, *minLen, *maxLen,
-			*kernelName, *saltPre, *saltSuf, opt)
-	}
+	res, err := keysearch.Crack(ctx, job, opt)
 	if err != nil {
 		return err
 	}
@@ -118,28 +109,17 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	return nil
 }
 
-func bruteForce(ctx context.Context, stdout io.Writer, alg keysearch.Algorithm, raw []byte, charset string,
-	minLen, maxLen int, kernelName, saltPre, saltSuf string, opt keysearch.Options) (*keysearch.Result, error) {
-
-	space, err := keysearch.NewSpace(charset, minLen, maxLen)
-	if err != nil {
-		return nil, err
-	}
-	var kind keysearch.KernelKind
-	switch kernelName {
+// parseKernel resolves a -kernel name to its tier.
+func parseKernel(name string) (keysearch.KernelKind, error) {
+	switch name {
 	case "optimized":
-		kind = keysearch.KernelOptimized
+		return keysearch.KernelOptimized, nil
 	case "plain":
-		kind = keysearch.KernelPlain
+		return keysearch.KernelPlain, nil
 	case "naive":
-		kind = keysearch.KernelNaive
-	default:
-		return nil, fmt.Errorf("unknown kernel %q", kernelName)
+		return keysearch.KernelNaive, nil
 	}
-	job := &keysearch.Job{Algorithm: alg, Target: raw, Space: space, Kind: kind,
-		Salt: keysearch.Salt{Prefix: []byte(saltPre), Suffix: []byte(saltSuf)}}
-	fmt.Fprintf(stdout, "searching %v keys (%s, %s kernel)\n", space.Size(), alg, kind)
-	return keysearch.Crack(ctx, job, opt)
+	return 0, fmt.Errorf("unknown kernel %q", name)
 }
 
 // digestFromHex decodes a hex digest and checks its length against alg.
@@ -149,55 +129,6 @@ func digestFromHex(alg keysearch.Algorithm, hexDigest string) ([]byte, error) {
 		return nil, fmt.Errorf("bad %s digest %q", alg, hexDigest)
 	}
 	return raw, nil
-}
-
-func maskAttack(ctx context.Context, stdout io.Writer, alg keysearch.Algorithm, raw []byte, spec string,
-	opt keysearch.Options) (*keysearch.Result, error) {
-
-	m, err := keysearch.ParseMask(spec)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(stdout, "mask attack %q: %v candidates\n", spec, m.Size())
-	return keysearch.MaskAttack(ctx, alg, raw, m, opt)
-}
-
-func dictAttack(ctx context.Context, stdout io.Writer, alg keysearch.Algorithm, raw []byte, wordfile, rulesSpec string,
-	maskDigits int, opt keysearch.Options) (*keysearch.Result, error) {
-
-	f, err := os.Open(wordfile)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var words []string
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		if w := sc.Text(); w != "" {
-			words = append(words, w)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	rules, err := keysearch.ParseRules(rulesSpec)
-	if err != nil {
-		return nil, err
-	}
-	var mask *keysearch.Space
-	if maskDigits > 0 {
-		mask, err = keysearch.NewSpaceOrdered(keysearch.DigitsSet, maskDigits, maskDigits, keysearch.SuffixMajor)
-		if err != nil {
-			return nil, err
-		}
-	}
-	ds, err := keysearch.NewDictSpace(words, rules, mask)
-	if err != nil {
-		return nil, err
-	}
-	size := new(big.Int).Set(ds.Size())
-	fmt.Fprintf(stdout, "dictionary attack: %d words x rules x mask = %v candidates\n", len(words), size)
-	return keysearch.DictAttack(ctx, alg, raw, ds, opt)
 }
 
 func fatal(err error) {

@@ -207,7 +207,7 @@ func main() {
 	fmt.Printf("== Dispatch exactness: interval %d, tested %d, retested %d, requeues %d, exact=%v ==\n",
 		ex.Interval, ex.Tested, ex.Retested, ex.Requeues, ex.Exact)
 	if !ex.Exact {
-		fatal(fmt.Errorf("keybench: tested counters do not cover the interval exactly"))
+		fatal(fmt.Errorf("tested counters do not cover the interval exactly"))
 	}
 
 	rep.Telemetry = reg.Snapshot()

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"sort"
 	"time"
 
 	"keysearch/internal/core"
@@ -13,6 +14,22 @@ import (
 	"keysearch/internal/keyspace"
 	"keysearch/internal/targetset"
 )
+
+// targetRepeats rounds of at least targetPass each time every row: one
+// walk of the interval alone is 5–17 ms, too short a window to compare
+// rows by.
+const (
+	targetRepeats = 5
+	targetPass    = 100 * time.Millisecond
+)
+
+// timing is one row's measurement: keys and seconds summed over every
+// round, and the median round's cost per key.
+type timing struct {
+	tested   uint64
+	sec      float64
+	nsPerKey float64
+}
 
 // TargetRow is one corpus-size line of the multi-target benchmark.
 type TargetRow struct {
@@ -25,10 +42,12 @@ type TargetRow struct {
 	RequestedFPR float64 `json:"requested_fpr"`
 	EstimatedFPR float64 `json:"estimated_fpr"`
 	MeasuredFPR  float64 `json:"measured_fpr"`
-	Tested       uint64  `json:"tested"`
-	Seconds      float64 `json:"seconds"`
-	NsPerKey     float64 `json:"ns_per_key"`
-	MKeys        float64 `json:"mkeys"`
+	// Tested and Seconds sum every round; NsPerKey is the median round's
+	// cost and MKeys its inverse.
+	Tested   uint64  `json:"tested"`
+	Seconds  float64 `json:"seconds"`
+	NsPerKey float64 `json:"ns_per_key"`
+	MKeys    float64 `json:"mkeys"`
 	// OverSingleTarget is this row's per-candidate cost relative to the
 	// single-target cost of the same two-stage kernel (the corpus-of-one
 	// row) — the flatness-in-corpus-size ratio the subsystem promises.
@@ -134,71 +153,114 @@ func targetsetMain(quick bool, out string) error {
 		n = 1 << 18
 	}
 	iv := keyspace.NewInterval(0, n)
-	run := func(job *cracker.Job) (uint64, float64, error) {
+	// measure times jobs against each other. Each row's ns/key is the
+	// median of targetRepeats rounds; a round times every job once, each
+	// for at least targetPass of back-to-back walks of iv, and every other
+	// round runs the jobs in reverse order, so slow drift of the host
+	// shifts all rows alike instead of the ratios between them.
+	measure := func(jobs []*cracker.Job) ([]timing, error) {
 		// One untimed warm-up pass settles code and allocator state so the
 		// baseline and corpus rows see the same steady state.
-		if _, err := cracker.CrackAll(context.Background(), job, keyspace.NewInterval(0, n/8), core.Options{}); err != nil {
-			return 0, 0, err
+		for _, job := range jobs {
+			if _, err := cracker.CrackAll(context.Background(), job, keyspace.NewInterval(0, n/8), core.Options{}); err != nil {
+				return nil, err
+			}
 		}
-		start := time.Now()
-		res, err := cracker.CrackAll(context.Background(), job, iv, core.Options{})
-		if err != nil {
-			return 0, 0, err
+		out := make([]timing, len(jobs))
+		rounds := make([][]float64, len(jobs))
+		for r := 0; r < targetRepeats; r++ {
+			for k := range jobs {
+				i := k
+				if r%2 == 1 {
+					i = len(jobs) - 1 - k
+				}
+				var tested uint64
+				start := time.Now()
+				for time.Since(start) < targetPass {
+					res, err := cracker.CrackAll(context.Background(), jobs[i], iv, core.Options{})
+					if err != nil {
+						return nil, err
+					}
+					tested += res.Tested
+				}
+				sec := time.Since(start).Seconds()
+				out[i].tested += tested
+				out[i].sec += sec
+				rounds[i] = append(rounds[i], sec/float64(tested)*1e9)
+			}
 		}
-		return res.Tested, time.Since(start).Seconds(), nil
+		for i := range out {
+			sort.Float64s(rounds[i])
+			out[i].nsPerKey = rounds[i][len(rounds[i])/2]
+		}
+		return out, nil
 	}
 
 	// Classic single-target kernels, for context: the optimized tier's
 	// reversal/early-exit shortcut skips part of every hash, which the MD5
 	// corpus kernel cannot do (its reversal needs the one target), so the
 	// plain full-hash tier is the honest floor for its two-stage kernel.
-	fmt.Printf("== Multi-target search: per-candidate cost vs corpus size ==\n")
-	for _, tier := range []struct {
+	fmt.Printf("== Multi-target search: per-candidate cost vs corpus size (median of %d rounds of >= %v) ==\n",
+		targetRepeats, targetPass)
+	tiers := []struct {
 		kind cracker.KernelKind
 		dst  *float64
 	}{
 		{cracker.KernelOptimized, &rep.ClassicOptimizedNsPerKey},
 		{cracker.KernelPlain, &rep.ClassicPlainNsPerKey},
-	} {
+	}
+	var classic []*cracker.Job
+	for _, tier := range tiers {
 		base, err := cracker.NewJobHex(cracker.MD5, targetHex(cracker.MD5), space)
 		if err != nil {
 			return err
 		}
 		base.Kind = tier.kind
-		tested, sec, err := run(base)
-		if err != nil {
-			return err
-		}
-		*tier.dst = sec / float64(tested) * 1e9
-		fmt.Printf("classic %-9s: %9d keys in %6.3fs  %7.2f ns/key  %8.2f MKey/s\n",
-			tier.kind, tested, sec, *tier.dst, float64(tested)/sec/1e6)
+		classic = append(classic, base)
+	}
+	times, err := measure(classic)
+	if err != nil {
+		return err
+	}
+	for i, tier := range tiers {
+		tm := times[i]
+		*tier.dst = tm.nsPerKey
+		fmt.Printf("classic %-9s: %10d keys in %6.3fs  %7.2f ns/key  %8.2f MKey/s\n",
+			tier.kind, tm.tested, tm.sec, tm.nsPerKey, 1e3/tm.nsPerKey)
 	}
 
 	// rows measures one algorithm's corpus sizes; the first row is the
 	// single-target cost the others are relative to.
 	rows := func(alg cracker.Algorithm) ([]TargetRow, error) {
-		var out []TargetRow
-		for _, size := range []int{1, 1_000, 1_000_000} {
+		sizes := []int{1, 1_000, 1_000_000}
+		sets := make([]*targetset.Set, len(sizes))
+		jobs := make([]*cracker.Job, len(sizes))
+		for i, size := range sizes {
 			set, err := targetset.Build(corpusDigests(size, alg.DigestSize(), 0xbe9c), targetset.Options{})
 			if err != nil {
 				return nil, err
 			}
-			job := &cracker.Job{Algorithm: alg, Corpus: set, Space: space}
-			tested, sec, err := run(job)
-			if err != nil {
-				return nil, err
-			}
+			sets[i] = set
+			jobs[i] = &cracker.Job{Algorithm: alg, Corpus: set, Space: space}
+		}
+		times, err := measure(jobs)
+		if err != nil {
+			return nil, err
+		}
+		var out []TargetRow
+		for i, set := range sets {
+			tm := times[i]
 			row := TargetRow{
-				CorpusSize:   size,
+				CorpusSize:   sizes[i],
 				BloomBits:    set.Bits(),
 				BloomHashes:  set.Hashes(),
 				RequestedFPR: set.FPRequested(),
 				EstimatedFPR: set.FPEstimate(),
 				MeasuredFPR:  set.MeasuredFPR(200_000, 0x5eed),
-				Tested:       tested,
-				Seconds:      sec,
-				NsPerKey:     sec / float64(tested) * 1e9,
-				MKeys:        float64(tested) / sec / 1e6,
+				Tested:       tm.tested,
+				Seconds:      tm.sec,
+				NsPerKey:     tm.nsPerKey,
+				MKeys:        1e3 / tm.nsPerKey,
 			}
 			if f, ok := set.Word4(); ok {
 				row.Word4Bits, row.Word4Pass = f.Bits(), word4Pass(set, 1<<20)
@@ -209,8 +271,8 @@ func targetsetMain(quick bool, out string) error {
 				row.OverSingleTarget = 1
 			}
 			out = append(out, row)
-			fmt.Printf("%-4s corpus %8d: %9d keys in %6.3fs  %7.2f ns/key  %8.2f MKey/s  (%.3fx single-target)  fpr req %.1e meas %.1e  word4 pass %.1e\n",
-				alg, size, tested, sec, row.NsPerKey, row.MKeys, row.OverSingleTarget, row.RequestedFPR, row.MeasuredFPR, row.Word4Pass)
+			fmt.Printf("%-4s corpus %8d: %10d keys in %6.3fs  %7.2f ns/key  %8.2f MKey/s  (%.3fx single-target)  fpr req %.1e meas %.1e  word4 pass %.1e\n",
+				alg, row.CorpusSize, row.Tested, row.Seconds, row.NsPerKey, row.MKeys, row.OverSingleTarget, row.RequestedFPR, row.MeasuredFPR, row.Word4Pass)
 		}
 		return out, nil
 	}
@@ -243,13 +305,13 @@ func targetsetMain(quick bool, out string) error {
 	}
 	fmt.Printf("report written to %s\n", out)
 	if !rep.CostFlat {
-		return fmt.Errorf("keybench: million-target MD5 per-candidate cost is %.3fx single-target (bound 1.5x)", last.OverSingleTarget)
+		return fmt.Errorf("million-target MD5 per-candidate cost is %.3fx single-target (bound 1.5x)", last.OverSingleTarget)
 	}
 	if !rep.SHA1CostFlat {
-		return fmt.Errorf("keybench: million-target SHA1 per-candidate cost is %.3fx single-target (bound 1.5x)", sha1Last.OverSingleTarget)
+		return fmt.Errorf("million-target SHA1 per-candidate cost is %.3fx single-target (bound 1.5x)", sha1Last.OverSingleTarget)
 	}
 	if !rep.FPRBounded {
-		return fmt.Errorf("keybench: measured FPR %.3e exceeds 2x requested %.3e", last.MeasuredFPR, last.RequestedFPR)
+		return fmt.Errorf("measured FPR %.3e exceeds 2x requested %.3e", last.MeasuredFPR, last.RequestedFPR)
 	}
 	return nil
 }

@@ -36,8 +36,8 @@ type funcFacts struct {
 	pkg  *pkg
 	c    *checker // the declaring package's directives
 
-	acquires map[string]token.Pos  // mutex key -> first acquisition site
-	blocks   map[string]blockFact  // desc -> first site
+	acquires map[string]token.Pos // mutex key -> first acquisition site
+	blocks   map[string]blockFact // desc -> first site
 	calls    map[*types.Func]token.Pos
 
 	// closed summaries after the fixpoint (nil until computed).

@@ -13,9 +13,9 @@ func Candidates(keys [][]byte, reg *telemetry.Registry, weights map[string]int, 
 	for _, k := range keys {
 		buf := make([]byte, len(k)) // want: make allocates
 		copy(buf, k)
-		n += weights[string(k)] // want: map access + string conversion
+		n += weights[string(k)]                       // want: map access + string conversion
 		reg.Counter(telemetry.MetricCoreTested).Inc() // want: telemetry x2 (Counter, Inc)
-		if b, ok := v.([]byte); ok { // want: type assertion
+		if b, ok := v.([]byte); ok {                  // want: type assertion
 			n += len(b)
 		}
 	}

@@ -12,8 +12,8 @@ func claim() (int, error) { return 0, errors.New("nothing to claim") }
 // Drop discards errors three different ways, then handles one properly
 // and suppresses one deliberately.
 func Drop() int {
-	requeue()     // want: swallowederr (call statement)
-	_ = requeue() // want: swallowederr (blank assignment)
+	requeue()       // want: swallowederr (call statement)
+	_ = requeue()   // want: swallowederr (blank assignment)
 	n, _ := claim() // want: swallowederr (blank in tuple)
 	v, err := claim()
 	if err != nil {

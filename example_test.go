@@ -30,15 +30,6 @@ func ExampleNewSpace() {
 	// Output: a b c aa ba ca
 }
 
-// ExampleParseMask cracks a patterned password with a per-position mask.
-func ExampleParseMask() {
-	m, _ := keysearch.ParseMask("?u?l?d")
-	digest := keysearch.HashKey(keysearch.MD5, []byte("Go1"))
-	res, _ := keysearch.MaskAttack(context.Background(), keysearch.MD5, digest, m, keysearch.Options{})
-	fmt.Printf("%s of %v candidates\n", res.Solutions[0], m.Size())
-	// Output: Go1 of 6760 candidates
-}
-
 // ExampleSalt shows that salting leaves brute force intact: the salt is
 // public, so it folds into the kernel without growing the search space.
 func ExampleSalt() {

@@ -29,20 +29,20 @@ type Rule string
 // only at the end of the pipeline (Options.RequireTidy).
 const (
 	// SSA well-formedness.
-	RuleShape       Rule = "shape"         // malformed program header (reg counts, outputs)
-	RuleUnknownOp   Rule = "unknown-op"    // operation outside the virtual ISA
-	RuleDstBounds   Rule = "dst-bounds"    // destination register out of range
-	RuleWriteInput  Rule = "write-input"   // instruction overwrites an input register
-	RuleRedefine    Rule = "redefine"      // second assignment to an SSA register
-	RuleUseUndef    Rule = "use-undef"     // operand reads a register with no prior def
-	RuleOperand     Rule = "operand"       // operand register index out of range
-	RuleShiftRange  Rule = "shift-range"   // shift/rotate amount outside its legal range
-	RuleSpuriousSh  Rule = "spurious-sh"   // non-shift operation carries a shift amount
-	RuleSpuriousB   Rule = "spurious-b"    // unary operation carries a live B operand
-	RuleExitShape   Rule = "exit-shape"    // exit check writes a destination
-	RuleOutputUndef Rule = "output-undef"  // program output register never defined
+	RuleShape       Rule = "shape"        // malformed program header (reg counts, outputs)
+	RuleUnknownOp   Rule = "unknown-op"   // operation outside the virtual ISA
+	RuleDstBounds   Rule = "dst-bounds"   // destination register out of range
+	RuleWriteInput  Rule = "write-input"  // instruction overwrites an input register
+	RuleRedefine    Rule = "redefine"     // second assignment to an SSA register
+	RuleUseUndef    Rule = "use-undef"    // operand reads a register with no prior def
+	RuleOperand     Rule = "operand"      // operand register index out of range
+	RuleShiftRange  Rule = "shift-range"  // shift/rotate amount outside its legal range
+	RuleSpuriousSh  Rule = "spurious-sh"  // non-shift operation carries a shift amount
+	RuleSpuriousB   Rule = "spurious-b"   // unary operation carries a live B operand
+	RuleExitShape   Rule = "exit-shape"   // exit check writes a destination
+	RuleOutputUndef Rule = "output-undef" // program output register never defined
 	// Per-architecture legality (Tables III–VI gating).
-	RulePseudo Rule = "pseudo"   // pseudo-op survives into a machine program
+	RulePseudo Rule = "pseudo"    // pseudo-op survives into a machine program
 	RuleArch   Rule = "arch-gate" // operation illegal on the target architecture
 	// Multi-target pre-screen integrity (enforced at every stage: a broken
 	// bank would silently drop keys, not just miscompile).

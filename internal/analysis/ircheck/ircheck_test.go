@@ -164,8 +164,8 @@ func TestMovLegalOnMachinePrograms(t *testing.T) {
 
 func TestDead(t *testing.T) {
 	p := prog([]kernel.Instr{
-		{Op: kernel.OpAdd, Dst: 2, A: kernel.R(0), B: kernel.R(1)},  // live: feeds r4
-		{Op: kernel.OpXor, Dst: 3, A: kernel.R(0), B: kernel.R(1)},  // dead
+		{Op: kernel.OpAdd, Dst: 2, A: kernel.R(0), B: kernel.R(1)},   // live: feeds r4
+		{Op: kernel.OpXor, Dst: 3, A: kernel.R(0), B: kernel.R(1)},   // dead
 		{Op: kernel.OpAnd, Dst: 4, A: kernel.R(2), B: kernel.Imm(1)}, // live: output
 	}, 5, 4)
 	dead := Dead(p)

@@ -26,7 +26,8 @@
 //     workloads N_j = N_max · X_j / X_max so that all nodes finish together
 //     at their target efficiency.
 //
-// The package is deliberately independent of what is being searched:
-// password cracking (internal/cracker), nonce mining (internal/mining) and
-// the simulated GPU cluster (internal/dispatch) all build on it.
+// The package is deliberately independent of what is being searched: any
+// Factory over a bijective f(i) fits the pattern. Password cracking
+// (internal/cracker) and the simulated GPU cluster (internal/dispatch)
+// build on it.
 package core

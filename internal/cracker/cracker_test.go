@@ -160,6 +160,44 @@ func TestSaltedCrackEndToEnd(t *testing.T) {
 	}
 }
 
+// TestSaltingDefeatsTables is the introduction's argument for brute force:
+// a table precomputed over the space misses a salted digest, while brute
+// force with the salt folded into the kernel still finds the key. A
+// rainbow table stores a subset of what this full lookup table does, so
+// it misses too.
+func TestSaltingDefeatsTables(t *testing.T) {
+	sp := space(t, keyspace.Lower, 1, 3)
+	table := make(map[string]string)
+	cur, err := keyspace.NewCursor(sp, bigZero())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ok := true; ok; ok = cur.Next() {
+		table[string(MD5.HashKey(cur.Key()))] = string(cur.Key())
+	}
+	if n, _ := sp.Size64(); uint64(len(table)) != n {
+		t.Fatalf("table holds %d digests for a space of %d keys", len(table), n)
+	}
+	password := []byte("cat")
+	if got := table[string(MD5.HashKey(password))]; got != "cat" {
+		t.Fatalf("unsalted lookup = %q, want \"cat\"", got)
+	}
+
+	salt := Salt{Suffix: []byte("NaCl4you")}
+	salted := MD5.HashKey(salt.Apply(nil, password))
+	if got, ok := table[string(salted)]; ok {
+		t.Errorf("lookup table inverted a salted digest to %q", got)
+	}
+	job := &Job{Algorithm: MD5, Target: salted, Space: sp, Salt: salt}
+	res, err := Crack(context.Background(), job, core.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Solutions) != 1 || string(res.Solutions[0]) != "cat" {
+		t.Errorf("salted brute force found %q, want [cat]", res.Solutions)
+	}
+}
+
 func TestCrackAllFindsEveryPreimage(t *testing.T) {
 	sp := space(t, keyspace.Lower, 1, 2)
 	// Target hashed from a key inside the space; CrackAll must not stop at

@@ -6,7 +6,8 @@ import "fmt"
 // hashing, the technique the paper's introduction singles out as the one
 // that defeats lookup and rainbow tables while leaving brute force intact:
 // "the random part of the string (the salt) to be concatenated is known by
-// definition", so the search space does not grow.
+// definition", so the search space does not grow. TestSaltingDefeatsTables
+// checks both halves of that claim.
 type Salt struct {
 	// Prefix is prepended to the candidate (hash(salt || password)).
 	Prefix []byte

@@ -1194,9 +1194,11 @@ func (s *Service) pickVictimLocked(thief int) (a *activeJob, victim *liveLease, 
 // expiry timer is paused across the handshake (see expireLease) and
 // re-armed at settle.
 //
-//keyvet:allow lockorder (callers hold s.mu by the *Locked contract; the
-// Unlock/Lock pair inside drops it for the blocking handshake, so the
-// mutex is never actually held across the RPC or reacquired while held)
+// Callers hold s.mu by the *Locked contract; the Unlock/Lock pair inside
+// drops it for the blocking handshake, so the mutex is never actually
+// held across the RPC or reacquired while held.
+//
+//keyvet:allow lockorder
 func (s *Service) stealLocked(thief int) (Lease, bool) {
 	if thief < 0 || thief >= len(s.shares) || s.shares[thief] == 0 {
 		return Lease{}, false

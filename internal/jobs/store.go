@@ -289,10 +289,12 @@ func checkRemaining(cp *dispatch.Checkpoint, space *big.Int) (*big.Int, error) {
 // validated the mutation — an apply failure after a successful append
 // means the in-memory table and the log disagree, which is fatal.
 //
-//keyvet:allow lockorder (callers hold Store.mu across the log's fsync
-// by design: append-then-apply is the durability contract — a mutation
-// is on disk before it is visible, so the commit path pays the fsync
-// under the lock rather than expose un-durable state)
+// Callers hold Store.mu across the log's fsync by design:
+// append-then-apply is the durability contract — a mutation is on disk
+// before it is visible, so the commit path pays the fsync under the lock
+// rather than expose un-durable state.
+//
+//keyvet:allow lockorder
 func (s *Store) append(typ recType, payload any) error {
 	body, err := json.Marshal(payload)
 	if err != nil {
@@ -647,9 +649,11 @@ func (s *Store) ExportSnapshot() ([]byte, uint64, error) {
 // The order matters: after the rename the snapshot alone reconstructs the table, so losing the log contents is
 // safe; before the rename the old snapshot + full log still does.
 //
-//keyvet:allow lockorder (the snapshot fsyncs under Store.mu on purpose:
-// compaction must see a frozen table, and the store serves reads from
-// memory, so the stall is bounded and harmless)
+// The snapshot fsyncs under Store.mu on purpose: compaction must see a
+// frozen table, and the store serves reads from memory, so the stall is
+// bounded and harmless.
+//
+//keyvet:allow lockorder
 func (s *Store) compactLocked() error {
 	data, _, err := s.encodeSnapshotLocked()
 	if err != nil {
@@ -668,9 +672,10 @@ func (s *Store) compactLocked() error {
 
 // Close flushes and releases the WAL. The store must not be used after.
 //
-//keyvet:allow lockorder (the final fsync runs under Store.mu so no
-// append can race the close; the store is shutting down, nothing else
-// wants the lock)
+// The final fsync runs under Store.mu so no append can race the close;
+// the store is shutting down, nothing else wants the lock.
+//
+//keyvet:allow lockorder
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

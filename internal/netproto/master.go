@@ -423,9 +423,10 @@ func (w *RemoteWorker) shutdown() {
 
 // offerConn installs a replacement connection from a rejoining worker.
 //
-//keyvet:allow lockorder (the newConn send cannot block: the channel has
-// capacity 1, every sender holds cmu, and the select just above drained
-// it under that same lock)
+// The newConn send cannot block: the channel has capacity 1, every sender
+// holds cmu, and the select just above drained it under that same lock.
+//
+//keyvet:allow lockorder
 func (w *RemoteWorker) offerConn(c net.Conn) {
 	w.cmu.Lock()
 	defer w.cmu.Unlock()
@@ -695,9 +696,11 @@ func (w *RemoteWorker) SearchSpecLive(ctx context.Context, spec JobSpec, corpus 
 // (the connection is fine, the request is not). When the last window
 // passes with no connection, the error wraps jobs.ErrExecutorGone.
 //
-//keyvet:allow lockorder (w.mu is the per-worker RPC serializer: holding
-// it across the backoff/rejoin wait IS the contract — concurrent calls
-// queue behind it rather than interleave frames on one connection)
+// w.mu is the per-worker RPC serializer: holding it across the
+// backoff/rejoin wait IS the contract — concurrent calls queue behind it
+// rather than interleave frames on one connection.
+//
+//keyvet:allow lockorder
 func (w *RemoteWorker) call(ctx context.Context, spec JobSpec, corpus []byte, req MsgType, payload []byte, want MsgType, as *activeSearch) ([]byte, error) {
 	if spec.CorpusID != 0 && corpus == nil {
 		return nil, fmt.Errorf("netproto: %s: spec references corpus %016x, but the call carries no corpus", w.name, spec.CorpusID)

@@ -2,13 +2,13 @@ package targetset_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"sort"
 	"testing"
 
 	"keysearch/internal/hash/md5x"
 	"keysearch/internal/hash/sha1x"
-	"keysearch/internal/hash/sha256x"
 	"keysearch/internal/targetset"
 )
 
@@ -80,7 +80,7 @@ func TestDifferentialSearchers(t *testing.T) {
 	}{
 		{"md5x", func(k []byte) []byte { d := md5x.Sum(k); return d[:] }},
 		{"sha1x", func(k []byte) []byte { d := sha1x.Sum(k); return d[:] }},
-		{"sha256x", func(k []byte) []byte { d := sha256x.Sum(k); return d[:] }},
+		{"sha256", func(k []byte) []byte { d := sha256.Sum256(k); return d[:] }},
 	}
 	for _, h := range hashes {
 		t.Run(h.name, func(t *testing.T) { differentialCase(t, h.name, h.fn, targetset.Options{FPRate: 1e-3}) })

@@ -1,12 +1,10 @@
 // Package keysearch is a from-scratch reproduction of "Exhaustive Key
 // Search on Clusters of GPUs" (Barbieri, Cardellini, Filippone; IPPS
 // 2014): the paper's exhaustive-search parallelization pattern, its
-// MD5/SHA1 password-cracking system, its optimized GPU kernels (run on a
-// simulated SIMT device, since the original NVIDIA hardware is modeled
-// rather than required), and its hierarchical heterogeneous dispatch —
-// plus the surrounding attack landscape its introduction surveys
-// (dictionary and hybrid attacks, lookup and rainbow tables, salting,
-// Bitcoin-style nonce mining).
+// MD5/SHA1 password-cracking system with salted targets, its optimized
+// GPU kernels (run on a simulated SIMT device, since the original NVIDIA
+// hardware is modeled rather than required), and its hierarchical
+// heterogeneous dispatch.
 //
 // The package is a facade: it re-exports the stable surface of the
 // internal packages. Quick start:
@@ -16,8 +14,8 @@
 //	    "0cc175b9c0f1b6a831c399e269772661", space)
 //	fmt.Printf("%s\n", res.Solutions[0])
 //
-// See the examples directory for cracking on a simulated GPU cluster, a
-// salted audit session, and a mining pool.
+// See the examples directory for cracking on a simulated GPU cluster and
+// a salted audit session.
 package keysearch
 
 import (
@@ -29,9 +27,9 @@ import (
 	"keysearch/internal/keyspace"
 )
 
-// Re-exported key-space types. The enumeration orders correspond to the
-// paper's equations (1) (SuffixMajor) and (4) (PrefixMajor); PrefixMajor
-// is required by the GPU reversal optimization and is the default.
+// Re-exported key-space types. Spaces are enumerated in the prefix-major
+// order of the paper's equation (4), which the GPU reversal optimization
+// requires.
 type (
 	// Charset is an ordered set of distinct byte symbols.
 	Charset = keyspace.Charset
@@ -39,16 +37,8 @@ type (
 	Space = keyspace.Space
 	// Interval is a half-open range of key identifiers.
 	Interval = keyspace.Interval
-	// Order selects the enumeration order.
-	Order = keyspace.Order
 	// Cursor walks a space with the cheap next operator.
 	Cursor = keyspace.Cursor
-)
-
-// Enumeration orders.
-const (
-	SuffixMajor = keyspace.SuffixMajor
-	PrefixMajor = keyspace.PrefixMajor
 )
 
 // Predefined charset strings.
@@ -69,15 +59,6 @@ func NewSpace(charset string, minLen, maxLen int) (*Space, error) {
 		return nil, err
 	}
 	return keyspace.New(cs, minLen, maxLen, keyspace.PrefixMajor)
-}
-
-// NewSpaceOrdered is NewSpace with an explicit enumeration order.
-func NewSpaceOrdered(charset string, minLen, maxLen int, order Order) (*Space, error) {
-	cs, err := keyspace.NewCharset(charset)
-	if err != nil {
-		return nil, err
-	}
-	return keyspace.New(cs, minLen, maxLen, order)
 }
 
 // Hash algorithms and kernel tiers.

@@ -107,66 +107,6 @@ func TestPaperNetworkSimulation(t *testing.T) {
 	}
 }
 
-func TestDictAttackFacade(t *testing.T) {
-	mask, err := keysearch.NewSpaceOrdered(keysearch.DigitsSet, 1, 1, keysearch.SuffixMajor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := keysearch.NewDictSpace([]string{"winter", "summer"},
-		[]keysearch.Rule{keysearch.RuleIdentity, keysearch.RuleCapitalize}, mask)
-	if err != nil {
-		t.Fatal(err)
-	}
-	digest := keysearch.HashKey(keysearch.MD5, []byte("Summer7"))
-	res, err := keysearch.DictAttack(context.Background(), keysearch.MD5, digest, ds, keysearch.Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Solutions) != 1 || string(res.Solutions[0]) != "Summer7" {
-		t.Errorf("solutions = %q", res.Solutions)
-	}
-	if res, err := keysearch.DictAttack(context.Background(), keysearch.MD5, digest[:15], ds, keysearch.Options{Workers: 2}); err == nil {
-		t.Errorf("a 15-byte MD5 digest searched %d candidates with no error", res.Tested)
-	}
-}
-
-func TestRainbowFacade(t *testing.T) {
-	space, err := keysearch.NewSpaceOrdered(keysearch.Lowercase, 1, 2, keysearch.SuffixMajor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lt, err := keysearch.BuildLookupTable(space, keysearch.MD5, 1<<16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := lt.Lookup(keysearch.HashKey(keysearch.MD5, []byte("go"))); !ok || got != "go" {
-		t.Errorf("lookup = %q %v", got, ok)
-	}
-	rt, err := keysearch.BuildRainbowTable(space, keysearch.MD5, 200, 20, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt.Chains() == 0 {
-		t.Error("empty rainbow table")
-	}
-}
-
-func TestMineFacade(t *testing.T) {
-	var tmpl keysearch.BlockHeader
-	tmpl.Version = 2
-	nonce, ok, err := keysearch.Mine(context.Background(), tmpl, 10, 0, 1<<18, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatal("no nonce found")
-	}
-	tmpl.Nonce = nonce
-	if !tmpl.MeetsDifficulty(10) {
-		t.Error("nonce does not meet difficulty")
-	}
-}
-
 func TestParseHelpers(t *testing.T) {
 	if alg, err := keysearch.ParseAlgorithm("sha1"); err != nil || alg != keysearch.SHA1 {
 		t.Error("ParseAlgorithm")
@@ -174,72 +114,11 @@ func TestParseHelpers(t *testing.T) {
 	if _, err := keysearch.NewSpace("", 1, 2); err == nil {
 		t.Error("empty charset accepted")
 	}
-	if _, err := keysearch.NewSpaceOrdered(keysearch.Lowercase, 3, 2, keysearch.SuffixMajor); err == nil {
+	if _, err := keysearch.NewSpace(keysearch.Lowercase, 3, 2); err == nil {
 		t.Error("inverted lengths accepted")
-	}
-	rules, err := keysearch.ParseRules("leet,upper")
-	if err != nil || len(rules) != 2 {
-		t.Error("ParseRules")
 	}
 	if len(keysearch.Devices()) != 5 {
 		t.Error("device catalog size")
-	}
-}
-
-func TestMaskAttackFacade(t *testing.T) {
-	m, err := keysearch.ParseMask("?u?d?d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	digest := keysearch.HashKey(keysearch.SHA1, []byte("Q42"))
-	res, err := keysearch.MaskAttack(context.Background(), keysearch.SHA1, digest, m, keysearch.Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Solutions) != 1 || string(res.Solutions[0]) != "Q42" {
-		t.Errorf("solutions = %q", res.Solutions)
-	}
-	if res, err := keysearch.MaskAttack(context.Background(), keysearch.SHA1, digest[:16], m, keysearch.Options{Workers: 2}); err == nil {
-		t.Errorf("a 16-byte SHA1 digest searched %d candidates with no error", res.Tested)
-	}
-	if _, err := keysearch.ParseMask("?x"); err == nil {
-		t.Error("bad mask accepted")
-	}
-}
-
-func TestMarkovFacade(t *testing.T) {
-	model, err := keysearch.TrainMarkov([]string{"banana", "cabana", "pajama"}, keysearch.Lowercase)
-	if err != nil {
-		t.Fatal(err)
-	}
-	space, err := keysearch.NewMarkovSpace(model, 4, 4, -1, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if space.Size64() == 0 {
-		t.Fatal("empty markov band")
-	}
-	// Pick an actual member of the band as the target.
-	member, err := space.AppendKey(nil, space.Size64()/3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	digest := keysearch.HashKey(keysearch.MD5, member)
-	res, err := keysearch.MarkovAttack(context.Background(), keysearch.MD5, digest, space, keysearch.Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Solutions) != 1 || string(res.Solutions[0]) != string(member) {
-		t.Errorf("solutions = %q, want %q", res.Solutions, member)
-	}
-	if res, err := keysearch.MarkovAttack(context.Background(), keysearch.SHA1, digest, space, keysearch.Options{Workers: 2}); err == nil {
-		t.Errorf("a 16-byte digest as SHA1 searched %d candidates with no error", res.Tested)
-	}
-	if len(keysearch.MarkovBands(20, 4)) != 4 {
-		t.Error("MarkovBands")
-	}
-	if _, err := keysearch.TrainMarkov(nil, ""); err == nil {
-		t.Error("empty charset accepted")
 	}
 }
 
