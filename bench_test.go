@@ -11,7 +11,6 @@ package keysearch_test
 
 import (
 	"context"
-	"math/big"
 	"testing"
 
 	"keysearch"
@@ -310,7 +309,7 @@ func BenchmarkCPUCrackMD5(b *testing.B) {
 	b.ResetTimer()
 	n := uint64(b.N)
 	res, err := core.SearchEach(context.Background(), core.KeyspaceFactory(space),
-		keyspace.Interval{Start: big.NewInt(0), End: new(big.Int).SetUint64(n)},
+		keyspace.Interval{End: keyspace.IDOf(n)},
 		factory, core.Options{})
 	if err != nil {
 		b.Fatal(err)
@@ -363,7 +362,7 @@ func BenchmarkCPUCrackSHA1(b *testing.B) {
 	b.ResetTimer()
 	n := uint64(b.N)
 	res, err := core.SearchEach(context.Background(), core.KeyspaceFactory(space),
-		keyspace.Interval{Start: big.NewInt(0), End: new(big.Int).SetUint64(n)},
+		keyspace.Interval{End: keyspace.IDOf(n)},
 		factory, core.Options{})
 	if err != nil {
 		b.Fatal(err)

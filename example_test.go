@@ -3,7 +3,6 @@ package keysearch_test
 import (
 	"context"
 	"fmt"
-	"math/big"
 
 	"keysearch"
 )
@@ -22,8 +21,8 @@ func ExampleCrackHex() {
 // iterate candidates while its packed suffix stays constant.
 func ExampleNewSpace() {
 	space, _ := keysearch.NewSpace("abc", 1, 2)
-	for id := int64(0); id < 6; id++ {
-		key, _ := space.Key(bigInt(id))
+	for id := uint64(0); id < 6; id++ {
+		key := space.Key64(id)
 		fmt.Printf("%s ", key)
 	}
 	fmt.Println()
@@ -49,5 +48,3 @@ func ExampleSimulateCluster() {
 	fmt.Printf("dispatch efficiency > 0.95: %v\n", res.DispatchEfficiency > 0.95)
 	// Output: dispatch efficiency > 0.95: true
 }
-
-func bigInt(v int64) *big.Int { return big.NewInt(v) }

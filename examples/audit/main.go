@@ -17,7 +17,6 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"math/big"
 
 	"keysearch"
 )
@@ -67,11 +66,9 @@ func lookupAttempt(store []row) {
 		log.Fatal(err)
 	}
 	table := make(map[string][]byte)
-	for id := int64(0); id < space.Size().Int64(); id++ {
-		key, err := space.Key(big.NewInt(id))
-		if err != nil {
-			log.Fatal(err)
-		}
+	size, _ := space.Size64()
+	for id := uint64(0); id < size; id++ {
+		key := space.Key64(id)
 		table[string(keysearch.HashKey(keysearch.MD5, key))] = key
 	}
 	fmt.Printf("precomputed %d digests\n", len(table))

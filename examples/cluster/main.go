@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"math/big"
 	"sort"
 
 	"keysearch"
@@ -56,8 +55,7 @@ func functionalCrack() {
 	)
 
 	fmt.Printf("functional cluster crack over %v keys\n", space.Size())
-	rep, err := root.Search(context.Background(),
-		keysearch.Interval{Start: big.NewInt(0), End: space.Size()})
+	rep, err := root.Search(context.Background(), space.Whole())
 	if err != nil {
 		log.Fatal(err)
 	}

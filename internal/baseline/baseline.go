@@ -134,8 +134,8 @@ func Theoretical(alg Algorithm, dev arch.Device) float64 {
 // For the paper's 8-character alphanumeric space this is astronomically
 // beyond any GPU, which is the point of the comparison.
 func VuMemoryBytes(space *keyspace.Space) *big.Int {
-	perKey := big.NewInt(64)
-	return new(big.Int).Mul(space.Size(), perKey)
+	size := new(big.Int).SetBytes(space.Size().AppendBytes(nil))
+	return size.Mul(size, big.NewInt(64))
 }
 
 // OursMemoryBytes returns our kernel's device-memory footprint: the packed

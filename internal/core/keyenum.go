@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math/big"
-
-	"keysearch/internal/keyspace"
-)
+import "keysearch/internal/keyspace"
 
 // KeyEnumerator adapts a keyspace.Space to the Enumerator interface.
 type KeyEnumerator struct {
@@ -18,7 +14,7 @@ func NewKeyEnumerator(space *keyspace.Space) *KeyEnumerator {
 }
 
 // Seek positions the enumerator on the key with dense identifier id.
-func (e *KeyEnumerator) Seek(id *big.Int) error {
+func (e *KeyEnumerator) Seek(id keyspace.ID) error {
 	c, err := keyspace.NewCursor(e.space, id)
 	if err != nil {
 		return err

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"math"
-	"math/big"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -81,7 +80,7 @@ func TestLiveHandleEdges(t *testing.T) {
 		t.Error("handle for another interval accepted")
 	}
 	// An interval wider than uint64 refuses to shrink.
-	wide := keyspace.Interval{Start: new(big.Int), End: new(big.Int).Lsh(big.NewInt(1), 70)}
+	wide := keyspace.Interval{End: keyspace.ID{Hi: 1 << 6}}
 	if cut, ok := NewLive(wide, nil).Shrink(10); ok {
 		t.Errorf("wide interval shrunk to %d", cut)
 	}
@@ -184,7 +183,8 @@ func quickShrinkRacesSearch(t *testing.T, space *keyspace.Space, runs bool) {
 		if runs {
 			res, err = SearchRuns(context.Background(), space, iv, func() RunTestFunc {
 				return func(key []byte, k int, m uint64, found [][]byte) [][]byte {
-					id, err := space.ID64(key)
+					at, err := space.ID(key)
+					id := at.Uint64()
 					if err != nil {
 						fail("foreign run key %q", key)
 						return found
@@ -200,10 +200,10 @@ func quickShrinkRacesSearch(t *testing.T, space *keyspace.Space, runs bool) {
 			}, opt)
 		} else {
 			res, err = Search(context.Background(), KeyspaceFactory(space), iv, func(c []byte) bool {
-				if id, err := space.ID64(c); err != nil {
+				if id, err := space.ID(c); err != nil {
 					fail("foreign candidate %q", c)
 				} else {
-					visit(id)
+					visit(id.Uint64())
 				}
 				return false
 			}, opt)

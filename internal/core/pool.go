@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/big"
 	"runtime"
 	"sync"
 
@@ -103,14 +102,14 @@ type walkFunc func(enum Enumerator, n uint64) (ok bool)
 type pool struct {
 	*Live
 	factory Factory
-	start   *big.Int
+	start   keyspace.ID
 	workers int
 	chunk   uint64
 	errCh   chan error
 }
 
 func newPool(factory Factory, iv keyspace.Interval, opt Options) (*pool, error) {
-	if size := factory.Size(); iv.Start.Sign() < 0 || iv.End.Cmp(size) > 0 {
+	if size := factory.Size(); iv.End.Cmp(size) > 0 {
 		return nil, fmt.Errorf("core: interval %v outside space [0, %v)", iv, size)
 	}
 	p := &pool{Live: opt.Live, factory: factory, start: iv.Start, workers: opt.Workers, chunk: opt.ChunkSize}
@@ -152,7 +151,8 @@ func (p *pool) run(ctx context.Context, newWalk func() walkFunc) error {
 				if n == 0 {
 					return
 				}
-				if err := enum.Seek(new(big.Int).Add(p.start, new(big.Int).SetUint64(off))); err != nil {
+				at, _ := p.start.Add(keyspace.IDOf(off))
+				if err := enum.Seek(at); err != nil {
 					p.errCh <- err
 					return
 				}

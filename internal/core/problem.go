@@ -1,6 +1,6 @@
 package core
 
-import "math/big"
+import "keysearch/internal/keyspace"
 
 // TestFunc is the condition C : S -> {0,1} of §III.A. It reports whether
 // the candidate is a solution. Implementations must treat the candidate
@@ -18,7 +18,7 @@ type TestFactory func() TestFunc
 // concurrent use.
 type Enumerator interface {
 	// Seek positions the enumerator on candidate f(id).
-	Seek(id *big.Int) error
+	Seek(id keyspace.ID) error
 	// Candidate returns the current candidate. The returned slice is
 	// invalidated by the next call to Seek or Next.
 	Candidate() []byte
@@ -31,17 +31,17 @@ type Enumerator interface {
 // gives each worker its own. Size is the cardinality |S|.
 type Factory interface {
 	NewEnumerator() Enumerator
-	Size() *big.Int
+	Size() keyspace.ID
 }
 
 // FuncFactory adapts a closure to the Factory interface.
 type FuncFactory struct {
 	New      func() Enumerator
-	SpaceLen *big.Int
+	SpaceLen keyspace.ID
 }
 
 // NewEnumerator calls the wrapped constructor.
 func (f FuncFactory) NewEnumerator() Enumerator { return f.New() }
 
 // Size returns the wrapped space size.
-func (f FuncFactory) Size() *big.Int { return new(big.Int).Set(f.SpaceLen) }
+func (f FuncFactory) Size() keyspace.ID { return f.SpaceLen }

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"context"
-	"math/big"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -55,12 +54,12 @@ func TestSearchCoversEveryCandidateOnce(t *testing.T) {
 		counts := make([]int32, size)
 		_, err := Search(context.Background(), KeyspaceFactory(space), space.Whole(),
 			func(c []byte) bool {
-				id, err := space.ID64(c)
+				id, err := space.ID(c)
 				if err != nil {
 					t.Errorf("foreign candidate %q", c)
 					return false
 				}
-				atomic.AddInt32(&counts[id], 1)
+				atomic.AddInt32(&counts[id.Uint64()], 1)
 				return false
 			}, cfg)
 		if err != nil {
@@ -210,7 +209,7 @@ func TestSearchSolutionsAreCopies(t *testing.T) {
 func TestKeyEnumeratorSeekError(t *testing.T) {
 	space := lowerSpace(t, 1, 2)
 	e := NewKeyEnumerator(space)
-	if err := e.Seek(big.NewInt(1 << 40)); err == nil {
+	if err := e.Seek(keyspace.IDOf(1 << 40)); err == nil {
 		t.Error("seek out of range: want error")
 	}
 }

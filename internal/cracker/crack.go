@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/hex"
 	"fmt"
-	"math/big"
 	"time"
 
 	"keysearch/internal/core"
@@ -216,7 +215,7 @@ func Tune(ctx context.Context, job *Job, workers int, start uint64) (core.Tuning
 	}
 	bench := func(n uint64) (time.Duration, error) {
 		t0 := time.Now()
-		iv := keyspace.Interval{Start: new(big.Int), End: new(big.Int).SetUint64(min(n, size))}
+		iv := keyspace.Interval{End: keyspace.IDOf(min(n, size))}
 		_, err := CrackAll(ctx, job, iv, core.Options{Workers: workers})
 		return time.Since(t0), err
 	}

@@ -168,7 +168,7 @@ func TestSaltedCrackEndToEnd(t *testing.T) {
 func TestSaltingDefeatsTables(t *testing.T) {
 	sp := space(t, keyspace.Lower, 1, 3)
 	table := make(map[string]string)
-	cur, err := keyspace.NewCursor(sp, bigZero())
+	cur, err := keyspace.NewCursor(sp, keyspace.ID{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,14 +243,14 @@ func benchCrack(b *testing.B, alg Algorithm, kind KernelKind) {
 	}
 	test := factory()
 	enum := core.NewKeyEnumerator(sp)
-	if err := enum.Seek(bigZero()); err != nil {
+	if err := enum.Seek(keyspace.ID{}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		test(enum.Candidate())
 		if !enum.Next() {
-			enum.Seek(bigZero())
+			enum.Seek(keyspace.ID{})
 		}
 	}
 }

@@ -3,7 +3,7 @@ package dispatch
 import (
 	"encoding/json"
 	"fmt"
-	"math/big"
+	"math"
 
 	"keysearch/internal/keyspace"
 )
@@ -26,7 +26,7 @@ type Checkpoint struct {
 }
 
 // checkpointWire is Checkpoint on disk. Interval bounds travel as decimal
-// strings, so that arbitrarily large spaces serialize exactly; existing
+// strings, so that every 128-bit identifier serializes exactly; existing
 // jobs.wal and jobs.snap files hold these bytes, so they must not change.
 type checkpointWire struct {
 	Remaining []intervalWire `json:"remaining"`
@@ -50,7 +50,7 @@ func (cp Checkpoint) MarshalJSON() ([]byte, error) {
 	return json.Marshal(w)
 }
 
-// UnmarshalJSON refuses a bound that is not a decimal integer.
+// UnmarshalJSON refuses a bound that is not a decimal integer below 2^128.
 func (cp *Checkpoint) UnmarshalJSON(data []byte) error {
 	var w checkpointWire
 	if err := json.Unmarshal(data, &w); err != nil {
@@ -61,9 +61,9 @@ func (cp *Checkpoint) UnmarshalJSON(data []byte) error {
 		cp.Remaining = make([]keyspace.Interval, n)
 	}
 	for i, iw := range w.Remaining {
-		start, ok1 := new(big.Int).SetString(iw.Start, 10)
-		end, ok2 := new(big.Int).SetString(iw.End, 10)
-		if !ok1 || !ok2 {
+		start, err1 := keyspace.ParseID(iw.Start)
+		end, err2 := keyspace.ParseID(iw.End)
+		if err1 != nil || err2 != nil {
 			return fmt.Errorf("dispatch: bad checkpoint interval bounds %q, %q", iw.Start, iw.End)
 		}
 		cp.Remaining[i] = keyspace.Interval{Start: start, End: end}
@@ -71,11 +71,15 @@ func (cp *Checkpoint) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// RemainingKeys sums the unsearched identifiers.
-func (cp *Checkpoint) RemainingKeys() *big.Int {
-	total := new(big.Int)
+// RemainingKeys sums the unsearched identifiers. A sum of 2^128 or more,
+// which only overlapping intervals reach, reads as 2^128 - 1.
+func (cp *Checkpoint) RemainingKeys() keyspace.ID {
+	var total keyspace.ID
 	for _, iv := range cp.Remaining {
-		total.Add(total, iv.Len())
+		var over bool
+		if total, over = total.Add(iv.Len()); over {
+			return keyspace.ID{Hi: math.MaxUint64, Lo: math.MaxUint64}
+		}
 	}
 	return total
 }

@@ -2,7 +2,6 @@ package dispatch
 
 import (
 	"encoding/json"
-	"math/big"
 	"testing"
 
 	"keysearch/internal/keyspace"
@@ -10,9 +9,9 @@ import (
 
 func bigInterval(t *testing.T, start, end string) keyspace.Interval {
 	t.Helper()
-	s, ok1 := new(big.Int).SetString(start, 10)
-	e, ok2 := new(big.Int).SetString(end, 10)
-	if !ok1 || !ok2 {
+	s, err1 := keyspace.ParseID(start)
+	e, err2 := keyspace.ParseID(end)
+	if err1 != nil || err2 != nil {
 		t.Fatalf("bad test interval [%s, %s)", start, end)
 	}
 	return keyspace.Interval{Start: s, End: e}
@@ -40,11 +39,11 @@ func TestCheckpointRoundTripCases(t *testing.T) {
 			Tested:    500,
 		}, `{"remaining":[{"start":"300","end":"600"},{"start":"800","end":"1000"}],"found":["YWJj","AP9/"],"tested":500}`},
 		{"huge-interval", Checkpoint{
-			// 2^200: far beyond uint64, must survive exactly.
+			// [2^127, 2^128-1): far beyond uint64, must survive exactly.
 			Remaining: []keyspace.Interval{bigInterval(t,
-				"1606938044258990275541962092341162602522202993782792835301376",
-				"1606938044258990275541962092341162602522202993782792835301377")},
-		}, `{"remaining":[{"start":"1606938044258990275541962092341162602522202993782792835301376","end":"1606938044258990275541962092341162602522202993782792835301377"}],"tested":0}`},
+				"170141183460469231731687303715884105728",
+				"340282366920938463463374607431768211455")},
+		}, `{"remaining":[{"start":"170141183460469231731687303715884105728","end":"340282366920938463463374607431768211455"}],"tested":0}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -66,7 +65,7 @@ func TestCheckpointRoundTripCases(t *testing.T) {
 				t.Fatalf("remaining: %d != %d", len(got.Remaining), len(tc.cp.Remaining))
 			}
 			for i, iv := range got.Remaining {
-				if want := tc.cp.Remaining[i]; iv.Start.Cmp(want.Start) != 0 || iv.End.Cmp(want.End) != 0 {
+				if want := tc.cp.Remaining[i]; iv != want {
 					t.Errorf("remaining[%d]: %v != %v", i, iv, want)
 				}
 			}
@@ -78,7 +77,7 @@ func TestCheckpointRoundTripCases(t *testing.T) {
 					t.Errorf("found[%d] differs", i)
 				}
 			}
-			if got.RemainingKeys().Cmp(tc.cp.RemainingKeys()) != 0 {
+			if got.RemainingKeys() != tc.cp.RemainingKeys() {
 				t.Errorf("remaining keys: %v != %v", got.RemainingKeys(), tc.cp.RemainingKeys())
 			}
 		})
@@ -94,6 +93,8 @@ func TestCheckpointRejectsLegacyAndGarbage(t *testing.T) {
 		data string
 	}{
 		{"bad-interval", `{"remaining":[{"start":"x","end":"10"}],"tested":0}`},
+		{"past-2^128", `{"remaining":[{"start":"0","end":"340282366920938463463374607431768211456"}],"tested":0}`},
+		{"signed-bound", `{"remaining":[{"start":"+0","end":"10"}],"tested":0}`},
 		{"missing-bound", `{"remaining":[{"start":"0"}],"tested":0}`},
 		{"numeric-bound", `{"remaining":[{"start":0,"end":10}],"tested":0}`},
 		{"null-interval", `{"remaining":[null],"tested":0}`},

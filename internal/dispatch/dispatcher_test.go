@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/big"
 	"sync"
 	"testing"
 	"time"
@@ -316,7 +315,7 @@ func TestDispatcherUntunableWorkerGetsNoWork(t *testing.T) {
 func TestPoolClaimPutBack(t *testing.T) {
 	p := NewTable[struct{}](keyspace.NewInterval(0, 100))
 	a, ok := p.Issue(1, 30)
-	if !ok || a.Interval.Len().Int64() != 30 || a.N != 30 {
+	if !ok || a.Interval.Len() != keyspace.IDOf(30) || a.N != 30 {
 		t.Fatalf("issue: %v %v", a, ok)
 	}
 	if _, ok := p.Issue(1, 30); ok {
@@ -345,7 +344,7 @@ func TestPoolClaimPutBack(t *testing.T) {
 	if p.Leasable() || !p.Exhausted() || len(p.Remaining()) != 0 {
 		t.Error("table should be exhausted")
 	}
-	p = NewTable[struct{}](keyspace.Interval{Start: big.NewInt(5), End: big.NewInt(5)})
+	p = NewTable[struct{}](keyspace.NewInterval(5, 5))
 	if p.Leasable() {
 		t.Error("empty interval must not fill the pool")
 	}
@@ -373,11 +372,12 @@ func TestDispatcherProgress(t *testing.T) {
 
 // TestCheckpointRoundTrip: NewCheckpoint's value survives its JSON form.
 func TestCheckpointRoundTrip(t *testing.T) {
-	huge, _ := new(big.Int).SetString("123456789012345678901234567890", 10)
+	huge, _ := keyspace.ParseID("123456789012345678901234567890")
+	hugeEnd, _ := huge.Add(keyspace.IDOf(9))
 	cp := NewCheckpoint([]keyspace.Interval{
 		keyspace.NewInterval(0, 1000),
 		keyspace.NewInterval(7, 7), // empty: dropped
-		{Start: huge, End: new(big.Int).Add(huge, big.NewInt(9))},
+		{Start: huge, End: hugeEnd},
 	}, 42, [][]byte{[]byte("abc")})
 	data, err := json.Marshal(cp)
 	if err != nil {
@@ -390,7 +390,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if back.Tested != 42 || len(back.Found) != 1 || string(back.Found[0]) != "abc" || len(back.Remaining) != 2 {
 		t.Errorf("round trip: %+v", back)
 	}
-	if back.RemainingKeys().Int64() != 1009 {
+	if back.RemainingKeys() != keyspace.IDOf(1009) {
 		t.Errorf("remaining = %v, want 1009", back.RemainingKeys())
 	}
 }

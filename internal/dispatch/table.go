@@ -2,7 +2,6 @@ package dispatch
 
 import (
 	"cmp"
-	"math/big"
 	"slices"
 
 	"keysearch/internal/keyspace"
@@ -47,7 +46,7 @@ func NewTable[P any](ivs ...keyspace.Interval) *Table[P] {
 	t := &Table[P]{live: make(map[uint64]*Entry[P])}
 	for _, iv := range ivs {
 		if !iv.Empty() {
-			t.pool = append(t.pool, iv.Clone())
+			t.pool = append(t.pool, iv)
 		}
 	}
 	return t
@@ -60,7 +59,7 @@ func (t *Table[P]) Issue(id, n uint64) (*Entry[P], bool) {
 	if len(t.pool) == 0 || n == 0 || t.live[id] != nil {
 		return nil, false
 	}
-	head, tail := t.pool[0].Take(new(big.Int).SetUint64(n))
+	head, tail := t.pool[0].Take(n)
 	if tail.Empty() {
 		t.pool = t.pool[1:]
 	} else {
@@ -144,15 +143,11 @@ func (t *Table[P]) adjacent(id, tailID uint64) (e, tail *Entry[P], ok bool) {
 }
 
 // setBoundary makes e end, and the adjacent tail start, cut identifiers
-// past e's start. The big.Ints are fresh: intervals already handed to a
-// caller are never mutated.
+// past e's start.
 func setBoundary[P any](e, tail *Entry[P], cut uint64) {
-	total := e.N + tail.N
-	at := new(big.Int).Add(e.Interval.Start, new(big.Int).SetUint64(cut))
-	e.Interval = keyspace.Interval{Start: e.Interval.Start, End: at}
-	e.N = cut
-	tail.Interval = keyspace.Interval{Start: new(big.Int).Set(at), End: tail.Interval.End}
-	tail.N = total - cut
+	whole := keyspace.Interval{Start: e.Interval.Start, End: tail.Interval.End}
+	e.Interval, tail.Interval = whole.Take(cut)
+	e.N, tail.N = cut, e.N+tail.N-cut
 }
 
 // Leasable reports whether the pool holds anything to issue.

@@ -186,3 +186,29 @@ func TestQuickTableTilesExactly(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTableValueIntervals pins the interval as a value in the lease
+// path: an Issue → Settle cycle allocates the entry and nothing else, and
+// summing a checkpoint's remaining set allocates nothing.
+func TestTableValueIntervals(t *testing.T) {
+	start, _ := keyspace.ParseID("170141183460469231731687303715884105728") // 2^127
+	end, _ := start.Add(keyspace.IDOf(1 << 40))
+	tbl := NewTable[struct{}](keyspace.Interval{Start: start, End: end})
+	var id uint64
+	if n := testing.AllocsPerRun(1000, func() {
+		id++
+		if _, ok := tbl.Issue(id, 1<<14); !ok {
+			t.Fatal("issue refused")
+		}
+		if _, ok := tbl.Settle(id); !ok {
+			t.Fatal("settle refused")
+		}
+	}); n != 1 {
+		t.Errorf("Issue → Settle allocates %v times, want 1 (the entry)", n)
+	}
+	cp := NewCheckpoint(tbl.Remaining(), 0, nil)
+	cp.Remaining = append(cp.Remaining, keyspace.NewInterval(0, 1000))
+	if n := testing.AllocsPerRun(100, func() { _ = cp.RemainingKeys() }); n != 0 {
+		t.Errorf("RemainingKeys allocates %v times", n)
+	}
+}

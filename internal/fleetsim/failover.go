@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/big"
 	"sort"
 
 	"keysearch/internal/jobs"
@@ -219,7 +218,7 @@ func (f *failover) close() error {
 // commit observes every lease the active service commits.
 func (f *failover) commit(jobID, tenant string, iv keyspace.Interval, tested uint64) {
 	if f.promoted {
-		f.spans[jobID] = append(f.spans[jobID], iv.Clone())
+		f.spans[jobID] = append(f.spans[jobID], iv)
 		if f.firstCommitAfter < 0 {
 			f.firstCommitAfter = f.eng.Now()
 		}
@@ -301,7 +300,7 @@ func tileError(jobID string, expected, spans []keyspace.Interval) error {
 	sort.Slice(expected, func(i, j int) bool { return expected[i].Start.Cmp(expected[j].Start) < 0 })
 	si := 0
 	for _, want := range expected {
-		cursor := new(big.Int).Set(want.Start)
+		cursor := want.Start
 		for cursor.Cmp(want.End) < 0 {
 			if si >= len(spans) {
 				return fmt.Errorf("fleetsim: job %s: coverage gap at %s in [%s,%s)", jobID, cursor, want.Start, want.End)
@@ -313,7 +312,7 @@ func tileError(jobID string, expected, spans []keyspace.Interval) error {
 			if sp.End.Cmp(want.End) > 0 {
 				return fmt.Errorf("fleetsim: job %s: span [%s,%s) crosses remaining-interval end %s", jobID, sp.Start, sp.End, want.End)
 			}
-			cursor.Set(sp.End)
+			cursor = sp.End
 			si++
 		}
 	}

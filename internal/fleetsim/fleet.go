@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"math/big"
 	"math/rand"
 	"time"
 
@@ -651,10 +650,7 @@ func (f *fleet) trySteal(i int32) bool {
 		}
 		vi := top.idx
 		v.lease.N = keep
-		v.lease.Interval = keyspace.Interval{
-			Start: v.lease.Interval.Start,
-			End:   new(big.Int).Add(v.lease.Interval.Start, new(big.Int).SetUint64(keep)),
-		}
+		v.lease.Interval, _ = v.lease.Interval.Take(keep)
 		v.done, v.mark = done, now
 		v.epoch++
 		v.finish = now + (float64(keep)-done)/v.tput

@@ -3,7 +3,6 @@ package fleetsim
 import (
 	"crypto/md5"
 	"encoding/hex"
-	"math/big"
 	"sort"
 	"sync"
 	"testing"
@@ -168,7 +167,7 @@ func TestFleetExactCoverageUnderCrashChurn(t *testing.T) {
 	cfg := churnedConfig(1000, "abc", 14, 21, true, t.TempDir())
 	cfg.OnCommit = func(jobID, tenant string, iv keyspace.Interval, tested uint64) {
 		lo := iv.Start.Uint64()
-		hi := new(big.Int).Set(iv.End).Uint64()
+		hi := iv.End.Uint64()
 		mu.Lock()
 		spans = append(spans, span{lo, hi})
 		mu.Unlock()

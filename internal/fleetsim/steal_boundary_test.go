@@ -1,7 +1,6 @@
 package fleetsim
 
 import (
-	"math/big"
 	"sort"
 	"sync"
 	"testing"
@@ -32,7 +31,7 @@ func TestFleetExactCoverageWithQuantizedProgress(t *testing.T) {
 		if record {
 			cfg.OnCommit = func(jobID, tenant string, iv keyspace.Interval, tested uint64) {
 				lo := iv.Start.Uint64()
-				hi := new(big.Int).Set(iv.End).Uint64()
+				hi := iv.End.Uint64()
 				mu.Lock()
 				spans = append(spans, span{lo, hi})
 				mu.Unlock()

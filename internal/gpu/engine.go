@@ -3,7 +3,6 @@ package gpu
 import (
 	"context"
 	"fmt"
-	"math/big"
 	"time"
 
 	"keysearch/internal/arch"
@@ -298,5 +297,5 @@ func (e *Engine) Search(ctx context.Context, space *keyspace.Space, alg Algorith
 
 // SearchWhole is Search over the entire space.
 func (e *Engine) SearchWhole(ctx context.Context, space *keyspace.Space, alg Algorithm, target []byte, cfg Config) (*Result, error) {
-	return e.Search(ctx, space, alg, target, keyspace.Interval{Start: new(big.Int), End: space.Size()}, cfg)
+	return e.Search(ctx, space, alg, target, space.Whole(), cfg)
 }

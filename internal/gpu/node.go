@@ -46,20 +46,25 @@ func (n *Node) ModelThroughput(alg Algorithm, cfg Config) float64 {
 // maximum of the per-device times (they run concurrently on the host);
 // found keys and counters are merged.
 func (n *Node) Search(ctx context.Context, space *keyspace.Space, alg Algorithm, target []byte, iv keyspace.Interval, cfg Config) (*Result, error) {
-	weights := make([]float64, len(n.engines))
-	for i, e := range n.engines {
-		weights[i] = e.ModelThroughput(alg, cfg)
+	total, ok := iv.Len64()
+	if !ok {
+		return nil, fmt.Errorf("gpu: interval too large for functional simulation: %v", iv)
 	}
-	parts, err := iv.SplitWeighted(weights)
-	if err != nil {
-		return nil, err
-	}
-	merged := &Result{}
+	sum := n.ModelThroughput(alg, cfg)
+	merged, start, cum := &Result{}, iv.Start, 0.0
 	for i, e := range n.engines {
-		if parts[i].Empty() {
+		// Device i searches up to the fraction cum/sum of the interval,
+		// the last one to its end, so the parts tile it.
+		cum += e.ModelThroughput(alg, cfg)
+		upTo, _ := iv.Take(uint64(float64(total) * cum / sum))
+		if i == len(n.engines)-1 {
+			upTo = iv
+		}
+		part := keyspace.Interval{Start: start, End: upTo.End}
+		if start = upTo.End; part.Empty() {
 			continue
 		}
-		res, err := e.Search(ctx, space, alg, target, parts[i], cfg)
+		res, err := e.Search(ctx, space, alg, target, part, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("gpu: node %s device %s: %w", n.name, e.Device().Name, err)
 		}

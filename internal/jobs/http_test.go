@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"keysearch/internal/keyspace"
 )
 
 func startAPI(t *testing.T, delay time.Duration, opts Options) (*Service, *httptest.Server) {
@@ -248,4 +250,49 @@ func TestAPIGlobalEvents(t *testing.T) {
 		}
 	}
 	t.Fatalf("global stream ended early (done: %v, err: %v)", seenDone, sc.Err())
+}
+
+// TestSpaceEdge2To128: identifiers are 128-bit, so a space is accepted up
+// to a raw end below 2^128 and refused at every door past it. 84 symbols
+// at lengths 1–20 (2^127.86 keys) is accepted, and its last key maps to
+// its identifier and back; 85 symbols (2^128.2) is refused by keyspace.New,
+// by Spec.Validate and by the HTTP API with a 400.
+func TestSpaceEdge2To128(t *testing.T) {
+	var printable []byte
+	for c := byte(' '); c <= '~'; c++ {
+		printable = append(printable, c)
+	}
+	spec := func(n int) Spec {
+		return Spec{Algorithm: "md5", Target: strings.Repeat("00", 16), Charset: string(printable[:n]), MinLen: 1, MaxLen: 20}
+	}
+
+	fits := spec(84)
+	if err := fits.Validate(); err != nil {
+		t.Fatalf("84 symbols × 1–20: %v", err)
+	}
+	space, err := fits.Space()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if size := space.Size(); size.Hi>>63 != 1 {
+		t.Fatalf("84^≤20 = %v, want at least 2^127", size)
+	}
+	last, _ := space.Size().Sub(keyspace.IDOf(1))
+	key, err := space.Key(last)
+	if err != nil || string(key) != strings.Repeat(string(printable[83]), 20) {
+		t.Fatalf("f(size-1) = %q, %v", key, err)
+	}
+	if back, err := space.ID(key); err != nil || back != last {
+		t.Fatalf("f⁻¹(%q) = %v, %v; want %v", key, back, err, last)
+	}
+
+	over := spec(85)
+	if _, err := keyspace.New(keyspace.MustCharset(over.Charset), 1, 20, keyspace.PrefixMajor); err == nil {
+		t.Error("keyspace.New accepted 85 symbols × 1–20")
+	}
+	if err := over.Validate(); err == nil {
+		t.Error("Spec.Validate accepted 85 symbols × 1–20")
+	}
+	_, srv := startAPI(t, 5*time.Millisecond, Options{})
+	doJSON(t, "POST", srv.URL+"/jobs", submitRequest{Tenant: "t", Spec: over}, http.StatusBadRequest)
 }

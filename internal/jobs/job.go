@@ -3,7 +3,6 @@ package jobs
 import (
 	"encoding/hex"
 	"fmt"
-	"math/big"
 	"sync"
 	"time"
 
@@ -309,15 +308,6 @@ type Job struct {
 
 	SubmittedAt time.Time `json:"submitted_at"`
 	UpdatedAt   time.Time `json:"updated_at"`
-}
-
-// remainingBig parses the Remaining field (helper for tests/clients).
-func (j Job) remainingBig() *big.Int {
-	n, ok := new(big.Int).SetString(j.Remaining, 10)
-	if !ok {
-		return new(big.Int)
-	}
-	return n
 }
 
 // Done reports whether the job reached a terminal state.

@@ -62,7 +62,7 @@ func (e *fakeExec) Search(ctx context.Context, spec Spec, iv keyspace.Interval) 
 	solutionIDsMu.Lock()
 	id, ok := solutionIDs[spec.Target]
 	solutionIDsMu.Unlock()
-	if ok && iv.Contains(id) {
+	if ok && id.Cmp(iv.Start) >= 0 && id.Cmp(iv.End) < 0 {
 		key, kerr := space.Key(id)
 		if kerr == nil {
 			sum := md5.Sum(key)
@@ -78,8 +78,17 @@ func (e *fakeExec) Search(ctx context.Context, spec Spec, iv keyspace.Interval) 
 // registered by specFor.
 var (
 	solutionIDsMu sync.Mutex
-	solutionIDs   = map[string]*big.Int{}
+	solutionIDs   = map[string]keyspace.ID{}
 )
+
+// remainingBig parses the Remaining field, the decimal a client reads.
+func (j Job) remainingBig() *big.Int {
+	n, ok := new(big.Int).SetString(j.Remaining, 10)
+	if !ok {
+		return new(big.Int)
+	}
+	return n
+}
 
 // specFor builds a spec whose target is md5(key) over the given space
 // bounds, registering the solution identifier for fakeExec.

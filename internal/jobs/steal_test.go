@@ -2,7 +2,6 @@ package jobs
 
 import (
 	"context"
-	"math/big"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -59,7 +58,7 @@ type liveExec struct {
 }
 
 func (e *liveExec) SearchLease(ctx context.Context, l Lease, _ time.Duration, onProgress func(done uint64)) (*dispatch.Report, error) {
-	if l.Interval.Start.Sign() == 0 {
+	if l.Interval.Start == (keyspace.ID{}) {
 		onProgress(e.sc.victimProgress)
 		e.sc.startedOnce.Do(func() { close(e.sc.victimStarted) })
 		select {
@@ -69,7 +68,7 @@ func (e *liveExec) SearchLease(ctx context.Context, l Lease, _ time.Duration, on
 		}
 		iv := l.Interval
 		if cut := e.sc.victimCut.Load(); cut > 0 {
-			iv = keyspace.Interval{Start: iv.Start, End: new(big.Int).Add(iv.Start, new(big.Int).SetUint64(cut))}
+			iv, _ = iv.Take(cut)
 		}
 		return e.fakeExec.Search(ctx, l.Spec, iv)
 	}

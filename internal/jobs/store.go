@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math/big"
 	"os"
 	"path/filepath"
 	"slices"
@@ -72,9 +71,9 @@ type jobRec struct {
 	spec      Spec
 	state     State
 	reason    string
-	space     *big.Int
+	space     keyspace.ID
 	cp        dispatch.Checkpoint // remaining intervals, tested, found
-	remaining *big.Int            // cached cp.RemainingKeys(), kept in lockstep
+	remaining keyspace.ID         // cached cp.RemainingKeys(), kept in lockstep
 	subAt     time.Time
 	updAt     time.Time
 	pos       int // index in Store.order
@@ -187,7 +186,7 @@ func (s *Store) applySubmit(sr submitRecord) error {
 		state:     StatePending,
 		space:     size,
 		cp:        *dispatch.NewCheckpoint([]keyspace.Interval{space.Whole()}, 0, nil),
-		remaining: new(big.Int).Set(size),
+		remaining: size,
 		subAt:     at,
 		updAt:     at,
 		pos:       len(s.order),
@@ -242,16 +241,16 @@ func (s *Store) applyCheckpoint(cr checkpointRecord) error {
 // job is not terminal, tested does not go backwards, and the remaining
 // set is sound for the job's space (checkRemaining). It returns the
 // remaining identifier count.
-func (r *jobRec) checkCheckpoint(cp *dispatch.Checkpoint) (*big.Int, error) {
+func (r *jobRec) checkCheckpoint(cp *dispatch.Checkpoint) (keyspace.ID, error) {
 	if r.state.Terminal() {
-		return nil, fmt.Errorf("%w: job %s: checkpoint in terminal state %s", ErrTransition, r.id, r.state)
+		return keyspace.ID{}, fmt.Errorf("%w: job %s: checkpoint in terminal state %s", ErrTransition, r.id, r.state)
 	}
 	if cp.Tested < r.cp.Tested {
-		return nil, fmt.Errorf("jobs: job %s: tested went backwards (%d -> %d)", r.id, r.cp.Tested, cp.Tested)
+		return keyspace.ID{}, fmt.Errorf("jobs: job %s: tested went backwards (%d -> %d)", r.id, r.cp.Tested, cp.Tested)
 	}
 	remaining, err := checkRemaining(cp, r.space)
 	if err != nil {
-		return nil, fmt.Errorf("jobs: job %s: %w", r.id, err)
+		return keyspace.ID{}, fmt.Errorf("jobs: job %s: %w", r.id, err)
 	}
 	return remaining, nil
 }
@@ -263,23 +262,22 @@ func (r *jobRec) checkCheckpoint(cp *dispatch.Checkpoint) (*big.Int, error) {
 // the sole record of what is left to search, so a bad one fails closed —
 // here, not when a lease over it is issued. It returns the remaining
 // identifier count.
-func checkRemaining(cp *dispatch.Checkpoint, space *big.Int) (*big.Int, error) {
+func checkRemaining(cp *dispatch.Checkpoint, space keyspace.ID) (keyspace.ID, error) {
 	for _, iv := range cp.Remaining {
-		if iv.Empty() || iv.Start.Sign() < 0 || iv.End.Cmp(space) > 0 {
-			return nil, fmt.Errorf("remaining interval %v is empty or outside the space [0, %s)", iv, space)
+		if iv.Empty() || iv.End.Cmp(space) > 0 {
+			return keyspace.ID{}, fmt.Errorf("remaining interval %v is empty or outside the space [0, %s)", iv, space)
 		}
 	}
 	sorted := slices.Clone(cp.Remaining)
 	slices.SortFunc(sorted, func(a, b keyspace.Interval) int { return a.Start.Cmp(b.Start) })
 	for i := 1; i < len(sorted); i++ {
 		if sorted[i].Start.Cmp(sorted[i-1].End) < 0 {
-			return nil, fmt.Errorf("remaining intervals %v and %v overlap", sorted[i-1], sorted[i])
+			return keyspace.ID{}, fmt.Errorf("remaining intervals %v and %v overlap", sorted[i-1], sorted[i])
 		}
 	}
 	remaining := cp.RemainingKeys()
-	covered := new(big.Int).Add(remaining, new(big.Int).SetUint64(cp.Tested))
-	if covered.Cmp(space) > 0 {
-		return nil, fmt.Errorf("tested %d + remaining %s exceeds space %s", cp.Tested, remaining, space)
+	if covered, over := remaining.Add(keyspace.IDOf(cp.Tested)); over || covered.Cmp(space) > 0 {
+		return keyspace.ID{}, fmt.Errorf("tested %d + remaining %s exceeds space %s", cp.Tested, remaining, space)
 	}
 	return remaining, nil
 }

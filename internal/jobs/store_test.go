@@ -8,7 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math/big"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -49,7 +49,7 @@ func cut(t *testing.T, s *Store, id string, n int64) *dispatch.Checkpoint {
 	if len(ivs) == 0 {
 		t.Fatalf("job %s has nothing remaining", id)
 	}
-	head, tail := ivs[0].Take(big.NewInt(n))
+	head, tail := ivs[0].Take(uint64(n))
 	taken, _ := head.Len64()
 	rest := append([]keyspace.Interval{tail}, ivs[1:]...)
 	return dispatch.NewCheckpoint(rest, cp.Tested+taken, cp.Found)
@@ -498,6 +498,22 @@ func TestParentStateDirectoryOpens(t *testing.T) {
 	}
 }
 
+// TestCheckRemainingDoesNotWrap: tested + remaining near 2^128 is
+// refused, not wrapped round to a small sum that fits the space.
+func TestCheckRemainingDoesNotWrap(t *testing.T) {
+	top := keyspace.ID{Hi: math.MaxUint64, Lo: math.MaxUint64}
+	for _, tested := range []uint64{1, math.MaxUint64} {
+		cp := dispatch.NewCheckpoint([]keyspace.Interval{{End: top}}, tested, nil)
+		if _, err := checkRemaining(cp, top); err == nil {
+			t.Errorf("tested %d + remaining 2^128-1 accepted in a space of 2^128-1", tested)
+		}
+	}
+	cp := dispatch.NewCheckpoint([]keyspace.Interval{{Start: keyspace.IDOf(1), End: top}}, 1, nil)
+	if _, err := checkRemaining(cp, top); err != nil {
+		t.Errorf("tested 1 + remaining 2^128-2 refused in a space of 2^128-1: %v", err)
+	}
+}
+
 // TestBadRemainingSetRefused: the remaining set is the sole record of what
 // a job still has to search, so one that could skip or double identifiers
 // must be refused at every door it can come through — RecordCheckpoint
@@ -515,6 +531,7 @@ func TestBadRemainingSetRefused(t *testing.T) {
 		{"overlapping", `[{"start":"0","end":"10"},{"start":"0","end":"10"}]`},
 		{"inverted", `[{"start":"10","end":"5"}]`},
 		{"partial-overlap", `[{"start":"100","end":"200"},{"start":"0","end":"101"}]`},
+		{"past-2^128", `[{"start":"0","end":"340282366920938463463374607431768211456"}]`},
 	}
 	for _, tc := range cases {
 		cpJSON := `{"remaining":` + tc.remaining + `,"tested":0}`

@@ -1,9 +1,6 @@
 package keyspace
 
-import (
-	"fmt"
-	"math/big"
-)
+import "fmt"
 
 // Cursor walks a key space sequentially using the cheap next operator of
 // Figure 2 instead of re-running the f(id) conversion of Figure 1 for every
@@ -19,7 +16,7 @@ type Cursor struct {
 }
 
 // NewCursor positions a cursor on the key with dense identifier id.
-func NewCursor(s *Space, id *big.Int) (*Cursor, error) {
+func NewCursor(s *Space, id ID) (*Cursor, error) {
 	key, err := s.AppendKey(make([]byte, 0, s.maxLen+1), id)
 	if err != nil {
 		return nil, err
@@ -27,8 +24,8 @@ func NewCursor(s *Space, id *big.Int) (*Cursor, error) {
 	return &Cursor{space: s, key: key}, nil
 }
 
-// NewCursor64 positions a cursor on the key with identifier id (uint64 fast
-// path). It panics when the space does not fit in a uint64.
+// NewCursor64 positions a cursor on the key with identifier id. It panics
+// when id is out of range.
 func NewCursor64(s *Space, id uint64) *Cursor {
 	key := s.AppendKey64(make([]byte, 0, s.maxLen+1), id)
 	return &Cursor{space: s, key: key}
@@ -114,40 +111,3 @@ func (c *Cursor) NextRun() bool {
 	}
 	return c.Next()
 }
-
-// Skip advances the cursor by n keys (equivalent to n calls to Next).
-// It returns the number of keys actually skipped, which is smaller than n
-// only when the space is exhausted first. Skip re-derives the key from the
-// identifier, so it costs one f(id) conversion, not n next operations.
-func (c *Cursor) Skip(n *big.Int) (*big.Int, error) {
-	if n.Sign() < 0 {
-		return nil, fmt.Errorf("keyspace: negative skip %v", n)
-	}
-	if c.done {
-		return new(big.Int), nil
-	}
-	id, err := c.space.ID(c.key)
-	if err != nil {
-		return nil, err
-	}
-	id.Add(id, n)
-	last := new(big.Int).Sub(c.space.size, oneBig)
-	skipped := new(big.Int).Set(n)
-	if id.Cmp(last) > 0 {
-		over := new(big.Int).Sub(id, last)
-		skipped.Sub(skipped, over)
-		if skipped.Sign() < 0 {
-			skipped.SetInt64(0)
-		}
-		c.done = true
-		id.Set(last)
-	}
-	c.key, err = c.space.AppendKey(c.key[:0], id)
-	if err != nil {
-		return nil, err
-	}
-	return skipped, nil
-}
-
-// ID returns the dense identifier of the current key.
-func (c *Cursor) ID() (*big.Int, error) { return c.space.ID(c.key) }

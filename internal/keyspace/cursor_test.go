@@ -1,22 +1,19 @@
 package keyspace
 
-import (
-	"math/big"
-	"testing"
-)
+import "testing"
 
 // TestCursorMatchesF verifies the defining property of the next operator
 // (Figure 2): next(f(i)) == f(i+1), for both enumeration orders.
 func TestCursorMatchesF(t *testing.T) {
 	for _, order := range []Order{SuffixMajor, PrefixMajor} {
 		s := MustNew(abc, 0, 4, order)
-		c, err := NewCursor(s, big.NewInt(0))
+		c, err := NewCursor(s, ID{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		size := s.Size().Int64()
-		for i := int64(0); i < size; i++ {
-			want, err := s.Key(big.NewInt(i))
+		size, _ := s.Size64()
+		for i := uint64(0); i < size; i++ {
+			want, err := s.Key(IDOf(i))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -39,7 +36,7 @@ func TestCursorMatchesF(t *testing.T) {
 
 func TestCursorMinLen(t *testing.T) {
 	s := MustNew(abc, 2, 2, SuffixMajor)
-	c, err := NewCursor(s, big.NewInt(0))
+	c, err := NewCursor(s, ID{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,39 +72,6 @@ func TestCursorAt(t *testing.T) {
 	}
 }
 
-func TestCursorSkip(t *testing.T) {
-	s := MustNew(abc, 0, 3, SuffixMajor)
-	c, err := NewCursor(s, big.NewInt(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := c.Skip(big.NewInt(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n.Int64() != 5 {
-		t.Fatalf("Skip = %v, want 5", n)
-	}
-	if string(c.Key()) != "ab" {
-		t.Errorf("after skip 5: %q, want \"ab\"", c.Key())
-	}
-	// Skipping past the end clamps and exhausts.
-	n, err = c.Skip(big.NewInt(1000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.Exhausted() {
-		t.Error("cursor should be exhausted after overshoot")
-	}
-	size := s.Size().Int64()
-	if n.Int64() != size-1-5 {
-		t.Errorf("overshoot skip = %v, want %d", n, size-1-5)
-	}
-	if _, err := c.Skip(big.NewInt(-1)); err == nil {
-		t.Error("negative skip: want error")
-	}
-}
-
 func TestPrefixMajorMutatesPrefixOnly(t *testing.T) {
 	// The property the GPU reversal trick relies on: iterating N-1 times
 	// from a key aligned on a charset boundary mutates only the first
@@ -127,15 +91,15 @@ func TestPrefixMajorMutatesPrefixOnly(t *testing.T) {
 
 func TestCursorIDRoundTrip(t *testing.T) {
 	s := MustNew(abc, 1, 3, PrefixMajor)
-	c, err := NewCursor(s, big.NewInt(17))
+	c, err := NewCursor(s, IDOf(17))
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := c.ID()
+	id, err := s.ID(c.Key())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id.Int64() != 17 {
+	if id != IDOf(17) {
 		t.Errorf("ID = %v, want 17", id)
 	}
 }

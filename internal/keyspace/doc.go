@@ -9,8 +9,11 @@
 // space-size formulas of equations (2) and (3), and exact interval
 // arithmetic used to partition the space across computing nodes.
 //
-// Identifiers are arbitrary-precision (math/big) because realistic spaces
-// exceed 2^64 (62 alphanumeric symbols at length 20 is about 7e35); a uint64
-// fast path is provided for spaces that fit, which is what the per-thread
-// hot loops use.
+// Identifiers are 128-bit unsigned integers held by value (ID), because
+// realistic spaces exceed 2^64 (62 alphanumeric symbols at lengths 1–20 is
+// about 7e35, or 2^119); New refuses a space whose raw identifiers reach
+// 2^128, which leaves, for example, 84 symbols at lengths 1–20 in range
+// and 95 printable ones at lengths 1–19. f takes the digits of an
+// identifier off a uint64 once its high word is zero, so spaces below 2^64
+// never touch the 128-bit path.
 package keyspace

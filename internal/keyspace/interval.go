@@ -1,31 +1,29 @@
 package keyspace
 
-import (
-	"fmt"
-	"math/big"
-)
+import "fmt"
 
 // Interval is a half-open range [Start, End) of dense key identifiers.
 // Intervals are the unit of work the dispatcher of Section III scatters to
 // computing nodes: only two integers travel on the wire, and the receiving
-// node regenerates its sub-space locally via f(Start) and next.
+// node regenerates its sub-space locally via f(Start) and next. An
+// Interval is a value; copies share nothing.
 type Interval struct {
-	Start *big.Int
-	End   *big.Int
+	Start ID
+	End   ID
 }
 
-// NewInterval builds an interval from int64 bounds (convenience for tests
-// and small spaces).
+// NewInterval builds an interval from non-negative int64 bounds
+// (convenience for tests and small spaces).
 func NewInterval(start, end int64) Interval {
-	return Interval{Start: big.NewInt(start), End: big.NewInt(end)}
+	return Interval{Start: IDOf(uint64(start)), End: IDOf(uint64(end))}
 }
 
 // Len returns the number of identifiers in the interval (zero when empty or
 // inverted).
-func (iv Interval) Len() *big.Int {
-	n := new(big.Int).Sub(iv.End, iv.Start)
-	if n.Sign() < 0 {
-		n.SetInt64(0)
+func (iv Interval) Len() ID {
+	n, borrow := iv.End.Sub(iv.Start)
+	if borrow {
+		return ID{}
 	}
 	return n
 }
@@ -33,39 +31,21 @@ func (iv Interval) Len() *big.Int {
 // Len64 returns the interval length and true when it fits in a uint64.
 func (iv Interval) Len64() (uint64, bool) {
 	n := iv.Len()
-	if !n.IsUint64() {
-		return 0, false
-	}
-	return n.Uint64(), true
+	return n.Lo, n.IsUint64()
 }
 
 // Empty reports whether the interval contains no identifiers.
 func (iv Interval) Empty() bool { return iv.Start.Cmp(iv.End) >= 0 }
 
-// Contains reports whether id lies in the interval.
-func (iv Interval) Contains(id *big.Int) bool {
-	return id.Cmp(iv.Start) >= 0 && id.Cmp(iv.End) < 0
-}
-
-// Clone returns a deep copy of the interval.
-func (iv Interval) Clone() Interval {
-	return Interval{Start: new(big.Int).Set(iv.Start), End: new(big.Int).Set(iv.End)}
-}
-
 // Take splits the interval into its first n identifiers and the rest.
 // When n is at least the interval length, head is the whole interval and
 // tail is empty.
-func (iv Interval) Take(n *big.Int) (head, tail Interval) {
-	if n.Sign() <= 0 {
-		return Interval{Start: new(big.Int).Set(iv.Start), End: new(big.Int).Set(iv.Start)}, iv.Clone()
+func (iv Interval) Take(n uint64) (head, tail Interval) {
+	mid, over := iv.Start.Add(IDOf(n))
+	if over || mid.Cmp(iv.End) > 0 {
+		mid = iv.End
 	}
-	mid := new(big.Int).Add(iv.Start, n)
-	if mid.Cmp(iv.End) > 0 {
-		mid.Set(iv.End)
-	}
-	head = Interval{Start: new(big.Int).Set(iv.Start), End: new(big.Int).Set(mid)}
-	tail = Interval{Start: mid, End: new(big.Int).Set(iv.End)}
-	return head, tail
+	return Interval{iv.Start, mid}, Interval{mid, iv.End}
 }
 
 // SplitN partitions the interval into n contiguous sub-intervals whose sizes
@@ -74,77 +54,19 @@ func (iv Interval) SplitN(n int) []Interval {
 	if n <= 0 {
 		return nil
 	}
-	total := iv.Len()
-	q, r := new(big.Int).QuoRem(total, big.NewInt(int64(n)), new(big.Int))
+	q, r := iv.Len().QuoRem64(uint64(n))
 	out := make([]Interval, 0, n)
-	cur := new(big.Int).Set(iv.Start)
-	for i := 0; i < n; i++ {
-		size := new(big.Int).Set(q)
-		if int64(i) < r.Int64() {
-			size.Add(size, oneBig)
+	cur := iv.Start
+	for i := uint64(0); i < uint64(n); i++ {
+		size := q
+		if i < r {
+			size, _ = size.Add(IDOf(1))
 		}
-		next := new(big.Int).Add(cur, size)
-		out = append(out, Interval{Start: new(big.Int).Set(cur), End: next})
-		cur = new(big.Int).Set(next)
+		next, _ := cur.Add(size)
+		out = append(out, Interval{cur, next})
+		cur = next
 	}
 	return out
-}
-
-// SplitWeighted partitions the interval into len(weights) contiguous
-// sub-intervals with sizes proportional to the weights, which is the
-// paper's balancing rule N_j = N_max * (X_j / X_max) expressed over
-// arbitrary positive weights. Rounding residue is assigned to the heaviest
-// node. Zero-weight entries receive empty intervals. The concatenation of
-// the results is exactly iv.
-func (iv Interval) SplitWeighted(weights []float64) ([]Interval, error) {
-	if len(weights) == 0 {
-		return nil, fmt.Errorf("keyspace: no weights")
-	}
-	var sum float64
-	for i, w := range weights {
-		if w < 0 {
-			return nil, fmt.Errorf("keyspace: negative weight %v at %d", w, i)
-		}
-		sum += w
-	}
-	if sum == 0 {
-		return nil, fmt.Errorf("keyspace: all weights zero")
-	}
-	// Scale the float weights to integers and place each boundary at
-	// floor(total * cumulativeWeight / weightSum), computed exactly with
-	// big integers. Each part's size then deviates from the ideal
-	// proportional share by strictly less than one identifier, and the
-	// parts tile the interval exactly — even for 62^20-sized spaces.
-	const scale = 1 << 20
-	intw := make([]*big.Int, len(weights))
-	wsum := new(big.Int)
-	for i, w := range weights {
-		intw[i] = new(big.Int).SetUint64(uint64(w * scale))
-		wsum.Add(wsum, intw[i])
-	}
-	if wsum.Sign() == 0 {
-		// All weights rounded to zero; fall back to equal shares.
-		for i := range intw {
-			intw[i].SetInt64(1)
-		}
-		wsum.SetInt64(int64(len(intw)))
-	}
-	total := iv.Len()
-	out := make([]Interval, len(weights))
-	cum := new(big.Int)
-	prev := new(big.Int).Set(iv.Start)
-	for i := range weights {
-		cum.Add(cum, intw[i])
-		bound := new(big.Int).Mul(total, cum)
-		bound.Quo(bound, wsum)
-		bound.Add(bound, iv.Start)
-		out[i] = Interval{Start: prev, End: bound}
-		prev = new(big.Int).Set(bound)
-	}
-	if prev.Cmp(iv.End) != 0 {
-		return nil, fmt.Errorf("keyspace: internal split error: covered %v of %v", prev, iv.End)
-	}
-	return out, nil
 }
 
 // String formats the interval.

@@ -1,13 +1,10 @@
 package keyspace
 
-import (
-	"math/big"
-	"testing"
-)
+import "testing"
 
 func TestIntervalBasics(t *testing.T) {
 	iv := NewInterval(10, 25)
-	if iv.Len().Int64() != 15 {
+	if iv.Len() != IDOf(15) {
 		t.Errorf("Len = %v, want 15", iv.Len())
 	}
 	if n, ok := iv.Len64(); !ok || n != 15 {
@@ -16,36 +13,53 @@ func TestIntervalBasics(t *testing.T) {
 	if iv.Empty() {
 		t.Error("non-empty interval reported empty")
 	}
-	if !iv.Contains(big.NewInt(10)) || iv.Contains(big.NewInt(25)) {
-		t.Error("half-open bounds broken")
-	}
 	empty := NewInterval(5, 5)
-	if !empty.Empty() || empty.Len().Sign() != 0 {
+	if !empty.Empty() || empty.Len() != (ID{}) {
 		t.Error("empty interval misreported")
 	}
 	inverted := NewInterval(9, 3)
-	if inverted.Len().Sign() != 0 {
+	if inverted.Len() != (ID{}) {
 		t.Errorf("inverted Len = %v, want 0", inverted.Len())
+	}
+	wide := Interval{End: ID{Hi: 1}}
+	if n, ok := wide.Len64(); ok {
+		t.Errorf("Len64 of a 2^64 interval = %d, true", n)
 	}
 }
 
 func TestIntervalTake(t *testing.T) {
 	iv := NewInterval(0, 10)
-	head, tail := iv.Take(big.NewInt(4))
-	if head.Start.Int64() != 0 || head.End.Int64() != 4 {
-		t.Errorf("head = %v", head)
+	head, tail := iv.Take(4)
+	if head != NewInterval(0, 4) || tail != NewInterval(4, 10) {
+		t.Errorf("head = %v, tail = %v", head, tail)
 	}
-	if tail.Start.Int64() != 4 || tail.End.Int64() != 10 {
-		t.Errorf("tail = %v", tail)
-	}
-	head, tail = iv.Take(big.NewInt(99))
-	if head.Len().Int64() != 10 || !tail.Empty() {
+	head, tail = iv.Take(99)
+	if head != iv || !tail.Empty() {
 		t.Errorf("overshoot take: head=%v tail=%v", head, tail)
 	}
-	head, tail = iv.Take(big.NewInt(0))
-	if !head.Empty() || tail.Len().Int64() != 10 {
+	head, tail = iv.Take(0)
+	if !head.Empty() || tail != iv {
 		t.Errorf("zero take: head=%v tail=%v", head, tail)
 	}
+	// A take that would carry past 2^128 clamps to the end.
+	top := Interval{Start: ID{^uint64(0), ^uint64(0) - 5}, End: ID{^uint64(0), ^uint64(0)}}
+	if head, tail := top.Take(^uint64(0)); head != top || !tail.Empty() {
+		t.Errorf("take at the top: head=%v tail=%v", head, tail)
+	}
+}
+
+// TestIntervalValueOps pins the interval as a value: taking a lease off
+// an interval and measuring it allocate nothing.
+func TestIntervalValueOps(t *testing.T) {
+	iv := Interval{Start: ID{Hi: 3, Lo: 7}, End: ID{Hi: 9}}
+	var sink uint64
+	if n := testing.AllocsPerRun(100, func() {
+		head, tail := iv.Take(1 << 14)
+		sink += head.Len().Lo + tail.Len().Lo
+	}); n != 0 {
+		t.Errorf("Take and Len allocate %v times", n)
+	}
+	_ = sink
 }
 
 func TestSplitN(t *testing.T) {
@@ -54,89 +68,21 @@ func TestSplitN(t *testing.T) {
 	if len(parts) != 3 {
 		t.Fatalf("parts = %d", len(parts))
 	}
-	wantLens := []int64{4, 3, 3}
-	cur := int64(0)
+	wantLens := []uint64{4, 3, 3}
+	cur := uint64(0)
 	for i, p := range parts {
-		if p.Start.Int64() != cur {
+		if p.Start != IDOf(cur) {
 			t.Errorf("part %d starts at %v, want %d", i, p.Start, cur)
 		}
-		if p.Len().Int64() != wantLens[i] {
+		if n, _ := p.Len64(); n != wantLens[i] {
 			t.Errorf("part %d len = %v, want %d", i, p.Len(), wantLens[i])
 		}
-		cur = p.End.Int64()
+		cur = p.End.Uint64()
 	}
 	if cur != 10 {
 		t.Errorf("coverage ends at %d", cur)
 	}
 	if got := iv.SplitN(0); got != nil {
 		t.Error("SplitN(0) should be nil")
-	}
-}
-
-// TestSplitWeighted checks the paper's balancing rule: sub-interval sizes
-// proportional to node throughputs, exact coverage.
-func TestSplitWeighted(t *testing.T) {
-	iv := NewInterval(0, 1000)
-	// Throughputs shaped like Table VIII (MD5, MKey/s).
-	weights := []float64{71, 480, 214, 654, 1841}
-	parts, err := iv.SplitWeighted(weights)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur := big.NewInt(0)
-	var sum float64
-	for _, w := range weights {
-		sum += w
-	}
-	for i, p := range parts {
-		if p.Start.Cmp(cur) != 0 {
-			t.Errorf("part %d not contiguous", i)
-		}
-		cur = p.End
-		got := float64(p.Len().Int64())
-		want := 1000 * weights[i] / sum
-		if got < want-2 || got > want+2 {
-			t.Errorf("part %d len = %v, want ≈ %.1f", i, got, want)
-		}
-	}
-	if cur.Int64() != 1000 {
-		t.Errorf("coverage ends at %v", cur)
-	}
-}
-
-func TestSplitWeightedEdge(t *testing.T) {
-	iv := NewInterval(0, 7)
-	if _, err := iv.SplitWeighted(nil); err == nil {
-		t.Error("no weights: want error")
-	}
-	if _, err := iv.SplitWeighted([]float64{1, -2}); err == nil {
-		t.Error("negative weight: want error")
-	}
-	if _, err := iv.SplitWeighted([]float64{0, 0}); err == nil {
-		t.Error("all-zero weights: want error")
-	}
-	parts, err := iv.SplitWeighted([]float64{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !parts[0].Empty() || parts[1].Len().Int64() != 7 {
-		t.Errorf("zero-weight split: %v", parts)
-	}
-}
-
-func TestSplitWeightedHuge(t *testing.T) {
-	// 62^20-sized interval still splits exactly.
-	size := SizeRange(62, 1, 20)
-	iv := Interval{Start: new(big.Int), End: size}
-	parts, err := iv.SplitWeighted([]float64{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := new(big.Int)
-	for _, p := range parts {
-		total.Add(total, p.Len())
-	}
-	if total.Cmp(size) != 0 {
-		t.Errorf("coverage %v != size %v", total, size)
 	}
 }

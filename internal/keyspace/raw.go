@@ -1,40 +1,28 @@
 package keyspace
 
-import "math/big"
-
 // This file implements the raw enumeration over *all* strings of a charset
 // (any length, including the empty string), exactly as in Figures 1 and 2
 // of the paper. Space (space.go) layers the [MinLen, MaxLen] window on top.
 
 // appendRawKey appends f(id) to dst and returns the extended slice,
-// following the algorithm of Figure 1 (adapted to the chosen order).
-// id is consumed.
-func appendRawKey(dst []byte, id *big.Int, cs *Charset, order Order) []byte {
-	n := big.NewInt(int64(cs.Len()))
-	var rem big.Int
+// following the algorithm of Figure 1 (adapted to the chosen order). Digits
+// come off the 128-bit identifier until its high word is zero, and off a
+// uint64 from there on, which is every digit in spaces below 2^64.
+func appendRawKey(dst []byte, id ID, cs *Charset, order Order) []byte {
+	n := uint64(cs.Len())
 	start := len(dst)
-	for id.Sign() > 0 {
-		id.Sub(id, oneBig)
-		id.QuoRem(id, n, &rem)
+	var d uint64
+	for id.Hi != 0 {
+		id, _ = id.Sub(IDOf(1))
+		id, d = id.QuoRem64(n)
 		// Figure 1 prepends (suffix-major); equation (4) appends instead.
 		// We always append and fix up with a reversal for suffix-major,
 		// which avoids quadratic behaviour on long keys.
-		dst = append(dst, cs.Symbol(int(rem.Int64())))
+		dst = append(dst, cs.Symbol(int(d)))
 	}
-	if order == SuffixMajor {
-		reverseBytes(dst[start:])
-	}
-	return dst
-}
-
-// appendRawKey64 is the uint64 fast path of appendRawKey.
-func appendRawKey64(dst []byte, id uint64, cs *Charset, order Order) []byte {
-	n := uint64(cs.Len())
-	start := len(dst)
-	for id > 0 {
-		id--
-		dst = append(dst, cs.Symbol(int(id%n)))
-		id /= n
+	for v := id.Lo; v > 0; v /= n {
+		v--
+		dst = append(dst, cs.Symbol(int(v%n)))
 	}
 	if order == SuffixMajor {
 		reverseBytes(dst[start:])
@@ -43,29 +31,19 @@ func appendRawKey64(dst []byte, id uint64, cs *Charset, order Order) []byte {
 }
 
 // rawID computes the inverse of appendRawKey: the identifier of key in the
-// raw enumeration. It returns nil if key contains a byte outside cs.
-func rawID(key []byte, cs *Charset, order Order) *big.Int {
-	n := big.NewInt(int64(cs.Len()))
-	id := new(big.Int)
-	if order == SuffixMajor {
-		for _, b := range key {
-			d := cs.Index(b)
-			if d < 0 {
-				return nil
-			}
-			// id = id*n + (d+1)
-			id.Mul(id, n)
-			id.Add(id, big.NewInt(int64(d)+1))
+// raw enumeration. Every byte of key must be in cs, and the identifier
+// below 2^128, as for any key of a Space.
+func rawID(key []byte, cs *Charset, order Order) ID {
+	n := uint64(cs.Len())
+	var id ID
+	for i := range key {
+		b := key[i]
+		if order == PrefixMajor {
+			b = key[len(key)-1-i]
 		}
-	} else {
-		for i := len(key) - 1; i >= 0; i-- {
-			d := cs.Index(key[i])
-			if d < 0 {
-				return nil
-			}
-			id.Mul(id, n)
-			id.Add(id, big.NewInt(int64(d)+1))
-		}
+		// id = id*n + (d+1)
+		id, _ = id.Mul64(n)
+		id, _ = id.Add(IDOf(uint64(cs.Index(b)) + 1))
 	}
 	return id
 }
@@ -106,5 +84,3 @@ func reverseBytes(b []byte) {
 		b[i], b[j] = b[j], b[i]
 	}
 }
-
-var oneBig = big.NewInt(1)

@@ -3,7 +3,6 @@ package keyspace
 import (
 	"errors"
 	"fmt"
-	"math/big"
 )
 
 // MaxKeyLen is the maximum supported key length. The paper limits candidate
@@ -20,15 +19,13 @@ type Space struct {
 	maxLen int
 	order  Order
 
-	size   *big.Int // total number of keys, equation (2)/(3)
-	offset *big.Int // number of raw strings shorter than minLen
-	size64 uint64   // size when it fits a uint64, else 0
-	off64  uint64   // offset when the whole raw range fits a uint64, else 0
-	fits64 bool
+	size   ID // total number of keys, equation (2)/(3)
+	offset ID // number of raw strings shorter than minLen
 }
 
 // New builds a key space. minLen may be 0 (the empty string is then a
-// candidate, as in the paper's equation (1) enumeration).
+// candidate, as in the paper's equation (1) enumeration). It refuses a
+// space whose raw identifiers — offset plus size — reach 2^128.
 func New(cs *Charset, minLen, maxLen int, order Order) (*Space, error) {
 	if cs == nil {
 		return nil, errors.New("keyspace: nil charset")
@@ -42,19 +39,13 @@ func New(cs *Charset, minLen, maxLen int, order Order) (*Space, error) {
 	if maxLen > MaxKeyLen {
 		return nil, fmt.Errorf("keyspace: max length %d exceeds limit %d", maxLen, MaxKeyLen)
 	}
+	end, ok := SizeRange(cs.Len(), 0, maxLen)
+	if !ok {
+		return nil, fmt.Errorf("keyspace: %d symbols at lengths up to %d reach 2^128 identifiers", cs.Len(), maxLen)
+	}
 	s := &Space{cs: cs, minLen: minLen, maxLen: maxLen, order: order}
-	s.size = SizeRange(cs.Len(), minLen, maxLen)
-	if minLen == 0 {
-		s.offset = new(big.Int)
-	} else {
-		s.offset = SizeRange(cs.Len(), 0, minLen-1)
-	}
-	end := new(big.Int).Add(s.offset, s.size)
-	if end.IsUint64() {
-		s.fits64 = true
-		s.size64 = s.size.Uint64()
-		s.off64 = s.offset.Uint64()
-	}
+	s.offset, _ = SizeRange(cs.Len(), 0, minLen-1)
+	s.size, _ = end.Sub(s.offset)
 	return s, nil
 }
 
@@ -69,21 +60,30 @@ func MustNew(cs *Charset, minLen, maxLen int, order Order) *Space {
 
 // SizeRange returns the number of strings over an n-symbol charset with
 // length in [k0, k], i.e. equation (2) of the paper, or equation (3) when
-// n == 1.
-func SizeRange(n, k0, k int) *big.Int {
+// n == 1, and false when that number is 2^128 or more. It sums the powers
+// N^K0 + ... + N^K rather than evaluate (N^(K+1) - N^K0) / (N - 1), whose
+// numerator can overflow when the sum does not.
+func SizeRange(n, k0, k int) (ID, bool) {
+	var sum ID
 	if k < k0 {
-		return new(big.Int)
+		return sum, true
 	}
-	if n == 1 {
-		// Equation (3): S = K - K0 + 1.
-		return big.NewInt(int64(k - k0 + 1))
+	// A power N^i that overflows has i <= K, and N^K >= N^i is a term:
+	// the sum overflows too.
+	pow := IDOf(1)
+	for i := 0; i <= k; i++ {
+		var o1, o2 bool
+		if i >= k0 {
+			sum, o1 = sum.Add(pow)
+		}
+		if i < k {
+			pow, o2 = pow.Mul64(uint64(n))
+		}
+		if o1 || o2 {
+			return ID{}, false
+		}
 	}
-	// Equation (2): S = (N^(K+1) - N^K0) / (N - 1).
-	nn := big.NewInt(int64(n))
-	hi := new(big.Int).Exp(nn, big.NewInt(int64(k+1)), nil)
-	lo := new(big.Int).Exp(nn, big.NewInt(int64(k0)), nil)
-	hi.Sub(hi, lo)
-	return hi.Quo(hi, big.NewInt(int64(n-1)))
+	return sum, true
 }
 
 // Charset returns the space's charset.
@@ -98,11 +98,11 @@ func (s *Space) MaxLen() int { return s.maxLen }
 // Order returns the enumeration order.
 func (s *Space) Order() Order { return s.order }
 
-// Size returns the number of keys in the space as a fresh big.Int.
-func (s *Space) Size() *big.Int { return new(big.Int).Set(s.size) }
+// Size returns the number of keys in the space.
+func (s *Space) Size() ID { return s.size }
 
 // Size64 returns the number of keys and true when it fits in a uint64.
-func (s *Space) Size64() (uint64, bool) { return s.size64, s.fits64 }
+func (s *Space) Size64() (uint64, bool) { return s.size.Lo, s.size.IsUint64() }
 
 // Contains reports whether key is a member of the space.
 func (s *Space) Contains(key []byte) bool {
@@ -110,63 +110,49 @@ func (s *Space) Contains(key []byte) bool {
 }
 
 // AppendKey appends the key with the given dense identifier to dst.
-// It returns an error if id is out of range. id is not modified.
-func (s *Space) AppendKey(dst []byte, id *big.Int) ([]byte, error) {
-	if id.Sign() < 0 || id.Cmp(s.size) >= 0 {
+// It returns an error if id is out of range.
+func (s *Space) AppendKey(dst []byte, id ID) ([]byte, error) {
+	if id.Cmp(s.size) >= 0 {
 		return dst, fmt.Errorf("keyspace: id %v out of range [0, %v)", id, s.size)
 	}
-	raw := new(big.Int).Add(id, s.offset)
+	raw, _ := id.Add(s.offset)
 	return appendRawKey(dst, raw, s.cs, s.order), nil
 }
 
 // Key returns the key with the given dense identifier.
-func (s *Space) Key(id *big.Int) ([]byte, error) {
+func (s *Space) Key(id ID) ([]byte, error) {
 	return s.AppendKey(nil, id)
 }
 
-// Key64 returns the key with the given dense identifier using uint64
-// arithmetic. It panics if the space does not fit in a uint64 or id is out
-// of range; use Key for big spaces.
+// Key64 returns the key with identifier id. It panics if id is out of
+// range.
 func (s *Space) Key64(id uint64) []byte {
 	return s.AppendKey64(nil, id)
 }
 
-// AppendKey64 appends the key with identifier id to dst (uint64 fast path).
+// AppendKey64 appends the key with identifier id to dst. It panics if id
+// is out of range.
 func (s *Space) AppendKey64(dst []byte, id uint64) []byte {
-	if !s.fits64 {
-		panic("keyspace: space does not fit in uint64; use AppendKey")
+	dst, err := s.AppendKey(dst, IDOf(id))
+	if err != nil {
+		panic(err)
 	}
-	if id >= s.size64 {
-		panic(fmt.Sprintf("keyspace: id %d out of range [0, %d)", id, s.size64))
-	}
-	return appendRawKey64(dst, id+s.off64, s.cs, s.order)
+	return dst
 }
 
 // ID returns the dense identifier of key, or an error if key is not in the
 // space.
-func (s *Space) ID(key []byte) (*big.Int, error) {
+func (s *Space) ID(key []byte) (ID, error) {
 	if !s.Contains(key) {
-		return nil, fmt.Errorf("keyspace: key %q not in space", key)
+		return ID{}, fmt.Errorf("keyspace: key %q not in space", key)
 	}
-	raw := rawID(key, s.cs, s.order)
-	return raw.Sub(raw, s.offset), nil
-}
-
-// ID64 returns the dense identifier of key using uint64 arithmetic.
-func (s *Space) ID64(key []byte) (uint64, error) {
-	if !s.fits64 {
-		return 0, errors.New("keyspace: space does not fit in uint64; use ID")
-	}
-	id, err := s.ID(key)
-	if err != nil {
-		return 0, err
-	}
-	return id.Uint64(), nil
+	id, _ := rawID(key, s.cs, s.order).Sub(s.offset)
+	return id, nil
 }
 
 // Whole returns the interval covering the entire space.
 func (s *Space) Whole() Interval {
-	return Interval{Start: new(big.Int), End: s.Size()}
+	return Interval{End: s.size}
 }
 
 // String describes the space.

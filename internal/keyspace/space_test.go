@@ -1,9 +1,6 @@
 package keyspace
 
-import (
-	"math/big"
-	"testing"
-)
+import "testing"
 
 var abc = MustCharset("abc")
 
@@ -13,7 +10,7 @@ func TestMappingOne(t *testing.T) {
 	s := MustNew(abc, 0, 4, SuffixMajor)
 	want := []string{"", "a", "b", "c", "aa", "ab", "ac", "ba", "bb", "bc", "ca", "cb", "cc", "aaa"}
 	for i, w := range want {
-		got, err := s.Key(big.NewInt(int64(i)))
+		got, err := s.Key(IDOf(uint64(i)))
 		if err != nil {
 			t.Fatalf("Key(%d): %v", i, err)
 		}
@@ -29,7 +26,7 @@ func TestMappingFour(t *testing.T) {
 	s := MustNew(abc, 0, 4, PrefixMajor)
 	want := []string{"", "a", "b", "c", "aa", "ba", "ca", "ab", "bb", "cb", "ac", "bc", "cc", "aaa"}
 	for i, w := range want {
-		got, err := s.Key(big.NewInt(int64(i)))
+		got, err := s.Key(IDOf(uint64(i)))
 		if err != nil {
 			t.Fatalf("Key(%d): %v", i, err)
 		}
@@ -56,8 +53,8 @@ func TestSizeRange(t *testing.T) {
 		{26, 1, 4, 475254}, // 26 + 676 + 17576 + 456976
 	}
 	for _, c := range cases {
-		got := SizeRange(c.n, c.k0, c.k)
-		if got.Int64() != c.want {
+		got, ok := SizeRange(c.n, c.k0, c.k)
+		if !ok || got != IDOf(uint64(c.want)) {
 			t.Errorf("SizeRange(%d, %d, %d) = %v, want %d", c.n, c.k0, c.k, got, c.want)
 		}
 	}
@@ -68,16 +65,12 @@ func TestSizeRange(t *testing.T) {
 // lower and upper case) is ≈ 54,508 billions; with 10 characters it becomes
 // ≈ 147,389,520 billions".
 func TestPaperSearchSpaceSizes(t *testing.T) {
-	s8 := SizeRange(52, 1, 8)
-	if lo, hi := int64(54_507e9), int64(54_509e9); s8.Int64() < lo || s8.Int64() > hi {
+	s8, _ := SizeRange(52, 1, 8)
+	if lo, hi := uint64(54_507e9), uint64(54_509e9); s8.Cmp(IDOf(lo)) < 0 || s8.Cmp(IDOf(hi)) > 0 {
 		t.Errorf("|alpha^<=8| = %v, want about 54508e9", s8)
 	}
-	s10 := SizeRange(52, 1, 10)
-	lo := new(big.Int).SetInt64(147_389_519)
-	lo.Mul(lo, big.NewInt(1e9))
-	hi := new(big.Int).SetInt64(147_389_521)
-	hi.Mul(hi, big.NewInt(1e9))
-	if s10.Cmp(lo) < 0 || s10.Cmp(hi) > 0 {
+	s10, _ := SizeRange(52, 1, 10)
+	if lo, hi := uint64(147_389_519e9), uint64(147_389_521e9); s10.Cmp(IDOf(lo)) < 0 || s10.Cmp(IDOf(hi)) > 0 {
 		t.Errorf("|alpha^<=10| = %v, want about 147389520e9", s10)
 	}
 }
@@ -85,17 +78,17 @@ func TestPaperSearchSpaceSizes(t *testing.T) {
 func TestSpaceOffsets(t *testing.T) {
 	// Space with minLen 2: id 0 must be the first 2-char key.
 	s := MustNew(abc, 2, 3, SuffixMajor)
-	got, err := s.Key(big.NewInt(0))
+	got, err := s.Key(ID{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != "aa" {
 		t.Errorf("Key(0) = %q, want \"aa\"", got)
 	}
-	if s.Size().Int64() != 9+27 {
+	if s.Size() != IDOf(9+27) {
 		t.Errorf("Size = %v, want 36", s.Size())
 	}
-	last, err := s.Key(big.NewInt(35))
+	last, err := s.Key(IDOf(35))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,20 +99,20 @@ func TestSpaceOffsets(t *testing.T) {
 
 func TestKeyOutOfRange(t *testing.T) {
 	s := MustNew(abc, 1, 2, SuffixMajor)
-	if _, err := s.Key(big.NewInt(12)); err == nil {
+	if _, err := s.Key(IDOf(12)); err == nil {
 		t.Error("Key(size) should fail")
 	}
-	if _, err := s.Key(big.NewInt(-1)); err == nil {
-		t.Error("Key(-1) should fail")
+	if _, err := s.Key(ID{Hi: 1}); err == nil {
+		t.Error("Key(2^64) should fail")
 	}
 }
 
 func TestIDInverse(t *testing.T) {
 	for _, order := range []Order{SuffixMajor, PrefixMajor} {
 		s := MustNew(abc, 1, 4, order)
-		size := s.Size().Int64()
-		for i := int64(0); i < size; i++ {
-			key, err := s.Key(big.NewInt(i))
+		size, _ := s.Size64()
+		for i := uint64(0); i < size; i++ {
+			key, err := s.Key(IDOf(i))
 			if err != nil {
 				t.Fatalf("%v Key(%d): %v", order, i, err)
 			}
@@ -127,7 +120,7 @@ func TestIDInverse(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v ID(%q): %v", order, key, err)
 			}
-			if id.Int64() != i {
+			if id != IDOf(i) {
 				t.Fatalf("%v ID(Key(%d)) = %v", order, i, id)
 			}
 		}
@@ -136,12 +129,12 @@ func TestIDInverse(t *testing.T) {
 
 func TestID64(t *testing.T) {
 	s := MustNew(Lower, 1, 4, PrefixMajor)
-	id, err := s.ID64([]byte("go"))
-	if err != nil {
-		t.Fatal(err)
+	id, err := s.ID([]byte("go"))
+	if err != nil || !id.IsUint64() {
+		t.Fatal(id, err)
 	}
-	if got := s.Key64(id); string(got) != "go" {
-		t.Errorf("Key64(ID64(go)) = %q", got)
+	if got := s.Key64(id.Uint64()); string(got) != "go" {
+		t.Errorf("Key64(ID(go)) = %q", got)
 	}
 }
 
@@ -175,11 +168,11 @@ func TestNewSpaceErrors(t *testing.T) {
 func TestUnaryCharset(t *testing.T) {
 	one := MustCharset("x")
 	s := MustNew(one, 1, 5, SuffixMajor)
-	if s.Size().Int64() != 5 {
+	if s.Size() != IDOf(5) {
 		t.Fatalf("unary size = %v, want 5", s.Size())
 	}
-	for i := int64(0); i < 5; i++ {
-		key, err := s.Key(big.NewInt(i))
+	for i := uint64(0); i < 5; i++ {
+		key, err := s.Key(IDOf(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,12 +193,13 @@ func TestSize64(t *testing.T) {
 	}
 }
 
-// TestBigIntPath exercises identifiers beyond uint64: the 62-symbol,
-// 20-character space of the paper's kernel limit.
+// TestBigIntPath exercises identifiers beyond uint64 — f's 128-bit digit
+// loop before its uint64 one — in the 62-symbol, 20-character space of the
+// paper's kernel limit.
 func TestBigIntPath(t *testing.T) {
 	s := MustNew(Alnum, 1, 20, PrefixMajor)
-	// An id around 2^100, constructed as size - 12345.
-	id := new(big.Int).Sub(s.Size(), big.NewInt(12345))
+	// An id around 2^119, constructed as size - 12345.
+	id, _ := s.Size().Sub(IDOf(12345))
 	key, err := s.Key(id)
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +211,7 @@ func TestBigIntPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Cmp(id) != 0 {
+	if back != id {
 		t.Errorf("ID(Key(%v)) = %v", id, back)
 	}
 	// Cursor works at big offsets too.
@@ -233,8 +227,7 @@ func TestBigIntPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := new(big.Int).Add(id, big.NewInt(1))
-	if nextID.Cmp(want) != 0 {
+	if want, _ := id.Add(IDOf(1)); nextID != want {
 		t.Errorf("next of %q = %q has id %v, want %v", prev, c.Key(), nextID, want)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"crypto/md5"
 	"encoding/hex"
 	"fmt"
-	"math/big"
 	"sort"
 	"strings"
 	"testing"
@@ -173,7 +172,7 @@ func TestCorpusEndToEnd(t *testing.T) {
 
 	d := dispatch.NewDispatcher("corpus-root", dispatch.Options{}, fleet...)
 	space, _ := keyspace.New(keyspace.Lower, 1, 3, keyspace.PrefixMajor)
-	rep, err := d.Search(ctx, keyspace.Interval{Start: big.NewInt(0), End: space.Size()})
+	rep, err := d.Search(ctx, space.Whole())
 	if err != nil {
 		t.Fatal(err)
 	}

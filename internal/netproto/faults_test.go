@@ -3,7 +3,6 @@ package netproto
 import (
 	"context"
 	"errors"
-	"math/big"
 	"net"
 	"sync"
 	"testing"
@@ -57,7 +56,7 @@ func bindWorkers(spec JobSpec, workers []*RemoteWorker) []dispatch.Worker {
 func searchSpace(ctx context.Context, t *testing.T, d *dispatch.Dispatcher) *dispatch.Report {
 	t.Helper()
 	space, _ := keyspace.New(keyspace.Lower, 1, 3, keyspace.PrefixMajor)
-	rep, err := d.Search(ctx, keyspace.Interval{Start: big.NewInt(0), End: space.Size()})
+	rep, err := d.Search(ctx, space.Whole())
 	if err != nil {
 		t.Fatalf("search: %v", err)
 	}
@@ -67,7 +66,7 @@ func searchSpace(ctx context.Context, t *testing.T, d *dispatch.Dispatcher) *dis
 func spaceSize(t *testing.T) uint64 {
 	t.Helper()
 	space, _ := keyspace.New(keyspace.Lower, 1, 3, keyspace.PrefixMajor)
-	n, _ := keyspace.Interval{Start: big.NewInt(0), End: space.Size()}.Len64()
+	n, _ := space.Whole().Len64()
 	return n
 }
 
@@ -198,7 +197,7 @@ func TestWorkerReconnectsAndRejoins(t *testing.T) {
 		OnRequeue:    func(string, keyspace.Interval, error) { requeues++ },
 	}, bindWorkers(spec, workers)...)
 	space, _ := keyspace.New(keyspace.Lower, 1, 3, keyspace.PrefixMajor)
-	rep, err := d.Search(ctx, keyspace.Interval{Start: big.NewInt(0), End: space.Size()})
+	rep, err := d.Search(ctx, space.Whole())
 	if err != nil {
 		t.Fatalf("search failed despite reconnect: %v", err)
 	}

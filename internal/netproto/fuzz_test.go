@@ -22,10 +22,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(good(MsgSearch, []byte{1, 2, 3}))
 	f.Add(good(MsgPing, EncodeHeartbeat(Heartbeat{Seq: 7})))
 	f.Add(good(MsgPong, EncodeHeartbeat(Heartbeat{Seq: ^uint64(0)})))
-	f.Add(good(MsgRequeue, EncodeRequeue(Requeue{
-		Start: big.NewInt(1 << 40), End: new(big.Int).Lsh(big.NewInt(1), 200),
-		Reason: "worker shutting down",
-	})))
+	f.Add(good(MsgRequeue, bigRequeue(big.NewInt(1<<40), new(big.Int).Lsh(big.NewInt(1), 200), "worker shutting down")))
 	f.Add(good(MsgSpec, EncodeSpec(JobSpec{Charset: "ab", MinLen: 1, MaxLen: 2})))
 	f.Add(good(MsgTune, EncodeTuneRequest(TuneRequest{SpecID: 0xdeadbeef})))
 	f.Add(good(MsgCorpus, EncodeCorpusChunk(CorpusChunk{ID: 3, Total: 5, Offset: 0, Data: []byte("abcde")})))
@@ -141,12 +138,12 @@ func FuzzHeartbeatFrame(f *testing.F) {
 // panic or over-allocate, and whatever decodes must re-encode to an
 // equivalent Requeue (interval bounds and reason preserved).
 func FuzzRequeueFrame(f *testing.F) {
-	f.Add(EncodeRequeue(Requeue{Start: big.NewInt(0), End: big.NewInt(1), Reason: "r"}))
-	f.Add(EncodeRequeue(Requeue{
-		Start:  new(big.Int).Lsh(big.NewInt(7), 130),
-		End:    new(big.Int).Lsh(big.NewInt(9), 130),
-		Reason: "worker shutting down",
-	}))
+	f.Add(EncodeRequeue(Requeue{Start: keyspace.IDOf(0), End: keyspace.IDOf(1), Reason: "r"}))
+	wide := bigRequeue(new(big.Int).Lsh(big.NewInt(7), 130), new(big.Int).Lsh(big.NewInt(9), 130), "worker shutting down")
+	if _, err := DecodeRequeue(wide); err == nil {
+		f.Fatal("a requeue bound past 2^128 decoded")
+	}
+	f.Add(wide)
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 2, 0xab})                   // truncated field
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3, 4}) // oversized length prefix
@@ -159,10 +156,20 @@ func FuzzRequeueFrame(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode of valid requeue failed: %v", err)
 		}
-		if back.Start.Cmp(r.Start) != 0 || back.End.Cmp(r.End) != 0 || back.Reason != r.Reason {
+		if back.Start != r.Start || back.End != r.End || back.Reason != r.Reason {
 			t.Fatal("requeue round trip changed the message")
 		}
 	})
+}
+
+// bigRequeue is a Requeue payload as a big.Int encoder writes it: each
+// bound's big-endian magnitude, length-prefixed, then the reason.
+func bigRequeue(start, end *big.Int, reason string) []byte {
+	var e enc
+	e.bytes(start.Bytes())
+	e.bytes(end.Bytes())
+	e.str(reason)
+	return e.b
 }
 
 // FuzzJobRoundTrip: encode/decode must be the identity on valid specs.

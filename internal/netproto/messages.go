@@ -2,7 +2,6 @@ package netproto
 
 import (
 	"fmt"
-	"math/big"
 	"time"
 
 	"keysearch/internal/cracker"
@@ -303,7 +302,7 @@ type SearchRequest struct {
 	SpecID        uint64
 	Seq           uint64
 	ProgressEvery time.Duration
-	Start, End    *big.Int
+	Start, End    keyspace.ID
 }
 
 // EncodeSearch serializes a SearchRequest.
@@ -312,8 +311,8 @@ func EncodeSearch(s SearchRequest) []byte {
 	e.u64(s.SpecID)
 	e.u64(s.Seq)
 	e.u64(uint64(s.ProgressEvery))
-	e.bigint(s.Start)
-	e.bigint(s.End)
+	e.id(s.Start)
+	e.id(s.End)
 	return e.b
 }
 
@@ -324,8 +323,8 @@ func DecodeSearch(b []byte) (SearchRequest, error) {
 		SpecID:        d.u64(),
 		Seq:           d.u64(),
 		ProgressEvery: time.Duration(d.u64()),
-		Start:         d.bigint(),
-		End:           d.bigint(),
+		Start:         d.id(),
+		End:           d.id(),
 	}
 	if err := d.err(); err != nil {
 		return s, err
@@ -449,15 +448,15 @@ func DecodeHeartbeat(b []byte) (Heartbeat, error) {
 // to the job's pool exactly as if the worker had failed, but without
 // waiting for a heartbeat timeout.
 type Requeue struct {
-	Start, End *big.Int
+	Start, End keyspace.ID
 	Reason     string
 }
 
 // EncodeRequeue serializes a Requeue.
 func EncodeRequeue(r Requeue) []byte {
 	var e enc
-	e.bigint(r.Start)
-	e.bigint(r.End)
+	e.id(r.Start)
+	e.id(r.End)
 	e.str(r.Reason)
 	return e.b
 }
@@ -465,7 +464,7 @@ func EncodeRequeue(r Requeue) []byte {
 // DecodeRequeue parses a Requeue.
 func DecodeRequeue(b []byte) (Requeue, error) {
 	d := dec{b: b}
-	r := Requeue{Start: d.bigint(), End: d.bigint(), Reason: d.str()}
+	r := Requeue{Start: d.id(), End: d.id(), Reason: d.str()}
 	return r, d.err()
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"math/big"
 	"net"
 	"strings"
 	"testing"
@@ -95,8 +94,8 @@ func TestMessageRoundTrips(t *testing.T) {
 		t.Errorf("tune: %+v %v", tr, err)
 	}
 
-	sr, err := DecodeSearch(EncodeSearch(SearchRequest{SpecID: 0xfeedbeef, Start: big.NewInt(100), End: big.NewInt(2000)}))
-	if err != nil || sr.SpecID != 0xfeedbeef || sr.Start.Int64() != 100 || sr.End.Int64() != 2000 {
+	sr, err := DecodeSearch(EncodeSearch(SearchRequest{SpecID: 0xfeedbeef, Start: keyspace.IDOf(100), End: keyspace.IDOf(2000)}))
+	if err != nil || sr.SpecID != 0xfeedbeef || sr.Start != keyspace.IDOf(100) || sr.End != keyspace.IDOf(2000) {
 		t.Errorf("search: %+v %v", sr, err)
 	}
 
@@ -176,7 +175,7 @@ func TestEndToEndCrack(t *testing.T) {
 
 	d := dispatch.NewDispatcher("tcp-root", dispatch.Options{MaxSolutions: 1}, bindWorkers(spec, workers)...)
 	space, _ := keyspace.New(keyspace.Lower, 1, 3, keyspace.PrefixMajor)
-	rep, err := d.Search(ctx, keyspace.Interval{Start: big.NewInt(0), End: space.Size()})
+	rep, err := d.Search(ctx, space.Whole())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +224,7 @@ func TestWorkerDeathMidSearch(t *testing.T) {
 
 	d := dispatch.NewDispatcher("tcp-root", dispatch.Options{}, bindWorkers(spec, workers)...)
 	space, _ := keyspace.New(keyspace.Lower, 1, 3, keyspace.PrefixMajor)
-	rep, err := d.Search(ctx, keyspace.Interval{Start: big.NewInt(0), End: space.Size()})
+	rep, err := d.Search(ctx, space.Whole())
 	if err != nil {
 		t.Fatalf("search failed despite a survivor: %v", err)
 	}
@@ -330,7 +329,7 @@ func TestWorkerRejectsNonHelloFirstMessage(t *testing.T) {
 	}
 
 	err := run(t, func(c net.Conn) error {
-		return WriteFrame(c, MsgSearch, EncodeSearch(SearchRequest{Start: big.NewInt(0), End: big.NewInt(1)}))
+		return WriteFrame(c, MsgSearch, EncodeSearch(SearchRequest{End: keyspace.IDOf(1)}))
 	})
 	if err == nil {
 		t.Error("worker accepted a non-hello first message")
@@ -389,7 +388,7 @@ func TestUnknownSpecID(t *testing.T) {
 	if err := WriteFrame(client, MsgHello, EncodeHello(Hello{Version: Version, Name: "master"})); err != nil {
 		t.Fatal(err)
 	}
-	req := SearchRequest{SpecID: SpecID(spec), Start: big.NewInt(0), End: big.NewInt(10)}
+	req := SearchRequest{SpecID: SpecID(spec), End: keyspace.IDOf(10)}
 	if err := WriteFrame(client, MsgSearch, EncodeSearch(req)); err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +430,7 @@ func TestMultiSpecFleet(t *testing.T) {
 		spec := testJob(t, password)
 		go func() {
 			d := dispatch.NewDispatcher("fleet-"+password, dispatch.Options{MaxSolutions: 1}, bindWorkers(spec, workers)...)
-			rep, err := d.Search(ctx, keyspace.Interval{Start: big.NewInt(0), End: space.Size()})
+			rep, err := d.Search(ctx, space.Whole())
 			if err != nil {
 				results <- err
 				return

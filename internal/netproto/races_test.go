@@ -19,7 +19,6 @@ package netproto
 import (
 	"context"
 	"errors"
-	"math/big"
 	"net"
 	"os"
 	"sync"
@@ -102,7 +101,7 @@ func TestRequeueResultRaceSingleDisposition(t *testing.T) {
 
 	spec := testJob(t, "zz")
 	id := pipeHandshake(t, mconn, spec)
-	iv := keyspace.Interval{Start: big.NewInt(0), End: big.NewInt(300)}
+	iv := keyspace.NewInterval(0, 300)
 	_ = mconn.SetWriteDeadline(time.Now().Add(5 * time.Second))
 	if err := WriteFrame(mconn, MsgSearch, EncodeSearch(SearchRequest{SpecID: id, Start: iv.Start, End: iv.End})); err != nil {
 		t.Fatal(err)
@@ -196,7 +195,7 @@ func TestCancelInAcceptWindowStillRequeues(t *testing.T) {
 
 	spec := testJob(t, "zz")
 	id := pipeHandshake(t, mconn, spec)
-	iv := keyspace.Interval{Start: big.NewInt(0), End: big.NewInt(300)}
+	iv := keyspace.NewInterval(0, 300)
 	_ = mconn.SetWriteDeadline(time.Now().Add(5 * time.Second))
 	if err := WriteFrame(mconn, MsgSearch, EncodeSearch(SearchRequest{SpecID: id, Start: iv.Start, End: iv.End})); err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package netproto
 import (
 	"context"
 	"errors"
-	"math/big"
 	"strings"
 	"sync"
 	"testing"
@@ -305,7 +304,7 @@ func TestCancelMidSearchKeepsConnection(t *testing.T) {
 func TestProgressShrinkRoundTrips(t *testing.T) {
 	sr, err := DecodeSearch(EncodeSearch(SearchRequest{
 		SpecID: 7, Seq: 99, ProgressEvery: 250 * time.Millisecond,
-		Start: big.NewInt(10), End: big.NewInt(20),
+		Start: keyspace.IDOf(10), End: keyspace.IDOf(20),
 	}))
 	if err != nil || sr.Seq != 99 || sr.ProgressEvery != 250*time.Millisecond {
 		t.Errorf("search request: %+v %v", sr, err)

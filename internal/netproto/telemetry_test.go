@@ -2,7 +2,6 @@ package netproto
 
 import (
 	"context"
-	"math/big"
 	"sync"
 	"testing"
 	"time"
@@ -195,7 +194,7 @@ func TestTelemetryReconnectCounters(t *testing.T) {
 		},
 	}, bindWorkers(spec, workers)...)
 	space, _ := keyspace.New(keyspace.Lower, 1, 3, keyspace.PrefixMajor)
-	rep, err := d.Search(ctx, keyspace.Interval{Start: big.NewInt(0), End: space.Size()})
+	rep, err := d.Search(ctx, space.Whole())
 	if err != nil {
 		t.Fatalf("search failed despite reconnect: %v", err)
 	}

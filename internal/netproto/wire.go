@@ -161,7 +161,8 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/big"
+
+	"keysearch/internal/keyspace"
 )
 
 // MsgType identifies a protocol message.
@@ -255,12 +256,14 @@ func (e *enc) bytes(v []byte) {
 	e.b = append(e.b, v...)
 }
 func (e *enc) str(v string) { e.bytes([]byte(v)) }
-func (e *enc) bigint(v *big.Int) {
-	if v == nil {
-		e.bytes(nil)
-		return
-	}
-	e.bytes(v.Bytes())
+
+// id writes an identifier as bytes: its minimal big-endian magnitude,
+// the encoding of big.Int.Bytes, so zero is empty.
+func (e *enc) id(v keyspace.ID) {
+	at := len(e.b)
+	e.u32(0)
+	e.b = v.AppendBytes(e.b)
+	binary.BigEndian.PutUint32(e.b[at:], uint32(len(e.b)-at-4))
 }
 
 // dec is a sequential payload decoder. Every method fails softly by
@@ -328,7 +331,15 @@ func (d *dec) bytes() []byte {
 
 func (d *dec) str() string { return string(d.bytes()) }
 
-func (d *dec) bigint() *big.Int { return new(big.Int).SetBytes(d.bytes()) }
+// id reads an identifier written by enc.id; more than 16 bytes is an
+// error.
+func (d *dec) id() keyspace.ID {
+	v, err := keyspace.IDFromBytes(d.bytes())
+	if err != nil && d.e == nil {
+		d.e = fmt.Errorf("netproto: %w", err)
+	}
+	return v
+}
 
 func (d *dec) err() error {
 	if d.e != nil {

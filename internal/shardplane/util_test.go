@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/md5"
 	"encoding/hex"
-	"math/big"
 	"testing"
 	"time"
 
@@ -44,8 +43,7 @@ func (e *scanExec) Search(ctx context.Context, spec jobs.Spec, iv keyspace.Inter
 		return nil, err
 	}
 	rep := &dispatch.Report{}
-	one := big.NewInt(1)
-	for id := new(big.Int).Set(iv.Start); id.Cmp(iv.End) < 0; id.Add(id, one) {
+	for id := iv.Start; id.Cmp(iv.End) < 0; id, _ = id.Add(keyspace.IDOf(1)) {
 		key, err := space.Key(id)
 		if err != nil {
 			return nil, err

@@ -29,25 +29,18 @@ import (
 
 // Re-exported key-space types. Spaces are enumerated in the prefix-major
 // order of the paper's equation (4), which the GPU reversal optimization
-// requires.
+// requires, and hold fewer than 2^128 keys.
 type (
-	// Charset is an ordered set of distinct byte symbols.
-	Charset = keyspace.Charset
 	// Space is a set of keys over a charset with bounded length.
 	Space = keyspace.Space
 	// Interval is a half-open range of key identifiers.
 	Interval = keyspace.Interval
-	// Cursor walks a space with the cheap next operator.
-	Cursor = keyspace.Cursor
 )
 
 // Predefined charset strings.
 const (
-	Lowercase    = "abcdefghijklmnopqrstuvwxyz"
-	Uppercase    = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-	DigitsSet    = "0123456789"
-	Alphabetic   = Lowercase + Uppercase
-	Alphanumeric = Lowercase + Uppercase + DigitsSet
+	Lowercase = "abcdefghijklmnopqrstuvwxyz"
+	DigitsSet = "0123456789"
 )
 
 // NewSpace builds a key space over the given charset string with lengths

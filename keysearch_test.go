@@ -2,7 +2,6 @@ package keysearch_test
 
 import (
 	"context"
-	"math/big"
 	"testing"
 	"time"
 
@@ -80,7 +79,7 @@ func TestDispatchedCrackAcrossMixedWorkers(t *testing.T) {
 	)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	rep, err := d.Search(ctx, keysearch.Interval{Start: big.NewInt(0), End: space.Size()})
+	rep, err := d.Search(ctx, space.Whole())
 	if err != nil {
 		t.Fatal(err)
 	}
