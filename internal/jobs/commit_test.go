@@ -118,6 +118,75 @@ func TestDeadWALStopsLeasing(t *testing.T) {
 			t.Fatalf("lease %v issued after the WAL died", l.Interval)
 		}
 	})
+
+	// The log dies right after the final checkpoint, so the DONE record
+	// that follows it fails: that too leaves the log dead. Nothing more is
+	// leased, the loops end, and recovery marks the job DONE from its
+	// empty checkpoint.
+	t.Run("done", func(t *testing.T) {
+		const small = 26 + 26*26 // "zz" at lengths 1..2
+		for _, manual := range []bool{false, true} {
+			dir := t.TempDir()
+			store, err := Open(dir, StoreOptions{NoSync: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var tested atomic.Uint64
+			svc := NewService(store, fleet(2, 0), Options{
+				MaxLease: 64,
+				OnCommit: func(_, _ string, _ keyspace.Interval, n uint64) {
+					if tested.Add(n) == small {
+						killLog(store)
+					}
+				},
+			})
+			start := svc.Start
+			if manual {
+				start = svc.StartManual
+			}
+			if err := start(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			j, err := svc.Submit("t", 0, specFor(t, "zz", "abcdefghijklmnopqrstuvwxyz", 1, 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if manual {
+				// A second running job still has work to lease.
+				if _, err := svc.Submit("t", 0, sp); err != nil {
+					t.Fatal(err)
+				}
+				for l, ok := svc.TryLease(0); ok && tested.Load() < small; l, ok = svc.TryLease(0) {
+					svc.Commit(l, &dispatch.Report{Tested: l.N})
+				}
+				if l, ok := svc.TryLease(1); ok {
+					t.Fatalf("lease %v issued after the DONE record failed", l.Interval)
+				}
+			}
+			select {
+			case <-svc.ExecutorsDone():
+			case <-time.After(5 * time.Second):
+				t.Fatal("executor loops still waiting after the DONE record failed")
+			}
+			if got, _ := svc.Get(j.ID); got.State != StateRunning || got.Tested != small {
+				t.Fatalf("job %v with %d tested, want running with %d", got.State, got.Tested, small)
+			}
+			svc.Kill()
+
+			store2, err := Open(dir, StoreOptions{NoSync: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			svc2 := NewService(store2, fleet(1, 0), Options{})
+			if err := svc2.StartManual(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := svc2.Get(j.ID); got.State != StateDone || got.Tested != small {
+				t.Fatalf("recovered job %v with %d tested, want done with %d", got.State, got.Tested, small)
+			}
+			svc2.Shutdown(context.Background())
+		}
+	})
 }
 
 // TestLeaseTakesNoStoreLock: issuing a lease never waits on Store.mu,
@@ -156,6 +225,38 @@ func TestLeaseTakesNoStoreLock(t *testing.T) {
 		store.mu.Unlock()
 		<-got
 		t.Fatal("TryLease waited on the store lock")
+	}
+}
+
+// TestLeaseAllocs pins the allocations of one manual lease, TryLease
+// then Commit on an unsynced store: the lease and flush path that
+// fleet-fine pays per lease. 46 is what the path took before the
+// lifecycle became its own type; a new allocation per lease fails here.
+func TestLeaseAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	store, err := Open(t.TempDir(), StoreOptions{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := NewService(store, fleet(1, 0), Options{MinLease: 64, MaxLease: 64})
+	if err := svc.StartManual(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Shutdown(context.Background())
+	if _, err := svc.Submit("t", 0, specFor(t, "zzzzzz", "abcdefghijklmnopqrstuvwxyz", 1, 6)); err != nil {
+		t.Fatal(err)
+	}
+	lease := func() {
+		l, ok := svc.TryLease(0)
+		if !ok || !svc.Commit(l, &dispatch.Report{Tested: l.N}) {
+			t.Fatal("no lease committed")
+		}
+	}
+	lease() // admission
+	if n := testing.AllocsPerRun(200, lease); n > 46 {
+		t.Fatalf("%.0f allocations per lease, want at most 46", n)
 	}
 }
 

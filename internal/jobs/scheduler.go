@@ -131,10 +131,9 @@ func (sc *scheduler) pick(runnable []*activeJob) *activeJob {
 	return jobs[0]
 }
 
-// activeJob is the Service's runtime state for one schedulable job:
-// the lease table built from its last checkpoint (unissued pool plus
-// live leases) and the progress accumulated since recovery. Guarded by
-// the Service mutex.
+// activeJob is the lifecycle's state for one schedulable job: the lease
+// table built from its last checkpoint (unissued pool plus live leases)
+// and the progress accumulated since recovery.
 type activeJob struct {
 	id       string
 	tenant   string
@@ -146,13 +145,13 @@ type activeJob struct {
 	tested  uint64
 	found   [][]byte
 	sinceCP int // commits applied since the last durable checkpoint
-	// unflushed counts the commits settled in memory and not yet through
-	// their flush (see Service.Commit).
+	// unflushed counts the leases settled in memory and not yet through
+	// their flush.
 	unflushed int
 
 	// stopLeasing marks a job that must issue no further leases
-	// (paused, cancelled, done, or solution quota met); the entry is
-	// dropped once the in-flight leases drain.
+	// (paused, cancelled, done, or failed); the entry is dropped once
+	// the in-flight leases drain.
 	stopLeasing bool
 }
 
@@ -161,7 +160,7 @@ func (a *activeJob) runnable() bool {
 	return !a.stopLeasing && a.leases.Leasable()
 }
 
-// lease is the executor-facing view of a live table entry.
-func (a *activeJob) lease(le *liveLease) Lease {
-	return Lease{ID: le.ID, JobID: a.id, Tenant: a.tenant, Spec: a.spec, Interval: le.Interval, N: le.N}
+// quotaMet reports whether the job found the solutions it asked for.
+func (a *activeJob) quotaMet() bool {
+	return a.spec.MaxSolutions > 0 && len(a.found) >= a.spec.MaxSolutions
 }

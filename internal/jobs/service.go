@@ -236,39 +236,6 @@ type Lease struct {
 	N        uint64
 }
 
-// leaseState is what the service keeps per live lease beside the
-// interval, which the job's lease table owns (a Steal shrinks it there).
-// The timer, when lease timeouts are enabled, requeues the lease on
-// expiry. Guarded by the Service mutex.
-type leaseState struct {
-	timer sim.Timer
-
-	// exec is the executor index the lease was issued to (victim
-	// selection never steals an executor's own lease).
-	exec int
-	// progress is the latest live tested-up-to mark, keys from the
-	// interval start (monotonic, clamped to the lease size). Zero until
-	// the first mark arrives, so a lease whose search has not
-	// demonstrably started is never a victim.
-	progress uint64
-	// stealing pins the lease while a shrink handshake is in flight: it
-	// cannot be picked as a victim again and the expiry path defers to
-	// the handshake's settle step (which re-arms the timer), so the two
-	// can never dispose of the same keys twice.
-	stealing bool
-	// noSteal marks a lease whose executor refused a shrink handshake;
-	// retrying would fail the same way (the search finished or the
-	// worker predates the protocol).
-	noSteal bool
-	// started marks a lease an executor loop has begun to search. Until
-	// then it is queued behind the executor's running search, and an
-	// idle executor may reclaim it (reclaimLocked).
-	started bool
-}
-
-// liveLease is one entry of a job's lease table.
-type liveLease = dispatch.Entry[leaseState]
-
 // stopTimer cancels a lease's expiry timer, if it has one.
 func stopTimer(le *liveLease) {
 	if le.State.timer != nil {
@@ -278,7 +245,9 @@ func stopTimer(le *liveLease) {
 
 // Service multiplexes jobs over a fleet of executors: admission
 // control and fair-share scheduling on the lease path, group-committed
-// WAL checkpoints on the commit path, events out the side.
+// WAL checkpoints on the commit path, events out the side. The lease and
+// flush lifecycle is one state machine (lifecycle); the service drives
+// it from its goroutines and performs what each transition asks.
 type Service struct {
 	store *Store
 	execs []Executor
@@ -288,14 +257,9 @@ type Service struct {
 	hub   *hub
 
 	mu        sync.Mutex
-	cond      *sync.Cond
-	sched     *scheduler
-	active    map[string]*activeJob
-	shares    []uint64 // per-executor lease size (balance rule)
-	lastJob   []string // per-executor last leased job (preemption metric)
-	leaseSeq  uint64
-	manual    bool // StartManual: no executor loops, external drive
-	draining  bool
+	cond      *sync.Cond // lease waiters
+	flushCond *sync.Cond // Commit and the flusher, waiting on a flush or a batch
+	life      *lifecycle
 	started   bool
 	starting  bool // start in progress (tuning runs unlocked)
 	ctx       context.Context
@@ -306,19 +270,9 @@ type Service struct {
 
 	// loops is the per-executor state of the executor loops (Start mode).
 	loops []execLoop
-	// storeErr is the error of a FAILED record the store could not write
-	// after a WAL failure: the log is dead, and no lease is issued again.
-	storeErr error
-
-	// The commit pipeline (see Commit). pending holds the leases settled
-	// since the last flush began, flushing marks a flush writing the store
-	// with s.mu released, and flushCond wakes whoever waits on either. In
-	// Start mode the flusher goroutine writes every batch; loopsEnded
+	// In Start mode the flusher goroutine writes every batch; loopsEnded
 	// tells it the executor loops have returned, and it closes
 	// flusherDone when it returns.
-	pending     []*settled
-	flushing    bool
-	flushCond   *sync.Cond
 	loopsEnded  bool
 	flusherDone chan struct{}
 }
@@ -332,13 +286,11 @@ const loopsPerExecutor = 2
 // execLoop is what an executor's loops share. queue admits one loop at a
 // time to lease and wait for the token, so leases start in the order
 // they were issued; token admits one search at a time. failures (guarded
-// by token) counts the executor's consecutive failed searches; retired
-// (guarded by s.mu) ends its loops.
+// by token) counts the executor's consecutive failed searches.
 type execLoop struct {
 	queue    chan struct{}
 	token    chan struct{}
 	failures int
-	retired  bool
 }
 
 // NewService wires a store and a fleet. Call Start (or StartManual)
@@ -349,14 +301,18 @@ func NewService(store *Store, execs []Executor, opts Options) *Service {
 		clock = sim.Wall{}
 	}
 	s := &Service{
-		store:  store,
-		execs:  execs,
-		opts:   opts,
-		clock:  clock,
-		tel:    newServiceTelemetry(opts.Telemetry),
-		hub:    newHub(),
-		sched:  newScheduler(opts.Sched),
-		active: make(map[string]*activeJob),
+		store: store,
+		execs: execs,
+		opts:  opts,
+		clock: clock,
+		tel:   newServiceTelemetry(opts.Telemetry),
+		hub:   newHub(),
+		life: &lifecycle{
+			sched:    newScheduler(opts.Sched),
+			active:   make(map[string]*activeJob),
+			every:    opts.checkpointEvery(),
+			minSteal: opts.Steal.minSteal(),
+		},
 
 		loopsDone: make(chan struct{}),
 	}
@@ -386,7 +342,6 @@ func (s *Service) start(ctx context.Context, manual bool) (err error) {
 		return errors.New("jobs: service already started")
 	}
 	s.starting = true
-	s.manual = manual
 	s.ctx, s.cancel = context.WithCancel(ctx)
 	tctx := s.ctx
 	s.mu.Unlock()
@@ -406,12 +361,11 @@ func (s *Service) start(ctx context.Context, manual bool) (err error) {
 		}
 	}()
 	s.starting = false
-	s.shares = dispatch.Shares(tunings, s.opts.LeaseScale, s.opts.MinLease, s.opts.MaxLease)
-	if !slices.ContainsFunc(s.shares, func(n uint64) bool { return n > 0 }) {
+	shares := dispatch.Shares(tunings, s.opts.LeaseScale, s.opts.MinLease, s.opts.MaxLease)
+	if !slices.ContainsFunc(shares, func(n uint64) bool { return n > 0 }) {
 		s.cancel()
 		return errors.New("jobs: no usable executors (all tunings failed or zero)")
 	}
-	s.lastJob = make([]string, len(s.execs))
 
 	// Recovery: every RUNNING job resumes from its last checkpoint; its
 	// former in-flight leases are inside that checkpoint's remaining
@@ -425,12 +379,25 @@ func (s *Service) start(ctx context.Context, manual bool) (err error) {
 			return fmt.Errorf("jobs: resuming %s: %w", j.ID, err)
 		}
 	}
+	lc := s.life
+	lc.shares, lc.shrink, lc.retired, lc.lastJob = shares, make([]bool, len(shares)), make([]bool, len(shares)), make([]string, len(shares))
+	for i, ex := range s.execs {
+		_, lc.shrink[i] = ex.(StealExecutor)
+	}
 	s.refreshGaugesLocked()
 
+	// Halt leasing and wake every waiter when the context dies.
+	context.AfterFunc(s.ctx, func() {
+		s.mu.Lock()
+		s.life.halted = true
+		s.flushCond.Broadcast()
+		s.mu.Unlock()
+		s.cond.Broadcast()
+	})
 	if !manual {
 		s.loops = make([]execLoop, len(s.execs))
 		for i, ex := range s.execs {
-			if s.shares[i] == 0 {
+			if shares[i] == 0 {
 				continue
 			}
 			s.loops[i].queue = make(chan struct{}, 1)
@@ -440,13 +407,6 @@ func (s *Service) start(ctx context.Context, manual bool) (err error) {
 				go s.runExecutor(i, ex)
 			}
 		}
-		// Wake lease waiters and the flusher when the context dies.
-		context.AfterFunc(s.ctx, func() {
-			s.mu.Lock()
-			s.flushCond.Broadcast()
-			s.mu.Unlock()
-			s.cond.Broadcast()
-		})
 		go s.runFlusher()
 	} else {
 		close(s.flusherDone)
@@ -477,57 +437,22 @@ func (s *Service) ExecutorsDone() <-chan struct{} { return s.loopsDone }
 func (s *Service) Shares() []uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]uint64(nil), s.shares...)
+	return append([]uint64(nil), s.life.shares...)
 }
 
-// activateLocked builds runtime state for a RUNNING job from its
-// durable checkpoint, with the handle its leases carry: admission, resume
-// and recovery all pass through here, and dropIfDrainedLocked releases
-// the handle. Callers hold s.mu.
+// activateLocked makes a RUNNING job schedulable: admission, resume and
+// recovery all pass through here. Callers hold s.mu.
 func (s *Service) activateLocked(j Job) error {
-	if a, ok := s.active[j.ID]; ok {
-		// A pause left leases in flight and the job never drained from
-		// the active set. The in-memory lease table — not the stored
-		// checkpoint, which still counts those leases as remaining — is
-		// the live truth; rebuilding from the checkpoint would issue the
-		// in-flight intervals a second time.
-		a.stopLeasing = false
-		s.sched.admit(j.Tenant, s.runnableTenantsLocked())
-		s.finishIfDoneLocked(a)
-		return nil
+	a := s.life.resume(j.ID)
+	if a == nil {
+		cp, err := s.store.Progress(j.ID)
+		if err != nil {
+			return err
+		}
+		a = s.life.activate(j, cp)
 	}
-	cp, err := s.store.Progress(j.ID)
-	if err != nil {
-		return err
-	}
-	spec := j.Spec
-	spec.h = &Handle{spec: j.Spec, holds: make(map[any]func())}
-	a := &activeJob{
-		id:       j.ID,
-		tenant:   j.Tenant,
-		priority: j.Priority,
-		spec:     spec,
-		subAt:    j.SubmittedAt,
-		leases:   dispatch.NewTable[leaseState](cp.Remaining...),
-		tested:   cp.Tested,
-		found:    cp.Found,
-	}
-	s.active[j.ID] = a
-	s.sched.admit(j.Tenant, s.runnableTenantsLocked())
 	s.finishIfDoneLocked(a)
 	return nil
-}
-
-func (s *Service) runnableTenantsLocked() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, a := range s.active {
-		if a.runnable() && !seen[a.tenant] {
-			seen[a.tenant] = true
-			out = append(out, a.tenant)
-		}
-	}
-	return out
 }
 
 // admitLocked moves PENDING jobs to RUNNING while admission control
@@ -536,14 +461,14 @@ func (s *Service) runnableTenantsLocked() []string {
 // order. It reads only the store's pending index, so its cost does not
 // grow with the terminal jobs the table holds.
 func (s *Service) admitLocked() {
-	if s.draining || s.store.PendingCount() == 0 {
+	if s.life.halted || s.store.PendingCount() == 0 {
 		return
 	}
 	perTenant := make(map[string]int)
-	for _, a := range s.active {
+	for _, a := range s.life.active {
 		perTenant[a.tenant]++
 	}
-	for len(s.active) < s.opts.Sched.maxRunning() {
+	for len(s.life.active) < s.opts.Sched.maxRunning() {
 		var best *Job
 		for _, j := range s.store.Pending() {
 			if perTenant[j.Tenant] >= s.opts.Sched.tenantQuota() {
@@ -574,44 +499,33 @@ func (s *Service) admitLocked() {
 
 func (s *Service) refreshGaugesLocked() {
 	s.tel.queueDepth.Set(float64(s.store.PendingCount()))
-	s.tel.running.Set(float64(len(s.active)))
+	s.tel.running.Set(float64(len(s.life.active)))
 }
 
-// next blocks until a lease is available for executor i, the service
-// drains, the executor is retired, or the context dies. Only when the
-// executor is idle — no lease of its searching — does it reclaim a lease
-// queued on another executor, or steal.
+// next blocks until a lease is available for executor i, or i may lease
+// no more. Only when the executor is idle — no lease of its searching —
+// does it reclaim a lease queued on another executor, or steal.
 func (s *Service) next(i int) (Lease, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el := &s.loops[i]
 	waitStart := s.clock.Now()
-	for {
-		if s.draining || s.ctx.Err() != nil || el.retired || s.storeErr != nil {
-			return Lease{}, false
-		}
-		if l, ok := s.tryLeaseLocked(i, waitStart); ok {
+	for s.life.mayLease(i) {
+		if l, ok := s.issueLocked(i, phaseQueued, waitStart); ok {
 			return l, true
 		}
-		if busy := s.searchingLocked(); !busy[i] {
-			if s.reclaimLocked(i, busy) {
-				continue
+		idle, r := s.life.reclaim(i)
+		if s.requeuedLocked(r, nil) {
+			continue
+		}
+		if idle && s.opts.Steal.Enabled {
+			// Idle with no leasable work: split the worst straggler's lease
+			// instead of waiting behind it. A refusal that requeued the
+			// tail is picked up by the issue that follows.
+			if l, ok := s.stealLocked(i); ok || !s.life.mayLease(i) {
+				return l, ok
 			}
-			if s.opts.Steal.Enabled {
-				// Idle with no leasable work: try to split the worst
-				// straggler's lease instead of waiting behind it. A failed
-				// attempt (no victim, refused handshake) falls through to the
-				// wait; a refusal that requeued the tail is picked up by
-				// tryLeaseLocked on the next iteration.
-				if l, ok := s.stealLocked(i); ok {
-					return l, true
-				}
-				if s.draining || s.ctx.Err() != nil {
-					return Lease{}, false
-				}
-				if l, ok := s.tryLeaseLocked(i, waitStart); ok {
-					return l, true
-				}
+			if l, ok := s.issueLocked(i, phaseQueued, waitStart); ok {
+				return l, true
 			}
 		}
 		if hook := testHookIdle.Load(); hook != nil {
@@ -619,41 +533,7 @@ func (s *Service) next(i int) (Lease, bool) {
 		}
 		s.cond.Wait()
 	}
-}
-
-// searchingLocked reports which executors have a lease searching (only
-// the executor loops start leases, and they lease to valid indices). It
-// scans the live leases, so only the idle path asks. Callers hold s.mu.
-func (s *Service) searchingLocked() []bool {
-	busy := make([]bool, len(s.execs))
-	for _, a := range s.active {
-		for _, le := range a.leases.Live() {
-			if le.State.started {
-				busy[le.State.exec] = true
-			}
-		}
-	}
-	return busy
-}
-
-// reclaimLocked returns to its pool a lease that another executor holds
-// queued behind its running search, so that idle executor i leases it
-// now instead of waiting for that search to end: without it, the last
-// leases of a job wait behind busy executors while idle ones look on.
-// A lease whose executor is not searching is about to start, and is
-// left alone. It reports whether it found one. Callers hold s.mu.
-func (s *Service) reclaimLocked(i int, busy []bool) bool {
-	for _, a := range s.active {
-		if a.stopLeasing {
-			continue
-		}
-		for _, le := range a.leases.Live() {
-			if st := le.State; !st.started && !st.stealing && st.exec != i && busy[st.exec] {
-				return s.requeueLocked(a, le.ID, nil)
-			}
-		}
-	}
-	return false
+	return Lease{}, false
 }
 
 // testHookIdle, when set, runs in next with s.mu held, after an executor
@@ -669,113 +549,84 @@ var testHookIdle atomic.Pointer[func()]
 func (s *Service) TryLease(exec int) (Lease, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.started || s.draining || s.ctx.Err() != nil {
-		return Lease{}, false
-	}
-	return s.tryLeaseLocked(exec, s.clock.Now())
+	return s.issueLocked(exec, phaseIssued, s.clock.Now())
 }
 
-// tryLeaseLocked picks the next lease for executor i, or reports none
-// runnable. Callers hold s.mu.
-func (s *Service) tryLeaseLocked(i int, waitStart time.Time) (Lease, bool) {
-	if i < 0 || i >= len(s.shares) || s.shares[i] == 0 || s.storeErr != nil {
+// issueLocked admits what admission control allows and issues executor i
+// its next lease, in phase ph. Callers hold s.mu.
+func (s *Service) issueLocked(i int, ph phase, waitStart time.Time) (Lease, bool) {
+	if !s.life.mayLease(i) {
 		return Lease{}, false
 	}
-	for {
-		s.admitLocked()
-		s.refreshGaugesLocked()
-		var runnable []*activeJob
-		for _, a := range s.active {
-			if a.runnable() {
-				runnable = append(runnable, a)
-			}
-		}
-		a := s.sched.pick(runnable)
-		if a == nil {
-			return Lease{}, false
-		}
-		le, ok := a.leases.Issue(s.leaseSeq+1, s.shares[i])
-		if !ok {
-			continue
-		}
-		s.leaseSeq++
-		le.State.exec = i
-		s.rearmLeaseLocked(a.id, le)
-		l := a.lease(le)
-		s.sched.charge(a.tenant, le.N)
-		s.tel.leases.Inc()
-		s.tel.leaseLen.Observe(float64(le.N))
-		s.tel.schedWait.ObserveDuration(s.clock.Since(waitStart))
-		if prev := s.lastJob[i]; prev != "" && prev != a.id {
-			if pa, ok := s.active[prev]; ok && pa.runnable() {
-				// The previous job still had work; the deficit moved this
-				// executor to another job at the chunk boundary.
-				s.tel.preempted.Inc()
-			}
-		}
-		s.lastJob[i] = a.id
-		return l, true
+	s.admitLocked()
+	s.refreshGaugesLocked()
+	le, preempted := s.life.issue(i, ph)
+	if le == nil {
+		return Lease{}, false
 	}
+	l := s.handOutLocked(le, false)
+	s.tel.schedWait.ObserveDuration(s.clock.Since(waitStart))
+	if preempted {
+		s.tel.preempted.Inc()
+	}
+	return l, true
 }
 
-// rearmLeaseLocked (re)starts the expiry timer for a live lease when
-// lease timeouts are enabled. Callers hold s.mu.
-func (s *Service) rearmLeaseLocked(jobID string, le *liveLease) {
+// handOutLocked arms a new lease's timer and counts it, and a stolen
+// tail as a steal. Callers hold s.mu.
+func (s *Service) handOutLocked(le *liveLease, stolen bool) Lease {
+	s.armLocked(le)
+	s.tel.leases.Inc()
+	s.tel.leaseLen.Observe(float64(le.N))
+	if stolen {
+		s.tel.steals.Inc()
+		s.tel.stolenKeys.Add(le.N)
+	}
+	return leaseOf(le)
+}
+
+// armLocked (re)starts a live lease's expiry timer when lease timeouts
+// are enabled. Callers hold s.mu.
+func (s *Service) armLocked(le *liveLease) {
 	if d := s.opts.LeaseTimeout; d > 0 {
-		leaseID := le.ID
+		jobID, leaseID := le.State.job.id, le.ID
 		le.State.timer = s.clock.AfterFunc(d, func() { s.expireLease(jobID, leaseID) })
 	}
 }
 
-// noteProgress records a live search's tested-up-to mark, feeding
-// victim selection. Marks are monotonic and clamped to the lease size
-// (a shrunk lease keeps receiving marks from a worker that passed the
-// split point). Called from connection read loops; it only touches the
-// service lock briefly and never blocks.
+// noteProgress records a live search's tested-up-to mark. Called from
+// connection read loops; it only touches the service lock briefly.
 func (s *Service) noteProgress(jobID string, leaseID, done uint64) {
-	wake := false
 	s.mu.Lock()
-	if a := s.active[jobID]; a != nil {
-		if le, ok := a.leases.Get(leaseID); ok {
-			if done > le.N {
-				done = le.N
-			}
-			if done > le.State.progress {
-				// The first mark makes the lease a steal candidate
-				// (pickVictimLocked skips progress-less leases); wake any
-				// executor that went idle before the search warmed up.
-				wake = le.State.progress == 0 && a.spec.Steal && s.opts.Steal.Enabled
-				le.State.progress = done
-			}
-		}
-	}
+	// The first mark makes a steal candidate: wake executors gone idle.
+	wake := s.life.progress(jobID, leaseID, done) && s.opts.Steal.Enabled
 	s.mu.Unlock()
 	if wake {
 		s.cond.Broadcast()
 	}
 }
 
-// requeueLocked returns live lease id of job a to the pool untested: the
-// tenant's deficit is refunded, counter counts it and lease waiters are
-// woken. A nil counter returns a lease that never reached its executor,
-// which is no requeue incident. It reports false — and does nothing —
-// when the lease has already left the table, which is how a late Fail or
-// expiry stays harmless. Callers hold s.mu and run Options.OnRequeue once
-// they have released it.
-func (s *Service) requeueLocked(a *activeJob, id uint64, counter *telemetry.Counter) bool {
-	le, ok := a.leases.Requeue(id)
-	if !ok {
+// requeuedLocked finishes a requeue, if there was one: the timer stops, an
+// incident counts under counter, lease waiters wake. Callers hold s.mu.
+func (s *Service) requeuedLocked(r requeue, counter *telemetry.Counter) bool {
+	if r.le == nil {
 		return false
 	}
-	stopTimer(le)
-	s.sched.credit(a.tenant, le.N)
-	if counter != nil {
+	stopTimer(r.le)
+	if r.incident {
 		counter.Inc()
-		s.tel.requeued.Add(le.N)
+		s.tel.requeued.Add(r.le.N)
 	}
-	s.dropIfDrainedLocked(a)
+	s.releaseLocked(r.le.State.job)
 	s.cond.Broadcast()
 	return true
+}
+
+// releaseLocked releases the handle of a job that left the active set.
+func (s *Service) releaseLocked(a *activeJob) {
+	if a != nil && s.life.active[a.id] != a {
+		a.spec.h.release()
+	}
 }
 
 // expireLease requeues a lease that outlived Options.LeaseTimeout; any
@@ -783,16 +634,7 @@ func (s *Service) requeueLocked(a *activeJob, id uint64, counter *telemetry.Coun
 // goroutine under the wall clock, an engine event under a virtual one).
 func (s *Service) expireLease(jobID string, leaseID uint64) {
 	s.mu.Lock()
-	requeued := false
-	if a := s.active[jobID]; a != nil {
-		// A lease pinned by a steal handshake between split and settle is
-		// left alone: settle re-arms the timer, so deferring costs at most
-		// one extra timeout and can never dispose of keys the handshake is
-		// about to move.
-		if le, ok := a.leases.Get(leaseID); ok && !le.State.stealing {
-			requeued = s.requeueLocked(a, leaseID, s.tel.expired)
-		}
-	}
+	requeued := s.requeuedLocked(s.life.expire(jobID, leaseID), s.tel.expired)
 	s.mu.Unlock()
 	if requeued && s.opts.OnRequeue != nil {
 		s.opts.OnRequeue(jobID)
@@ -804,11 +646,11 @@ func (s *Service) expireLease(jobID string, leaseID uint64) {
 // the timeout already requeued is ignored.
 func (s *Service) Fail(l Lease) {
 	s.mu.Lock()
-	a := s.active[l.JobID]
-	requeued := a != nil && s.requeueLocked(a, l.ID, s.tel.requeues)
-	if a != nil && !requeued {
+	r, late := s.life.fail(l)
+	if late {
 		s.tel.lateCommits.Inc()
 	}
+	requeued := s.requeuedLocked(r, s.tel.requeues)
 	s.mu.Unlock()
 	if requeued && s.opts.OnRequeue != nil {
 		s.opts.OnRequeue(l.JobID)
@@ -828,13 +670,23 @@ func (s *Service) Fail(l Lease) {
 //
 // Commit waits for the flush that covers its lease, and runs that flush
 // itself when no other one is running; a lone caller — manual drive — is
-// a batch of one. The executor loops do not wait: they settle and go on
-// to their next lease, and the flusher writes their batches.
-func (s *Service) Commit(l Lease, rep *dispatch.Report) bool {
+// a batch of one.
+func (s *Service) Commit(l Lease, rep *dispatch.Report) bool { return s.commit(l, rep, true) }
+
+// commit settles lease l and, if wait, waits for its flush (see Commit).
+// The executor loops do not wait: the flusher writes their batches.
+func (s *Service) commit(l Lease, rep *dispatch.Report, wait bool) bool {
 	s.mu.Lock()
-	c := s.settleLocked(l, rep)
-	for c != nil && !c.done {
-		if s.flushing {
+	le, late := s.life.settle(l, rep)
+	if late {
+		s.tel.lateCommits.Inc()
+	}
+	if le != nil {
+		stopTimer(le)
+		s.flushCond.Broadcast()
+	}
+	for wait && le != nil && le.State.phase < phaseAcked {
+		if s.life.flushing {
 			s.flushCond.Wait()
 			continue
 		}
@@ -842,8 +694,8 @@ func (s *Service) Commit(l Lease, rep *dispatch.Report) bool {
 		s.flush()
 		s.mu.Lock()
 	}
-	s.mu.Unlock()
-	return c != nil && c.accepted
+	defer s.mu.Unlock()
+	return le != nil && (le.State.phase == phaseAcked || le.State.phase == phaseDiscarded)
 }
 
 // flush writes and acknowledges every lease settled since the last flush
@@ -854,18 +706,50 @@ func (s *Service) Commit(l Lease, rep *dispatch.Report) bool {
 // the next batch settles while the fsync runs.
 func (s *Service) flush() {
 	s.mu.Lock()
-	if s.flushing || len(s.pending) == 0 {
+	batch, fl := s.life.flushStart()
+	if batch == nil {
 		s.mu.Unlock()
 		return
 	}
-	batch := s.pending
-	s.pending, s.flushing = nil, true
-	fl := s.prepareFlushLocked(batch)
 	s.mu.Unlock()
-	s.writeFlush(fl)
+	for _, f := range fl {
+		if f.cp != nil {
+			f.err = s.store.RecordCheckpoint(f.a.id, f.cp)
+		}
+		if f.err == nil {
+			f.job, f.err = s.store.Get(f.a.id)
+		}
+	}
 	s.mu.Lock()
-	s.finishFlushLocked(batch, fl)
-	s.flushing = false
+	s.life.flushDone(batch, fl)
+	for _, le := range batch {
+		if a := le.State.job; le.State.phase == phaseAcked {
+			s.tel.committed(a.tenant, le.State.progress)
+			if s.opts.OnCommit != nil {
+				s.opts.OnCommit(a.id, a.tenant, le.Interval, le.State.progress)
+			}
+		}
+	}
+	for _, f := range fl {
+		switch {
+		case f.phase == phaseFailed:
+			if j, ok := s.writeStateLocked(f.a.id, StateFailed, f.err.Error()); ok {
+				s.tel.failed.Inc()
+				s.hub.publish(Event{Type: EventState, Job: j})
+			}
+		case f.phase == phaseAcked && f.cp != nil && f.found:
+			s.hub.publish(Event{Type: EventFound, Job: f.job})
+		case f.phase == phaseAcked:
+			s.hub.publish(Event{Type: EventProgress, Job: f.job})
+		}
+		if f.phase == phaseAcked && f.final {
+			if de := s.finishIfDoneLocked(f.a); de != nil {
+				s.hub.publish(*de)
+			}
+		}
+		s.releaseLocked(f.a)
+	}
+	s.refreshGaugesLocked()
 	s.flushCond.Broadcast()
 	s.mu.Unlock()
 	s.cond.Broadcast()
@@ -879,11 +763,11 @@ func (s *Service) runFlusher() {
 	defer close(s.flusherDone)
 	s.mu.Lock()
 	for {
-		if s.ctx.Err() != nil || s.loopsEnded && len(s.pending) == 0 && !s.flushing {
+		if s.ctx.Err() != nil || s.loopsEnded && len(s.life.pending) == 0 && !s.life.flushing {
 			s.mu.Unlock()
 			return
 		}
-		if s.flushing || len(s.pending) == 0 {
+		if s.life.flushing || len(s.life.pending) == 0 {
 			s.flushCond.Wait()
 			continue
 		}
@@ -893,183 +777,40 @@ func (s *Service) runFlusher() {
 	}
 }
 
-// settle lands a lease an executor loop searched, without waiting for its
-// flush: the loop goes straight on to lease again while the flusher
-// writes the checkpoint.
-func (s *Service) settle(l Lease, rep *dispatch.Report) {
-	s.mu.Lock()
-	if s.settleLocked(l, rep) != nil {
-		s.flushCond.Broadcast()
+// writeStateLocked records FAILED after a failed checkpoint, or DONE after
+// a final one. A refused transition (a cancel landed first) changes
+// nothing; any other error means the log is dead. Callers hold s.mu.
+func (s *Service) writeStateLocked(id string, to State, reason string) (Job, bool) {
+	j, err := s.store.SetState(id, to, reason)
+	if err != nil && !errors.Is(err, ErrTransition) && !errors.Is(err, ErrNotFound) {
+		s.life.dead = err
+		s.cond.Broadcast()
 	}
-	s.mu.Unlock()
+	return j, err == nil
 }
 
-// settled is one lease Commit has settled in memory, waiting for the
-// flush that makes it durable; that flush fills in done and accepted.
-type settled struct {
-	a        *activeJob
-	tenant   string
-	iv       keyspace.Interval
-	tested   uint64
-	found    bool
-	done     bool
-	accepted bool
-}
-
-// settleLocked takes lease l out of its job's table and counts its keys
-// in memory, queueing it for the next flush. It returns nil when the
-// lease is no longer live — the timeout requeued it, and accepting this
-// commit would double-count the span when the re-issued lease lands.
-// Callers hold s.mu.
-func (s *Service) settleLocked(l Lease, rep *dispatch.Report) *settled {
-	a := s.active[l.JobID]
-	if a == nil {
+// finishIfDoneLocked transitions a job to DONE when the lifecycle says
+// it may, returning the event to publish. Callers hold s.mu.
+func (s *Service) finishIfDoneLocked(a *activeJob) *Event {
+	reason, ok := s.life.doneReady(a)
+	if !ok {
 		return nil
 	}
-	le, live := a.leases.Settle(l.ID)
-	if !live {
-		s.tel.lateCommits.Inc()
+	j, ok := s.writeStateLocked(a.id, StateDone, reason)
+	if !ok {
 		return nil
 	}
-	stopTimer(le)
-	tested := rep.Tested
-	if tested > le.N {
-		// The lease was shrunk by a steal after its worker had already
-		// passed the split point: the report covers more keys than the
-		// lease now holds. Only the lease's own span counts — the surplus
-		// sits inside the stolen tail's lease and is re-searched there,
-		// so coverage stays exact (duplicated work, never double-counted
-		// keys).
-		tested = le.N
-	}
-	a.tested += tested
-	a.found = append(a.found, rep.Found...)
-	a.sinceCP++
-	a.unflushed++
-	c := &settled{a: a, tenant: l.Tenant, iv: le.Interval, tested: tested, found: len(rep.Found) > 0}
-	s.pending = append(s.pending, c)
-	return c
-}
-
-// jobFlush is one job's share of a flush: the checkpoint to write (nil
-// when CheckpointEvery defers it) and, once written, the outcome.
-type jobFlush struct {
-	a     *activeJob
-	cp    *dispatch.Checkpoint
-	found bool // a lease of the batch found a solution
-	final bool // cp's remaining set is empty or meets the quota: DONE follows it
-
-	err      error
-	job      Job  // the snapshot after the write
-	acked    bool // durable: the batch's leases are acknowledged
-	accepted bool // what Commit reports (a terminal job's discard counts)
-}
-
-// prepareFlushLocked builds each job's checkpoint for a batch, from the
-// tables as they stand: every lease settled so far is in this batch or
-// an earlier one, so the checkpoint covers exactly what the flush
-// acknowledges. Completion, solution-bearing batches and quota stops
-// always checkpoint. Callers hold s.mu.
-func (s *Service) prepareFlushLocked(batch []*settled) []*jobFlush {
-	var fl []*jobFlush
-	for _, c := range batch {
-		i := slices.IndexFunc(fl, func(f *jobFlush) bool { return f.a == c.a })
-		if i < 0 {
-			i = len(fl)
-			fl = append(fl, &jobFlush{a: c.a})
-		}
-		fl[i].found = fl[i].found || c.found
-	}
-	for _, f := range fl {
-		a := f.a
-		f.final = a.leases.Exhausted() || a.spec.MaxSolutions > 0 && len(a.found) >= a.spec.MaxSolutions
-		// A deferred checkpoint leaves the commits applied in memory and
-		// acknowledged; a crash before a later checkpoint re-searches
-		// them — duplicated work, not duplicated coverage.
-		if f.final || f.found || a.sinceCP >= s.opts.checkpointEvery() {
-			f.cp = dispatch.NewCheckpoint(a.leases.Remaining(), a.tested, a.found)
-			a.sinceCP = 0 // a failed write fails the job: no later checkpoint counts on it
-		}
-	}
-	return fl
-}
-
-// writeFlush writes each job's checkpoint and reads its snapshot once,
-// with s.mu released: a lease is issued, and the next batch settles,
-// while the fsync runs.
-func (s *Service) writeFlush(fl []*jobFlush) {
-	for _, f := range fl {
-		if f.cp != nil {
-			f.err = s.store.RecordCheckpoint(f.a.id, f.cp)
-		}
-		if f.err == nil {
-			f.job, f.err = s.store.Get(f.a.id)
-		}
-	}
-}
-
-// finishFlushLocked acknowledges a written batch: for each job whose
-// checkpoint is durable, OnCommit and tenant charging per lease in commit
-// order, then one progress (or found) event and completion. A job that
-// turned terminal before its write (a cancel, say) has its batch
-// discarded, as a commit to a terminal job always was. A job whose write
-// failed is failed and stops leasing; if even its FAILED record cannot
-// be written, the log is dead and the service issues no lease again.
-// Callers hold s.mu.
-func (s *Service) finishFlushLocked(batch []*settled, fl []*jobFlush) {
-	byJob := make(map[*activeJob]*jobFlush, len(fl))
-	for _, f := range fl {
-		byJob[f.a] = f
-		switch {
-		case errors.Is(f.err, ErrTransition) || errors.Is(f.err, ErrNotFound) || f.err == nil && f.job.State.Terminal():
-			f.accepted = true
-		case f.err != nil:
-			f.a.stopLeasing = true
-			if fj, ferr := s.store.SetState(f.a.id, StateFailed, f.err.Error()); ferr != nil {
-				s.storeErr = ferr
-			} else {
-				s.tel.failed.Inc()
-				s.hub.publish(Event{Type: EventState, Job: fj})
-			}
-		default:
-			f.acked, f.accepted = true, true
-		}
-	}
-	for _, c := range batch {
-		f := byJob[c.a]
-		c.done, c.accepted = true, f.accepted
-		c.a.unflushed--
-		if f.acked {
-			s.tel.committed(c.tenant, c.tested)
-			if s.opts.OnCommit != nil {
-				s.opts.OnCommit(c.a.id, c.tenant, c.iv, c.tested)
-			}
-		}
-	}
-	for _, f := range fl {
-		if f.acked {
-			typ := EventProgress
-			if f.cp != nil && f.found {
-				typ = EventFound
-			}
-			s.hub.publish(Event{Type: typ, Job: f.job})
-			if f.final {
-				if de := s.finishIfDoneLocked(f.a); de != nil {
-					s.hub.publish(*de)
-				}
-			}
-		}
-		s.dropIfDrainedLocked(f.a)
-	}
-	s.refreshGaugesLocked()
+	s.life.stop(a.id)
+	s.tel.completed.Inc()
+	s.releaseLocked(a)
+	return &Event{Type: EventState, Job: j}
 }
 
 // Steal splits a straggler's in-flight lease at an interior boundary:
 // the victim's lease shrinks to its first keep identifiers and a new
 // lease over the stolen tail is issued to the thief executor. The two
 // parts tile the original interval exactly, each with its own lease
-// accounting, so exactly-once coverage is preserved by construction —
-// split-lease accounting, not coverage bookkeeping after the fact.
+// accounting, so exactly-once coverage is preserved by construction.
 //
 // Stealing requires the job to opt in (Spec.Steal). In manual drive
 // (StartManual) the caller IS the back-channel: it owns both executors
@@ -1081,246 +822,44 @@ func (s *Service) finishFlushLocked(batch []*settled, fl []*jobFlush) {
 func (s *Service) Steal(victim Lease, keep uint64, thief int) (Lease, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.manual || s.draining {
+	if s.loops != nil {
 		return Lease{}, false
 	}
-	a := s.active[victim.JobID]
-	if a == nil || !a.spec.Steal || a.stopLeasing {
+	tail := s.life.stealAt(victim, keep, thief)
+	if tail == nil {
 		return Lease{}, false
 	}
-	if le, ok := a.leases.Get(victim.ID); !ok || le.State.stealing {
-		return Lease{}, false
-	}
-	tail, ok := s.splitLeaseLocked(a, victim.ID, keep, thief)
-	if !ok {
-		return Lease{}, false
-	}
-	s.rearmLeaseLocked(a.id, tail)
-	s.stolenLocked(tail)
-	return a.lease(tail), true
+	return s.handOutLocked(tail, true), true
 }
 
-// stolenLocked counts a settled steal: tail is the thief's new lease.
-func (s *Service) stolenLocked(tail *liveLease) {
-	s.tel.steals.Inc()
-	s.tel.stolenKeys.Add(tail.N)
-	s.tel.leases.Inc()
-	s.tel.leaseLen.Observe(float64(tail.N))
-}
-
-// splitLeaseLocked carves the tail beyond keep off live lease victimID
-// (0 < keep < its size, or the table refuses) into a fresh lease for
-// executor thief. The tenant was charged for the full original lease at
-// issue time; the split moves keys between leases of the same tenant, so
-// the deficit stands. Timer management is the caller's: the manual Steal
-// arms the tail immediately, the handshake path only once the boundary
-// settles.
-func (s *Service) splitLeaseLocked(a *activeJob, victimID, keep uint64, thief int) (*liveLease, bool) {
-	if s.storeErr != nil {
-		return nil, false
-	}
-	tail, ok := a.leases.Split(victimID, keep, s.leaseSeq+1)
-	if !ok {
-		return nil, false
-	}
-	s.leaseSeq++
-	tail.State.exec = thief
-	if thief >= 0 && thief < len(s.lastJob) {
-		s.lastJob[thief] = a.id
-	}
-	return tail, true
-}
-
-// pickVictimLocked chooses the straggler an idle executor should steal
-// from: the live lease with the most remaining wall-clock work by the
-// balance-rule estimate (untested keys / victim's share, shares being
-// proportional to tuned throughput). Only leases of steal-enabled jobs
-// held by OTHER, shrink-capable executors qualify; the lease must have
-// shown progress (its search demonstrably started), must not already be
-// in a handshake (or have refused one), and its untested remainder must
-// be worth splitting (≥ 2×MinSteal). The returned keep splits that
-// remainder in half, measured from the victim's last progress mark.
-func (s *Service) pickVictimLocked(thief int) (a *activeJob, victim *liveLease, keep uint64, se StealExecutor) {
-	minSteal := s.opts.Steal.minSteal()
-	var best float64
-	for _, cand := range s.active {
-		if !cand.spec.Steal || cand.stopLeasing {
-			continue
-		}
-		for _, le := range cand.leases.Live() {
-			c := le.State
-			if c.stealing || c.noSteal || c.exec == thief || c.exec < 0 || c.exec >= len(s.execs) {
-				continue
-			}
-			if c.progress == 0 {
-				continue
-			}
-			rem := le.N - c.progress
-			if rem < 2*minSteal {
-				continue
-			}
-			ex, ok := s.execs[c.exec].(StealExecutor)
-			if !ok {
-				continue
-			}
-			share := float64(s.shares[c.exec])
-			if share <= 0 {
-				continue
-			}
-			if score := float64(rem) / share; victim == nil || score > best {
-				a, victim, se, best = cand, le, ex, score
-			}
-		}
-	}
-	if victim == nil {
-		return nil, nil, 0, nil
-	}
-	rem := victim.N - victim.State.progress
-	return a, victim, victim.State.progress + (rem+1)/2, se
-}
-
-// stealLocked attempts one steal for idle executor thief. Called with
-// s.mu held; it releases and reacquires the lock around the shrink
-// handshake (which blocks on the victim's connection) and returns with
-// the lock held either way.
-//
-// The split happens BEFORE the handshake, under the lock: the victim's
-// lease shrinks to [start, keep) and the tail becomes the thief's lease
-// immediately, so no disposition racing the handshake — commit, fail,
-// or expiry of either half — can lose or double-count keys. The
-// handshake then only moves the boundary: an ack at cut > keep hands
-// [keep, cut) back to the victim (it had already tested past the split
-// point), a refusal merges the halves back in place. The victim's
-// expiry timer is paused across the handshake (see expireLease) and
-// re-armed at settle.
-//
-// Callers hold s.mu by the *Locked contract; the Unlock/Lock pair inside
-// drops it for the blocking handshake, so the mutex is never actually
-// held across the RPC or reacquired while held.
+// stealLocked attempts one steal for idle executor thief: the shrink
+// handshake, which blocks on the victim's connection, runs between the
+// split and settleSteal with the victim's timer stopped. Callers hold
+// s.mu; the Unlock/Lock pair inside drops it across the RPC.
 //
 //keyvet:allow lockorder
 func (s *Service) stealLocked(thief int) (Lease, bool) {
-	if thief < 0 || thief >= len(s.shares) || s.shares[thief] == 0 {
-		return Lease{}, false
-	}
-	a, victim, keep, se := s.pickVictimLocked(thief)
+	victim, tail, keep := s.life.steal(thief)
 	if victim == nil {
 		return Lease{}, false
 	}
-	tail, ok := s.splitLeaseLocked(a, victim.ID, keep, thief)
-	if !ok {
-		return Lease{}, false
-	}
-	victim.State.stealing = true
 	stopTimer(victim)
-	tail.State.stealing = true // pin the tail: no timer, no re-steal, until settled
-	jobID, victimID, tailID, svcCtx := a.id, victim.ID, tail.ID, s.ctx
+	se := s.execs[victim.State.exec].(StealExecutor)
+	jobID, victimID, tailID := victim.State.job.id, victim.ID, tail.ID
 
 	s.mu.Unlock()
-	cut, ok := se.ShrinkLease(svcCtx, victimID, keep)
+	cut, ok := se.ShrinkLease(s.ctx, victimID, keep)
 	s.mu.Lock()
 
-	return s.settleStealLocked(jobID, victimID, tailID, keep, cut, ok)
-}
-
-// settleStealLocked finishes a shrink handshake under s.mu. The thief's
-// tail lease is pinned (stealing, no timer), so it is still in flight;
-// the victim's half may have been disposed of while the lock was
-// released — committed exactly at its shrunken size (commit clamps
-// Tested to the lease), failed, or expired — and each combination
-// settles to exact tiling.
-func (s *Service) settleStealLocked(jobID string, victimID, tailID, keep, cut uint64, ok bool) (Lease, bool) {
-	a := s.active[jobID]
-	if a == nil {
+	tail, victim, r := s.life.settleSteal(jobID, victimID, tailID, keep, cut, ok)
+	s.requeuedLocked(r, s.tel.requeues)
+	if victim != nil {
+		s.armLocked(victim)
+	}
+	if tail == nil {
 		return Lease{}, false
 	}
-	tail, live := a.leases.Get(tailID)
-	if !live {
-		return Lease{}, false
-	}
-	tail.State.stealing = false
-	victim, victimLive := a.leases.Get(victimID)
-	if victimLive {
-		victim.State.stealing = false
-	}
-
-	if ok && cut > keep && cut-keep >= tail.N {
-		// The acked boundary swallows the whole tail; nothing to steal.
-		// (The worker only acks cut < its full interval, so this is a
-		// defensive guard, not an expected path.)
-		ok = false
-	}
-	if !ok {
-		// Refused (the search finished, never started, or the worker
-		// predates the protocol) or timed out: the victim still owns its
-		// full original interval. If its shrunken lease is still live,
-		// merge the halves back in place and don't pick it again; if it
-		// was disposed of meanwhile, its disposition covered only the
-		// shrunken head, so the tail returns to the pool for re-lease.
-		if a.leases.Merge(victimID, tailID) {
-			victim.State.noSteal = true
-			s.rearmLeaseLocked(jobID, victim)
-		} else {
-			s.requeueLocked(a, tailID, s.tel.requeues)
-		}
-		return Lease{}, false
-	}
-
-	if cut > keep {
-		// The victim had already tested past the requested split point;
-		// the effective boundary moves [keep, cut) out of the tail. If
-		// the victim's lease is still live it grows to match, so its
-		// commit stays exact; if not (the move is refused), its
-		// disposition already settled the head and the thief re-searches
-		// [keep, cut) — duplicated work, never a gap.
-		a.leases.MoveBoundary(victimID, tailID, cut)
-	}
-	if victimLive {
-		s.rearmLeaseLocked(jobID, victim)
-	}
-	s.rearmLeaseLocked(jobID, tail)
-	s.stolenLocked(tail)
-	return a.lease(tail), true
-}
-
-// finishIfDoneLocked transitions a job to DONE when its keyspace is
-// exhausted or its solution quota is met, returning the event to
-// publish. A job with commits not yet flushed waits for the flush: DONE
-// follows only a durable checkpoint.
-func (s *Service) finishIfDoneLocked(a *activeJob) *Event {
-	if a.unflushed > 0 {
-		return nil
-	}
-	exhausted := a.leases.Exhausted()
-	quota := a.spec.MaxSolutions > 0 && len(a.found) >= a.spec.MaxSolutions
-	if !exhausted && !quota {
-		return nil
-	}
-	reason := ""
-	if quota && !exhausted {
-		reason = fmt.Sprintf("solution quota met (%d found)", len(a.found))
-	}
-	j, err := s.store.SetState(a.id, StateDone, reason)
-	if err != nil {
-		return nil
-	}
-	a.stopLeasing = true
-	s.tel.completed.Inc()
-	s.dropIfDrainedLocked(a)
-	return &Event{Type: EventState, Job: j}
-}
-
-// dropIfDrainedLocked removes a no-longer-leasing job from the active
-// set once its in-flight leases are gone and its settled ones flushed,
-// freeing its admission slot and releasing its handle. It is the one
-// place a job leaves the set. (A job dropped before its flush could be
-// resumed from a checkpoint that still lists the flushing leases, and
-// search them twice.)
-func (s *Service) dropIfDrainedLocked(a *activeJob) {
-	if a.stopLeasing && a.leases.Len() == 0 && a.unflushed == 0 {
-		delete(s.active, a.id)
-		a.spec.h.release()
-	}
+	return s.handOutLocked(tail, true), true
 }
 
 // runExecutor is one of executor i's loops (loopsPerExecutor of them).
@@ -1341,7 +880,11 @@ func (s *Service) runExecutor(i int, ex Executor) {
 		}
 		el.token <- struct{}{}
 		<-el.queue
-		if !s.begin(i, l) {
+		s.mu.Lock()
+		ok, r := s.life.begin(i, l.JobID, l.ID)
+		s.requeuedLocked(r, nil)
+		s.mu.Unlock()
+		if !ok {
 			<-el.token
 			continue
 		}
@@ -1361,7 +904,10 @@ func (s *Service) runExecutor(i int, ex Executor) {
 			if s.ctx.Err() != nil || el.failures >= s.opts.maxFailures() || errors.Is(err, ErrExecutorGone) {
 				// Retire before the token passes: the sibling's queued
 				// lease then goes back to its pool unsearched.
-				s.retire(i)
+				s.mu.Lock()
+				s.life.retired[i] = true
+				s.mu.Unlock()
+				s.cond.Broadcast()
 				<-el.token
 				return
 			}
@@ -1372,44 +918,11 @@ func (s *Service) runExecutor(i int, ex Executor) {
 		<-el.token
 		// Yield to the loop that just took the token, so the worker's next
 		// request goes out before this loop's bookkeeping and before the
-		// flush that settle wakes: the last goroutine readied runs first,
+		// flush that commit wakes: the last goroutine readied runs first,
 		// and a flush holds its processor across the fsync.
 		runtime.Gosched()
-		s.settle(l, rep)
+		s.commit(l, rep, false)
 	}
-}
-
-// begin starts lease l on executor i, whose token the caller holds. It
-// reports false when the lease must not run: it left the table while it
-// was queued (reclaimed by an idle executor, or timed out), or the
-// executor was retired, the job stopped leasing or the service is
-// stopping, in which case the lease goes back to its pool unsearched.
-func (s *Service) begin(i int, l Lease) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	a := s.active[l.JobID]
-	if a == nil {
-		return false
-	}
-	le, ok := a.leases.Get(l.ID)
-	if !ok {
-		return false
-	}
-	if s.loops[i].retired || a.stopLeasing || s.draining || s.ctx.Err() != nil || s.storeErr != nil {
-		s.requeueLocked(a, l.ID, nil)
-		return false
-	}
-	le.State.started = true
-	return true
-}
-
-// retire ends executor i's loops: the one that failed returns, and the
-// other returns its queued lease unsearched or wakes in next and returns.
-func (s *Service) retire(i int) {
-	s.mu.Lock()
-	s.loops[i].retired = true
-	s.mu.Unlock()
-	s.cond.Broadcast()
 }
 
 // Submit validates and enqueues a job.
@@ -1464,9 +977,8 @@ func (s *Service) setState(id string, to State, reason string) (Job, error) {
 	s.mu.Lock()
 	j, err := s.store.SetState(id, to, reason)
 	if err == nil {
-		if a, ok := s.active[id]; ok && to != StatePending {
-			a.stopLeasing = true
-			s.dropIfDrainedLocked(a)
+		if to != StatePending {
+			s.releaseLocked(s.life.stop(id))
 		}
 		if to == StateCancelled {
 			s.tel.cancelled.Inc()
@@ -1493,7 +1005,7 @@ func (s *Service) Shutdown(ctx context.Context) error {
 		s.mu.Unlock()
 		return errors.New("jobs: service not started")
 	}
-	s.draining = true
+	s.life.halted = true
 	s.mu.Unlock()
 	s.cond.Broadcast()
 
@@ -1516,7 +1028,7 @@ func (s *Service) Shutdown(ctx context.Context) error {
 // the directory with Open/NewService to exercise recovery.
 func (s *Service) Kill() {
 	s.mu.Lock()
-	s.draining = true
+	s.life.halted = true
 	s.mu.Unlock()
 	s.cancel()
 	s.cond.Broadcast()

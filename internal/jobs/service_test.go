@@ -445,7 +445,7 @@ func TestServicePauseResume(t *testing.T) {
 	waitFor(t, svc, 5*time.Second, "in-flight leases drained", func() bool {
 		svc.mu.Lock()
 		defer svc.mu.Unlock()
-		_, active := svc.active[j.ID]
+		_, active := svc.life.active[j.ID]
 		return !active
 	})
 	g, _ := svc.Get(j.ID)
@@ -508,7 +508,7 @@ func TestServiceResumeWithInflightLeases(t *testing.T) {
 	waitFor(t, svc, 5*time.Second, "a lease in flight", func() bool {
 		svc.mu.Lock()
 		defer svc.mu.Unlock()
-		a := svc.active[j.ID]
+		a := svc.life.active[j.ID]
 		return a != nil && a.leases.Len() > 0
 	})
 	if _, err := svc.Pause(j.ID); err != nil {

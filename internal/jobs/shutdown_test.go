@@ -87,7 +87,7 @@ func TestServiceShutdownDeadline(t *testing.T) {
 	waitFor(t, svc, 5*time.Second, "a lease in flight", func() bool {
 		svc.mu.Lock()
 		defer svc.mu.Unlock()
-		a := svc.active[j.ID]
+		a := svc.life.active[j.ID]
 		return a != nil && a.leases.Len() > 0
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)

@@ -168,12 +168,12 @@ func runStealScenario(t *testing.T, svc *Service, sc *liveScript, midHandshake f
 	waitFor(t, svc, 10*time.Second, "stolen tail to settle", func() bool {
 		svc.mu.Lock()
 		defer svc.mu.Unlock()
-		a := svc.active[job.ID]
+		a := svc.life.active[job.ID]
 		if a == nil {
 			return true
 		}
 		for _, le := range a.leases.Live() {
-			if le.State.stealing {
+			if le.State.phase.pinned() {
 				return false
 			}
 		}
@@ -376,7 +376,7 @@ func TestExpireDuringStealHandshakeNoDoubleDisposition(t *testing.T) {
 	waitFor(t, svc, 10*time.Second, "queued leases", func() bool {
 		svc.mu.Lock()
 		defer svc.mu.Unlock()
-		a := svc.active[job.ID]
+		a := svc.life.active[job.ID]
 		return a != nil && !a.leases.Leasable()
 	})
 
@@ -426,12 +426,12 @@ func TestExpireDuringStealHandshakeNoDoubleDisposition(t *testing.T) {
 	waitFor(t, svc, 10*time.Second, "stolen tail to settle", func() bool {
 		svc.mu.Lock()
 		defer svc.mu.Unlock()
-		a := svc.active[job.ID]
+		a := svc.life.active[job.ID]
 		if a == nil {
 			return true
 		}
 		for _, le := range a.leases.Live() {
-			if le.State.stealing {
+			if le.State.phase.pinned() {
 				return false
 			}
 		}

@@ -17,20 +17,35 @@ import (
 )
 
 // failCounter is a jobs.Executor that counts its executor's failed
-// searches and remembers the last error.
+// searches and remembers the last error. When wait is set, every search
+// first waits for it to close; when failed is set, the first failed
+// search closes it.
 type failCounter struct {
 	jobs.Executor
+	wait   <-chan struct{}
+	failed chan struct{}
+
 	mu    sync.Mutex
 	fails int
 	last  error
 }
 
 func (f *failCounter) Search(ctx context.Context, spec jobs.Spec, iv keyspace.Interval) (*dispatch.Report, error) {
+	if f.wait != nil {
+		select {
+		case <-f.wait:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
 	rep, err := f.Executor.Search(ctx, spec, iv)
 	if err != nil {
 		f.mu.Lock()
 		f.fails++
 		f.last = err
+		if f.fails == 1 && f.failed != nil {
+			close(f.failed)
+		}
 		f.mu.Unlock()
 	}
 	return rep, err
@@ -42,7 +57,9 @@ func (f *failCounter) Search(ctx context.Context, spec jobs.Spec, iv keyspace.In
 // retires it at once — one failed search, not one per MaxSearchFailures
 // (default 3), each of which would wait out a whole retry window for a
 // worker that is not coming back. The survivor finishes the job: the
-// committed leases tile the space exactly and the last key is found.
+// committed leases tile the space exactly and the last key is found. The
+// steady worker searches nothing until the severed one has failed: else
+// it could commit every lease before the severed one leased any.
 func TestGoneWorkerRetiredAtOnce(t *testing.T) {
 	m, err := NewMaster("127.0.0.1:0", MasterOptions{
 		Heartbeat: -1, // keep the worker write schedule exact
@@ -71,8 +88,14 @@ func TestGoneWorkerRetiredAtOnce(t *testing.T) {
 	}
 	execs := make([]jobs.Executor, len(remote))
 	counted := map[string]*failCounter{}
+	severedFailed := make(chan struct{})
 	for i, w := range remote {
 		fc := &failCounter{Executor: NewExecutor(w)}
+		if w.Name() == "severed" {
+			fc.failed = severedFailed
+		} else {
+			fc.wait = severedFailed
+		}
 		execs[i], counted[w.Name()] = fc, fc
 	}
 
