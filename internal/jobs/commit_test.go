@@ -452,3 +452,50 @@ func TestIdleExecutorReclaimsQueuedLease(t *testing.T) {
 	})
 	verifyExactCoverage(t, j.ID, audit.entries(), space)
 }
+
+// TestShortReportRequeued: a report that tested fewer keys than its lease
+// holds is refused, and the lease requeued as an incident, so its
+// untested tail is searched later rather than dropped from the table: the
+// 702-key job ends DONE with every key tested, the refused lease's keys
+// counted once.
+func TestShortReportRequeued(t *testing.T) {
+	store, err := Open(t.TempDir(), StoreOptions{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	svc := NewService(store, fleet(2, 0), Options{MaxLease: 64, Telemetry: reg})
+	if err := svc.StartManual(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	j, err := svc.Submit("t", 0, specFor(t, "zz", "abcdefghijklmnopqrstuvwxyz", 1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, ok := svc.TryLease(0)
+	if !ok {
+		t.Fatal("no first lease")
+	}
+	if svc.Commit(l, &dispatch.Report{Tested: l.N / 8}) {
+		t.Fatalf("a report of %d keys for a lease of %d was accepted", l.N/8, l.N)
+	}
+	for {
+		l, ok := svc.TryLease(0)
+		if !ok {
+			break
+		}
+		if !svc.Commit(l, &dispatch.Report{Tested: l.N}) {
+			t.Fatalf("full report for lease %v refused", l.Interval)
+		}
+	}
+	got, err := svc.Get(j.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.State != StateDone || got.Tested != 702 || got.Remaining != "0" {
+		t.Fatalf("job %s with tested %d and remaining %s, want DONE with tested 702 and remaining 0", got.State, got.Tested, got.Remaining)
+	}
+	if n := reg.Snapshot().Counters[telemetry.MetricJobsRequeues]; n != 1 {
+		t.Fatalf("%d requeues counted, want the one short report", n)
+	}
+}

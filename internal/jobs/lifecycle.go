@@ -265,17 +265,23 @@ func (lc *lifecycle) progress(jobID string, id, done uint64) (first bool) {
 // settle takes a searched lease out of its table and counts its keys in
 // memory, for the next flush. A lease no longer in the table is refused
 // (late while its job is active): the timeout requeued it, and its
-// re-issued lease will count the span.
-func (lc *lifecycle) settle(l Lease, rep *dispatch.Report) (le *liveLease, late bool) {
+// re-issued lease will count the span. A report short of the lease as it
+// stands — a steal may have lowered its N since the executor took it — is
+// refused too, and the lease requeued as an incident: its untested tail
+// would otherwise leave the table unsearched.
+func (lc *lifecycle) settle(l Lease, rep *dispatch.Report) (le *liveLease, late bool, r requeue) {
 	if le = lc.live(l.JobID, l.ID); le == nil {
-		return nil, lc.active[l.JobID] != nil
+		return nil, lc.active[l.JobID] != nil, requeue{}
+	}
+	if rep.Tested < le.N {
+		return nil, false, lc.requeue(le, true)
 	}
 	a := le.State.job
 	a.leases.Settle(le.ID)
 	// A steal may have shrunk the lease after its worker passed the split
 	// point: only the lease's own span counts, the surplus lies in the
 	// stolen tail's lease.
-	le.State.progress = min(rep.Tested, le.N)
+	le.State.progress = le.N
 	le.State.found = len(rep.Found) > 0
 	le.State.phase = phaseSettled
 	a.tested += le.State.progress
@@ -283,7 +289,7 @@ func (lc *lifecycle) settle(l Lease, rep *dispatch.Report) (le *liveLease, late 
 	a.sinceCP++
 	a.unflushed++
 	lc.pending = append(lc.pending, le)
-	return le, false
+	return le, false, requeue{}
 }
 
 // jobFlush is one job's share of a flush: the checkpoint to write (nil

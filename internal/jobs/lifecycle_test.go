@@ -19,7 +19,8 @@ import (
 // models (two per executor: one holds a queued lease while the other
 // searches) and a store it models (durable checkpoints and job states,
 // a log that can die). The events are issue, begin, a progress mark,
-// search done, search failed, executor gone, settle, reclaim, a steal
+// search done, search done short of its lease (a report that tested
+// half), search failed, executor gone, settle, reclaim, a steal
 // with its shrink handshake answered at keep, past keep or refused,
 // flush start, fsync ok, fsync error, fsync ok with the log dying before
 // the DONE record, expiry of any live lease, pause, resume, cancel, and
@@ -35,10 +36,11 @@ import (
 //     acknowledged: a lease that began after the one acknowledged for a
 //     key never completes a search of it;
 //   - DONE is written only over a durable checkpoint whose remaining set
-//     is empty or which meets the quota;
-//   - a requeue is an incident exactly for a failed search, an expiry or
-//     a stolen tail whose victim was gone, and a lease goes back without
-//     one only if it never began;
+//     is empty or which meets the quota, and whose tested count is the
+//     whole space unless the quota is met;
+//   - a requeue is an incident exactly for a failed search, a short
+//     report, an expiry or a stolen tail whose victim was gone, and a
+//     lease goes back without one only if it never began;
 //   - a search begins only while its job is RUNNING, and a lease is
 //     pinned only while its shrink handshake is in flight.
 func TestLifecycleExplore(t *testing.T) {
@@ -269,6 +271,9 @@ func (w *world) finishIfDone(a *activeJob) {
 		if len(st.remaining) > 0 && (quota == 0 || st.found < quota) {
 			w.fail("%s turned DONE over a durable checkpoint with %v remaining and %d found", a.id, st.remaining, st.found)
 		}
+		if size := w.cfg.jobs[j].size; st.tested != size && (quota == 0 || st.found < quota) {
+			w.fail("%s turned DONE having tested %d of %d keys", a.id, st.tested, size)
+		}
 		w.lc.stop(a.id)
 	case !errors.Is(err, ErrTransition):
 		w.lc.dead = err
@@ -319,6 +324,7 @@ const (
 	evBegin
 	evProgress
 	evSearchDone
+	evSearchShort
 	evSearchFail
 	evGone
 	evSettle
@@ -334,7 +340,7 @@ const (
 )
 
 var evNames = [...]string{"issue", "reclaim", "steal", "ack-at-keep", "ack-past-keep", "refuse", "begin", "progress",
-	"search-done", "search-fail", "gone", "settle", "flush", "fsync-ok", "fsync-error", "fsync-ok-then-dead",
+	"search-done", "search-short", "search-fail", "gone", "settle", "flush", "fsync-ok", "fsync-error", "fsync-ok-then-dead",
 	"expire", "pause", "resume", "cancel", "crash"}
 
 // event is one step: kind, with a the executor or job and b a slot or a
@@ -417,6 +423,9 @@ func (w *world) events() []event {
 				add(evProgress, i, 0)
 			}
 			add(evSearchDone, i, 0)
+			if s.end-s.l.Interval.Start.Uint64() >= 2 {
+				add(evSearchShort, i, 0)
+			}
 			add(evSearchFail, i, 0)
 			add(evGone, i, 0)
 		}
@@ -535,10 +544,13 @@ func (w *world) apply(e event) {
 	case evProgress:
 		s := ex.find(slotRunning)
 		w.lc.progress(s.l.JobID, s.l.ID, 1)
-	case evSearchDone:
+	case evSearchDone, evSearchShort:
 		s := ex.find(slotRunning)
-		j, r := jobIndex(s.l.JobID), w.rank[s.le]
-		for k := s.l.Interval.Start.Uint64(); k < s.end; k++ {
+		j, r, start := jobIndex(s.l.JobID), w.rank[s.le], s.l.Interval.Start.Uint64()
+		if e.kind == evSearchShort {
+			s.end = start + (s.end-start)/2
+		}
+		for k := start; k < s.end; k++ {
 			if a := w.ackedBy[j][k]; a != 0 && r > a {
 				w.fail("key %d of %s searched again by a lease that began after the one acknowledged for it", k, s.l.JobID)
 			}
@@ -560,7 +572,8 @@ func (w *world) apply(e event) {
 		if sol := w.cfg.jobs[jobIndex(s.l.JobID)].solution; sol >= 0 && uint64(sol) >= start && uint64(sol) < s.end {
 			rep.Found = [][]byte{[]byte("key")}
 		}
-		w.lc.settle(s.l, rep)
+		_, _, r := w.lc.settle(s.l, rep)
+		w.requeued(r, true)
 		*s = exSlot{}
 	case evFlush:
 		batch, fl := w.lc.flushStart()

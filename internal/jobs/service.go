@@ -665,8 +665,9 @@ func (s *Service) Fail(l Lease) {
 // checkpoint never landed — committed spans are never re-issued. It
 // reports whether the commit was accepted — false means the lease was
 // already requeued by the timeout (or the job is gone, or its checkpoint
-// could not be written) and the work must be discarded, which is how
-// exactly-once coverage survives late arrivals.
+// could not be written, or the report tested fewer keys than the lease
+// holds, which requeues it now) and the work must be discarded, which is
+// how exactly-once coverage survives late arrivals and short reports.
 //
 // Commit waits for the flush that covers its lease, and runs that flush
 // itself when no other one is running; a lone caller — manual drive — is
@@ -677,9 +678,16 @@ func (s *Service) Commit(l Lease, rep *dispatch.Report) bool { return s.commit(l
 // The executor loops do not wait: the flusher writes their batches.
 func (s *Service) commit(l Lease, rep *dispatch.Report, wait bool) bool {
 	s.mu.Lock()
-	le, late := s.life.settle(l, rep)
+	le, late, r := s.life.settle(l, rep)
 	if late {
 		s.tel.lateCommits.Inc()
+	}
+	if s.requeuedLocked(r, s.tel.requeues) {
+		s.mu.Unlock()
+		if s.opts.OnRequeue != nil {
+			s.opts.OnRequeue(l.JobID)
+		}
+		return false
 	}
 	if le != nil {
 		stopTimer(le)

@@ -62,8 +62,12 @@ func (tw *tableWatch) since(worker string, i int) [][2]int {
 func (w *RemoteWorker) sentTables() (specs, corpora, holds, forgets int) {
 	w.cmu.Lock()
 	defer w.cmu.Unlock()
+	var sent, queued map[uint64]uint64
+	if w.conn != nil {
+		sent, queued = w.conn.specSent, w.conn.forgets
+	}
 	named := make(map[uint64]bool)
-	for _, c := range w.specSent {
+	for _, c := range sent {
 		named[c] = c != 0
 	}
 	for _, ok := range named {
@@ -71,7 +75,7 @@ func (w *RemoteWorker) sentTables() (specs, corpora, holds, forgets int) {
 			corpora++
 		}
 	}
-	return len(w.specSent), corpora, len(w.holds), len(w.forgets)
+	return len(sent), corpora, len(w.holds), len(queued)
 }
 
 // forgetRig is a loopback master with in-process keyworkers that redial,
@@ -91,8 +95,15 @@ type forgetRig struct {
 
 func newForgetRig(t testing.TB, prefix string, workers int, lease uint64) *forgetRig {
 	t.Helper()
+	return newHeartbeatRig(t, prefix, workers, lease, -1)
+}
+
+// newHeartbeatRig is newForgetRig with the master's heartbeat interval
+// (0 = the 2s default, -1 = off).
+func newHeartbeatRig(t testing.TB, prefix string, workers int, lease uint64, heartbeat time.Duration) *forgetRig {
+	t.Helper()
 	m, err := NewMaster("127.0.0.1:0", MasterOptions{
-		Heartbeat: -1,
+		Heartbeat: heartbeat,
 		Retry:     RetryPolicy{MaxAttempts: 20, BaseDelay: 5 * time.Millisecond, MaxDelay: 50 * time.Millisecond},
 	})
 	if err != nil {
@@ -285,13 +296,13 @@ func TestSoakSpecTablesFlat(t *testing.T) {
 				// One reconnect: the worker redials under its name and the
 				// fresh connection's tables start empty on both sides.
 				w.cmu.Lock()
-				severed = w.conn
+				severed = w.conn.c
 				w.cmu.Unlock()
 				severed.Close()
 			}
 		}
 		w.cmu.Lock()
-		rejoined := w.conn != nil && w.conn != severed
+		rejoined := w.conn != nil && w.conn.c != severed
 		w.cmu.Unlock()
 		if !rejoined {
 			t.Fatal("the worker is not on a fresh connection")
@@ -395,14 +406,14 @@ func TestForgetPendingAcrossReconnect(t *testing.T) {
 	}
 	_, _, mark := tw.sizes(name)
 	w.cmu.Lock()
-	c := w.conn
+	c := w.conn.c
 	w.cmu.Unlock()
 	c.Close()
 	// Wait for the rejoin, so the next call starts on the fresh
 	// connection with the forget still queued.
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
 		w.cmu.Lock()
-		rejoined := w.conn != c
+		rejoined := len(w.newConn) > 0
 		w.cmu.Unlock()
 		if rejoined {
 			break
@@ -491,11 +502,19 @@ func FuzzForgetFrame(f *testing.F) {
 // Executor.Search over loopback to an in-process keyworker on a 256-key
 // interval, and Commit, for a job whose SHA1 corpus holds 10 or 10⁴
 // digests. Both sizes should cost alike: the job is resolved once, not
-// per lease.
+// per lease. The corpus=N runs have heartbeats off; heartbeat/corpus=10
+// runs the 2s default that keymaster and the benchmark fleet serve with,
+// and should cost what corpus=10 does: the pinger is the connection's,
+// not the call's.
 func BenchmarkMasterLease(b *testing.B) {
-	for _, n := range []int{10, 10000} {
-		b.Run(fmt.Sprintf("corpus=%d", n), func(b *testing.B) {
-			r := newForgetRig(b, fmt.Sprintf("bench-%d", n), 1, 256)
+	for _, c := range []struct {
+		name      string
+		n         int
+		heartbeat time.Duration
+	}{{"corpus=10", 10, -1}, {"corpus=10000", 10000, -1}, {"heartbeat/corpus=10", 10, 0}} {
+		n := c.n
+		b.Run(c.name, func(b *testing.B) {
+			r := newHeartbeatRig(b, fmt.Sprintf("bench-%d", n), 1, 256, c.heartbeat)
 			svc := r.svc
 			// 20 symbols up to length 8: far more leases than any run takes.
 			if _, err := svc.Submit("bench", 0, jobs.Spec{Algorithm: "sha1", Targets: corpusDigests("bench", n),

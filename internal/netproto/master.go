@@ -290,16 +290,14 @@ func (m *Master) register(conn net.Conn) {
 	}
 	w := &RemoteWorker{
 		holds:   make(map[uint64]int),
-		forgets: make(map[uint64]uint64),
 		name:    hello.Name,
 		opts:    m.opts,
 		tel:     m.tel,
-		pings:   newPingClock(),
-		conn:    conn,
-		newConn: make(chan net.Conn, 1),
+		newConn: make(chan *wconn, 1),
 		closeCh: make(chan struct{}),
 		drop:    m.dropConn,
 	}
+	w.conn = w.attach(conn)
 	m.workers[hello.Name] = w
 	m.mu.Unlock()
 	m.tel.reg.Emit(telemetry.EventJoin, hello.Name, 0, "registered")
@@ -325,7 +323,7 @@ func (m *Master) register(conn net.Conn) {
 		w.shutdown()
 		select {
 		case old := <-w.newConn:
-			m.dropConn(old)
+			m.dropConn(old.c)
 		default:
 		}
 		m.dropConn(conn)
@@ -358,9 +356,10 @@ func (m *Master) AcceptWorkers(ctx context.Context, n int) ([]*RemoteWorker, err
 // RemoteWorker proxies calls to one worker process over its connection.
 // Calls are serialized: the protocol is strict request/response, with
 // MsgPing / MsgPong liveness frames interleaved while a call is in
-// flight. A failed call closes the connection, waits out the retry
-// backoff for the worker to re-register, and retries on the replacement
-// connection.
+// flight. Each connection has one reader for its life (see wconn), so no
+// call takes a frame sent between calls for its answer. A failed call
+// closes the connection, waits out the retry backoff for the worker to
+// re-register, and retries on the replacement connection.
 //
 // Every call names a JobSpec; the proxy tracks which spec IDs the
 // CURRENT connection holds and sends a MsgSpec registration ahead of the
@@ -374,38 +373,21 @@ type RemoteWorker struct {
 	tel  *netTelemetry
 	drop func(net.Conn)
 
-	// pings spans the connection's whole lifetime (with pingSeq never
-	// reused), so a pong that crosses the wire with a result and is read
-	// by the NEXT call still matches the ping that caused it.
-	pings   *pingClock
-	pingSeq atomic.Uint64
-
 	// searchSeq allocates sequence numbers naming live searches (never
 	// reused, so a stale MsgProgress or MsgShrinkAck from an earlier
-	// search can always be told apart); active is the search currently in
-	// flight on the connection, nil between calls. Shrink addresses the
-	// active search without touching the call serializer, so a steal can
-	// truncate a search while its call is blocked reading the result.
+	// search can always be told apart).
 	searchSeq atomic.Uint64
-	active    atomic.Pointer[activeSearch]
 
 	mu sync.Mutex // serializes calls
 
-	cmu     sync.Mutex // guards conn and the spec tables below
-	conn    net.Conn
-	newConn chan net.Conn
+	cmu     sync.Mutex // guards conn, closed, holds and the connections' spec tables
+	conn    *wconn     // the connection calls use; once dead, the next one offered replaces it
+	newConn chan *wconn
 	closeCh chan struct{}
 	closed  bool
 
-	// specSent maps each spec ID registered on specConn to the corpus ID
-	// it names (0 = none); another current connection has empty tables.
 	// holds counts each spec ID's holders: calls in flight and live jobs.
-	// A sent spec without one moves to forgets, for the next prelude, so
-	// specSent mirrors the worker's tables once those land (package doc).
-	specConn net.Conn
-	specSent map[uint64]uint64
-	holds    map[uint64]int
-	forgets  map[uint64]uint64
+	holds map[uint64]int
 }
 
 // Name identifies the remote worker.
@@ -436,26 +418,27 @@ func (w *RemoteWorker) offerConn(c net.Conn) {
 	}
 	if w.conn != nil {
 		// The old conn is stale the moment its worker re-registered.
-		w.drop(w.conn)
-		w.conn = nil
+		w.kill(w.conn, fmt.Errorf("netproto: %s: connection replaced by a rejoin", w.name))
 	}
 	select {
 	case old := <-w.newConn:
-		w.drop(old)
+		w.drop(old.c)
 	default:
 	}
-	w.newConn <- c
+	w.newConn <- w.attach(c)
 }
 
-// takeConn returns the live connection, waiting up to wait for a
-// rejoining worker to supply one; if none comes, the worker is gone.
-func (w *RemoteWorker) takeConn(ctx context.Context, wait time.Duration) (net.Conn, error) {
+// takeConn returns the connection to call on, waiting up to wait for a
+// rejoining worker to supply one; if none comes, the worker is gone. A
+// dead connection nobody replaced is returned: the call on it is one
+// failed attempt.
+func (w *RemoteWorker) takeConn(ctx context.Context, wait time.Duration) (*wconn, error) {
 	w.cmu.Lock()
-	c := w.conn
-	if c == nil {
+	wc := w.conn
+	if wc == nil || wc.life.Err() != nil {
 		select {
-		case c = <-w.newConn:
-			w.conn = c
+		case wc = <-w.newConn:
+			w.conn = wc
 		default:
 		}
 	}
@@ -464,17 +447,17 @@ func (w *RemoteWorker) takeConn(ctx context.Context, wait time.Duration) (net.Co
 	if closed {
 		return nil, ErrMasterClosed
 	}
-	if c != nil {
-		return c, nil
+	if wc != nil {
+		return wc, nil
 	}
 	timer := time.NewTimer(wait)
 	defer timer.Stop()
 	select {
-	case c = <-w.newConn:
+	case wc = <-w.newConn:
 		w.cmu.Lock()
-		w.conn = c
+		w.conn = wc
 		w.cmu.Unlock()
-		return c, nil
+		return wc, nil
 	case <-timer.C:
 		return nil, fmt.Errorf("netproto: %s: no connection (worker did not rejoin): %w", w.name, jobs.ErrExecutorGone)
 	case <-ctx.Done():
@@ -484,12 +467,12 @@ func (w *RemoteWorker) takeConn(ctx context.Context, wait time.Duration) (net.Co
 	}
 }
 
-// discardConn closes a failed connection; the next call waits for a
-// replacement.
-func (w *RemoteWorker) discardConn(c net.Conn) {
-	w.drop(c)
+// discardConn closes a failed connection for err; the next call waits
+// for a replacement.
+func (w *RemoteWorker) discardConn(wc *wconn, err error) {
+	w.kill(wc, err)
 	w.cmu.Lock()
-	if w.conn == c {
+	if w.conn == wc {
 		w.conn = nil
 	}
 	w.cmu.Unlock()
@@ -501,9 +484,11 @@ func (w *RemoteWorker) hold(id uint64) {
 	w.cmu.Lock()
 	defer w.cmu.Unlock()
 	w.holds[id]++
-	if c, ok := w.forgets[id]; ok {
-		delete(w.forgets, id)
-		w.specSent[id] = c
+	if wc := w.conn; wc != nil {
+		if c, ok := wc.forgets[id]; ok {
+			delete(wc.forgets, id)
+			wc.specSent[id] = c
+		}
 	}
 }
 
@@ -516,77 +501,38 @@ func (w *RemoteWorker) unhold(id uint64) {
 		return
 	}
 	delete(w.holds, id)
-	if c, sent := w.specSent[id]; sent {
-		delete(w.specSent, id)
-		w.forgets[id] = c
+	if wc := w.conn; wc != nil {
+		if c, sent := wc.specSent[id]; sent {
+			delete(wc.specSent, id)
+			wc.forgets[id] = c
+		}
 	}
 }
 
-// prelude returns the frames conn needs ahead of a call against spec:
-// the queued forgets, then the spec registration if conn lacks it, after
-// its corpus if no spec there names that. specSent counts them delivered
-// at once: any path where they might not be discards conn. registers
-// reports frames the worker may refuse (all but the forgets).
-func (w *RemoteWorker) prelude(conn net.Conn, spec JobSpec, id uint64, corpus []byte) (frames []frame, registers bool) {
+// prelude returns the frames wc needs ahead of a call against spec: the
+// queued forgets, then the spec registration if wc lacks it, after its
+// corpus if no spec there names that. specSent counts them delivered at
+// once: any path where they might not be discards wc. registers reports
+// frames the worker may refuse (all but the forgets).
+func (w *RemoteWorker) prelude(wc *wconn, spec JobSpec, id uint64, corpus []byte) (frames []frame, registers bool) {
 	w.cmu.Lock()
 	defer w.cmu.Unlock()
-	if w.specConn != conn {
-		w.specConn = conn
-		w.specSent = make(map[uint64]uint64)
-		clear(w.forgets) // meant for the old connection's tables
-	}
-	for fid := range w.forgets {
+	for fid := range wc.forgets {
 		frames = append(frames, frame{t: MsgForget, p: EncodeForget(Forget{SpecID: fid})})
 	}
-	clear(w.forgets)
+	clear(wc.forgets)
 	forgets := len(frames)
-	if _, ok := w.specSent[id]; !ok {
-		if spec.CorpusID != 0 && !slices.Contains(slices.Collect(maps.Values(w.specSent)), spec.CorpusID) {
+	if _, ok := wc.specSent[id]; !ok {
+		if spec.CorpusID != 0 && !slices.Contains(slices.Collect(maps.Values(wc.specSent)), spec.CorpusID) {
 			for _, p := range CorpusFrames(corpus) {
 				frames = append(frames, frame{t: MsgCorpus, p: p})
 			}
 		}
 		frames = append(frames, frame{t: MsgSpec, p: EncodeSpec(spec)})
-		w.specSent[id] = spec.CorpusID
+		wc.specSent[id] = spec.CorpusID
 	}
 	return frames, len(frames) > forgets
 }
-
-// activeSearch names the search in flight on a worker's connection and
-// carries the hooks Shrink and the read loop need to reach it: the
-// attempt-bound write function (installed by callOn, nil between
-// attempts), the one armed ack waiter, and the attempt's stop channel so
-// a Shrink caller unblocks when the call ends without an ack.
-type activeSearch struct {
-	seq        uint64
-	onProgress func(done uint64)
-
-	mu    sync.Mutex
-	write func(t MsgType, p []byte) error
-	ackCh chan ShrinkAck
-	done  chan struct{}
-}
-
-// deliver hands a shrink ack to the waiter, if one is armed. The channel
-// has capacity 1, so a waiter that already gave up loses nothing.
-func (as *activeSearch) deliver(ack ShrinkAck) {
-	as.mu.Lock()
-	ch := as.ackCh
-	as.ackCh = nil
-	as.mu.Unlock()
-	if ch != nil {
-		ch <- ack
-	}
-}
-
-// cleanCancel reports a call that was cancelled AND whose connection was
-// drained to a frame boundary: the caller must not retry, but unlike
-// every other call failure the connection stays usable for the next
-// call, so call() must not discard it.
-type cleanCancel struct{ err error }
-
-func (c *cleanCancel) Error() string { return c.err.Error() }
-func (c *cleanCancel) Unwrap() error { return c.err }
 
 // NewSearchSeq allocates a worker-lifetime-unique sequence number naming
 // one live search, so Shrink can address it while it runs. Allocate the
@@ -606,27 +552,30 @@ func (w *RemoteWorker) NewSearchSeq() uint64 { return w.searchSeq.Add(1) }
 // Shrink holds no RemoteWorker locks across the wait, so it is safe to
 // call from a scheduler thread while the search call blocks elsewhere.
 func (w *RemoteWorker) Shrink(ctx context.Context, seq, keep uint64) (uint64, bool) {
-	as := w.active.Load()
-	if as == nil || as.seq != seq {
-		return 0, false
-	}
-	as.mu.Lock()
-	write, done := as.write, as.done
-	if write == nil || as.ackCh != nil { // between attempts, or a shrink is already in flight
-		as.mu.Unlock()
+	w.cmu.Lock()
+	wc := w.conn
+	w.cmu.Unlock()
+	if wc == nil || seq == 0 {
 		return 0, false
 	}
 	ch := make(chan ShrinkAck, 1)
-	as.ackCh = ch
-	as.mu.Unlock()
+	wc.mu.Lock()
+	armed := wc.calling && wc.seq == seq && wc.ack == nil // none in flight already
+	if armed {
+		wc.ack = ch
+	}
+	wc.mu.Unlock()
+	if !armed {
+		return 0, false
+	}
 	defer func() {
-		as.mu.Lock()
-		if as.ackCh == ch {
-			as.ackCh = nil
+		wc.mu.Lock()
+		if wc.ack == ch {
+			wc.ack = nil
 		}
-		as.mu.Unlock()
+		wc.mu.Unlock()
 	}()
-	if write(MsgShrink, EncodeShrink(Shrink{Seq: seq, Keep: keep})) != nil {
+	if wc.write(MsgShrink, EncodeShrink(Shrink{Seq: seq, Keep: keep})) != nil {
 		return 0, false
 	}
 	timer := time.NewTimer(w.opts.ackWait())
@@ -638,7 +587,7 @@ func (w *RemoteWorker) Shrink(ctx context.Context, seq, keep uint64) (uint64, bo
 		}
 		w.tel.shrinks.Inc()
 		return ack.Keep, true
-	case <-done:
+	case <-wc.life.Done():
 	case <-timer.C:
 	case <-ctx.Done():
 	}
@@ -647,7 +596,7 @@ func (w *RemoteWorker) Shrink(ctx context.Context, seq, keep uint64) (uint64, bo
 
 // TuneSpec runs the tuning step remotely against the given spec.
 func (w *RemoteWorker) TuneSpec(ctx context.Context, spec JobSpec) (core.Tuning, error) {
-	payload, err := w.call(ctx, spec, nil, MsgTune, EncodeTuneRequest(TuneRequest{SpecID: SpecID(spec)}), MsgTuneResult, nil)
+	payload, err := w.call(ctx, spec, nil, MsgTune, EncodeTuneRequest(TuneRequest{SpecID: SpecID(spec)}), MsgTuneResult, 0, nil)
 	if err != nil {
 		return core.Tuning{}, err
 	}
@@ -669,14 +618,13 @@ func (w *RemoteWorker) SearchSpec(ctx context.Context, spec JobSpec, iv keyspace
 // the worker reports its tested-up-to mark roughly every progressEvery of
 // search time (0 disables the marks), and the search answers to
 // Shrink(seq, ...) while it runs. onProgress is invoked on the
-// connection's read loop — it must return quickly and must not call back
+// connection's reader — it must return quickly and must not call back
 // into this RemoteWorker. Cancelling ctx mid-search asks the worker to
 // stop at the next batch boundary and drains its truncated result, so
 // the connection survives cancellation without a reconnect cycle.
 func (w *RemoteWorker) SearchSpecLive(ctx context.Context, spec JobSpec, corpus []byte, iv keyspace.Interval, seq uint64, progressEvery time.Duration, onProgress func(done uint64)) (*dispatch.Report, error) {
 	req := SearchRequest{SpecID: SpecID(spec), Seq: seq, ProgressEvery: progressEvery, Start: iv.Start, End: iv.End}
-	as := &activeSearch{seq: seq, onProgress: onProgress}
-	payload, err := w.call(ctx, spec, corpus, MsgSearch, EncodeSearch(req), MsgSearchResult, as)
+	payload, err := w.call(ctx, spec, corpus, MsgSearch, EncodeSearch(req), MsgSearchResult, seq, onProgress)
 	if err != nil {
 		return nil, err
 	}
@@ -689,19 +637,20 @@ func (w *RemoteWorker) SearchSpecLive(ctx context.Context, spec JobSpec, corpus 
 
 // call sends a request and awaits the matching response, retrying per the
 // policy on transport failures; it holds spec while it runs, and corpus
-// is the encoding spec.CorpusID names. Each backoff window doubles as a
-// rejoin window: if the worker re-registers in time, the retry lands on
-// the new connection — with the spec re-registered first, since the
-// fresh connection's table is empty. A RemoteError is returned immediately
-// (the connection is fine, the request is not). When the last window
-// passes with no connection, the error wraps jobs.ErrExecutorGone.
+// is the encoding spec.CorpusID names. seq names a search (0 for a tune).
+// Each backoff window doubles as a rejoin window: if the worker
+// re-registers in time, the retry lands on the new connection — with the
+// spec re-registered first, since the fresh connection's table is empty.
+// A RemoteError is returned immediately (the connection is fine, the
+// request is not). When the last window passes with no connection, the
+// error wraps jobs.ErrExecutorGone.
 //
 // w.mu is the per-worker RPC serializer: holding it across the
 // backoff/rejoin wait IS the contract — concurrent calls queue behind it
 // rather than interleave frames on one connection.
 //
 //keyvet:allow lockorder
-func (w *RemoteWorker) call(ctx context.Context, spec JobSpec, corpus []byte, req MsgType, payload []byte, want MsgType, as *activeSearch) ([]byte, error) {
+func (w *RemoteWorker) call(ctx context.Context, spec JobSpec, corpus []byte, req MsgType, payload []byte, want MsgType, seq uint64, onProgress func(done uint64)) ([]byte, error) {
 	if spec.CorpusID != 0 && corpus == nil {
 		return nil, fmt.Errorf("netproto: %s: spec references corpus %016x, but the call carries no corpus", w.name, spec.CorpusID)
 	}
@@ -718,7 +667,7 @@ func (w *RemoteWorker) call(ctx context.Context, spec JobSpec, corpus []byte, re
 			w.tel.retries.Inc()
 			w.tel.reg.Emit(telemetry.EventRetry, w.name, uint64(attempt), lastErr.Error())
 		}
-		conn, err := w.takeConn(ctx, w.opts.Retry.Backoff(attempt))
+		wc, err := w.takeConn(ctx, w.opts.Retry.Backoff(attempt))
 		if err != nil {
 			if errors.Is(err, ErrMasterClosed) || ctx.Err() != nil {
 				return nil, err
@@ -730,30 +679,42 @@ func (w *RemoteWorker) call(ctx context.Context, spec JobSpec, corpus []byte, re
 			continue
 		}
 		gone = nil
-		prelude, registers := w.prelude(conn, spec, id, corpus)
-		resp, err := w.callOn(ctx, conn, prelude, req, payload, want, as)
+		prelude, registers := w.prelude(wc, spec, id, corpus)
+		f, err := w.exchange(ctx, wc, prelude, req, payload, seq, onProgress)
 		if err == nil {
-			return resp, nil
-		}
-		var clean *cleanCancel
-		if errors.As(err, &clean) {
-			// Cancelled, but drained to a frame boundary: the worker
-			// accepted the prelude and the call, so its tables are current
-			// and the connection is reusable as-is.
-			return nil, clean.err
-		}
-		var remote *RemoteError
-		if errors.As(err, &remote) {
-			if registers {
-				// The error may answer a prelude frame rather than the
-				// request itself, in which case a second error frame for
-				// the request is still in flight; drop the connection so
-				// no later call reads a stale frame.
-				w.discardConn(conn)
+			if ctx.Err() != nil && (f.t == want || f.t == MsgError && seq != 0) {
+				// The reply answers a cancelled call: the worker took the
+				// prelude and the call, so its tables are current and the
+				// connection, at a frame boundary, stays.
+				return nil, ctx.Err()
 			}
-			return nil, err
+			switch f.t {
+			case want:
+				return f.p, nil
+			case MsgError:
+				err = &RemoteError{Worker: w.name, Msg: string(f.p)}
+				if registers {
+					// The error may answer a prelude frame rather than the
+					// request itself, in which case a second error frame for
+					// the request is still in flight; drop the connection
+					// rather than have its reader fail it.
+					w.discardConn(wc, err)
+				}
+				return nil, err
+			case MsgRequeue:
+				rq, derr := DecodeRequeue(f.p)
+				if derr != nil {
+					err = fmt.Errorf("netproto: %s: bad requeue: %w", w.name, derr)
+					break
+				}
+				w.tel.requeues.Inc()
+				w.tel.reg.Emit(telemetry.EventRequeue, w.name, 0, rq.Reason)
+				err = &RequeueError{Worker: w.name, Reason: rq.Reason}
+			default:
+				err = fmt.Errorf("netproto: %s: unexpected response type %d", w.name, f.t)
+			}
 		}
-		w.discardConn(conn)
+		w.discardConn(wc, err)
 		lastErr = err
 		if ctx.Err() != nil {
 			return nil, err
@@ -764,165 +725,4 @@ func (w *RemoteWorker) call(ctx context.Context, spec JobSpec, corpus []byte, re
 		return nil, fmt.Errorf("%w (after %w)", gone, lastErr)
 	}
 	return nil, lastErr
-}
-
-// frame is one queued protocol message (type + payload).
-type frame struct {
-	t MsgType
-	p []byte
-}
-
-// callOn performs one request/response exchange on conn — preceded by
-// the prelude frames (corpus chunks, spec registration) when non-empty —
-// pinging at the heartbeat interval and bounding every read by the
-// heartbeat timeout. A worker that is merely busy keeps answering pongs
-// from its read loop; a dead one times out and is declared failed.
-//
-// For search calls, as names the search: MsgProgress and MsgShrinkAck
-// frames matching its seq are routed to it, and cancellation turns into
-// a graceful shrink-to-zero drain (see below) instead of tearing the
-// connection down mid-frame.
-func (w *RemoteWorker) callOn(ctx context.Context, conn net.Conn, prelude []frame, req MsgType, payload []byte, want MsgType, as *activeSearch) ([]byte, error) {
-	write := w.tel.writer(conn, w.opts.WriteTimeout)
-
-	stop := make(chan struct{})
-	defer close(stop)
-	if as != nil {
-		as.mu.Lock()
-		as.write = write
-		as.done = stop
-		as.mu.Unlock()
-		w.active.Store(as)
-		defer func() {
-			w.active.CompareAndSwap(as, nil)
-			as.mu.Lock()
-			as.write = nil
-			as.mu.Unlock()
-		}()
-	}
-	go func() {
-		select {
-		case <-ctx.Done():
-			if as != nil {
-				// Graceful cancel: ask the worker to stop at its next batch
-				// boundary and drain the truncated result, keeping the
-				// connection at a frame boundary. Poison the conn only if
-				// the drain stalls (worker stuck mid-batch or gone).
-				if write(MsgShrink, EncodeShrink(Shrink{Seq: as.seq, Keep: 0})) == nil {
-					t := time.NewTimer(w.opts.ackWait())
-					defer t.Stop()
-					select {
-					case <-stop:
-						return
-					case <-t.C:
-					}
-				}
-			}
-			_ = conn.SetDeadline(time.Now()) // unblock pending IO
-		case <-stop:
-		}
-	}()
-
-	for _, f := range prelude {
-		if err := write(f.t, f.p); err != nil {
-			return nil, fmt.Errorf("netproto: %s: %w", w.name, err)
-		}
-	}
-	if err := write(req, payload); err != nil {
-		return nil, fmt.Errorf("netproto: %s: %w", w.name, err)
-	}
-
-	if w.opts.Heartbeat > 0 {
-		go func() {
-			tick := time.NewTicker(w.opts.Heartbeat)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tick.C:
-					seq := w.pingSeq.Add(1)
-					w.pings.sentAt(seq)
-					if write(MsgPing, EncodeHeartbeat(Heartbeat{Seq: seq})) != nil {
-						return
-					}
-					w.tel.pings.Inc()
-				case <-stop:
-					return
-				}
-			}
-		}()
-	}
-
-	for {
-		// A cancelled search call keeps reading: the graceful-cancel
-		// watcher has asked the worker to stop, and the truncated result
-		// (or the poisoned deadline, if the drain stalls) ends the loop.
-		if ctx.Err() != nil && as == nil {
-			return nil, ctx.Err()
-		}
-		if w.opts.HeartbeatTimeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(w.opts.HeartbeatTimeout))
-		}
-		t, resp, err := ReadFrame(conn)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			return nil, fmt.Errorf("netproto: %s: %w", w.name, err)
-		}
-		w.tel.recv.Inc()
-		switch t {
-		case MsgPong:
-			// Liveness confirmed; the deadline resets on the next read.
-			w.tel.pongs.Inc()
-			if hb, derr := DecodeHeartbeat(resp); derr == nil {
-				if rtt, ok := w.pings.rtt(hb.Seq); ok {
-					w.tel.rtt.ObserveDuration(rtt)
-					w.tel.reg.Emit(telemetry.EventHeartbeat, w.name, hb.Seq, rtt.String())
-				}
-			}
-			continue
-		case MsgProgress:
-			// Frames from an earlier search (stale seq) are inert.
-			if as != nil {
-				if pg, derr := DecodeProgress(resp); derr == nil && pg.Seq == as.seq {
-					w.tel.progress.Inc()
-					if as.onProgress != nil {
-						as.onProgress(pg.Done)
-					}
-				}
-			}
-			continue
-		case MsgShrinkAck:
-			if as != nil {
-				if ack, derr := DecodeShrinkAck(resp); derr == nil && ack.Seq == as.seq {
-					as.deliver(ack)
-				}
-			}
-			continue
-		case want:
-			_ = conn.SetReadDeadline(time.Time{})
-			if err := ctx.Err(); err != nil {
-				// The drain succeeded: the result frame answers the
-				// cancelled call, and the conn sits at a frame boundary.
-				return nil, &cleanCancel{err: err}
-			}
-			return resp, nil
-		case MsgError:
-			_ = conn.SetReadDeadline(time.Time{})
-			if err := ctx.Err(); err != nil && as != nil {
-				return nil, &cleanCancel{err: err}
-			}
-			return nil, &RemoteError{Worker: w.name, Msg: string(resp)}
-		case MsgRequeue:
-			rq, derr := DecodeRequeue(resp)
-			if derr != nil {
-				return nil, fmt.Errorf("netproto: %s: bad requeue: %w", w.name, derr)
-			}
-			w.tel.requeues.Inc()
-			w.tel.reg.Emit(telemetry.EventRequeue, w.name, 0, rq.Reason)
-			return nil, &RequeueError{Worker: w.name, Reason: rq.Reason}
-		default:
-			return nil, fmt.Errorf("netproto: %s: unexpected response type %d", w.name, t)
-		}
-	}
 }

@@ -62,40 +62,3 @@ func (nt *netTelemetry) writer(conn net.Conn, timeout time.Duration) func(MsgTyp
 		return err
 	}
 }
-
-// pingClock matches pongs back to the pings that caused them by sequence
-// number, yielding the round-trip time. Entries whose pong never arrives
-// (the connection died in between) are evicted once they fall a window
-// behind the newest ping, so the map stays small on flappy links.
-type pingClock struct {
-	mu   sync.Mutex
-	sent map[uint64]time.Time
-}
-
-func newPingClock() *pingClock {
-	return &pingClock{sent: make(map[uint64]time.Time)}
-}
-
-const pingClockWindow = 64
-
-func (p *pingClock) sentAt(seq uint64) {
-	p.mu.Lock()
-	p.sent[seq] = time.Now()
-	if seq > pingClockWindow {
-		delete(p.sent, seq-pingClockWindow)
-	}
-	p.mu.Unlock()
-}
-
-// rtt returns the round trip for seq, or false if the ping was not seen
-// (stale pong from a previous call, or telemetry raced the write).
-func (p *pingClock) rtt(seq uint64) (time.Duration, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	at, ok := p.sent[seq]
-	if !ok {
-		return 0, false
-	}
-	delete(p.sent, seq)
-	return time.Since(at), true
-}

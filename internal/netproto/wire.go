@@ -120,14 +120,21 @@
 //
 // # Failure model
 //
+// The master reads each worker connection with one reader for its life,
+// which routes pongs, progress marks and shrink acks (by Seq) and hands a
+// reply to the one call waiting for it. A read error, an unknown frame
+// type or a reply no call waits for (a worker answering twice, or
+// unasked) closes the connection: no call takes a stale frame for its
+// answer.
+//
 // A search call can outlive any fixed network timeout, so liveness and
-// progress are separated: while a call is in flight the master sends
-// MsgPing every MasterOptions.Heartbeat (default 2s) and arms a read
-// deadline of MasterOptions.HeartbeatTimeout (default 4x the interval)
-// per frame; the worker answers MsgPong from its read loop even while
-// the search runs in another goroutine. A worker that is merely slow
-// keeps ponging; a dead or partitioned one goes silent and is detected
-// within one HeartbeatTimeout.
+// progress are separated: while a call is in flight, and only then, the
+// master sends MsgPing every MasterOptions.Heartbeat (default 2s) and the
+// reader holds a read deadline of MasterOptions.HeartbeatTimeout (default
+// 4x the interval), re-armed per frame; the worker answers MsgPong from
+// its read loop even while the search runs in another goroutine. A worker
+// that is merely slow keeps ponging; a dead or partitioned one goes silent
+// and is detected within one HeartbeatTimeout.
 //
 // When a call fails at the transport level the connection is discarded
 // and the call retried per MasterOptions.Retry (capped exponential
